@@ -1,10 +1,10 @@
 // Microbenchmark for the router's round disciplines: the legacy batched
 // rip-up & re-route loop (shards = 0) against spatially sharded rounds
-// (shards >= 1, route/sharding.h). Sharded rounds freeze the price plane
-// once per round — windows gather prices instead of exponentiating per
-// edge — and fan shards out across the worker pool, so they win twice:
-// less work per net even single-threaded, and chunk-parallel scaling with
-// the shard count on multi-core hosts. Before the timed rows run, main()
+// (shards >= 1, route/sharding.h). Both disciplines price windows by
+// gathering from the per-resource price table; sharded rounds freeze the
+// prices once per round and fan shards out across the worker pool with one
+// merge barrier per round, where batched rounds wait at a barrier after
+// every batch. Before the timed rows run, main()
 // verifies that sharded results are bit-identical at 1 and 4 shards (the
 // documented shard-count invariance).
 

@@ -296,6 +296,18 @@ struct Router::Impl {
     return run_method(oi, options.method, p, lease.get(), &controls);
   }
 
+  /// Estimated solve work of net i, the t·n of the oracle's
+  /// O(t(n log n + m)) bound: sink count times the vertex count of the
+  /// net's clipped routing window.
+  std::uint64_t estimated_work(std::size_t i) const {
+    const Net& net = netlist.nets[i];
+    const Rect box =
+        RoutingWindow::clip(grid, net_window_box(net, options.oracle));
+    return static_cast<std::uint64_t>(net.sinks.size()) *
+           static_cast<std::uint64_t>((box.width() + 1) * (box.height() + 1) *
+                                      grid.nz());
+  }
+
   /// The transport's round-invariant world: everything a shard worker needs
   /// to rebuild this session's grid and oracle bit-identically. Pointer
   /// knobs never cross the wire (dist/wire.h); executors install
@@ -694,6 +706,7 @@ struct Router::Impl {
     const std::size_t batch =
         static_cast<std::size_t>(std::max(1, options.batch_size));
     const SolveControls controls = detail::make_solve_controls(control);
+    std::vector<std::pair<std::uint64_t, std::size_t>> order;
 
     for (std::size_t lo = 0; lo < num_nets; lo += batch) {
       const std::size_t hi = std::min(num_nets, lo + batch);
@@ -710,9 +723,21 @@ struct Router::Impl {
       for (std::size_t i = lo; i < hi; ++i) {
         if (!routes[i].empty()) costs.add_usage(routes[i], -1.0);
       }
+      // Heaviest first: the pool hands out one index at a time, so starting
+      // the big nets early keeps the batch from waiting on a lane that drew
+      // one last. Outcomes stay index-addressed and every net prices
+      // against the same frozen usage, so the order only schedules work.
+      order.clear();
+      for (std::size_t i = lo; i < hi; ++i) {
+        order.emplace_back(estimated_work(i), i);
+      }
+      std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
+        return a.first != b.first ? a.first > b.first : a.second < b.second;
+      });
       std::vector<OracleOutcome> outcomes(hi - lo);
       const std::function<void(std::size_t)> route_one =
-          [&](std::size_t i) {
+          [&](std::size_t k) {
+            const std::size_t i = order[k].second;
             if (netlist.nets[i].sinks.empty()) return;
             if (controls.cancel != nullptr &&
                 controls.cancel->load(std::memory_order_relaxed)) {
@@ -725,7 +750,7 @@ struct Router::Impl {
                 route_one_net(i, round, /*pricing=*/nullptr, controls);
           };
       try {
-        pool->parallel_for(lo, hi, route_one);
+        pool->parallel_for(0, order.size(), route_one);
       } catch (...) {
         // Restore the batch's pre-rip-up routes so the session stays a
         // coherent snapshot, whatever unwound the batch.

@@ -15,6 +15,8 @@ CongestionCosts::CongestionCosts(const RoutingGrid& grid,
   for (ResourceId r = 0; r < capacity_.size(); ++r) {
     capacity_[r] = std::max(1e-9, grid.resource_capacity(r));
   }
+  price_.resize(grid.num_resources());
+  for (ResourceId r = 0; r < price_.size(); ++r) refresh_price(r);
 }
 
 std::vector<double> CongestionCosts::edge_cost_vector() const {
@@ -35,9 +37,13 @@ void CongestionCosts::add_usage(const std::vector<EdgeId>& edges,
     const RoutingGrid::EdgeInfo& info = grid_->edge_info(e);
     usage_[info.resource] =
         std::max(0.0, usage_[info.resource] + sign * info.width);
+    refresh_price(info.resource);
   }
 }
 
-void CongestionCosts::reset() { std::fill(usage_.begin(), usage_.end(), 0.0); }
+void CongestionCosts::reset() {
+  std::fill(usage_.begin(), usage_.end(), 0.0);
+  for (ResourceId r = 0; r < price_.size(); ++r) refresh_price(r);
+}
 
 }  // namespace cdst

@@ -36,11 +36,11 @@ class CongestionCosts {
 
   /// Current congestion price for routing one more wire over edge e:
   ///   c(e) = unit_cost(e) * price_at_full ^ (utilization(resource(e)))
-  /// (>= unit_cost(e), equality at zero usage).
+  /// (>= unit_cost(e), equality at zero usage). A gather from the
+  /// per-resource price table: the exp() ran when the usage last changed.
   double edge_cost(EdgeId e) const {
     const RoutingGrid::EdgeInfo& info = grid_->edge_info(e);
-    const double util = usage_[info.resource] / capacity_[info.resource];
-    return info.unit_cost * std::exp(log_base_ * util * params_.smoothing);
+    return info.unit_cost * price_[info.resource];
   }
 
   /// Price of e with `excluded_usage` capacity units of its resource's usage
@@ -70,6 +70,7 @@ class CongestionCosts {
   /// edge_cost_excluding prices bit-identically off-process.
   void set_usage(ResourceId r, double usage) {
     usage_[r] = std::max(0.0, usage);
+    refresh_price(r);
   }
 
   double usage(ResourceId r) const { return usage_[r]; }
@@ -79,11 +80,20 @@ class CongestionCosts {
   void reset();
 
  private:
+  /// Re-derives price_[r] from usage_[r] with the same double operations
+  /// edge_cost_excluding uses, so a gathered price is bit-identical to the
+  /// closed form. Every usage mutator calls it for the resources it touches.
+  void refresh_price(ResourceId r) {
+    const double util = usage_[r] / capacity_[r];
+    price_[r] = std::exp(log_base_ * util * params_.smoothing);
+  }
+
   const RoutingGrid* grid_;
   CongestionParams params_;
   double log_base_;
   std::vector<double> usage_;
   std::vector<double> capacity_;
+  std::vector<double> price_;  ///< price_at_full ^ utilization, per resource
 };
 
 }  // namespace cdst

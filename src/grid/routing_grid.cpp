@@ -65,6 +65,8 @@ void RoutingGrid::build() {
     }
   }
 
+  num_wire_resources_ = resource_capacity_.size();
+
   // Via edges between adjacent layers; one resource per gcell stack segment.
   for (std::int32_t z = 0; z + 1 < nz; ++z) {
     for (std::int32_t y = 0; y < ny_; ++y) {

@@ -76,6 +76,9 @@ class RoutingGrid {
   }
 
   std::size_t num_resources() const { return resource_capacity_.size(); }
+  /// Wire resources (gcell boundaries) are ids [0, num_wire_resources());
+  /// via resources follow them.
+  std::size_t num_wire_resources() const { return num_wire_resources_; }
   double resource_capacity(ResourceId r) const {
     CDST_ASSERT(r < resource_capacity_.size());
     return resource_capacity_[r];
@@ -118,6 +121,7 @@ class RoutingGrid {
   std::vector<double> delays_;
   std::vector<double> base_costs_;
   std::vector<double> resource_capacity_;
+  std::size_t num_wire_resources_{0};
   double min_unit_cost_{0.0};
   double min_unit_delay_{0.0};
 };

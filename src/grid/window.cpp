@@ -8,11 +8,7 @@ RoutingWindow::RoutingWindow(const RoutingGrid& grid,
                              const CongestionCosts& costs, Rect box,
                              const RoundPricing* pricing)
     : grid_(&grid) {
-  // Clip to the grid.
-  box.xlo = std::max(box.xlo, 0);
-  box.ylo = std::max(box.ylo, 0);
-  box.xhi = std::min(box.xhi, grid.nx() - 1);
-  box.yhi = std::min(box.yhi, grid.ny() - 1);
+  box = clip(grid, box);
   CDST_CHECK_MSG(!box.empty(), "routing window does not intersect the grid");
   box_ = box;
   wx_ = static_cast<std::int32_t>(box.width()) + 1;
@@ -43,18 +39,17 @@ RoutingWindow::RoutingWindow(const RoutingGrid& grid,
   // Copy edges whose endpoints both lie in the window. Iterating grid arcs
   // from each window vertex visits each such edge twice; keep tail < head.
   const Graph& gg = grid.graph();
+  const std::vector<Point3>& gpos = grid.positions();
   for (VertexId wv = 0; wv < wn; ++wv) {
     const VertexId gv = to_grid_vertex_[wv];
-    const Point3 pv = grid.position(gv);
     for (const Graph::Arc& a : gg.arcs(gv)) {
       if (a.to < gv) continue;  // visit once
-      const Point3 pu = grid.position(a.to);
+      const Point3 pu = gpos[a.to];
       if (!box_.contains(pu.xy())) continue;
       const VertexId wu = wvertex(pu.x, pu.y, pu.z);
       builder.add_edge(wv, wu);
       to_grid_edge_.push_back(a.edge);
     }
-    (void)pv;
   }
   graph_ = Graph(builder);
 
@@ -68,8 +63,8 @@ RoutingWindow::RoutingWindow(const RoutingGrid& grid,
     if (pricing == nullptr) {
       costs_[e] = costs.edge_cost(ge);
     } else {
-      // Frozen round snapshot: a gather instead of an exp() per edge. Only
-      // the net's own resources re-price, with its committed usage excluded.
+      // Frozen round snapshot: only the net's own resources re-price, with
+      // its committed usage excluded.
       const double* excluded =
           pricing->excluded_usage != nullptr
               ? pricing->excluded_usage->find(grid.edge_info(ge).resource)
@@ -87,8 +82,16 @@ RoutingWindow::RoutingWindow(const RoutingGrid& grid,
   arc_costs_.assign_borrowed(graph_, costs_, delays_, layer_of);
 }
 
+Rect RoutingWindow::clip(const RoutingGrid& grid, Rect box) {
+  box.xlo = std::max(box.xlo, 0);
+  box.ylo = std::max(box.ylo, 0);
+  box.xhi = std::min(box.xhi, grid.nx() - 1);
+  box.yhi = std::min(box.yhi, grid.ny() - 1);
+  return box;
+}
+
 VertexId RoutingWindow::from_grid_vertex(VertexId gv) const {
-  const Point3 p = grid_->position(gv);
+  const Point3 p = grid_->positions()[gv];
   if (!box_.contains(p.xy())) return kInvalidVertex;
   return static_cast<VertexId>(
       (static_cast<std::int64_t>(p.z) * wy_ + (p.y - box_.ylo)) * wx_ +

@@ -36,11 +36,15 @@ struct RoundPricing {
 class RoutingWindow {
  public:
   /// Builds the subgraph of `grid` over gcells in `box` (clipped to the
-  /// grid), all layers included, with current congestion prices as costs.
+  /// grid), all layers included, with current congestion prices as costs
+  /// (gathered from CongestionCosts' per-resource price table).
   /// `pricing` (optional) prices from a frozen round snapshot instead of the
   /// live CongestionCosts state — see RoundPricing.
   RoutingWindow(const RoutingGrid& grid, const CongestionCosts& costs,
                 Rect box, const RoundPricing* pricing = nullptr);
+
+  /// `box` clipped to the grid, as the constructor clips it.
+  static Rect clip(const RoutingGrid& grid, Rect box);
 
   const Graph& graph() const { return graph_; }
   const RoutingGrid& grid() const { return *grid_; }

@@ -5,19 +5,13 @@
 namespace cdst {
 
 CongestionReport compute_ace(const CongestionCosts& costs) {
-  const RoutingGrid& grid = costs.grid();
-  // Collect utilizations of wire resources only. A resource is a wire
-  // boundary iff some non-via edge references it; build the flag from edges.
-  std::vector<bool> is_wire(costs.num_resources(), false);
-  for (EdgeId e = 0; e < grid.graph().num_edges(); ++e) {
-    const auto& info = grid.edge_info(e);
-    if (!info.is_via) is_wire[info.resource] = true;
-  }
+  // Utilizations of wire resources only: the grid numbers them before any
+  // via resource.
+  const std::size_t num_wire = costs.grid().num_wire_resources();
   std::vector<double> utils;
-  utils.reserve(costs.num_resources());
+  utils.reserve(num_wire);
   CongestionReport rep;
-  for (ResourceId r = 0; r < costs.num_resources(); ++r) {
-    if (!is_wire[r]) continue;
+  for (ResourceId r = 0; r < num_wire; ++r) {
     const double u = costs.utilization(r) * 100.0;
     utils.push_back(u);
     rep.max_utilization = std::max(rep.max_utilization, u);

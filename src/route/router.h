@@ -67,8 +67,10 @@ struct RouterOptions {
   /// barrier in net order. Results are bit-identical at ANY thread and
   /// shard count (shards only schedule work); they differ from the legacy
   /// batched discipline, whose batches see earlier batches' usage
-  /// mid-round. Snapshot pricing also replaces the per-window exp() pricing
-  /// with a gather, so sharded rounds are faster even single-threaded.
+  /// mid-round. Both disciplines price windows by gathering from
+  /// CongestionCosts' per-resource price table; sharded rounds win on
+  /// scheduling, with one merge barrier per round instead of one barrier
+  /// per batch.
   int shards{0};
   /// Where sharded rounds execute shard work. Null (default) runs every
   /// shard in-process on the session's worker pool. Non-null routes each

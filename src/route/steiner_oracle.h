@@ -30,6 +30,11 @@ struct OracleParams {
   SolverOptions cd;  ///< cost-distance solver knobs (future_cost set per net)
 };
 
+/// The routing window of `net` before clipping to the grid: its bounding
+/// box inflated by the params' margin. OracleInstance builds its window over
+/// this box; the batched router sizes each net's work estimate from it.
+Rect net_window_box(const Net& net, const OracleParams& p);
+
 /// One net's Steiner problem, materialized on a routing window with current
 /// congestion prices. Self-contained: owns the window and all vectors the
 /// embedded CostDistanceInstance points into. Movable (batch APIs store

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "graph/dijkstra.h"
 #include "grid/cost_model.h"
 #include "grid/future_cost.h"
@@ -48,7 +51,13 @@ TEST(RoutingGrid, EdgeAndResourceCounts) {
   }
   const std::size_t vias = static_cast<std::size_t>((nz - 1) * nx * ny);
   EXPECT_EQ(g.num_resources(), exp_resources + vias);
+  EXPECT_EQ(g.num_wire_resources(), exp_resources);
   EXPECT_EQ(g.graph().num_edges(), exp_edges + vias);
+  // Wire resources come first: compute_ace relies on the id split.
+  for (EdgeId e = 0; e < g.graph().num_edges(); ++e) {
+    const auto& info = g.edge_info(e);
+    EXPECT_EQ(info.resource < g.num_wire_resources(), !info.is_via);
+  }
   EXPECT_EQ(g.graph().num_vertices(),
             static_cast<std::size_t>(nx * ny * nz));
 }
@@ -108,6 +117,50 @@ TEST(CongestionCosts, RipUpNeverGoesNegative) {
   std::vector<EdgeId> e{0};
   costs.add_usage(e, -1.0);
   EXPECT_GE(costs.usage(g.edge_info(0).resource), 0.0);
+}
+
+TEST(CongestionCosts, PriceTableMatchesClosedForm) {
+  const RoutingGrid g = small_grid();
+  CongestionParams params;
+  params.price_at_full = 11.0;
+  params.smoothing = 1.3;
+  CongestionCosts costs(g, params);
+  const std::size_t m = g.graph().num_edges();
+  // The closed form edge_cost had before the price table, recomputed here
+  // from the usage alone.
+  auto expect_closed_form = [&](const char* step) {
+    for (EdgeId e = 0; e < m; ++e) {
+      const auto& info = g.edge_info(e);
+      const double cap =
+          std::max(1e-9, g.resource_capacity(info.resource));
+      const double util = costs.usage(info.resource) / cap;
+      const double expected =
+          info.unit_cost *
+          std::exp(std::log(params.price_at_full) * util * params.smoothing);
+      ASSERT_EQ(costs.edge_cost(e), expected) << step << ", edge " << e;
+      ASSERT_EQ(costs.edge_cost_excluding(e, 0.0), costs.edge_cost(e))
+          << step << ", edge " << e;
+    }
+  };
+  expect_closed_form("constructor");
+  Rng rng(20261017);
+  for (int step = 0; step < 200; ++step) {
+    const std::uint64_t kind = rng.uniform(10);
+    if (kind < 7) {
+      std::vector<EdgeId> edges(1 + rng.uniform(6));
+      for (EdgeId& e : edges) e = static_cast<EdgeId>(rng.uniform(m));
+      costs.add_usage(edges, rng.bernoulli(0.7) ? +1.0 : -1.0);
+      expect_closed_form("add_usage");
+    } else if (kind < 9) {
+      const auto r =
+          static_cast<ResourceId>(rng.uniform(costs.num_resources()));
+      costs.set_usage(r, rng.uniform_double(-2.0, 40.0));
+      expect_closed_form("set_usage");
+    } else {
+      costs.reset();
+      expect_closed_form("reset");
+    }
+  }
 }
 
 TEST(FutureCost, BoundsAreAdmissible) {

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "route/metrics.h"
 #include "route/netlist_gen.h"
 #include "route/router.h"
@@ -255,34 +257,62 @@ TEST(Router, ThreadedRoutingIsDeterministic) {
 TEST(Router, ResultsAreThreadCountInvariant) {
   // RouterOptions::threads documents that results are deterministic and
   // independent of the thread count: the batch structure (not the worker
-  // pool) defines which nets price against which snapshot. Routing the same
-  // netlist with 1, 2 and 4 threads must produce bit-identical routes and
-  // sink delays.
-  const ChipConfig c = tiny_chip();
-  const RoutingGrid grid = make_chip_grid(c);
-  const Netlist nl = generate_netlist(c, grid);
+  // pool) defines which nets price against which snapshot, and each batch
+  // dispatches heaviest-first into index-addressed slots. Routing the same
+  // netlist with 1, 2 and 4 threads must produce bit-identical routes, sink
+  // delays and multipliers. The second input runs the bifurcation-penalty
+  // path (dbif > 0) over batches whose nets mix sink counts, so the
+  // heaviest-first order differs from net order.
+  auto expect_thread_count_invariant = [](const ChipConfig& c,
+                                          const RouterOptions& base) {
+    const RoutingGrid grid = make_chip_grid(c);
+    const Netlist nl = generate_netlist(c, grid);
+    RouterOptions opts = base;
+    opts.threads = 1;
+    const RouterResult one = route_chip(grid, nl, opts);
+    opts.threads = 4;
+    const RouterResult four = route_chip(grid, nl, opts);
+    opts.threads = 2;
+    const RouterResult two = route_chip(grid, nl, opts);
+
+    for (const RouterResult* other : {&four, &two}) {
+      ASSERT_EQ(one.routes.size(), other->routes.size());
+      for (std::size_t i = 0; i < one.routes.size(); ++i) {
+        EXPECT_EQ(one.routes[i], other->routes[i]) << c.name << " net " << i;
+      }
+      EXPECT_EQ(one.sink_delays, other->sink_delays) << c.name;
+      EXPECT_EQ(one.sink_weights, other->sink_weights) << c.name;
+    }
+  };
+
   RouterOptions opts;
   opts.method = SteinerMethod::kCD;
   opts.iterations = 2;
   opts.batch_size = 16;
-  opts.threads = 1;
-  const RouterResult one = route_chip(grid, nl, opts);
-  opts.threads = 4;
-  const RouterResult four = route_chip(grid, nl, opts);
-  opts.threads = 2;
-  const RouterResult two = route_chip(grid, nl, opts);
+  expect_thread_count_invariant(tiny_chip(), opts);
 
-  for (const RouterResult* other : {&four, &two}) {
-    ASSERT_EQ(one.routes.size(), other->routes.size());
-    for (std::size_t i = 0; i < one.routes.size(); ++i) {
-      EXPECT_EQ(one.routes[i], other->routes[i]) << "net " << i;
-    }
-    ASSERT_EQ(one.sink_delays.size(), other->sink_delays.size());
-    for (std::size_t s = 0; s < one.sink_delays.size(); ++s) {
-      EXPECT_DOUBLE_EQ(one.sink_delays[s], other->sink_delays[s])
-          << "sink " << s;
-    }
+  ChipConfig mixed = tiny_chip();
+  mixed.name = "mixed";
+  mixed.num_nets = 96;
+  mixed.seed = 11;
+  mixed.rat_tightness = 1.1;
+  const RoutingGrid mixed_grid = make_chip_grid(mixed);
+  const Netlist mixed_nl = generate_netlist(mixed, mixed_grid);
+  const std::size_t batch = 24;
+  ASSERT_EQ(mixed_nl.nets.size() % batch, 0u);
+  for (auto first = mixed_nl.nets.begin(); first != mixed_nl.nets.end();
+       first += batch) {
+    const auto [lightest, heaviest] = std::minmax_element(
+        first, first + batch, [](const Net& a, const Net& b) {
+          return a.sinks.size() < b.sinks.size();
+        });
+    ASSERT_LT(lightest->sinks.size(), heaviest->sinks.size())
+        << "batch at net " << (first - mixed_nl.nets.begin())
+        << " does not mix sink counts";
   }
+  opts.batch_size = static_cast<int>(batch);
+  opts.oracle.dbif = 8.0;
+  expect_thread_count_invariant(mixed, opts);
 }
 
 }  // namespace
