@@ -37,6 +37,14 @@ struct TransportDispatchError {
   Status status;
 };
 
+/// One oracle lane of a Router session: the solver scratch plus the oracle
+/// instance each net is rebuilt into, so routing a net allocates only when
+/// its window is the largest the lane has met.
+struct OracleLane {
+  SolverScratch scratch;
+  OracleInstance oracle;
+};
+
 }  // namespace
 
 std::vector<std::uint8_t> RouterCheckpoint::to_bytes() const {
@@ -274,9 +282,10 @@ struct Router::Impl {
 
   /// Materializes and solves one net's oracle instance — the one place the
   /// per-net seed derivation, sink-weight view, dense-budget injection and
-  /// scratch lease live, so the batched and sharded disciplines cannot
-  /// drift apart. `pricing` null = live congestion prices (batched path);
-  /// otherwise the round's frozen snapshot (sharded path).
+  /// lane lease live, so the batched and sharded disciplines cannot drift
+  /// apart. The leased lane's oracle is rebuilt in place for the net.
+  /// `pricing` null = live congestion prices (batched path); otherwise the
+  /// round's frozen snapshot (sharded path).
   OracleOutcome route_one_net(std::size_t i, int round,
                               const RoundPricing* pricing,
                               const SolveControls& controls) {
@@ -291,9 +300,11 @@ struct Router::Impl {
     if (p.cd.shared_dense_budget == nullptr) {
       p.cd.shared_dense_budget = &dense_budget;
     }
-    const detail::SolverScratchPool::Lease lease = scratch.lease();
-    const OracleInstance oi(grid, costs, net, weights, p, pricing);
-    return run_method(oi, options.method, p, lease.get(), &controls);
+    const detail::LanePool<OracleLane>::Lease lease = lanes.lease();
+    OracleLane& lane = *lease.get();
+    lane.oracle.rebuild(grid, costs, net, weights, p, pricing);
+    return run_method(lane.oracle, options.method, p, &lane.scratch,
+                      &controls);
   }
 
   /// Estimated solve work of net i, the t·n of the oracle's
@@ -459,10 +470,13 @@ struct Router::Impl {
     // Routes nets mine[b, e) of shard sh against the frozen snapshot —
     // shared by the static whole-shard tasks and the work-stealing lanes.
     // `excluded` is caller-recycled scratch (one per worker, cleared per
-    // net).
+    // net). The shard fault site sits here, on every span, so a persistent
+    // fault fails each lane that routes any part of the shard: a thief
+    // cannot complete a shard whose claimer faulted.
     const auto route_net_span = [&](std::size_t sh, std::uint32_t b,
                                     std::uint32_t e,
                                     SparseMap<double>& excluded) {
+      CDST_FAULT_POINT("router.shard");
       const std::vector<std::uint32_t>& mine = shard_map.nets[sh];
       for (std::uint32_t k = b; k < e; ++k) {
         const std::uint32_t i = mine[k];
@@ -516,10 +530,12 @@ struct Router::Impl {
     const std::function<void(std::size_t)> route_shard =
         [&](std::size_t sh) {
           if (shard_done[sh] != 0) return;
-          CDST_FAULT_POINT("router.shard");
           const std::vector<std::uint32_t>& mine = shard_map.nets[sh];
           double dispatch_seconds = 0.0;
           if (transport != nullptr) {
+            // A dispatched shard computes elsewhere; its fault site stands
+            // in for that computation, as route_net_span's does in-process.
+            CDST_FAULT_POINT("router.shard");
             if (controls.cancel != nullptr &&
                 controls.cancel->load(std::memory_order_relaxed)) {
               // cdst-lint: allow(api-throw) internal unwind: caught at the
@@ -579,7 +595,6 @@ struct Router::Impl {
         }
       };
       for (int sh = sched.claim_shard(); sh >= 0; sh = sched.claim_shard()) {
-        CDST_FAULT_POINT("router.shard");
         for (;;) {
           const ShardStealSchedule::Span s =
               sched.take_span(sh, /*stolen=*/false);
@@ -829,7 +844,9 @@ struct Router::Impl {
   DenseStateBudget dense_budget;
   ThreadPool* pool{nullptr};
   std::unique_ptr<ThreadPool> owned_pool;
-  detail::SolverScratchPool scratch;
+  /// Recycled per-task oracle lanes; their memory is bounded by the
+  /// concurrency high-water mark times the largest window routed.
+  detail::LanePool<OracleLane> lanes;
 
   // Sharded-round state: the net partition (rebuilt when the shard count
   // changes) and the recycled per-round price snapshot.

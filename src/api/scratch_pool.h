@@ -1,6 +1,7 @@
 /// \file api/scratch_pool.h
 /// Internal session-layer helpers shared by CdSolver and Router: the leased
-/// SolverScratch free list and the RunControl -> SolveControls mapping.
+/// lane free list (SolverScratch, plus Router's recycled oracle) and the
+/// RunControl -> SolveControls mapping.
 /// The in-tree bench harnesses (cost_increase_common.h) lease scratch from
 /// here too — a deliberate repo-internal dependency. Everything in
 /// cdst::detail is outside the supported api/cdst.h surface and may change
@@ -8,7 +9,7 @@
 ///
 /// Parallel batch work (CdSolver::solve_batch, Router's per-net oracle
 /// calls) hands out work by index, not by worker, so scratch cannot be
-/// per-thread; instead each task leases a scratch for its duration. The pool
+/// per-thread; instead each task leases a lane for its duration. The pool
 /// grows to the concurrency high-water mark and recycles from there on.
 /// Scratch contents never influence results (see SolverScratch), so the
 /// lease order — which does vary with thread count — is immaterial.
@@ -18,6 +19,7 @@
 #include <chrono>
 #include <memory>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "api/run_control.h"
@@ -80,48 +82,76 @@ Status solve_into(const CostDistanceInstance& instance,
 /// Core merge tick -> typed api event (defined in cd_solver.cpp).
 SolveMergeEvent to_event(const MergeTick& tick);
 
-class SolverScratchPool {
+/// Free list of per-task lanes: a task leases a Lane for its duration and
+/// the pool recycles it from there on. CdSolver's lanes are bare
+/// SolverScratch; Router's also carry the recycled OracleInstance its nets
+/// are rebuilt into (api/router.cpp). The pool is owned by the session, so
+/// lane memory never outlives it or leaks between tenants.
+///
+/// A lease prefers the lane its thread released last, so a worker keeps
+/// routing into buffers that are warm in its cache and were allocated from
+/// its own malloc arena; otherwise it takes any free lane. The lane count
+/// stays bounded by the lease concurrency either way.
+template <class Lane>
+class LanePool {
  public:
-  /// RAII lease; returns the scratch on destruction (exception-safe).
+  /// RAII lease; returns the lane on destruction (exception-safe).
   class Lease {
    public:
-    Lease(SolverScratchPool& pool, SolverScratch* scratch)
-        : pool_(&pool), scratch_(scratch) {}
+    Lease(LanePool& pool, Lane* lane) : pool_(&pool), lane_(lane) {}
     ~Lease() {
-      if (scratch_ != nullptr) pool_->release(scratch_);
+      if (lane_ != nullptr) pool_->release(lane_);
     }
     Lease(const Lease&) = delete;
     Lease& operator=(const Lease&) = delete;
 
-    SolverScratch* get() const { return scratch_; }
+    Lane* get() const { return lane_; }
 
    private:
-    SolverScratchPool* pool_;
-    SolverScratch* scratch_;
+    LanePool* pool_;
+    Lane* lane_;
   };
 
   Lease lease() { return Lease(*this, acquire()); }
 
  private:
-  SolverScratch* acquire() {
+  // cdst-lint: allow(raw-thread) only the id of the releasing thread is
+  // kept; nothing is spawned.
+  using ThreadId = std::thread::id;
+
+  struct FreeLane {
+    Lane* lane;
+    ThreadId last_user;
+  };
+
+  Lane* acquire() {
     MutexLock lock(mu_);
-    if (!free_.empty()) {
-      SolverScratch* s = free_.back();
-      free_.pop_back();
-      return s;
+    if (free_.empty()) {
+      owned_.push_back(std::make_unique<Lane>());
+      return owned_.back().get();
     }
-    owned_.push_back(std::make_unique<SolverScratch>());
-    return owned_.back().get();
+    const ThreadId self = std::this_thread::get_id();
+    auto pick = free_.end() - 1;
+    for (auto it = free_.begin(); it != free_.end(); ++it) {
+      if (it->last_user == self) pick = it;
+    }
+    Lane* lane = pick->lane;
+    free_.erase(pick);
+    return lane;
   }
 
-  void release(SolverScratch* scratch) {
+  void release(Lane* lane) {
     MutexLock lock(mu_);
-    free_.push_back(scratch);
+    free_.push_back(FreeLane{lane, std::this_thread::get_id()});
   }
 
   Mutex mu_;
-  std::vector<std::unique_ptr<SolverScratch>> owned_ CDST_GUARDED_BY(mu_);
-  std::vector<SolverScratch*> free_ CDST_GUARDED_BY(mu_);
+  std::vector<std::unique_ptr<Lane>> owned_ CDST_GUARDED_BY(mu_);
+  std::vector<FreeLane> free_ CDST_GUARDED_BY(mu_);
 };
+
+/// CdSolver's pool (a class, not an alias, so cd_solver.h can forward
+/// declare it).
+class SolverScratchPool : public LanePool<SolverScratch> {};
 
 }  // namespace cdst::detail

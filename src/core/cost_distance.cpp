@@ -41,12 +41,15 @@ struct Label {
 
 /// Reusable per-search scratch: a label arena plus a vertex -> label index.
 /// In dense mode the index is an epoch-versioned flat array — resetting for
-/// a new search is O(1): bump the epoch, clear the arena (capacity
-/// retained) — so the ~2t searches of a t-sink solve stop churning the
-/// allocator entirely. Dense arrays cost O(n) per live state and up to t+1
-/// states are live at once, so above a memory budget the pool falls back to
-/// a sparse (hash) index with O(touched) memory — exactly the pre-pool
-/// trade-off, still recycling capacity across searches.
+/// a new search is O(1) at any graph size: bump the epoch, clear the arena
+/// (capacity retained), and grow the array only when a graph larger than
+/// any before needs more slots — so the ~2t searches of a t-sink solve, and
+/// the solves of a scratch recycled across windows of varying size, stop
+/// churning the allocator and re-zeroing slots. Dense arrays cost O(n) per
+/// live state and up to t+1 states are live at once, so above a memory
+/// budget the pool falls back to a sparse (hash) index with O(touched)
+/// memory — exactly the pre-pool trade-off, still recycling capacity
+/// across searches.
 struct SearchState {
   std::vector<Label> labels;  ///< arena; heap entries reference slots
 
@@ -58,10 +61,11 @@ struct SearchState {
       sparse_.clear();
       return;
     }
-    if (slots_.size() != n) {
-      slots_.assign(n, VersionedSlot{});
-      epoch_ = 1;
-    } else if (++epoch_ == 0) {  // u16 wrap: invalidate all stamps the slow way
+    // Grow-only: slots past n stay unread, and stale slots below n never
+    // match — their stamps predate this epoch, and their h stamps predate
+    // the scratch's monotonic merge generation.
+    if (slots_.size() < n) slots_.resize(n);
+    if (++epoch_ == 0) {  // u16 wrap: invalidate all stamps the slow way
       std::fill(slots_.begin(), slots_.end(), VersionedSlot{});
       epoch_ = 1;
     }
@@ -122,7 +126,8 @@ struct SearchState {
   /// The u16 stamps are safe: the search epoch wraps inside reset() (full
   /// clear), and the solver fences the merge generation below 2^16
   /// (drop_all at solve setup), so a truncated comparison can never alias a
-  /// stale stamp.
+  /// stale stamp — including stamps left by solves over other graph sizes,
+  /// which reset() keeps rather than re-zeroes.
   struct VersionedSlot {
     std::uint16_t stamp{0};    ///< valid iff equal to the owner's epoch
     std::uint16_t h_stamp{0};  ///< valid iff equal to the solver's merge gen

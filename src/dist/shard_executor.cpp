@@ -114,6 +114,7 @@ StatusOr<ShardResultMsg> execute_shard(ShardContext& ctx,
     // one shared context, and the frozen usage replay below mutates it.
     CongestionCosts costs(ctx.grid, ctx.congestion);
     SolverScratch scratch;
+    OracleInstance oi;  // rebuilt in place for each net of the shard
     SparseMap<double> excluded;
 
     ShardResultMsg result;
@@ -141,8 +142,7 @@ StatusOr<ShardResultMsg> execute_shard(ShardContext& ctx,
       if (p.cd.shared_dense_budget == nullptr) {
         p.cd.shared_dense_budget = &ctx.dense_budget;
       }
-      const OracleInstance oi(ctx.grid, costs, net, nw.sink_weights, p,
-                              &pricing);
+      oi.rebuild(ctx.grid, costs, net, nw.sink_weights, p, &pricing);
       OracleOutcome out = run_method(oi, ctx.method, p, &scratch);
       // Restore the pristine zero-usage state for the next net: each net's
       // pricing depends only on its own frozen resources.

@@ -8,22 +8,26 @@ void Graph::build(const GraphBuilder& b) {
   const std::size_t n = b.num_vertices_;
   const std::size_t m = tails_.size();
 
-  std::vector<std::size_t> deg(n, 0);
-  for (std::size_t e = 0; e < m; ++e) {
-    ++deg[tails_[e]];
-    ++deg[heads_[e]];
-  }
-
+  // Degrees counted one slot up, then prefix-summed: offsets_[v] is the
+  // first arc of v.
   offsets_.assign(n + 1, 0);
-  for (std::size_t v = 0; v < n; ++v) offsets_[v + 1] = offsets_[v] + deg[v];
+  for (std::size_t e = 0; e < m; ++e) {
+    ++offsets_[tails_[e] + 1];
+    ++offsets_[heads_[e] + 1];
+  }
+  for (std::size_t v = 0; v < n; ++v) offsets_[v + 1] += offsets_[v];
 
+  // offsets_[v] doubles as v's fill cursor, so after the fill it holds the
+  // end of v's arcs, which is the start of v + 1's. Shifting every entry
+  // one slot back restores the starts.
   arcs_.resize(2 * m);
-  std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
   for (std::size_t e = 0; e < m; ++e) {
     const auto id = static_cast<EdgeId>(e);
-    arcs_[cursor[tails_[e]]++] = Arc{id, heads_[e]};
-    arcs_[cursor[heads_[e]]++] = Arc{id, tails_[e]};
+    arcs_[offsets_[tails_[e]]++] = Arc{id, heads_[e]};
+    arcs_[offsets_[heads_[e]]++] = Arc{id, tails_[e]};
   }
+  for (std::size_t v = n; v > 0; --v) offsets_[v] = offsets_[v - 1];
+  offsets_[0] = 0;
 
   // The SoA arc plane: same arc order, split into contiguous per-attribute
   // arrays so search kernels scan strips instead of striding over Arc pairs.

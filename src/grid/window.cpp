@@ -6,8 +6,14 @@ namespace cdst {
 
 RoutingWindow::RoutingWindow(const RoutingGrid& grid,
                              const CongestionCosts& costs, Rect box,
-                             const RoundPricing* pricing)
-    : grid_(&grid) {
+                             const RoundPricing* pricing) {
+  rebuild(grid, costs, box, pricing);
+}
+
+void RoutingWindow::rebuild(const RoutingGrid& grid,
+                            const CongestionCosts& costs, Rect box,
+                            const RoundPricing* pricing) {
+  grid_ = &grid;
   box = clip(grid, box);
   CDST_CHECK_MSG(!box.empty(), "routing window does not intersect the grid");
   box_ = box;
@@ -25,7 +31,6 @@ RoutingWindow::RoutingWindow(const RoutingGrid& grid,
         (x - box_.xlo));
   };
 
-  GraphBuilder builder(wn);
   for (std::int32_t z = 0; z < nz; ++z) {
     for (std::int32_t y = box_.ylo; y <= box_.yhi; ++y) {
       for (std::int32_t x = box_.xlo; x <= box_.xhi; ++x) {
@@ -38,6 +43,8 @@ RoutingWindow::RoutingWindow(const RoutingGrid& grid,
 
   // Copy edges whose endpoints both lie in the window. Iterating grid arcs
   // from each window vertex visits each such edge twice; keep tail < head.
+  builder_.clear(wn);
+  to_grid_edge_.clear();
   const Graph& gg = grid.graph();
   const std::vector<Point3>& gpos = grid.positions();
   for (VertexId wv = 0; wv < wn; ++wv) {
@@ -47,16 +54,16 @@ RoutingWindow::RoutingWindow(const RoutingGrid& grid,
       const Point3 pu = gpos[a.to];
       if (!box_.contains(pu.xy())) continue;
       const VertexId wu = wvertex(pu.x, pu.y, pu.z);
-      builder.add_edge(wv, wu);
+      builder_.add_edge(wv, wu);
       to_grid_edge_.push_back(a.edge);
     }
   }
-  graph_ = Graph(builder);
+  graph_.build(builder_);
 
   const std::size_t wm = to_grid_edge_.size();
   costs_.resize(wm);
   delays_.resize(wm);
-  std::vector<std::uint8_t> layer_of(wm);
+  layer_of_.resize(wm);
   const std::vector<double>& gd = grid.edge_delays();
   for (std::size_t e = 0; e < wm; ++e) {
     const EdgeId ge = to_grid_edge_[e];
@@ -74,12 +81,12 @@ RoutingWindow::RoutingWindow(const RoutingGrid& grid,
                       : costs.edge_cost_excluding(ge, *excluded);
     }
     delays_[e] = gd[ge];
-    layer_of[e] = grid.edge_info(ge).layer;
+    layer_of_[e] = grid.edge_info(ge).layer;
   }
   // Borrowed per-edge spans: costs_/delays_ are members with exactly the
   // view's lifetime (and vector buffers survive window moves), so only the
   // derived per-arc strips are materialized.
-  arc_costs_.assign_borrowed(graph_, costs_, delays_, layer_of);
+  arc_costs_.assign_borrowed(graph_, costs_, delays_, layer_of_);
 }
 
 Rect RoutingWindow::clip(const RoutingGrid& grid, Rect box) {

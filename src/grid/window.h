@@ -43,6 +43,15 @@ class RoutingWindow {
   RoutingWindow(const RoutingGrid& grid, const CongestionCosts& costs,
                 Rect box, const RoundPricing* pricing = nullptr);
 
+  /// An empty window, to be filled by rebuild() before any other use.
+  RoutingWindow() = default;
+
+  /// Turns this window into the one the constructor would build for the
+  /// same arguments, in place: every buffer keeps its capacity, so a window
+  /// recycled across nets allocates only when it meets a larger box.
+  void rebuild(const RoutingGrid& grid, const CongestionCosts& costs,
+               Rect box, const RoundPricing* pricing = nullptr);
+
   /// `box` clipped to the grid, as the constructor clips it.
   static Rect clip(const RoutingGrid& grid, Rect box);
 
@@ -73,8 +82,9 @@ class RoutingWindow {
   std::vector<EdgeId> to_grid_edges(const std::vector<EdgeId>& wes) const;
 
  private:
-  const RoutingGrid* grid_;
+  const RoutingGrid* grid_{nullptr};
   Rect box_;
+  GraphBuilder builder_;  ///< edge-list staging, recycled by rebuild()
   Graph graph_;
   ArcCostView arc_costs_;
   std::vector<VertexId> to_grid_vertex_;
@@ -82,6 +92,7 @@ class RoutingWindow {
   std::vector<EdgeId> to_grid_edge_;
   std::vector<double> costs_;
   std::vector<double> delays_;
+  std::vector<std::uint8_t> layer_of_;  ///< arc-plane build input
   std::int32_t wx_{0}, wy_{0};  ///< window extent in gcells
 };
 
@@ -91,19 +102,17 @@ class WindowFutureCost final : public FutureCostOracle {
  public:
   explicit WindowFutureCost(const RoutingWindow& w) : w_(&w) {}
 
-  Point2 xy(VertexId v) const override {
-    return w_->grid().position(w_->to_grid_vertex(v)).xy();
-  }
+  Point2 xy(VertexId v) const override { return w_->positions()[v].xy(); }
   double cost_lb(VertexId a, VertexId b) const override {
-    const Point3 pa = w_->grid().position(w_->to_grid_vertex(a));
-    const Point3 pb = w_->grid().position(w_->to_grid_vertex(b));
+    const Point3 pa = w_->positions()[a];
+    const Point3 pb = w_->positions()[b];
     return static_cast<double>(l1_distance(pa, pb)) *
                w_->grid().min_unit_cost() +
            std::abs(pa.z - pb.z) * w_->grid().min_via_cost();
   }
   double delay_lb(VertexId a, VertexId b) const override {
-    const Point3 pa = w_->grid().position(w_->to_grid_vertex(a));
-    const Point3 pb = w_->grid().position(w_->to_grid_vertex(b));
+    const Point3 pa = w_->positions()[a];
+    const Point3 pb = w_->positions()[b];
     return static_cast<double>(l1_distance(pa, pb)) *
                w_->grid().min_unit_delay() +
            std::abs(pa.z - pb.z) * w_->grid().min_via_delay();

@@ -23,19 +23,34 @@ OracleInstance::OracleInstance(const RoutingGrid& grid,
                                std::span<const double> sink_weights,
                                const OracleParams& params,
                                const RoundPricing* pricing)
-    : rep_(std::make_unique<Rep>(grid, costs, net_window_box(net, params),
-                                 pricing)) {
+    : OracleInstance() {
+  rebuild(grid, costs, net, sink_weights, params, pricing);
+}
+
+OracleInstance::OracleInstance() : rep_(std::make_unique<Rep>()) {}
+
+OracleInstance::Rep::Rep() : future_cost(window) {
+  instance.graph = &window.graph();
+  instance.cost = &window.edge_costs();
+  instance.delay = &window.edge_delays();
+  instance.arc_costs = &window.arc_costs();
+}
+
+void OracleInstance::rebuild(const RoutingGrid& grid,
+                             const CongestionCosts& costs, const Net& net,
+                             std::span<const double> sink_weights,
+                             const OracleParams& params,
+                             const RoundPricing* pricing) {
   CDST_CHECK(sink_weights.size() == net.sinks.size());
   Rep& rep = *rep_;
-  rep.instance.graph = &rep.window.graph();
-  rep.instance.cost = &rep.window.edge_costs();
-  rep.instance.delay = &rep.window.edge_delays();
-  rep.instance.arc_costs = &rep.window.arc_costs();
+  rep.window.rebuild(grid, costs, net_window_box(net, params), pricing);
   rep.instance.dbif = params.dbif;
   rep.instance.eta = params.eta;
   rep.instance.root = rep.window.from_grid_vertex(grid.vertex_at(net.source));
   CDST_CHECK(rep.instance.root != kInvalidVertex);
   rep.root_xy = net.source.xy();
+  rep.instance.sinks.clear();
+  rep.plane_sinks.clear();
   for (std::size_t s = 0; s < net.sinks.size(); ++s) {
     const VertexId wv =
         rep.window.from_grid_vertex(grid.vertex_at(net.sinks[s].pos));

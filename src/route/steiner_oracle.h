@@ -40,7 +40,9 @@ Rect net_window_box(const Net& net, const OracleParams& p);
 /// embedded CostDistanceInstance points into. Movable (batch APIs store
 /// oracles in vectors): everything self-referential lives behind a single
 /// owning pointer, so a move never relocates what instance()/future_cost()
-/// point into. Not copyable.
+/// point into. Not copyable. Recyclable: rebuild() re-materializes the
+/// instance for another net inside the buffers it already owns, which is
+/// how router lanes route net after net without fresh allocation.
 class OracleInstance {
  public:
   /// `sink_weights` is a borrowed view (one weight per net sink); it is read
@@ -53,12 +55,25 @@ class OracleInstance {
                  const Net& net, std::span<const double> sink_weights,
                  const OracleParams& params,
                  const RoundPricing* pricing = nullptr);
+  /// An empty instance that holds no net until rebuild() fills it.
+  OracleInstance();
   ~OracleInstance();
 
   OracleInstance(OracleInstance&&) noexcept;
   OracleInstance& operator=(OracleInstance&&) noexcept;
   OracleInstance(const OracleInstance&) = delete;
   OracleInstance& operator=(const OracleInstance&) = delete;
+
+  /// Replaces this instance with the one the constructor would build for
+  /// the same arguments, reusing the window's buffers (they keep their
+  /// capacity) and the instance's sink vectors. Everything the previous
+  /// net's instance()/window() exposed is invalidated. If it throws, the
+  /// instance is unusable until a later rebuild() succeeds. Not for a
+  /// moved-from instance.
+  void rebuild(const RoutingGrid& grid, const CongestionCosts& costs,
+               const Net& net, std::span<const double> sink_weights,
+               const OracleParams& params,
+               const RoundPricing* pricing = nullptr);
 
   const CostDistanceInstance& instance() const { return rep_->instance; }
   const RoutingWindow& window() const { return rep_->window; }
@@ -72,9 +87,7 @@ class OracleInstance {
 
  private:
   struct Rep {
-    Rep(const RoutingGrid& grid, const CongestionCosts& costs, Rect box,
-        const RoundPricing* pricing)
-        : window(grid, costs, box, pricing), future_cost(window) {}
+    Rep();  ///< points instance and future_cost at window, once
     RoutingWindow window;
     WindowFutureCost future_cost;
     CostDistanceInstance instance;

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 
 #include "core/cost_distance.h"
@@ -279,6 +280,106 @@ TEST_P(CostDistanceProperty, PooledStateIsInvisibleAcrossQueuesAndSeeds) {
     EXPECT_EQ(a.stats.labels_relaxed, b.stats.labels_relaxed);
     EXPECT_EQ(a.stats.labels_settled, d.stats.labels_settled);
   }
+}
+
+/// Exact equality of everything a solve reports: tree, evaluation, stats.
+bool identical(const SolveResult& a, const SolveResult& b) {
+  if (a.tree.nodes.size() != b.tree.nodes.size()) return false;
+  for (std::size_t i = 0; i < a.tree.nodes.size(); ++i) {
+    const SteinerTree::Node& x = a.tree.nodes[i];
+    const SteinerTree::Node& y = b.tree.nodes[i];
+    if (x.graph_vertex != y.graph_vertex || x.parent != y.parent ||
+        x.sink_index != y.sink_index || x.kind != y.kind ||
+        x.up_path != y.up_path) {
+      return false;
+    }
+  }
+  return a.tree.children == b.tree.children &&
+         a.eval.connection_cost == b.eval.connection_cost &&
+         a.eval.weighted_delay == b.eval.weighted_delay &&
+         a.eval.objective == b.eval.objective &&
+         a.eval.total_delay_penalty == b.eval.total_delay_penalty &&
+         a.eval.sink_delays == b.eval.sink_delays &&
+         a.eval.node_lambda == b.eval.node_lambda &&
+         a.eval.num_graph_edges == b.eval.num_graph_edges &&
+         a.stats.iterations == b.stats.iterations &&
+         a.stats.labels_settled == b.stats.labels_settled &&
+         a.stats.labels_relaxed == b.stats.labels_relaxed &&
+         a.stats.completions_popped == b.stats.completions_popped &&
+         a.stats.completions_stale == b.stats.completions_stale;
+}
+
+TEST(CostDistance, ScratchReusedAcrossGraphSizesIsBitIdentical) {
+  // Dense search slots only grow and are invalidated by epoch, so a
+  // recycled scratch carries stamps and memoized bounds from solves over
+  // other graph sizes. None may leak into a later solve: each solve through
+  // one reused scratch must equal a solve through a fresh scratch, exactly,
+  // while the vertex count goes large -> small -> large, dense and sparse
+  // solves interleave, and the merge generation crosses its 0x8000
+  // drop_all fence.
+  std::vector<GridInstance> insts;
+  insts.reserve(4);
+  const auto add = [&](GridInstance gi) {
+    insts.push_back(std::move(gi));
+    // The instance points at its own cost/delay vectors: re-aim the
+    // pointers at the moved-in copies.
+    insts.back().inst.cost = &insts.back().cost;
+    insts.back().inst.delay = &insts.back().delay;
+  };
+  add(make_grid_instance(31, 14, 12, 4, 10, 2.0));  // large
+  add(make_grid_instance(32, 5, 4, 2, 3, 2.0));     // small
+  add(make_grid_instance(33, 16, 15, 4, 14, 2.0));  // largest
+  add(make_grid_instance(34, 3, 3, 2, 1, 2.0));     // tiny
+  constexpr std::size_t kTiny = 3;
+  const auto options = [&](std::size_t k, bool sparse) {
+    SolverOptions o = with_fc(insts[k]);
+    o.seed = 7 + k;
+    if (sparse) o.dense_state_budget_bytes = 0;
+    return o;
+  };
+  // want[k][sparse]: each from its own fresh scratch.
+  std::vector<std::array<SolveResult, 2>> want(insts.size());
+  for (std::size_t k = 0; k < insts.size(); ++k) {
+    for (const bool sparse : {false, true}) {
+      SolverScratch fresh;
+      want[k][sparse] =
+          solve_cost_distance(insts[k].inst, options(k, sparse), &fresh);
+    }
+  }
+
+  SolverScratch reused;
+  std::size_t solves = 0;
+  std::size_t mismatches = 0;
+  const auto check = [&](std::size_t k, bool sparse) {
+    const SolveResult got =
+        solve_cost_distance(insts[k].inst, options(k, sparse), &reused);
+    if (!identical(got, want[k][sparse])) {
+      ADD_FAILURE() << "solve " << solves << " (instance " << k
+                    << (sparse ? ", sparse" : ", dense")
+                    << ") differs from a fresh-scratch solve";
+      ++mismatches;
+    }
+    ++solves;
+  };
+  // Seeded size walk: large, small, larger, tiny, and back up, with about
+  // a quarter of the solves sparse.
+  Rng rng(2024);
+  const auto size_walk = [&] {
+    for (const std::size_t k : {0, 1, 2, 3, 1, 0, 3, 2, 1, 2}) {
+      check(k, rng.uniform(4) == 0);
+    }
+  };
+  size_walk();
+  // A one-sink solve advances the merge generation twice (setup + merge),
+  // so this many tiny solves push it past 0x8000 at least once; the size
+  // walk recurs on both sides of the fence.
+  const std::size_t fence_solves = 0x8000 / 2 + 64;
+  for (std::size_t i = 0; i < fence_solves && mismatches < 5; ++i) {
+    check(kTiny, false);
+    if (i % 4096 == 0) size_walk();
+  }
+  size_walk();
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(CostDistance, ManySinksLargeInstance) {

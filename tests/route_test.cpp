@@ -9,11 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
 #include "route/metrics.h"
 #include "route/netlist_gen.h"
 #include "route/router.h"
 #include "route/steiner_oracle.h"
+#include "util/simd.h"
+#include "util/sparse_map.h"
 
 namespace cdst {
 namespace {
@@ -132,6 +136,142 @@ TEST(SteinerOracle, InstanceMapsPinsIntoWindow) {
   for (std::size_t s = 0; s < net.sinks.size(); ++s) {
     EXPECT_EQ(oi.window().to_grid_vertex(oi.instance().sinks[s].vertex),
               grid.vertex_at(net.sinks[s].pos));
+  }
+}
+
+template <class T>
+std::vector<T> to_vector(std::span<const T> s) {
+  return {s.begin(), s.end()};
+}
+
+/// Field-by-field exact comparison of two materialized oracle instances,
+/// down to the arc strips' zero pad and the CD solve they produce.
+void expect_same_instance(const OracleInstance& got,
+                          const OracleInstance& want,
+                          const OracleParams& params) {
+  const RoutingWindow& gw = got.window();
+  const RoutingWindow& ww = want.window();
+  const Graph& gg = gw.graph();
+  const Graph& wg = ww.graph();
+  EXPECT_EQ(gw.box(), ww.box());
+  ASSERT_EQ(gg.num_vertices(), wg.num_vertices());
+  ASSERT_EQ(gg.num_edges(), wg.num_edges());
+  ASSERT_EQ(gg.num_arcs(), wg.num_arcs());
+  for (VertexId v = 0; v < gg.num_vertices(); ++v) {
+    EXPECT_EQ(gg.arc_begin(v), wg.arc_begin(v)) << "vertex " << v;
+    EXPECT_EQ(gg.arc_end(v), wg.arc_end(v)) << "vertex " << v;
+    EXPECT_EQ(gw.to_grid_vertex(v), ww.to_grid_vertex(v)) << "vertex " << v;
+  }
+  EXPECT_EQ(to_vector(gg.arc_heads()), to_vector(wg.arc_heads()));
+  EXPECT_EQ(to_vector(gg.arc_edges()), to_vector(wg.arc_edges()));
+  for (EdgeId e = 0; e < gg.num_edges(); ++e) {
+    EXPECT_EQ(gg.tail(e), wg.tail(e)) << "edge " << e;
+    EXPECT_EQ(gg.head(e), wg.head(e)) << "edge " << e;
+    EXPECT_EQ(gw.to_grid_edge(e), ww.to_grid_edge(e)) << "edge " << e;
+  }
+  EXPECT_EQ(gw.edge_costs(), ww.edge_costs());
+  EXPECT_EQ(gw.edge_delays(), ww.edge_delays());
+  EXPECT_EQ(gw.positions(), ww.positions());
+
+  const ArcCostView& ga = gw.arc_costs();
+  const ArcCostView& wa = ww.arc_costs();
+  EXPECT_EQ(ga.graph(), &gg);
+  EXPECT_EQ(to_vector(ga.arc_cost()), to_vector(wa.arc_cost()));
+  EXPECT_EQ(to_vector(ga.arc_delay()), to_vector(wa.arc_delay()));
+  EXPECT_EQ(to_vector(ga.arc_layer()), to_vector(wa.arc_layer()));
+  EXPECT_EQ(to_vector(ga.edge_cost()), to_vector(wa.edge_cost()));
+  EXPECT_EQ(to_vector(ga.edge_delay()), to_vector(wa.edge_delay()));
+  const std::size_t na = gg.num_arcs();
+  for (std::size_t a = na; a < na + kRelaxStrip; ++a) {
+    EXPECT_EQ(ga.arc_cost_data()[a], 0.0) << "pad " << a - na;
+    EXPECT_EQ(ga.arc_delay_data()[a], 0.0) << "pad " << a - na;
+  }
+
+  const CostDistanceInstance& gi = got.instance();
+  const CostDistanceInstance& wi = want.instance();
+  EXPECT_EQ(gi.graph, &gg);
+  EXPECT_EQ(gi.arc_costs, &ga);
+  EXPECT_EQ(gi.root, wi.root);
+  EXPECT_EQ(gi.dbif, wi.dbif);
+  EXPECT_EQ(gi.eta, wi.eta);
+  ASSERT_EQ(gi.sinks.size(), wi.sinks.size());
+  for (std::size_t s = 0; s < gi.sinks.size(); ++s) {
+    EXPECT_EQ(gi.sinks[s].vertex, wi.sinks[s].vertex) << "sink " << s;
+    EXPECT_EQ(gi.sinks[s].weight, wi.sinks[s].weight) << "sink " << s;
+  }
+  EXPECT_EQ(got.root_xy(), want.root_xy());
+  ASSERT_EQ(got.plane_sinks().size(), want.plane_sinks().size());
+  for (std::size_t s = 0; s < got.plane_sinks().size(); ++s) {
+    EXPECT_EQ(got.plane_sinks()[s].pos, want.plane_sinks()[s].pos);
+    EXPECT_EQ(got.plane_sinks()[s].weight, want.plane_sinks()[s].weight);
+    EXPECT_EQ(got.plane_sinks()[s].delay_bound,
+              want.plane_sinks()[s].delay_bound);
+  }
+
+  SolverScratch sg;
+  SolverScratch sw;
+  const OracleOutcome og = run_method(got, SteinerMethod::kCD, params, &sg);
+  const OracleOutcome ow = run_method(want, SteinerMethod::kCD, params, &sw);
+  EXPECT_EQ(og.grid_edges, ow.grid_edges);
+  EXPECT_EQ(og.eval.objective, ow.eval.objective);
+  EXPECT_EQ(og.eval.sink_delays, ow.eval.sink_delays);
+}
+
+TEST(SteinerOracle, RebuiltInstanceEqualsFresh) {
+  // One instance rebuilt in place big -> small -> big must equal a freshly
+  // constructed one in every field, under live prices and under a frozen
+  // round snapshot with the net's own usage excluded: shrinking leaves
+  // stale tails in every recycled buffer, and regrowing reuses them.
+  const ChipConfig c = tiny_chip();
+  const RoutingGrid grid = make_chip_grid(c);
+  const Netlist nl = generate_netlist(c, grid);
+  OracleParams params;
+  params.dbif = 2.0;
+  const auto window_cells = [&](const Net& net) {
+    const Rect box = RoutingWindow::clip(grid, net_window_box(net, params));
+    return (box.width() + 1) * (box.height() + 1);
+  };
+  const Net* big = &nl.nets[0];
+  const Net* small = &nl.nets[0];
+  for (const Net& net : nl.nets) {
+    if (window_cells(net) > window_cells(*big)) big = &net;
+    if (window_cells(net) < window_cells(*small)) small = &net;
+  }
+  ASSERT_LT(window_cells(*small), window_cells(*big));
+
+  // Commit a route for each of the two nets so prices are uneven and each
+  // net has committed usage of its own to exclude.
+  CongestionCosts costs(grid);
+  std::vector<std::vector<EdgeId>> committed;
+  for (const Net* net : {big, small}) {
+    const std::vector<double> weights(net->sinks.size(), 0.5);
+    const OracleInstance oi(grid, costs, *net, weights, params);
+    committed.push_back(run_method(oi, SteinerMethod::kCD, params).grid_edges);
+    costs.add_usage(committed.back(), +1.0);
+  }
+  const std::vector<double> snapshot = costs.edge_cost_vector();
+
+  OracleInstance recycled;
+  for (const bool frozen : {false, true}) {
+    for (const std::size_t k : {0, 1, 0}) {
+      SCOPED_TRACE(testing::Message() << (frozen ? "frozen" : "live")
+                                      << " net " << k);
+      const Net& net = k == 0 ? *big : *small;
+      std::vector<double> weights(net.sinks.size());
+      for (std::size_t s = 0; s < weights.size(); ++s) {
+        weights[s] = 0.25 + static_cast<double>(s % 3);
+      }
+      SparseMap<double> excluded;
+      for (const EdgeId ge : committed[k]) {
+        const RoutingGrid::EdgeInfo& info = grid.edge_info(ge);
+        excluded[info.resource] += info.width;
+      }
+      const RoundPricing pricing{snapshot, &excluded};
+      const RoundPricing* p = frozen ? &pricing : nullptr;
+      recycled.rebuild(grid, costs, net, weights, params, p);
+      const OracleInstance fresh(grid, costs, net, weights, params, p);
+      expect_same_instance(recycled, fresh, params);
+    }
   }
 }
 
