@@ -1,14 +1,14 @@
 // Microbenchmarks for the priority-queue substrate (paper Section III-B):
-// binary heap vs Fibonacci heap on Dijkstra-shaped workloads, and the
-// two-level heap on many-searches workloads. On sparse global routing graphs
-// (m = O(n)) binary heaps win, which is why the solver uses them.
+// binary vs 4-ary heap on Dijkstra-shaped churn, the two-level heap on
+// many-searches workloads, and a full grid Dijkstra. On sparse global
+// routing graphs (m = O(n)) binary heaps beat the Fibonacci heap of the
+// paper's Theorem 1, which is why the searches use them.
 
 #include <benchmark/benchmark.h>
 
 #include "graph/dijkstra.h"
 #include "util/binary_heap.h"
 #include "util/d_ary_heap.h"
-#include "util/fibonacci_heap.h"
 #include "util/rng.h"
 #include "util/two_level_heap.h"
 
@@ -40,15 +40,6 @@ void BM_BinaryHeapChurn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BinaryHeapChurn)->Arg(1 << 14)->Arg(1 << 16);
-
-void BM_FibonacciHeapChurn(benchmark::State& state) {
-  for (auto _ : state) {
-    FibonacciHeap<double> heap;
-    Rng rng(1);
-    churn(heap, rng, static_cast<std::size_t>(state.range(0)), 4096);
-  }
-}
-BENCHMARK(BM_FibonacciHeapChurn)->Arg(1 << 14)->Arg(1 << 16);
 
 void BM_DAryHeapChurn(benchmark::State& state) {
   // The cache-friendly 4-ary heap on the same churn workload: siblings share
@@ -112,52 +103,17 @@ struct GridFixture {
   }
 };
 
-void BM_DijkstraGridHeapKind(benchmark::State& state) {
-  // Full Dijkstra over a routing-grid-shaped graph (m = O(n)): the paper's
-  // III-B argument in one number — binary beats Fibonacci here, and the
-  // 4-ary heap edges out binary on cache traffic.
+void BM_DijkstraGrid(benchmark::State& state) {
+  // Full Dijkstra over a routing-grid-shaped graph (m = O(n)) with a
+  // concrete length functor, which the templated kernel inlines into the
+  // relax loop.
   const GridFixture f(48);
-  static constexpr DijkstraHeap kKinds[] = {
-      DijkstraHeap::kBinary, DijkstraHeap::kFibonacci, DijkstraHeap::kDAry};
-  static constexpr const char* kNames[] = {"binary", "fibonacci", "4-ary"};
-  const auto which = static_cast<std::size_t>(state.range(0));
+  const ArrayLength length{f.len};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        dijkstra(f.g, {0}, ArrayLength{f.len}, kInvalidVertex, kKinds[which]));
-  }
-  state.SetLabel(kNames[which]);
-}
-BENCHMARK(BM_DijkstraGridHeapKind)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_DijkstraLengthIndirection(benchmark::State& state) {
-  // The templated search kernel's raison d'être: the same full-grid Dijkstra
-  // with the edge length supplied as a concrete functor (inlined into the
-  // relax loop) vs type-erased through std::function (one indirect call per
-  // scanned edge, the pre-refactor behavior).
-  const GridFixture f(48);
-  if (state.range(0) == 0) {
-    const ArrayLength length{f.len};
-    for (auto _ : state) {
-      benchmark::DoNotOptimize(dijkstra(f.g, {0}, length));
-    }
-    state.SetLabel("concrete-functor");
-  } else {
-    const std::vector<double>& len = f.len;
-    const EdgeLengthFn length = [&len](EdgeId e) { return len[e]; };
-    for (auto _ : state) {
-      benchmark::DoNotOptimize(dijkstra(f.g, {0}, length));
-    }
-    state.SetLabel("std::function");
+    benchmark::DoNotOptimize(dijkstra(f.g, {0}, length));
   }
 }
-BENCHMARK(BM_DijkstraLengthIndirection)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DijkstraGrid)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

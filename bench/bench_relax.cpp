@@ -1,10 +1,10 @@
 // Microbenchmarks for the blocked relax strips and the work-stealing shard
 // executor. The strip rows time the Vec4d kernels (AVX2 under the bench
 // preset's -march, the bit-identical scalar twin under CDST_FORCE_SCALAR)
-// against the per-edge scalar paths on the same instances; the sharded-round
-// row times stealing vs static execution of an imbalanced round. Every pair
-// produces bit-identical results — only the loop shape (or the schedule)
-// changes, so the deltas are pure kernel/executor cost.
+// against the per-edge scalar paths on the same instances; every pair
+// produces bit-identical results — only the loop shape changes, so the
+// deltas are pure kernel cost. The sharded-round row times the executor on
+// an imbalanced round.
 
 #include <benchmark/benchmark.h>
 
@@ -151,8 +151,7 @@ BENCHMARK(BM_Relax_CdSolveStrip)
 
 // ---------------------------------------------------------------------------
 // Work-stealing executor: an imbalanced sharded round (most nets in one
-// tile, so static execution idles the other lanes) with stealing off vs on.
-// Results are bit-identical; the delta is merge-barrier idle time.
+// tile, so whole-shard execution would idle the other lanes).
 
 struct RouterFixture {
   ChipConfig config;
@@ -179,16 +178,14 @@ const RouterFixture& router_fixture() {
   return *f;
 }
 
-/// arg 0: static shard execution; arg 1: work-stealing lanes. 4 workers,
-/// 16 shards, 2 Lagrangean rounds.
-void BM_Relax_ShardedRoundStealing(benchmark::State& state) {
-  const bool stealing = state.range(0) != 0;
+/// One sharded router session (work-stealing lanes): 4 workers, 16
+/// shards, 2 Lagrangean rounds.
+void BM_Relax_ShardedRound(benchmark::State& state) {
   const RouterFixture& f = router_fixture();
   RouterOptions opts;
   opts.method = SteinerMethod::kCD;
   opts.threads = 4;
   opts.shards = 16;
-  opts.shard_stealing = stealing;
   for (auto _ : state) {
     Router session(f.grid, f.netlist, opts);
     const Status st = session.run(2);
@@ -199,12 +196,8 @@ void BM_Relax_ShardedRoundStealing(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(session.result());
   }
-  state.SetLabel(stealing ? "stealing" : "static");
 }
-BENCHMARK(BM_Relax_ShardedRoundStealing)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Relax_ShardedRound)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

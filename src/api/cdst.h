@@ -15,9 +15,7 @@
 /// with RunControl cancellation. An Engine owns the shared ThreadPool +
 /// DenseStateBudget and vends sessions wired to both; SolveStream is the
 /// bounded-window streaming variant of solve_batch for pipelines that
-/// cannot hold all results. The legacy one-shot free functions
-/// (solve_cost_distance, route_net, route_chip) and the single Progress
-/// callback remain available as thin deprecated adapters.
+/// cannot hold all results.
 
 #pragma once
 

@@ -1,11 +1,9 @@
 /// \file api/events.h
 /// Typed engine events — the observer surface of the streaming pipeline API.
 ///
-/// The single opaque `Progress` callback of the original RunControl could
-/// only express "done/total at some stage"; pipelines that multiplex solver
-/// lanes, batch jobs and router rounds need to know *which* boundary fired
-/// and what state it carries. An EventSink receives one typed call per
-/// boundary instead:
+/// Pipelines that multiplex solver lanes, batch jobs and router rounds need
+/// to know *which* boundary fired and what state it carries. An EventSink
+/// receives one typed call per boundary:
 ///
 ///   on_solve_merge   core/cost_distance.cpp, after every component merge
 ///                    of a single solve() (solving thread)
@@ -32,17 +30,10 @@
 /// r+1. Handlers must not call back into the emitting session object (the
 /// engine may hold internal locks while delivering) — request_cancel() on a
 /// CancelToken is the supported way to influence a run from a handler.
-///
-/// The legacy `RunControl::on_progress` callback remains as a deprecated
-/// adapter: detail::LegacyProgressSink translates the progress-like subset
-/// of events back into the old `Progress` shape, bit-compatible with the
-/// pre-event behavior (it drops the new round_complete / cancelled
-/// summaries, which legacy observers never saw).
 
 #pragma once
 
 #include <cstddef>
-#include <utility>
 
 #include "api/run_control.h"
 #include "api/status.h"
@@ -68,7 +59,8 @@ struct JobEvent {
 };
 
 /// One spatial shard of a sharded router round finished routing (the merge
-/// into committed state happens later, at the round barrier).
+/// into committed state happens later, at the round barrier). In-process
+/// rounds emit nothing for a shard with no nets.
 struct RouterShardEvent {
   int round{0};         ///< absolute session round index
   int target_round{0};  ///< absolute round this run() call is heading for
@@ -82,9 +74,9 @@ struct RouterShardEvent {
   /// Wall seconds spent inside ShardTransport::dispatch for this shard;
   /// 0.0 when the shard ran in-process without a transport.
   double dispatch_seconds{0.0};
-  /// Work-stealing telemetry (in-process rounds with
-  /// RouterOptions::shard_stealing; otherwise 0): nets of this shard routed
-  /// by lanes other than the shard's owner, and steal probes that found the
+  /// Work-stealing telemetry of in-process rounds (0 for transport rounds,
+  /// whose unit of work is the whole shard): nets of this shard routed by
+  /// lanes other than the shard's owner, and steal probes that found the
   /// shard fully claimed but still in flight.
   std::size_t stolen_nets{0};
   std::size_t steal_waits{0};
@@ -154,126 +146,50 @@ class EventSink {
 
 namespace detail {
 
-// This adapter is the one place that reads the deprecated
-// RunControl::on_progress member by design.
-
-/// Translates typed events back into the deprecated Progress callback,
-/// bit-compatible with the pre-event behavior: merge ticks -> "solve", job
-/// completions -> "solve_batch", shard/batch boundaries -> "route". The new
-/// round_complete / cancelled summaries are dropped — legacy observers
-/// never received them.
-class LegacyProgressSink final : public EventSink {
- public:
-  explicit LegacyProgressSink(
-      const std::function<void(const Progress&)>& callback)
-      : callback_(callback) {}
-
-  void on_solve_merge(const SolveMergeEvent& event) override {
-    Progress p;
-    p.stage = "solve";
-    p.done = event.merges_done;
-    p.total = event.merges_total;
-    callback_(p);
-  }
-
-  void on_job(const JobEvent& event) override {
-    Progress p;
-    p.stage = "solve_batch";
-    p.done = event.completed;
-    p.total = event.submitted;
-    callback_(p);
-  }
-
-  void on_router_shard(const RouterShardEvent& event) override {
-    Progress p;
-    p.stage = "route";
-    p.done = event.nets_done;
-    p.total = event.nets_total;
-    p.round = event.round;
-    p.total_rounds = event.target_round;
-    callback_(p);
-  }
-
-  void on_router_round(const RouterRoundEvent& event) override {
-    if (event.round_complete || event.cancelled) return;
-    Progress p;
-    p.stage = "route";
-    p.done = event.nets_done;
-    p.total = event.nets_total;
-    p.round = event.round;
-    p.total_rounds = event.target_round;
-    callback_(p);
-  }
-
- private:
-  const std::function<void(const Progress&)>& callback_;
-};
-
-/// Resolves a RunControl's observers once per engine call: the typed sink
-/// (if installed) and the legacy callback (wrapped). Both may be active at
-/// once; emit_* forwards to each. An inactive fan makes every emit a no-op,
-/// so call sites can skip event construction via active().
+/// Resolves a RunControl's typed sink once per engine call. An inactive fan
+/// makes every emit a no-op, so call sites can skip event construction via
+/// active().
 class EventFan {
  public:
-  explicit EventFan(const RunControl& control) : legacy_(control.on_progress) {
-    if (control.events != nullptr) sinks_[count_++] = control.events;
-    if (control.on_progress) sinks_[count_++] = &legacy_;
-  }
+  explicit EventFan(const RunControl& control) : sink_(control.events) {}
   EventFan(const EventFan&) = delete;
   EventFan& operator=(const EventFan&) = delete;
 
-  bool active() const { return count_ > 0; }
+  bool active() const { return sink_ != nullptr; }
 
+  void emit_solve_merge(const SolveMergeEvent& event) const {
+    emit(&EventSink::on_solve_merge, event);
+  }
+  void emit_job(const JobEvent& event) const {
+    emit(&EventSink::on_job, event);
+  }
+  void emit_router_shard(const RouterShardEvent& event) const {
+    emit(&EventSink::on_router_shard, event);
+  }
+  void emit_router_round(const RouterRoundEvent& event) const {
+    emit(&EventSink::on_router_round, event);
+  }
+  void emit_fault(const FaultEvent& event) const {
+    emit(&EventSink::on_fault, event);
+  }
+
+ private:
   // Emission swallows handler exceptions (the EventSink contract): events
   // fire from solver hot loops, fire-and-forget stream lanes and batch
   // workers, where an escaping exception would either kill the process or
   // leak through the api layer's no-throw Status boundary. Observation must
   // never alter engine behavior.
-  void emit_solve_merge(const SolveMergeEvent& event) const {
-    for (int i = 0; i < count_; ++i) {
-      try {
-        sinks_[i]->on_solve_merge(event);
-      } catch (...) {
-      }
-    }
-  }
-  void emit_job(const JobEvent& event) const {
-    for (int i = 0; i < count_; ++i) {
-      try {
-        sinks_[i]->on_job(event);
-      } catch (...) {
-      }
-    }
-  }
-  void emit_router_shard(const RouterShardEvent& event) const {
-    for (int i = 0; i < count_; ++i) {
-      try {
-        sinks_[i]->on_router_shard(event);
-      } catch (...) {
-      }
-    }
-  }
-  void emit_router_round(const RouterRoundEvent& event) const {
-    for (int i = 0; i < count_; ++i) {
-      try {
-        sinks_[i]->on_router_round(event);
-      } catch (...) {
-      }
-    }
-  }
-  void emit_fault(const FaultEvent& event) const {
-    for (int i = 0; i < count_; ++i) {
-      try {
-        sinks_[i]->on_fault(event);
-      } catch (...) {
-      }
+  template <typename Event>
+  void emit(void (EventSink::*handler)(const Event&),
+            const Event& event) const {
+    if (sink_ == nullptr) return;
+    try {
+      (sink_->*handler)(event);
+    } catch (...) {
     }
   }
 
- private:
-  LegacyProgressSink legacy_;
-  EventSink* sinks_[2]{};
-  int count_{0};
+  EventSink* sink_;
 };
 
 }  // namespace detail

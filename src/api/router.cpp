@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <functional>
 #include <span>
 #include <string>
 #include <utility>
@@ -13,7 +14,6 @@
 #include "dist/wire.h"
 #include "route/sharding.h"
 #include "util/fault_injection.h"
-#include "util/logging.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -44,6 +44,18 @@ struct OracleLane {
   SolverScratch scratch;
   OracleInstance oracle;
 };
+
+/// The one check of RouterOptions, shared by the constructor (whose verdict
+/// run() reports) and set_options.
+Status validate_options(const RouterOptions& options) {
+  if (options.batch_size < 1) {
+    return Status::InvalidArgument("batch_size must be >= 1");
+  }
+  if (options.shards < 0) {
+    return Status::InvalidArgument("shards must be >= 0");
+  }
+  return Status::Ok();
+}
 
 }  // namespace
 
@@ -118,6 +130,7 @@ struct Router::Impl {
       : grid(grid_in),
         netlist(netlist_in),
         options(options_in),
+        options_status(validate_options(options_in)),
         costs(grid_in, options_in.congestion),
         dense_budget(options_in.oracle.cd.dense_state_budget_bytes),
         pool(shared_pool) {
@@ -189,6 +202,9 @@ struct Router::Impl {
   }
 
   Status run(int rounds, const RunControl& control) {
+    if (!options_status.ok()) {
+      return Status::Annotate(options_status, "Router::run");
+    }
     if (rounds < 0) return Status::InvalidArgument("rounds must be >= 0");
     if (rounds == 0) return Status::Ok();
     WallTimer timer;
@@ -247,15 +263,6 @@ struct Router::Impl {
           fan.emit_router_round(event);
         }
         ++rounds_done;
-        if (options.verbose) {
-          const TimingSummary ts =
-              summarize_slacks(compute_slacks(sink_delays, rats));
-          CDST_LOG(kInfo) << netlist.name << " "
-                          << method_name(options.method) << " iter "
-                          << (rounds_done - 1) << ": WS " << ts.worst_slack
-                          << " TNS " << ts.total_negative_slack << " ACE4 "
-                          << compute_ace(costs).ace4;
-        }
       }
       return Status::Ok();
     } catch (const SolveDeadlineExceeded& e) {
@@ -425,9 +432,9 @@ struct Router::Impl {
 
     // Shard map is a pure function of (grid, netlist, shards); rebuild only
     // when the shard count changes (set_options may do that mid-session).
-    if (shard_map.nets.empty() || shard_map_shards != options.shards) {
+    if (shard_map.nets.empty() ||
+        shard_map.tiles.num_shards() != options.shards) {
       shard_map = assign_nets_to_shards(grid, netlist, options.shards);
-      shard_map_shards = options.shards;
     }
 
     // Freeze this round's price plane once: every net gathers window prices
@@ -459,7 +466,7 @@ struct Router::Impl {
     Mutex progress_mu;
     std::size_t nets_done = 0;  // guarded by progress_mu (a local, so the
                                 // guard is convention, not analysis-checked)
-    // Shards the current attempt completed. A faulted attempt leaves its
+    // Shards completed by any attempt so far. A faulted attempt leaves its
     // incomplete shards unmarked; the retry re-executes exactly those.
     // Re-execution is safe because a shard's outcomes are a pure function
     // of the frozen round inputs (snapshot prices, committed routes,
@@ -467,9 +474,8 @@ struct Router::Impl {
     // one — the net-order merge below never sees the difference.
     std::vector<std::uint8_t> shard_done(shard_map.nets.size(), 0);
 
-    // Routes nets mine[b, e) of shard sh against the frozen snapshot —
-    // shared by the static whole-shard tasks and the work-stealing lanes.
-    // `excluded` is caller-recycled scratch (one per worker, cleared per
+    // Routes nets mine[b, e) of shard sh against the frozen snapshot.
+    // `excluded` is caller-recycled scratch (one per lane, cleared per
     // net). The shard fault site sits here, on every span, so a persistent
     // fault fails each lane that routes any part of the shard: a thief
     // cannot complete a shard whose claimer faulted.
@@ -527,40 +533,30 @@ struct Router::Impl {
       fan.emit_router_shard(event);
     };
 
-    const std::function<void(std::size_t)> route_shard =
+    // Transport execution: one whole shard per dispatch.
+    const std::function<void(std::size_t)> dispatch_shard =
         [&](std::size_t sh) {
           if (shard_done[sh] != 0) return;
-          const std::vector<std::uint32_t>& mine = shard_map.nets[sh];
-          double dispatch_seconds = 0.0;
-          if (transport != nullptr) {
-            // A dispatched shard computes elsewhere; its fault site stands
-            // in for that computation, as route_net_span's does in-process.
-            CDST_FAULT_POINT("router.shard");
-            if (controls.cancel != nullptr &&
-                controls.cancel->load(std::memory_order_relaxed)) {
-              // cdst-lint: allow(api-throw) internal unwind: caught at the
-              // parallel_for boundary below and mapped to kCancelled.
-              throw SolveCancelled();
-            }
-            throw_if_deadline_expired(&controls);
-            const dist::ShardWorkMsg work = make_shard_work(sh, round);
-            WallTimer dispatch_timer;
-            StatusOr<dist::ShardResultMsg> result =
-                transport->dispatch(work);
-            dispatch_seconds = dispatch_timer.seconds();
-            Status st = result.ok()
-                            ? apply_shard_result(work, *result, outcomes)
-                            : result.status();
-            if (!st.ok()) {
-              // cdst-lint: allow(api-throw) internal unwind: caught at the
-              // retry loop below, emitted as a "dist.transport" FaultEvent.
-              throw TransportDispatchError{std::move(st)};
-            }
-          } else {
-            // One exclusion map per shard task, recycled across its nets.
-            SparseMap<double> excluded;
-            route_net_span(sh, 0, static_cast<std::uint32_t>(mine.size()),
-                           excluded);
+          // A dispatched shard computes elsewhere; its fault site stands in
+          // for that computation, as route_net_span's does in-process.
+          CDST_FAULT_POINT("router.shard");
+          if (controls.cancel != nullptr &&
+              controls.cancel->load(std::memory_order_relaxed)) {
+            // cdst-lint: allow(api-throw) internal unwind: caught at the
+            // parallel_for boundary below and mapped to kCancelled.
+            throw SolveCancelled();
+          }
+          throw_if_deadline_expired(&controls);
+          const dist::ShardWorkMsg work = make_shard_work(sh, round);
+          WallTimer dispatch_timer;
+          StatusOr<dist::ShardResultMsg> result = transport->dispatch(work);
+          const double dispatch_seconds = dispatch_timer.seconds();
+          Status st = result.ok() ? apply_shard_result(work, *result, outcomes)
+                                  : result.status();
+          if (!st.ok()) {
+            // cdst-lint: allow(api-throw) internal unwind: caught at the
+            // retry loop below, emitted as a "dist.transport" FaultEvent.
+            throw TransportDispatchError{std::move(st)};
           }
           if (fan.active()) {
             emit_shard_event(sh, dispatch_seconds, /*stolen_nets=*/0,
@@ -569,12 +565,13 @@ struct Router::Impl {
           shard_done[sh] = 1;
         };
 
-    // Work-stealing lane over the ShardStealSchedule: claims whole shards
-    // (owner phase), drains each in spans, then steals spans from
-    // unfinished shards. Whichever lane routes a shard's last span owns its
-    // completion event. The schedule only reorders execution — every net is
-    // claimed exactly once and commits into outcomes[] by net index — so
-    // results are bit-identical to the static route_shard path.
+    // In-process execution: a work-stealing lane over the
+    // ShardStealSchedule claims whole shards (owner phase), drains each in
+    // spans, then steals spans from unfinished shards. Whichever lane
+    // routes a shard's last span owns its completion event. The schedule
+    // only reorders execution — every net is claimed exactly once and
+    // commits into outcomes[] by net index — so results are bit-identical
+    // at any lane count.
     const auto steal_lane = [&](ShardStealSchedule& sched) {
       SparseMap<double> excluded;
       std::vector<ShardStealSchedule::Span> lifo;
@@ -615,30 +612,23 @@ struct Router::Impl {
       }
     };
     // Bounded retry around the shard fan-out: a retryable (injected or
-    // transient) fault fails only the shards it interrupted; those
-    // re-execute serially on the next attempt while completed shards are
-    // skipped via shard_done, never re-emitting their shard events.
-    // Cancellation and deadlines are not retried — they unwind to the
-    // previous round boundary as before. BudgetExhausted deliberately
-    // propagates to run()'s status mapping (retrying could not help: the
-    // footprint exceeds the whole budget).
+    // transient) fault fails only the shards it interrupted. Every attempt
+    // is the same call; completed shards are skipped via shard_done (a
+    // fresh ShardStealSchedule never claims them), so they never re-emit
+    // their shard events. Cancellation and deadlines are not retried — they
+    // unwind to the previous round boundary as before. BudgetExhausted
+    // deliberately propagates to run()'s status mapping (retrying could not
+    // help: the footprint exceeds the whole budget).
     constexpr int kMaxShardAttempts = 3;
-    // Stealing is an in-process executor policy: transport dispatch keeps
-    // whole shards as its work unit, and retries re-execute serially.
-    const bool stealing = transport == nullptr && options.shard_stealing;
     for (int attempt = 1;; ++attempt) {
       try {
-        if (attempt == 1 && stealing) {
+        if (transport != nullptr) {
+          pool->parallel_for(0, shard_map.nets.size(), dispatch_shard);
+        } else {
           ShardStealSchedule sched(shard_map, shard_done);
           pool->parallel_for(
               0, static_cast<std::size_t>(pool->concurrency()),
               [&](std::size_t) { steal_lane(sched); });
-        } else if (attempt == 1) {
-          pool->parallel_for(0, shard_map.nets.size(), route_shard);
-        } else {
-          for (std::size_t sh = 0; sh < shard_map.nets.size(); ++sh) {
-            route_shard(sh);
-          }
         }
         break;
       } catch (const SolveCancelled&) {
@@ -718,8 +708,7 @@ struct Router::Impl {
                              const RunControl& control,
                              const detail::EventFan& fan) {
     const std::size_t num_nets = netlist.nets.size();
-    const std::size_t batch =
-        static_cast<std::size_t>(std::max(1, options.batch_size));
+    const auto batch = static_cast<std::size_t>(options.batch_size);
     const SolveControls controls = detail::make_solve_controls(control);
     std::vector<std::pair<std::uint64_t, std::size_t>> order;
 
@@ -838,6 +827,9 @@ struct Router::Impl {
   const RoutingGrid& grid;
   const Netlist& netlist;
   RouterOptions options;
+  /// The constructor's verdict on `options`: a session built with invalid
+  /// options refuses to run() until set_options installs valid ones.
+  Status options_status;
   CongestionCosts costs;
   /// One atomic dense-state pool shared by every concurrent oracle lane of
   /// this session (sized from options.oracle.cd.dense_state_budget_bytes).
@@ -851,7 +843,6 @@ struct Router::Impl {
   // Sharded-round state: the net partition (rebuilt when the shard count
   // changes) and the recycled per-round price snapshot.
   ShardMap shard_map;
-  int shard_map_shards{0};
   std::vector<double> round_costs;
   /// The transport last configured with this session's world; set_options
   /// resets it so the next sharded round re-sends the setup.
@@ -892,18 +883,14 @@ int Router::rounds_completed() const { return impl_->rounds_done; }
 const RouterOptions& Router::options() const { return impl_->options; }
 
 Status Router::set_options(const RouterOptions& options) {
-  if (options.batch_size < 1) {
-    return Status::InvalidArgument("batch_size must be >= 1");
-  }
-  if (options.shards < 0) {
-    return Status::InvalidArgument("shards must be >= 0");
-  }
+  if (Status st = validate_options(options); !st.ok()) return st;
   Impl& impl = *impl_;
   const int old_threads = impl.options.threads;
   impl.options = options;
+  impl.options_status = Status::Ok();
   // No solves are in flight between runs, so re-sizing the shared
   // dense-state pool is safe; the shard map lazily rebuilds when the shard
-  // count changed (route_round_sharded compares shard_map_shards).
+  // count changed (route_round_sharded compares the map's shard count).
   impl.dense_budget.reset(options.oracle.cd.dense_state_budget_bytes);
   // Re-price the committed usage under the (possibly changed) congestion
   // parameters; usage itself — and hence the warm state — is preserved.
@@ -1101,12 +1088,8 @@ RouterRun& RouterRun::operator=(RouterRun&&) noexcept = default;
 Status RouterRun::step() {
   State& s = *state_;
   if (s.remaining <= 0) return s.last;
-  RunControl slice;
-  slice.cancel = s.base.cancel;
+  RunControl slice = s.base;
   slice.events = &s.sink;
-  slice.on_progress = s.base.on_progress;
-  slice.deadline = s.base.deadline;
-  slice.cancel_poll_interval = s.base.cancel_poll_interval;
   s.last = s.router->run(1, slice);
   if (s.last.ok()) --s.remaining;
   return s.last;
@@ -1153,20 +1136,6 @@ std::size_t RouterRun::dropped_events() const {
 void RouterRun::set_deadline(
     std::optional<std::chrono::steady_clock::time_point> d) {
   state_->base.deadline = d;
-}
-
-// Legacy one-shot wrapper (declared deprecated in route/router.h).
-RouterResult route_chip(const RoutingGrid& grid, const Netlist& netlist,
-                        const RouterOptions& options) {
-  CDST_CHECK(options.iterations >= 1);
-  Router session(grid, netlist, options);
-  const Status status = session.run(options.iterations);
-  // cdst-lint: allow(api-throw) deprecated legacy wrapper: route_chip's
-  // documented contract predates the Status discipline and throws.
-  if (!status.ok()) throw ContractViolation(status.to_string());
-  // Move the routes out — matches the zero-copy cost of the pre-session
-  // implementation, which built its result vectors in place.
-  return std::move(session).take_result();
 }
 
 }  // namespace cdst

@@ -1,13 +1,13 @@
 /// \file api/router.h
 /// Session object around the timing-constrained global router.
 ///
-/// The stateful successor of route_chip(): constructed once per grid +
-/// netlist, it retains everything the Lagrangean iteration accumulates —
-/// congestion prices, routed trees, per-sink delay weights (the Lagrange
-/// multipliers) — so run() is resumable: run(2) followed by run(2) is
-/// bit-identical to run(4), and after an option change (oracle knobs,
-/// Steiner method, weight schedule) the next run() re-routes warm from the
-/// converged prices instead of from scratch.
+/// Constructed once per grid + netlist, the session retains everything the
+/// Lagrangean iteration accumulates — congestion prices, routed trees,
+/// per-sink delay weights (the Lagrange multipliers) — so run() is
+/// resumable: run(2) followed by run(2) is bit-identical to run(4), and
+/// after an option change (oracle knobs, Steiner method, weight schedule)
+/// the next run() re-routes warm from the converged prices instead of from
+/// scratch.
 ///
 /// Cancellation is honored at batch granularity: a cancelled run() returns
 /// kCancelled with every committed batch intact (the in-flight batch is
@@ -20,10 +20,10 @@
 ///
 /// With RouterOptions::shards >= 1 rounds run spatially sharded instead of
 /// batched: prices freeze once per round, net shards (grid tiles, see
-/// route/sharding.h) route chunk-parallel against the snapshot, and all
-/// updates merge at the round barrier in net order — bit-identical results
-/// at any thread and shard count, and cancellation unwinds to the previous
-/// round boundary with no rollback at all.
+/// route/sharding.h) route on work-stealing lanes against the snapshot,
+/// and all updates merge at the round barrier in net order — bit-identical
+/// results at any thread and shard count, and cancellation unwinds to the
+/// previous round boundary with no rollback at all.
 
 #pragma once
 
@@ -84,8 +84,9 @@ class Router {
   /// shares a caller-owned ThreadPool across engine objects (the ROADMAP's
   /// shared fan-out pool); when null the session owns a pool of
   /// options.threads workers. Results never depend on the thread count.
-  /// options.iterations is ignored by the session API (run() takes the round
-  /// count); it remains meaningful to the legacy route_chip wrapper.
+  /// Options are checked as set_options() checks them; a session built with
+  /// invalid options routes nothing, and run() returns kInvalidArgument
+  /// until set_options() installs valid ones.
   Router(const RoutingGrid& grid, const Netlist& netlist,
          const RouterOptions& options, ThreadPool* pool = nullptr);
   ~Router();
@@ -121,7 +122,7 @@ class Router {
   /// instead of copying them. Consumes the session's routing state — only
   /// callable on an expiring session (`std::move(session).take_result()`),
   /// which must not be run() afterwards. This is the zero-copy final-answer
-  /// path (the legacy route_chip wrapper uses it).
+  /// path.
   RouterResult take_result() &&;
 
   /// Fully completed Lagrangean rounds (a cancelled round does not count;
@@ -134,7 +135,8 @@ class Router {
   /// accumulated prices, routes and multipliers — the warm-start path for
   /// re-routing after an option change. Grid and netlist stay fixed. When
   /// the session owns its thread pool and `options.threads` changed, the
-  /// pool is rebuilt.
+  /// pool is rebuilt. kInvalidArgument (session unchanged) when
+  /// batch_size < 1 or shards < 0.
   Status set_options(const RouterOptions& options);
 
   /// Live per-sink Lagrange multipliers, flattened in netlist order.

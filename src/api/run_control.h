@@ -8,8 +8,7 @@
 /// a batch solve's completed instances, a stream's delivered results) is
 /// never corrupted by cancellation. Observation goes through the typed
 /// EventSink of api/events.h: solver merge ticks, per-job completions, and
-/// router round/shard boundaries with congestion stats. The original
-/// single `Progress` callback remains as a deprecated adapter.
+/// router round/shard boundaries with congestion stats.
 
 #pragma once
 
@@ -17,7 +16,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
 
 namespace cdst {
@@ -47,28 +45,13 @@ class CancelToken {
   std::atomic<bool> flag_{false};
 };
 
-/// One legacy progress observation (deprecated surface; see
-/// RunControl::on_progress). Which fields are meaningful depends on the
-/// stage: "solve" counts merges of one solve, "solve_batch" counts finished
-/// instances, "route" counts nets within the current Lagrangean round.
-struct Progress {
-  const char* stage{""};
-  std::size_t done{0};
-  std::size_t total{0};
-  int round{0};         ///< current Lagrangean round, absolute session index
-  /// Absolute session round the current run() call is heading for (same
-  /// indexing as `round`): on a resumed session, run(2) after run(2)
-  /// reports round 2..3 of total_rounds 4.
-  int total_rounds{0};
-};
-
 /// The substitute for RunControl::cancel_poll_interval == 0 ("0 means the
 /// default"), applied once in detail::make_solve_controls so the core never
 /// sees a zero interval.
 inline constexpr std::uint32_t kDefaultCancelPollInterval = 4096;
 
 /// Per-call execution controls. Default-constructed RunControl means "run to
-/// completion, report nothing" — exactly the legacy behavior.
+/// completion, report nothing".
 struct RunControl {
   const CancelToken* cancel{nullptr};
   /// Typed event observer (api/events.h): solver merge ticks, per-job
@@ -78,14 +61,6 @@ struct RunControl {
   /// handlers run on engine worker threads and must not call back into the
   /// emitting session (use a CancelToken to influence the run).
   EventSink* events{nullptr};
-  /// DEPRECATED: legacy single-callback observer, superseded by `events`
-  /// (not attribute-marked — compilers flag deprecated members on every
-  /// implicit RunControl construction, which would punish callers that
-  /// never touch it). Still honored: the engine adapts the progress-like
-  /// subset of events back into Progress calls, bit-compatible with the
-  /// pre-event behavior. May be combined with `events` (both then observe).
-  /// Invoked serialized, on the thread that made the observation.
-  std::function<void(const Progress&)> on_progress;
   /// Monotonic deadline for the engine call, polled at the same points as
   /// `cancel` (solver queue pops, router batch/round boundaries, stream job
   /// starts). Expiry returns kDeadlineExceeded with the same

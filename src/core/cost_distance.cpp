@@ -1156,9 +1156,4 @@ SolveResult solve_cost_distance(const CostDistanceInstance& instance,
   return solver.run();
 }
 
-SolveResult solve_cost_distance(const CostDistanceInstance& instance,
-                                const SolverOptions& options) {
-  return solve_cost_distance(instance, options, nullptr, nullptr);
-}
-
 }  // namespace cdst

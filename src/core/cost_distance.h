@@ -333,10 +333,4 @@ SolveResult solve_cost_distance(const CostDistanceInstance& instance,
                                 SolverScratch* scratch,
                                 const SolveControls* controls = nullptr);
 
-/// One-shot legacy entry: allocates and throws away all solver state.
-CDST_DEPRECATED(
-    "use cdst::CdSolver (api/cdst.h) or the SolverScratch-aware overload")
-SolveResult solve_cost_distance(const CostDistanceInstance& instance,
-                                const SolverOptions& options = {});
-
 }  // namespace cdst

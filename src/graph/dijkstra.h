@@ -1,18 +1,16 @@
 /// \file dijkstra.h
 /// Header-only single/multi-source Dijkstra over a Graph, templated over the
-/// priority-queue type and the edge-length functor. Used for landmark
-/// preprocessing, the topology-embedding DP, and as a reference
-/// implementation in tests (the cost-distance solver has its own specialized
-/// multi-metric search).
+/// edge-length functor. Used for landmark preprocessing, the
+/// topology-embedding DP, and as a reference implementation in tests (the
+/// cost-distance solver has its own specialized multi-metric search).
 ///
 /// The search kernel is a function template so that callers can pass concrete
 /// functor types (ArrayLength, CostDelayLength, a lambda, ...) and the length
-/// evaluation inlines into the relax loop. `EdgeLengthFn` (a std::function)
-/// remains available as a type-erased compatibility spelling — every entry
-/// point accepts it like any other functor — but hot paths should prefer a
-/// concrete functor: the virtual-call-like indirection of std::function in
-/// the inner loop is measurable (see bench_heaps's DijkstraLengthIndirection
-/// row).
+/// evaluation inlines into the relax loop.
+///
+/// The queue is a BinaryHeap. Theorem 1's O(t (n log n + m)) bound uses
+/// Fibonacci heaps, but on sparse routing graphs binary heaps are faster in
+/// practice (Section III-B).
 ///
 /// Functors constructed from an ArcCostView additionally carry the per-arc
 /// structure-of-arrays plane (graph/arc_cost_view.h). The kernel detects the
@@ -31,7 +29,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <functional>
 #include <limits>
 #include <span>
 #include <utility>
@@ -40,8 +37,6 @@
 #include "graph/arc_cost_view.h"
 #include "graph/graph.h"
 #include "util/binary_heap.h"
-#include "util/d_ary_heap.h"
-#include "util/fibonacci_heap.h"
 #include "util/prefetch.h"
 #include "util/simd.h"
 
@@ -67,10 +62,6 @@ struct DijkstraResult {
     return out;
   }
 };
-
-/// Type-erased edge length callback: double(EdgeId). Compatibility spelling;
-/// prefer a concrete functor type on hot paths.
-using EdgeLengthFn = std::function<double(EdgeId)>;
 
 /// Edge lengths read from a dense per-edge array (the common case: windows,
 /// grids and landmark preprocessing all keep parallel per-edge vectors).
@@ -146,26 +137,18 @@ concept ArcPlaneLength = requires(const T& t, std::uint32_t a) {
   { t.arc_value4(a) } -> std::same_as<Vec4d>;
 };
 
-/// Priority queue backing the search. Theorem 1's O(t (n log n + m)) bound
-/// uses Fibonacci heaps; on sparse routing graphs binary heaps are faster in
-/// practice (Section III-B), and the cache-friendly 4-ary heap shaves a bit
-/// more off sift-down traffic (see bench_heaps).
-enum class DijkstraHeap : std::uint8_t { kBinary, kFibonacci, kDAry };
-
 /// Core search kernel: label-setting from per-source seed distances, with
-/// both the heap and the length functor resolved at compile time. Functors
+/// the length functor resolved at compile time. Functors
 /// carrying an arc plane (ArcPlaneLength) are relaxed with the blocked SoA
 /// scan; everything else takes the classic per-edge loop. Both paths produce
 /// bit-identical results.
-template <typename Heap, typename LengthFn>
+template <typename LengthFn>
 void dijkstra_search(const Graph& g,
                      const std::vector<std::pair<VertexId, double>>& seeds,
                      const LengthFn& length, VertexId target,
                      DijkstraResult& r) {
-  Heap heap;
-  if constexpr (requires(Heap& h, std::size_t n) { h.reserve(n); }) {
-    heap.reserve(g.num_vertices());
-  }
+  BinaryHeap<double> heap;
+  heap.reserve(g.num_vertices());
   for (const auto& [v, d] : seeds) {
     CDST_CHECK(v < g.num_vertices());
     if (d < r.dist[v]) {
@@ -269,21 +252,14 @@ void dijkstra_search(const Graph& g,
 template <typename LengthFn>
 DijkstraResult dijkstra_with_initial_labels(
     const Graph& g, const std::vector<std::pair<VertexId, double>>& seeds,
-    const LengthFn& length, VertexId target = kInvalidVertex,
-    DijkstraHeap heap = DijkstraHeap::kBinary) {
+    const LengthFn& length, VertexId target = kInvalidVertex) {
   const std::size_t n = g.num_vertices();
   DijkstraResult r;
   r.dist.assign(n, DijkstraResult::kInf);
   r.parent_edge.assign(n, kInvalidEdge);
   r.parent.assign(n, kInvalidVertex);
 
-  if (heap == DijkstraHeap::kFibonacci) {
-    dijkstra_search<FibonacciHeap<double>>(g, seeds, length, target, r);
-  } else if (heap == DijkstraHeap::kDAry) {
-    dijkstra_search<DAryHeap<double, 4>>(g, seeds, length, target, r);
-  } else {
-    dijkstra_search<BinaryHeap<double>>(g, seeds, length, target, r);
-  }
+  dijkstra_search(g, seeds, length, target, r);
   return r;
 }
 
@@ -292,12 +268,11 @@ DijkstraResult dijkstra_with_initial_labels(
 template <typename LengthFn>
 DijkstraResult dijkstra(const Graph& g, const std::vector<VertexId>& sources,
                         const LengthFn& length,
-                        VertexId target = kInvalidVertex,
-                        DijkstraHeap heap = DijkstraHeap::kBinary) {
+                        VertexId target = kInvalidVertex) {
   std::vector<std::pair<VertexId, double>> seeds;
   seeds.reserve(sources.size());
   for (VertexId s : sources) seeds.emplace_back(s, 0.0);
-  return dijkstra_with_initial_labels(g, seeds, length, target, heap);
+  return dijkstra_with_initial_labels(g, seeds, length, target);
 }
 
 /// Potential-seeded Dijkstra over a full initial vector: computes

@@ -30,7 +30,7 @@ namespace cdst {
 class Landmarks {
  public:
   /// Builds k landmarks on graph g with the given (static) edge lengths.
-  /// Accepts any edge-length functor (ArrayLength, a lambda, EdgeLengthFn);
+  /// Accepts any edge-length functor (ArrayLength, a lambda, ...);
   /// the k full-graph Dijkstra runs instantiate the kernel on that concrete
   /// type, so preprocessing pays no per-edge indirection. `pool` (optional,
   /// borrowed for the constructor only) parallelizes the per-round table

@@ -27,7 +27,6 @@ class ShardTransport;
 
 struct RouterOptions {
   SteinerMethod method{SteinerMethod::kCD};
-  int iterations{6};  ///< rip-up & re-route rounds (>= 1)
   OracleParams oracle;
   CongestionParams congestion;
   /// Lagrangean weight update: slack magnitude (ps) that doubles a weight.
@@ -38,7 +37,6 @@ struct RouterOptions {
   /// (w0 = weight_init_scale * criticality^2).
   double weight_init_scale{3.0};
   std::uint64_t seed{1};
-  bool verbose{false};
   /// Worker threads for the per-net oracle calls. Nets are processed in
   /// batches: each batch is ripped up, routed in parallel against a frozen
   /// price snapshot, then committed — results are deterministic and
@@ -61,13 +59,14 @@ struct RouterOptions {
   /// legacy batched round discipline above. With shards >= 1 each round
   /// (a) freezes the congestion prices once into a per-edge snapshot,
   /// (b) partitions the nets into `shards` grid tiles by bounding box
-  /// (route/sharding.h), (c) routes shards chunk-parallel on the worker
-  /// pool — every net priced against the frozen snapshot minus its own
-  /// committed usage — and (d) merges all route/price updates at the round
-  /// barrier in net order. Results are bit-identical at ANY thread and
-  /// shard count (shards only schedule work); they differ from the legacy
-  /// batched discipline, whose batches see earlier batches' usage
-  /// mid-round. Both disciplines price windows by gathering from
+  /// (route/sharding.h), (c) routes them on the worker pool, whose lanes
+  /// claim whole shards and then steal net spans from unfinished ones
+  /// (ShardStealSchedule) — every net priced against the frozen snapshot
+  /// minus its own committed usage — and (d) merges all route/price
+  /// updates at the round barrier in net order. Results are bit-identical
+  /// at ANY thread and shard count (shards only schedule work); they differ
+  /// from the legacy batched discipline, whose batches see earlier
+  /// batches' usage mid-round. Both disciplines price windows by gathering from
   /// CongestionCosts' per-resource price table; sharded rounds win on
   /// scheduling, with one merge barrier per round instead of one barrier
   /// per batch.
@@ -80,20 +79,9 @@ struct RouterOptions {
   /// not owned: the transport must outlive the session (or the set_options
   /// call that replaces it). Ignored when shards == 0.
   dist::ShardTransport* transport{nullptr};
-  /// Work-stealing execution of in-process sharded rounds: shards keep
-  /// their frozen owner-claim order, but idle lanes steal net spans from
-  /// unfinished shards (route/sharding.h, ShardStealSchedule), so an
-  /// imbalanced tile no longer idles every other core at the merge
-  /// barrier. Purely an executor policy — results stay bit-identical with
-  /// stealing on or off, at any thread/shard count. Ignored by transport
-  /// dispatch (whole shards are the transport's work unit) and by retry
-  /// attempts (which re-execute serially).
-  bool shard_stealing{true};
 };
 
-/// Snapshot of a routing state: final (route_chip) or current
-/// (Router::result()).
-
+/// Snapshot of a routing state (Router::result() / take_result()).
 struct RouterResult {
   TimingSummary timing;
   CongestionReport congestion;
@@ -107,14 +95,5 @@ struct RouterResult {
   /// Final per-sink delay weights (the Lagrange multipliers).
   std::vector<double> sink_weights;
 };
-
-/// One-shot legacy entry: routes options.iterations rounds and discards all
-/// session state (prices, multipliers, thread pool). Thin wrapper over the
-/// session object; throws ContractViolation on invalid input where the
-/// session API would return a structured Status.
-CDST_DEPRECATED("use cdst::Router (api/cdst.h): construct once, run() "
-                "resumable rounds, keep prices/weights for warm re-routes")
-RouterResult route_chip(const RoutingGrid& grid, const Netlist& netlist,
-                        const RouterOptions& options);
 
 }  // namespace cdst

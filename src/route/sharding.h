@@ -4,10 +4,11 @@
 /// A sharded rip-up & re-route round (RouterOptions::shards >= 1) tiles the
 /// gcell plane into a lattice of near-square tiles — one shard per tile —
 /// and assigns every net to the tile containing its bounding-box center.
-/// Shards are the router's unit of chunk-parallel work: nets of one shard
-/// route sequentially on one worker against the round's frozen price
-/// snapshot, so neighbouring nets (which share cache-resident grid regions)
-/// stay on one core, while distant shards fan out across the ThreadPool.
+/// Shards are the router's unit of parallel work: a lane claims a shard and
+/// routes its nets against the round's frozen price snapshot, so
+/// neighbouring nets (which share cache-resident grid regions) mostly stay
+/// on one core, while distant shards fan out across the ThreadPool and idle
+/// lanes steal spans of unfinished shards (ShardStealSchedule).
 ///
 /// The assignment is a pure function of (grid extent, netlist, shard
 /// count): deterministic, a partition of the netlist (every net in exactly
@@ -97,14 +98,14 @@ ShardMap assign_nets_to_shards(const RoutingGrid& grid,
 ///     shards (highest remaining first would need a scan per steal; the
 ///     rotating probe below is contention-free and within a few percent).
 ///
-/// Every net is claimed exactly once, so the outcome array the lanes fill is
-/// identical to static execution no matter how spans interleave; the merge
-/// barrier then commits in net order, keeping results bit-identical at any
-/// lane count, with stealing on or off. Per-shard steal/wait counters feed
-/// RouterShardEvent.
+/// Every net is claimed exactly once, so the outcome array the lanes fill
+/// does not depend on how spans interleave; the merge barrier then commits
+/// in net order, keeping results bit-identical at any lane count. Per-shard
+/// steal/wait counters feed RouterShardEvent.
 ///
 /// The schedule is single-round, single-attempt state: construct fresh per
-/// fan-out. Thread-safe; no lock anywhere.
+/// fan-out (a retry constructs one over the shards still pending).
+/// Thread-safe; no lock anywhere.
 class ShardStealSchedule {
  public:
   /// Nets per claimed span: small enough to rebalance a hot shard, large

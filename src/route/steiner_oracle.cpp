@@ -124,11 +124,4 @@ OracleOutcome run_method(const OracleInstance& oi, SteinerMethod method,
   return out;
 }
 
-OracleOutcome route_net(const RoutingGrid& grid, const CongestionCosts& costs,
-                        const Net& net, std::span<const double> sink_weights,
-                        SteinerMethod method, const OracleParams& params) {
-  OracleInstance oi(grid, costs, net, sink_weights, params);
-  return run_method(oi, method, params, nullptr, nullptr);
-}
-
 }  // namespace cdst

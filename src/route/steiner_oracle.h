@@ -113,11 +113,4 @@ OracleOutcome run_method(const OracleInstance& oi, SteinerMethod method,
                          SolverScratch* scratch = nullptr,
                          const SolveControls* controls = nullptr);
 
-/// One-shot legacy wrapper: materialize + solve with throwaway state.
-CDST_DEPRECATED("materialize an OracleInstance and call run_method (or use "
-                "cdst::Router, api/cdst.h) to recycle solver state")
-OracleOutcome route_net(const RoutingGrid& grid, const CongestionCosts& costs,
-                        const Net& net, std::span<const double> sink_weights,
-                        SteinerMethod method, const OracleParams& params);
-
 }  // namespace cdst

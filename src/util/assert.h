@@ -41,16 +41,6 @@ namespace detail {
 }  // namespace detail
 }  // namespace cdst
 
-// Deprecation marker for the legacy one-shot entry points superseded by the
-// session API (api/cdst.h). TUs that intentionally exercise the legacy
-// surface (wrapper coverage in tests) define CDST_ALLOW_DEPRECATED before
-// including any cdst header to silence the attribute.
-#if defined(CDST_ALLOW_DEPRECATED)
-#define CDST_DEPRECATED(msg)
-#else
-#define CDST_DEPRECATED(msg) [[deprecated(msg)]]
-#endif
-
 #define CDST_CHECK(expr)                                                      \
   do {                                                                        \
     if (!(expr))                                                              \

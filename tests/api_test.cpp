@@ -1,11 +1,6 @@
 // Tests for the session API (api/cdst.h): structured Status/StatusOr,
 // CdSolver scratch recycling and deterministic batch solving, RunControl
-// progress/cancellation, the resumable warm-starting Router, and the
-// equivalence of the deprecated one-shot wrappers with the sessions that
-// now implement them.
-//
-// Compares against the deprecated legacy entry points on purpose.
-#define CDST_ALLOW_DEPRECATED
+// observation/cancellation, and the resumable warm-starting Router.
 
 #include <gtest/gtest.h>
 
@@ -60,23 +55,6 @@ TEST(Status, StatusOrHoldsValueOrError) {
 
 // --------------------------------------------------------------- cd solver --
 
-TEST(CdSolver, MatchesLegacyOneShotBitIdentically) {
-  const auto gi = make_grid_instance(11, 10, 9, 3, 7);
-  SolverOptions opts;
-  opts.future_cost = gi->fc.get();
-  opts.seed = 5;
-
-  const SolveResult legacy = solve_cost_distance(gi->inst, opts);
-  CdSolver solver(opts);
-  for (int repeat = 0; repeat < 3; ++repeat) {
-    const StatusOr<SolveResult> r = solver.solve(gi->inst);
-    ASSERT_TRUE(r.ok()) << r.status().to_string();
-    EXPECT_DOUBLE_EQ(r->eval.objective, legacy.eval.objective);
-    EXPECT_EQ(r->tree.all_edges(), legacy.tree.all_edges());
-    EXPECT_EQ(r->stats.labels_settled, legacy.stats.labels_settled);
-  }
-}
-
 TEST(CdSolver, ScratchIsInvisibleAcrossDifferentInstances) {
   // Interleave instances of very different size/shape on ONE session: every
   // solve must match a fresh-session solve of the same instance.
@@ -129,18 +107,22 @@ TEST(CdSolver, BatchIsBitIdenticalAtAnyThreadCount) {
   for (const int threads : {1, 2, 4}) {
     ThreadPool pool(threads);
     CdSolver solver({}, &pool);
-    std::size_t progress_calls = 0;
+    struct JobCounter final : EventSink {
+      std::size_t calls{0};
+      std::size_t expected_total{0};
+      void on_job(const JobEvent& e) override {
+        EXPECT_EQ(e.submitted, expected_total);
+        ++calls;
+      }
+    } counter;
+    counter.expected_total = jobs.size();
     RunControl control;
-    control.on_progress = [&](const Progress& p) {
-      EXPECT_STREQ(p.stage, "solve_batch");
-      EXPECT_EQ(p.total, jobs.size());
-      ++progress_calls;
-    };
+    control.events = &counter;
     const StatusOr<std::vector<SolveResult>> batch =
         solver.solve_batch(std::span<const CdSolver::Job>(jobs), control);
     ASSERT_TRUE(batch.ok()) << batch.status().to_string();
     ASSERT_EQ(batch->size(), reference.size());
-    EXPECT_EQ(progress_calls, jobs.size());
+    EXPECT_EQ(counter.calls, jobs.size());
     for (std::size_t i = 0; i < reference.size(); ++i) {
       EXPECT_EQ((*batch)[i].tree.all_edges(), reference[i].tree.all_edges())
           << "instance " << i << " at " << threads << " threads";
@@ -201,7 +183,7 @@ TEST(CdSolver, PreCancelledTokenShortCircuits) {
 }
 
 TEST(CdSolver, CancelMidSolveFromProgressCallback) {
-  // Cancel from inside the merge-progress callback; the solver must unwind
+  // Cancel from inside the merge-tick handler; the solver must unwind
   // cleanly (ASan run verifies leak-freedom of the abandoned search state)
   // and the session must stay usable for the next solve.
   const auto gi = make_grid_instance(41, 20, 20, 4, 40);
@@ -209,20 +191,24 @@ TEST(CdSolver, CancelMidSolveFromProgressCallback) {
   opts.future_cost = gi->fc.get();
   CdSolver solver(opts);
   CancelToken token;
+  struct CancelAfterTwoMerges final : EventSink {
+    CancelToken* token{nullptr};
+    std::size_t merges_seen{0};
+    void on_solve_merge(const SolveMergeEvent& e) override {
+      merges_seen = e.merges_done;
+      if (e.merges_done >= 2) token->request_cancel();
+    }
+  } sink;
+  sink.token = &token;
   RunControl control;
   control.cancel = &token;
+  control.events = &sink;
   control.cancel_poll_interval = 16;  // tight polling for the test
-  std::size_t merges_seen = 0;
-  control.on_progress = [&](const Progress& p) {
-    EXPECT_STREQ(p.stage, "solve");
-    merges_seen = p.done;
-    if (p.done >= 2) token.request_cancel();
-  };
   const StatusOr<SolveResult> r = solver.solve(gi->inst, control);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
-  EXPECT_GE(merges_seen, 2u);
-  EXPECT_LT(merges_seen, gi->inst.sinks.size())
+  EXPECT_GE(sink.merges_seen, 2u);
+  EXPECT_LT(sink.merges_seen, gi->inst.sinks.size())
       << "cancellation should have stopped the solve well before completion";
 
   // The same session finishes the instance when allowed to.
@@ -232,34 +218,6 @@ TEST(CdSolver, CancelMidSolveFromProgressCallback) {
 }
 
 // ------------------------------------------------------------------ router --
-
-TEST(RouterSession, MatchesLegacyRouteChipBitIdentically) {
-  const ChipConfig c = tiny_chip();
-  const RoutingGrid grid = make_chip_grid(c);
-  const Netlist nl = generate_netlist(c, grid);
-  RouterOptions opts;
-  opts.method = SteinerMethod::kCD;
-  opts.iterations = 3;
-  opts.seed = 5;
-  const RouterResult legacy = route_chip(grid, nl, opts);
-
-  Router session(grid, nl, opts);
-  ASSERT_TRUE(session.run(3).ok());
-  EXPECT_EQ(session.rounds_completed(), 3);
-  const RouterResult r = session.result();
-  ASSERT_EQ(r.routes.size(), legacy.routes.size());
-  for (std::size_t i = 0; i < r.routes.size(); ++i) {
-    EXPECT_EQ(r.routes[i], legacy.routes[i]) << "net " << i;
-  }
-  ASSERT_EQ(r.sink_delays.size(), legacy.sink_delays.size());
-  for (std::size_t s = 0; s < r.sink_delays.size(); ++s) {
-    EXPECT_DOUBLE_EQ(r.sink_delays[s], legacy.sink_delays[s]);
-    EXPECT_DOUBLE_EQ(r.sink_weights[s], legacy.sink_weights[s]);
-  }
-  EXPECT_DOUBLE_EQ(r.timing.total_negative_slack,
-                   legacy.timing.total_negative_slack);
-  EXPECT_EQ(r.wires.num_vias, legacy.wires.num_vias);
-}
 
 TEST(RouterSession, WarmResumedRunsMatchOneFreshRun) {
   // run(2); run(2) must be bit-identical to run(4): seeds and multiplier
@@ -334,13 +292,18 @@ TEST(RouterSession, CancelMidRunLeavesCoherentResumableState) {
 
   Router session(grid, nl, opts);
   CancelToken token;
+  struct CancelAtSecondBatch final : EventSink {
+    CancelToken* token{nullptr};
+    std::size_t batches_seen{0};
+    void on_router_round(const RouterRoundEvent& e) override {
+      if (e.round_complete || e.cancelled) return;
+      if (++batches_seen == 2) token->request_cancel();
+    }
+  } sink;
+  sink.token = &token;
   RunControl control;
   control.cancel = &token;
-  std::size_t batches_seen = 0;
-  control.on_progress = [&](const Progress& p) {
-    EXPECT_STREQ(p.stage, "route");
-    if (++batches_seen == 2) token.request_cancel();
-  };
+  control.events = &sink;
   const Status st = session.run(2, control);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kCancelled);
@@ -384,6 +347,33 @@ TEST(RouterSession, SetOptionsReroutesWarmFromConvergedState) {
   RouterOptions bad = changed;
   bad.batch_size = 0;
   EXPECT_EQ(session.set_options(bad).code(), StatusCode::kInvalidArgument);
+}
+
+TEST(RouterSession, ConstructorRejectsWhatSetOptionsRejects) {
+  // A session built directly with options set_options() refuses routes
+  // nothing: run() and run_async() report kInvalidArgument until valid
+  // options are installed.
+  const ChipConfig c = tiny_chip();
+  const RoutingGrid grid = make_chip_grid(c);
+  const Netlist nl = generate_netlist(c, grid);
+  RouterOptions zero_batch;
+  zero_batch.batch_size = 0;
+  RouterOptions negative_shards;
+  negative_shards.shards = -1;
+  for (const RouterOptions& bad : {zero_batch, negative_shards}) {
+    SCOPED_TRACE(testing::Message() << "batch_size=" << bad.batch_size
+                                    << " shards=" << bad.shards);
+    Router session(grid, nl, bad);
+    EXPECT_EQ(session.run(1).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(session.run_async(1).step().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(session.rounds_completed(), 0);
+    EXPECT_TRUE(session.result().routes[0].empty()) << "nothing was routed";
+
+    ASSERT_TRUE(session.set_options(RouterOptions{}).ok());
+    EXPECT_TRUE(session.run(1).ok());
+    EXPECT_EQ(session.rounds_completed(), 1);
+  }
 }
 
 // -------------------------------------------------------------- event sinks --
@@ -582,25 +572,6 @@ TEST(EventSink, CancelledRunEmitsFinalRoundSummary) {
   ASSERT_EQ(sink.summaries.size(), 1u);
   EXPECT_EQ(sink.summaries.back().round, 1);
   EXPECT_EQ(sink.summaries.back().nets_done, 0u);
-}
-
-TEST(EventSink, LegacyProgressAndTypedSinkBothObserve) {
-  const auto gi = make_grid_instance(61, 10, 10, 3, 6);
-  SolverOptions opts;
-  opts.future_cost = gi->fc.get();
-  CdSolver solver(opts);
-  RecordingSink sink;
-  std::size_t legacy_calls = 0;
-  RunControl control;
-  control.events = &sink;
-  control.on_progress = [&](const Progress& p) {
-    EXPECT_STREQ(p.stage, "solve");
-    ++legacy_calls;
-  };
-  ASSERT_TRUE(solver.solve(gi->inst, control).ok());
-  EXPECT_EQ(sink.merges.size(), gi->inst.sinks.size());
-  EXPECT_EQ(legacy_calls, gi->inst.sinks.size())
-      << "the deprecated callback is adapted, not dropped";
 }
 
 // ---------------------------------------------------------------- movability --

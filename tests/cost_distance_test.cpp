@@ -2,17 +2,13 @@
 // enhancements): structural validity, objective consistency, optimality on
 // special cases, comparison against the exact enumeration oracle, and
 // behaviour of every enhancement toggle.
-//
-// Intentionally exercises the deprecated one-shot solve_cost_distance
-// wrapper (api_test covers the session API), keeping the legacy surface
-// under test until it is removed.
-#define CDST_ALLOW_DEPRECATED
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
 
+#include "api/cd_solver.h"
 #include "core/cost_distance.h"
 #include "embed/embedder.h"
 #include "embed/enumerate.h"
@@ -74,6 +70,16 @@ GridInstance make_grid_instance(std::uint64_t seed, int nx, int ny, int nz,
   return gi;
 }
 
+/// One solve through a fresh CdSolver session; the test fails if it does
+/// not succeed.
+SolveResult solve(const CostDistanceInstance& inst,
+                  const SolverOptions& options) {
+  CdSolver solver(options);
+  StatusOr<SolveResult> r = solver.solve(inst);
+  EXPECT_TRUE(r.ok()) << r.status().to_string();
+  return r.ok() ? *std::move(r) : SolveResult{};
+}
+
 SolverOptions with_fc(const GridInstance& gi, bool astar = true) {
   SolverOptions o;
   o.future_cost = gi.fc.get();
@@ -84,7 +90,7 @@ SolverOptions with_fc(const GridInstance& gi, bool astar = true) {
 TEST(CostDistance, SingleSinkIsShortestPath) {
   const auto gi = make_grid_instance(7, 6, 6, 3, 1);
   const double w = gi.inst.sinks[0].weight;
-  const auto r = solve_cost_distance(gi.inst, with_fc(gi));
+  const auto r = solve(gi.inst, with_fc(gi));
   const auto sp = dijkstra(
       *gi.inst.graph, {gi.inst.root},
       [&](EdgeId e) { return gi.cost[e] + w * gi.delay[e]; },
@@ -96,7 +102,7 @@ TEST(CostDistance, SingleSinkIsShortestPath) {
 TEST(CostDistance, SinkOnRootVertexCostsNothing) {
   GridInstance gi = make_grid_instance(8, 5, 5, 2, 1);
   gi.inst.sinks[0].vertex = gi.inst.root;
-  const auto r = solve_cost_distance(gi.inst, with_fc(gi));
+  const auto r = solve(gi.inst, with_fc(gi));
   EXPECT_DOUBLE_EQ(r.eval.objective, 0.0);
 }
 
@@ -115,12 +121,12 @@ TEST(CostDistance, ParallelEdgesTradeCostForDelay) {
   inst.root = 0;
   inst.sinks = {Terminal{1, 0.01}};
   SolverOptions opts;  // generic graph: no future costs
-  auto r = solve_cost_distance(inst, opts);
+  auto r = solve(inst, opts);
   EXPECT_NEAR(r.eval.objective, 1.0 + 0.01 * 10.0, 1e-12)
       << "light weight must choose the cheap slow wire";
 
   inst.sinks[0].weight = 100.0;
-  r = solve_cost_distance(inst, opts);
+  r = solve(inst, opts);
   EXPECT_NEAR(r.eval.objective, 10.0 + 100.0 * 1.0, 1e-12)
       << "heavy weight must choose the fast expensive wire";
 }
@@ -138,7 +144,8 @@ TEST(CostDistance, DisconnectedGraphThrows) {
   inst.delay = &d;
   inst.root = 0;
   inst.sinks = {Terminal{3, 1.0}};
-  EXPECT_THROW(solve_cost_distance(inst, SolverOptions{}), ContractViolation);
+  EXPECT_THROW(solve_cost_distance(inst, SolverOptions{}, nullptr),
+               ContractViolation);
 }
 
 class CostDistanceProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -149,7 +156,7 @@ TEST_P(CostDistanceProperty, ProducesValidConsistentTrees) {
         make_grid_instance(GetParam(), 9, 8, 4, 3 + GetParam() % 10, dbif);
     SolverOptions opts = with_fc(gi);
     opts.seed = GetParam();
-    const auto r = solve_cost_distance(gi.inst, opts);
+    const auto r = solve(gi.inst, opts);
     r.tree.validate(*gi.inst.graph, gi.inst.sinks.size());
     // Objective must equal an independent re-evaluation.
     const TreeEvaluation re = evaluate_tree(r.tree, gi.inst);
@@ -171,7 +178,7 @@ TEST_P(CostDistanceProperty, AllEnhancementCombinationsAreValid) {
     o.better_steiner_placement = (mask & 4) != 0;
     o.encourage_root = (mask & 8) != 0;
     o.seed = (mask & 16) != 0 ? 1 : 2;
-    const auto r = solve_cost_distance(gi.inst, o);
+    const auto r = solve(gi.inst, o);
     r.tree.validate(*gi.inst.graph, gi.inst.sinks.size());
     best = std::min(best, r.eval.objective);
     worst = std::max(worst, r.eval.objective);
@@ -186,24 +193,36 @@ TEST_P(CostDistanceProperty, DeterministicGivenSeed) {
   GridInstance gi = make_grid_instance(GetParam() + 123, 8, 7, 3, 6, 2.0);
   SolverOptions o = with_fc(gi);
   o.seed = 99;
-  const auto r1 = solve_cost_distance(gi.inst, o);
-  const auto r2 = solve_cost_distance(gi.inst, o);
+  const auto r1 = solve(gi.inst, o);
+  const auto r2 = solve(gi.inst, o);
   EXPECT_DOUBLE_EQ(r1.eval.objective, r2.eval.objective);
   EXPECT_EQ(r1.tree.nodes.size(), r2.tree.nodes.size());
 }
 
 TEST_P(CostDistanceProperty, NearOptimalOnTinyInstances) {
-  // Compare against the exact enumeration oracle. Theorem 6 guarantees
-  // O(log t) in expectation; on 2-4 sink instances the practical algorithm
-  // lands much closer — enforce a generous factor 2.
+  // Compare against the exact enumeration oracle under every solver
+  // toggle: queue kind, A*, component discounts, Steiner placement, root
+  // encouragement and pooled search state (64 combinations, each with its
+  // own seed). Theorem 6 guarantees O(log t) in expectation; on 2-4 sink
+  // instances the practical algorithm lands much closer — enforce a
+  // generous factor 2.
   const std::size_t num_sinks = 2 + GetParam() % 3;
   for (const double dbif : {0.0, 4.0}) {
     GridInstance gi =
         make_grid_instance(GetParam() * 1313, 6, 6, 3, num_sinks, dbif);
     const ExactResult exact = solve_exact(gi.inst);
-    for (const bool astar : {false, true}) {
-      SolverOptions o = with_fc(gi, astar);
-      const auto r = solve_cost_distance(gi.inst, o);
+    for (int mask = 0; mask < 64; ++mask) {
+      SolverOptions o = with_fc(gi, (mask & 1) != 0);
+      o.queue =
+          (mask & 2) != 0 ? QueueKind::kSingleLazy : QueueKind::kTwoLevel;
+      o.discount_components = (mask & 4) != 0;
+      o.better_steiner_placement = (mask & 8) != 0;
+      o.encourage_root = (mask & 16) != 0;
+      o.pool_search_state = (mask & 32) != 0;
+      o.seed = GetParam() * 64 + static_cast<std::uint64_t>(mask);
+      SCOPED_TRACE(testing::Message()
+                   << "dbif " << dbif << ", toggle mask " << mask);
+      const auto r = solve(gi.inst, o);
       EXPECT_GE(r.eval.objective, exact.eval.objective - 1e-6)
           << "nothing beats the exact optimum";
       EXPECT_LE(r.eval.objective, 2.0 * exact.eval.objective)
@@ -215,7 +234,7 @@ TEST_P(CostDistanceProperty, NearOptimalOnTinyInstances) {
 TEST_P(CostDistanceProperty, ZeroWeightsReduceToPureCost) {
   GridInstance gi = make_grid_instance(GetParam() + 5000, 7, 7, 3, 5);
   for (Terminal& t : gi.inst.sinks) t.weight = 0.0;
-  const auto r = solve_cost_distance(gi.inst, with_fc(gi));
+  const auto r = solve(gi.inst, with_fc(gi));
   r.tree.validate(*gi.inst.graph, gi.inst.sinks.size());
   EXPECT_DOUBLE_EQ(r.eval.weighted_delay, 0.0);
   EXPECT_DOUBLE_EQ(r.eval.objective, r.eval.connection_cost);
@@ -223,7 +242,7 @@ TEST_P(CostDistanceProperty, ZeroWeightsReduceToPureCost) {
 
 TEST_P(CostDistanceProperty, PenaltiesOnlyIncreaseTreeCost) {
   GridInstance gi = make_grid_instance(GetParam() + 31, 8, 8, 3, 6, 0.0);
-  const auto r = solve_cost_distance(gi.inst, with_fc(gi));
+  const auto r = solve(gi.inst, with_fc(gi));
   // Evaluate the same tree under a dbif > 0 instance: objective must rise
   // (or stay, if the tree is a path) — penalties are non-negative.
   CostDistanceInstance with_penalty = gi.inst;
@@ -245,8 +264,8 @@ TEST_P(CostDistanceProperty, LazySingleHeapMatchesTwoLevel) {
   two.seed = 3;
   SolverOptions lazy = two;
   lazy.queue = QueueKind::kSingleLazy;
-  const auto a = solve_cost_distance(gi.inst, two);
-  const auto b = solve_cost_distance(gi.inst, lazy);
+  const auto a = solve(gi.inst, two);
+  const auto b = solve(gi.inst, lazy);
   EXPECT_DOUBLE_EQ(a.eval.objective, b.eval.objective);
   EXPECT_EQ(a.tree.nodes.size(), b.tree.nodes.size());
 }
@@ -267,10 +286,10 @@ TEST_P(CostDistanceProperty, PooledStateIsInvisibleAcrossQueuesAndSeeds) {
     unpooled.pool_search_state = false;
     SolverOptions sparse = pooled;
     sparse.dense_state_budget_bytes = 0;  // force the sparse index fallback
-    const auto a = solve_cost_distance(gi.inst, pooled);
-    const auto b = solve_cost_distance(gi.inst, unpooled);
-    const auto c = solve_cost_distance(gi.inst, pooled);  // pool reuse again
-    const auto d = solve_cost_distance(gi.inst, sparse);
+    const auto a = solve(gi.inst, pooled);
+    const auto b = solve(gi.inst, unpooled);
+    const auto c = solve(gi.inst, pooled);  // pool reuse again
+    const auto d = solve(gi.inst, sparse);
     EXPECT_DOUBLE_EQ(a.eval.objective, b.eval.objective);
     EXPECT_DOUBLE_EQ(a.eval.weighted_delay, b.eval.weighted_delay);
     EXPECT_EQ(a.tree.all_edges(), b.tree.all_edges());
@@ -386,7 +405,7 @@ TEST(CostDistance, ManySinksLargeInstance) {
   // Smoke test at a size where all machinery (two-level heap, discounting,
   // A*, placement) is exercised hard.
   GridInstance gi = make_grid_instance(4242, 24, 24, 5, 48, 2.5);
-  const auto r = solve_cost_distance(gi.inst, with_fc(gi));
+  const auto r = solve(gi.inst, with_fc(gi));
   r.tree.validate(*gi.inst.graph, gi.inst.sinks.size());
   EXPECT_EQ(r.stats.iterations, 48u);
   EXPECT_GT(r.stats.labels_settled, 48u);
@@ -397,7 +416,7 @@ TEST(CostDistance, DuplicateSinkPositions) {
   // Force two sinks onto the same vertex and one onto the root.
   gi.inst.sinks[1].vertex = gi.inst.sinks[0].vertex;
   gi.inst.sinks[2].vertex = gi.inst.root;
-  const auto r = solve_cost_distance(gi.inst, with_fc(gi));
+  const auto r = solve(gi.inst, with_fc(gi));
   r.tree.validate(*gi.inst.graph, gi.inst.sinks.size());
 }
 
@@ -406,7 +425,7 @@ TEST(CostDistance, EtaExtremesRespected) {
   // eta = 0.5: the split is forced to be even. The evaluator's total
   // penalty must shrink monotonically as eta decreases.
   GridInstance gi = make_grid_instance(777, 8, 8, 3, 6, 5.0, 0.5);
-  const auto half = solve_cost_distance(gi.inst, with_fc(gi));
+  const auto half = solve(gi.inst, with_fc(gi));
   double prev = evaluate_tree(half.tree, gi.inst).total_delay_penalty;
   for (const double eta : {0.3, 0.1, 0.0}) {
     CostDistanceInstance relaxed = gi.inst;
@@ -427,7 +446,7 @@ TEST(CostDistance, RandomPlacementVariesAcrossSeeds) {
   std::set<long long> distinct;
   for (std::uint64_t seed = 1; seed <= 16; ++seed) {
     o.seed = seed;
-    const auto r = solve_cost_distance(gi.inst, o);
+    const auto r = solve(gi.inst, o);
     distinct.insert(
         static_cast<long long>(r.eval.objective * 1e6));
   }
@@ -443,7 +462,7 @@ TEST(CostDistance, BeatsEmbeddedBaselineUnderPenalties) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     GridInstance gi = make_grid_instance(seed * 919, 9, 9, 3, 8, 4.0);
     SolverOptions o = with_fc(gi);
-    cd_sum += solve_cost_distance(gi.inst, o).eval.objective;
+    cd_sum += solve(gi.inst, o).eval.objective;
 
     std::vector<PlaneTerminal> plane;
     for (const Terminal& t : gi.inst.sinks) {
@@ -474,7 +493,7 @@ TEST(CostDistance, HeavySinksSitOnFasterPaths) {
                 Terminal{grid.vertex_at(10, 1, 0), 0.01}};
   SolverOptions o;
   o.future_cost = &fc;
-  const auto r = solve_cost_distance(inst, o);
+  const auto r = solve(inst, o);
   EXPECT_LE(r.eval.sink_delays[0], r.eval.sink_delays[1] + 1e-9);
 }
 

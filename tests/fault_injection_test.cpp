@@ -655,8 +655,8 @@ TEST(FaultSweep, ShardRetryRecoversBitIdenticallyAndEmitsFaultEvents) {
   ASSERT_TRUE(ref.run(2).ok());
   const RouterResult want = ref.result();
 
-  // Transient shard fault: attempt 1 fails, the serial retry completes the
-  // round, and the result is bit-identical — the retry is observable only
+  // Transient shard fault: attempt 1 fails, the retry completes the round,
+  // and the result is bit-identical — the retry is observable only
   // through the FaultEvent.
   reg.arm("router.shard", FaultPolicy{});
   FaultRecorder recorder;
@@ -672,6 +672,71 @@ TEST(FaultSweep, ShardRetryRecoversBitIdenticallyAndEmitsFaultEvents) {
   EXPECT_EQ(recorder.faults[0].attempt, 1);
   EXPECT_TRUE(recorder.faults[0].retrying);
   EXPECT_EQ(recorder.faults[0].status, StatusCode::kUnavailable);
+}
+
+TEST(FaultSweep, RetriedShardRoundEmitsEachShardEventOnce) {
+  // A retry re-runs the work-stealing lanes over the shards the faulted
+  // attempt left unfinished. Shards the first attempt completed are never
+  // claimed again, so every shard reports exactly once per round, nets_done
+  // rises monotonically to the netlist total, and the routes match a
+  // fault-free run.
+  const ChipConfig c = small_chip();
+  const RoutingGrid grid = make_chip_grid(c);
+  const Netlist nl = generate_netlist(c, grid);
+  RouterOptions opts = sweep_router_options();
+  opts.threads = 4;
+  opts.shards = 4;
+  FaultRegistry& reg = FaultRegistry::instance();
+  reg.disarm_all();
+
+  // The fault-free round hits the site once per routed span.
+  reg.reset_counters();
+  Router ref(grid, nl, opts);
+  ASSERT_TRUE(ref.run(1).ok());
+  const RouterResult want = ref.result();
+  const std::uint64_t spans = reg.hits("router.shard");
+  ASSERT_GT(spans, 4u);
+
+  struct ShardRecorder final : EventSink {
+    std::vector<RouterShardEvent> shards;
+    std::vector<FaultEvent> faults;
+    void on_router_shard(const RouterShardEvent& event) override {
+      shards.push_back(event);
+    }
+    void on_fault(const FaultEvent& event) override {
+      faults.push_back(event);
+    }
+  } recorder;
+  RunControl control;
+  control.events = &recorder;
+  // Fault the last span the first attempt starts: every other span has
+  // started by then and runs to completion, so the first attempt completes
+  // every shard but one whatever the lane timing, and the retry must
+  // route only that one.
+  FaultPolicy last_span;
+  last_span.n = spans;
+  reg.arm("router.shard", last_span);
+  Router session(grid, nl, opts);
+  ASSERT_TRUE(session.run(1, control).ok());
+  reg.disarm_all();
+  expect_same_routing(session.result(), want);
+
+  ASSERT_EQ(recorder.faults.size(), 1u) << "the fault forced one retry";
+  EXPECT_TRUE(recorder.faults[0].retrying);
+  ASSERT_EQ(recorder.shards.size(), 4u) << "one event per shard";
+  std::vector<int> per_shard(4, 0);
+  std::size_t last_done = 0;
+  for (const RouterShardEvent& e : recorder.shards) {
+    EXPECT_EQ(e.round, 0);
+    ASSERT_GE(e.shard, 0);
+    ASSERT_LT(e.shard, 4);
+    ++per_shard[static_cast<std::size_t>(e.shard)];
+    EXPECT_GT(e.nets_done, last_done) << "nets_done rises monotonically";
+    last_done = e.nets_done;
+    EXPECT_EQ(e.nets_total, nl.nets.size());
+  }
+  EXPECT_EQ(per_shard, std::vector<int>(4, 1));
+  EXPECT_EQ(last_done, nl.nets.size());
 }
 
 TEST(FaultSweep, PersistentShardFaultExhaustsRetriesThenSessionRecovers) {

@@ -131,18 +131,6 @@ TEST_P(RandomGraphTest, PathEdgesReconstructDistance) {
   }
 }
 
-TEST_P(RandomGraphTest, FibonacciHeapDijkstraMatchesBinary) {
-  const auto [g, len] = make(45, 140);
-  const auto length = [&](EdgeId e) { return len[e]; };
-  const auto bin = dijkstra(g, {0}, length, kInvalidVertex,
-                            DijkstraHeap::kBinary);
-  const auto fib = dijkstra(g, {0}, length, kInvalidVertex,
-                            DijkstraHeap::kFibonacci);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_DOUBLE_EQ(bin.dist[v], fib.dist[v]);
-  }
-}
-
 TEST_P(RandomGraphTest, LandmarkBoundsAreAdmissibleAndUseful) {
   const auto [g, len] = make(50, 150);
   const auto length = [&](EdgeId e) { return len[e]; };

@@ -1,13 +1,13 @@
 // Cross-module integration tests: the full pipeline from chip generation
 // through routing to per-instance oracle comparison, window/grid consistency
 // of solved trees, and serialization of router-sampled instances.
-// Uses the deprecated one-shot wrappers on purpose (legacy coverage).
-#define CDST_ALLOW_DEPRECATED
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "api/cd_solver.h"
+#include "api/router.h"
 #include "embed/enumerate.h"
 #include "io/instance_io.h"
 #include "route/netlist_gen.h"
@@ -36,9 +36,10 @@ TEST(Integration, RouterInstancesSolveConsistentlyAcrossMethods) {
 
   RouterOptions ropts;
   ropts.method = SteinerMethod::kCD;
-  ropts.iterations = 2;
   ropts.oracle.dbif = 1.5;
-  const RouterResult warm = route_chip(grid, netlist, ropts);
+  Router session(grid, netlist, ropts);
+  ASSERT_TRUE(session.run(2).ok());
+  const RouterResult warm = std::move(session).take_result();
 
   CongestionCosts costs(grid, ropts.congestion);
   for (const auto& route : warm.routes) costs.add_usage(route, +1.0);
@@ -104,7 +105,10 @@ TEST(Integration, WindowSolveMatchesFullGridEvaluation) {
   SolverOptions so;
   WindowFutureCost fc(oi.window());
   so.future_cost = &fc;
-  const SolveResult r = solve_cost_distance(oi.instance(), so);
+  CdSolver solver(so);
+  const StatusOr<SolveResult> solved = solver.solve(oi.instance());
+  ASSERT_TRUE(solved.ok()) << solved.status().to_string();
+  const SolveResult& r = *solved;
 
   // Window-level connection cost == grid-level cost of the mapped edges.
   double grid_cost = 0.0;
@@ -137,9 +141,11 @@ TEST(Integration, RouterInstanceSurvivesSerializationRoundTrip) {
 
   SolverOptions so;  // generic-graph mode on both sides for comparability
   so.seed = 17;
-  const SolveResult a = solve_cost_distance(oi.instance(), so);
-  const SolveResult b = solve_cost_distance(loaded.instance, so);
-  EXPECT_DOUBLE_EQ(a.eval.objective, b.eval.objective);
+  CdSolver solver(so);
+  const StatusOr<SolveResult> a = solver.solve(oi.instance());
+  const StatusOr<SolveResult> b = solver.solve(loaded.instance);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_DOUBLE_EQ(a->eval.objective, b->eval.objective);
 }
 
 TEST(Integration, SingleGcellWindowRoutesThroughViaStack) {

@@ -1,11 +1,10 @@
 // Tests for instance serialization, the table printer and the SVG emitter.
-// Uses the deprecated one-shot solve wrapper on purpose (legacy coverage).
-#define CDST_ALLOW_DEPRECATED
 
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "api/cd_solver.h"
 #include "core/cost_distance.h"
 #include "grid/routing_grid.h"
 #include "io/instance_io.h"
@@ -49,9 +48,11 @@ TEST(InstanceIo, RoundTripPreservesSolution) {
 
   SolverOptions opts;  // no future cost: generic-graph path, deterministic
   opts.seed = 4;
-  const auto a = solve_cost_distance(inst, opts);
-  const auto b = solve_cost_distance(loaded.instance, opts);
-  EXPECT_DOUBLE_EQ(a.eval.objective, b.eval.objective);
+  CdSolver solver(opts);
+  const StatusOr<SolveResult> a = solver.solve(inst);
+  const StatusOr<SolveResult> b = solver.solve(loaded.instance);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_DOUBLE_EQ(a->eval.objective, b->eval.objective);
 }
 
 TEST(InstanceIo, RejectsGarbage) {

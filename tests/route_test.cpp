@@ -1,10 +1,5 @@
 // Tests for the timing-constrained global router substrate: netlist
 // generation, per-net oracles, metrics, and the Lagrangean routing loop.
-//
-// Intentionally exercises the deprecated route_chip / route_net wrappers
-// (api_test covers the session API), keeping the legacy surface under test
-// until it is removed.
-#define CDST_ALLOW_DEPRECATED
 
 #include <gtest/gtest.h>
 
@@ -12,6 +7,7 @@
 #include <span>
 #include <vector>
 
+#include "api/router.h"
 #include "route/metrics.h"
 #include "route/netlist_gen.h"
 #include "route/router.h"
@@ -31,6 +27,15 @@ ChipConfig tiny_chip() {
   c.capacity = 10.0;
   c.seed = 7;
   return c;
+}
+
+/// Routes `rounds` Lagrangean rounds in a fresh Router session.
+RouterResult route_rounds(const RoutingGrid& grid, const Netlist& nl,
+                          const RouterOptions& opts, int rounds) {
+  Router session(grid, nl, opts);
+  const Status st = session.run(rounds);
+  EXPECT_TRUE(st.ok()) << st.to_string();
+  return std::move(session).take_result();
 }
 
 TEST(NetlistGen, PaperChipTableShape) {
@@ -108,7 +113,8 @@ TEST(SteinerOracle, AllMethodsRouteAndCommitUsage) {
   OracleParams params;
   params.dbif = 2.0;
   for (const SteinerMethod m : all_methods()) {
-    const OracleOutcome out = route_net(grid, costs, *net, weights, m, params);
+    const OracleInstance oi(grid, costs, *net, weights, params);
+    const OracleOutcome out = run_method(oi, m, params);
     EXPECT_FALSE(out.grid_edges.empty()) << method_name(m);
     EXPECT_EQ(out.eval.sink_delays.size(), net->sinks.size());
     for (const double d : out.eval.sink_delays) EXPECT_GE(d, 0.0);
@@ -318,8 +324,7 @@ TEST(Router, RoutesTinyChipWithEveryMethod) {
   for (const SteinerMethod m : all_methods()) {
     RouterOptions opts;
     opts.method = m;
-    opts.iterations = 2;
-    const RouterResult r = route_chip(grid, nl, opts);
+    const RouterResult r = route_rounds(grid, nl, opts, 2);
     EXPECT_EQ(r.nets_routed, nl.nets.size()) << method_name(m);
     EXPECT_EQ(r.routes.size(), nl.nets.size());
     EXPECT_GT(r.wires.wirelength_gcells, 0.0);
@@ -342,10 +347,9 @@ TEST(Router, DeterministicGivenSeed) {
   const Netlist nl = generate_netlist(c, grid);
   RouterOptions opts;
   opts.method = SteinerMethod::kCD;
-  opts.iterations = 2;
   opts.seed = 5;
-  const RouterResult a = route_chip(grid, nl, opts);
-  const RouterResult b = route_chip(grid, nl, opts);
+  const RouterResult a = route_rounds(grid, nl, opts, 2);
+  const RouterResult b = route_rounds(grid, nl, opts, 2);
   EXPECT_DOUBLE_EQ(a.timing.worst_slack, b.timing.worst_slack);
   EXPECT_DOUBLE_EQ(a.timing.total_negative_slack,
                    b.timing.total_negative_slack);
@@ -361,13 +365,10 @@ TEST(Router, RipUpAndRerouteImprovesTiming) {
   c.rat_tightness = 1.1;  // hard timing
   const RoutingGrid grid = make_chip_grid(c);
   const Netlist nl = generate_netlist(c, grid);
-  RouterOptions one;
-  one.method = SteinerMethod::kCD;
-  one.iterations = 1;
-  RouterOptions four = one;
-  four.iterations = 4;
-  const RouterResult r1 = route_chip(grid, nl, one);
-  const RouterResult r4 = route_chip(grid, nl, four);
+  RouterOptions opts;
+  opts.method = SteinerMethod::kCD;
+  const RouterResult r1 = route_rounds(grid, nl, opts, 1);
+  const RouterResult r4 = route_rounds(grid, nl, opts, 4);
   // TNS is <= 0; "not worse" means closer to zero (small tolerance for the
   // congestion/timing trade-off the multipliers negotiate).
   EXPECT_GE(r4.timing.total_negative_slack,
@@ -383,11 +384,10 @@ TEST(Router, ThreadedRoutingIsDeterministic) {
   const Netlist nl = generate_netlist(c, grid);
   RouterOptions opts;
   opts.method = SteinerMethod::kCD;
-  opts.iterations = 2;
   opts.threads = 4;
   opts.batch_size = 16;
-  const RouterResult a = route_chip(grid, nl, opts);
-  const RouterResult b = route_chip(grid, nl, opts);
+  const RouterResult a = route_rounds(grid, nl, opts, 2);
+  const RouterResult b = route_rounds(grid, nl, opts, 2);
   EXPECT_DOUBLE_EQ(a.timing.total_negative_slack,
                    b.timing.total_negative_slack);
   EXPECT_DOUBLE_EQ(a.wires.wirelength_gcells, b.wires.wirelength_gcells);
@@ -409,11 +409,11 @@ TEST(Router, ResultsAreThreadCountInvariant) {
     const Netlist nl = generate_netlist(c, grid);
     RouterOptions opts = base;
     opts.threads = 1;
-    const RouterResult one = route_chip(grid, nl, opts);
+    const RouterResult one = route_rounds(grid, nl, opts, 2);
     opts.threads = 4;
-    const RouterResult four = route_chip(grid, nl, opts);
+    const RouterResult four = route_rounds(grid, nl, opts, 2);
     opts.threads = 2;
-    const RouterResult two = route_chip(grid, nl, opts);
+    const RouterResult two = route_rounds(grid, nl, opts, 2);
 
     for (const RouterResult* other : {&four, &two}) {
       ASSERT_EQ(one.routes.size(), other->routes.size());
@@ -427,7 +427,6 @@ TEST(Router, ResultsAreThreadCountInvariant) {
 
   RouterOptions opts;
   opts.method = SteinerMethod::kCD;
-  opts.iterations = 2;
   opts.batch_size = 16;
   expect_thread_count_invariant(tiny_chip(), opts);
 

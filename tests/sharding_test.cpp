@@ -64,7 +64,7 @@ TEST(ArcCostView, AlignsWithGraphArcPlane) {
 TEST(ArcCostView, DijkstraBitIdenticalToPerEdgePath) {
   // A random multigraph: the blocked SoA relaxation must produce exactly
   // the labels and parents of the classic per-edge loop, for both functor
-  // families and every heap kind.
+  // families.
   Rng rng(11);
   GraphBuilder b(120);
   std::vector<double> cost, delay;
@@ -79,23 +79,17 @@ TEST(ArcCostView, DijkstraBitIdenticalToPerEdgePath) {
   const Graph g(b);
   const ArcCostView view(g, cost, delay);
 
-  for (const DijkstraHeap heap :
-       {DijkstraHeap::kBinary, DijkstraHeap::kDAry, DijkstraHeap::kFibonacci}) {
-    const DijkstraResult scalar =
-        dijkstra(g, {0, 17}, ArrayLength{cost}, kInvalidVertex, heap);
-    const DijkstraResult soa =
-        dijkstra(g, {0, 17}, ArrayLength(view), kInvalidVertex, heap);
-    ASSERT_EQ(scalar.dist, soa.dist);
-    ASSERT_EQ(scalar.parent_edge, soa.parent_edge);
-    ASSERT_EQ(scalar.parent, soa.parent);
+  const DijkstraResult scalar = dijkstra(g, {0, 17}, ArrayLength{cost});
+  const DijkstraResult soa = dijkstra(g, {0, 17}, ArrayLength(view));
+  ASSERT_EQ(scalar.dist, soa.dist);
+  ASSERT_EQ(scalar.parent_edge, soa.parent_edge);
+  ASSERT_EQ(scalar.parent, soa.parent);
 
-    const DijkstraResult scalar_cd = dijkstra(
-        g, {3}, CostDelayLength{cost, delay, 2.5}, kInvalidVertex, heap);
-    const DijkstraResult soa_cd =
-        dijkstra(g, {3}, CostDelayLength(view, 2.5), kInvalidVertex, heap);
-    ASSERT_EQ(scalar_cd.dist, soa_cd.dist);
-    ASSERT_EQ(scalar_cd.parent_edge, soa_cd.parent_edge);
-  }
+  const DijkstraResult scalar_cd =
+      dijkstra(g, {3}, CostDelayLength{cost, delay, 2.5});
+  const DijkstraResult soa_cd = dijkstra(g, {3}, CostDelayLength(view, 2.5));
+  ASSERT_EQ(scalar_cd.dist, soa_cd.dist);
+  ASSERT_EQ(scalar_cd.parent_edge, soa_cd.parent_edge);
 }
 
 TEST(ArcCostView, CdSolveBitIdenticalToScalarPath) {
@@ -186,13 +180,11 @@ TEST(Sharding, TileLatticeMatchesGridAspect) {
 // Sharded rounds: bit-identity across thread and shard counts.
 
 RouterResult route_sharded(const RoutingGrid& grid, const Netlist& nl,
-                           int threads, int shards, int rounds,
-                           bool stealing = true) {
+                           int threads, int shards, int rounds) {
   RouterOptions opts;
   opts.method = SteinerMethod::kCD;
   opts.threads = threads;
   opts.shards = shards;
-  opts.shard_stealing = stealing;
   Router session(grid, nl, opts);
   const Status st = session.run(rounds);
   EXPECT_TRUE(st.ok()) << st.to_string();
@@ -204,31 +196,29 @@ TEST(ShardedRouter, BitIdenticalAcrossThreadShardAndStealingCounts) {
   const RoutingGrid grid = make_chip_grid(c);
   const Netlist nl = generate_netlist(c, grid);
 
-  // Reference: static execution, serial, one shard. Stealing is an executor
-  // policy, so every (threads, shards, stealing) cell must reproduce it.
-  const RouterResult ref =
-      route_sharded(grid, nl, 1, 1, 2, /*stealing=*/false);
+  // Reference: one lane, one shard, so nothing is ever stolen. The other
+  // cells steal different spans (the steal counts vary with the lane and
+  // shard counts), which only reorders execution: every cell must
+  // reproduce the reference.
+  const RouterResult ref = route_sharded(grid, nl, 1, 1, 2);
   ASSERT_EQ(ref.routes.size(), nl.nets.size());
   EXPECT_GT(ref.wires.wirelength_gcells, 0.0);
 
   for (const int threads : {1, 2, 4}) {
     for (const int shards : {1, 4, 16}) {
-      for (const bool stealing : {false, true}) {
-        if (threads == 1 && shards == 1 && !stealing) continue;
-        const RouterResult got =
-            route_sharded(grid, nl, threads, shards, 2, stealing);
-        ASSERT_EQ(got.routes.size(), ref.routes.size());
-        for (std::size_t i = 0; i < ref.routes.size(); ++i) {
-          EXPECT_EQ(got.routes[i], ref.routes[i])
-              << "net " << i << " at threads=" << threads
-              << " shards=" << shards << " stealing=" << stealing;
-        }
-        ASSERT_EQ(got.sink_delays.size(), ref.sink_delays.size());
-        for (std::size_t s = 0; s < ref.sink_delays.size(); ++s) {
-          EXPECT_EQ(got.sink_delays[s], ref.sink_delays[s]) << "sink " << s;
-        }
-        EXPECT_EQ(got.wires.num_vias, ref.wires.num_vias);
+      if (threads == 1 && shards == 1) continue;
+      const RouterResult got = route_sharded(grid, nl, threads, shards, 2);
+      ASSERT_EQ(got.routes.size(), ref.routes.size());
+      for (std::size_t i = 0; i < ref.routes.size(); ++i) {
+        EXPECT_EQ(got.routes[i], ref.routes[i])
+            << "net " << i << " at threads=" << threads
+            << " shards=" << shards;
       }
+      ASSERT_EQ(got.sink_delays.size(), ref.sink_delays.size());
+      for (std::size_t s = 0; s < ref.sink_delays.size(); ++s) {
+        EXPECT_EQ(got.sink_delays[s], ref.sink_delays[s]) << "sink " << s;
+      }
+      EXPECT_EQ(got.wires.num_vias, ref.wires.num_vias);
     }
   }
 }

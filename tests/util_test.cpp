@@ -11,7 +11,6 @@
 #include "util/binary_heap.h"
 #include "util/d_ary_heap.h"
 #include "util/disjoint_set.h"
-#include "util/fibonacci_heap.h"
 #include "util/rng.h"
 #include "util/sparse_map.h"
 #include "util/stats.h"
@@ -97,29 +96,6 @@ TEST_P(HeapPropertyTest, BinaryHeapMatchesStdPriorityQueue) {
       reference.erase(id);
     }
     ASSERT_EQ(heap.size(), reference.size());
-  }
-}
-
-TEST_P(HeapPropertyTest, FibonacciHeapMatchesBinaryHeap) {
-  Rng rng(GetParam() ^ 0xabcdef);
-  BinaryHeap<double> bin;
-  FibonacciHeap<double> fib;
-  for (int step = 0; step < 4000; ++step) {
-    const double action = rng.uniform_double();
-    if (action < 0.5 || bin.empty()) {
-      const auto id = static_cast<std::uint32_t>(rng.uniform(400));
-      // Unique keys per id so min ids never tie and the heaps stay in
-      // lockstep.
-      const double key =
-          rng.uniform_double(0.0, 1000.0) + static_cast<double>(id) * 1e-7;
-      EXPECT_EQ(bin.push_or_decrease(id, key), fib.push_or_decrease(id, key));
-    } else {
-      ASSERT_DOUBLE_EQ(bin.min_key(), fib.min_key());
-      const std::uint32_t bid = bin.pop_min();
-      const std::uint32_t fid = fib.pop_min();
-      ASSERT_EQ(bid, fid);
-    }
-    ASSERT_EQ(bin.size(), fib.size());
   }
 }
 
