@@ -23,11 +23,12 @@ namespace cdst {
 namespace {
 
 // Checkpoint wire format: the shared little-endian discipline of util/wire.h
-// with a custom body layout (all four counts up front, then the payloads) —
-// kept bit-for-bit compatible with the version-1 bytes of earlier builds.
+// with a custom body layout (round indexes and the round cursor, all four
+// counts up front, then the payloads). Version 2 added the round cursor;
+// version-1 bytes are refused.
 
 constexpr std::uint32_t kCheckpointMagic = 0x43445354;  // "CDST"
-constexpr std::uint32_t kCheckpointVersion = 1;
+constexpr std::uint32_t kCheckpointVersion = 2;
 
 /// Internal unwind of one failed ShardTransport dispatch inside the sharded
 /// round's fan-out. Caught at the retry loop, emitted as a "dist.transport"
@@ -61,12 +62,13 @@ Status validate_options(const RouterOptions& options) {
 
 std::vector<std::uint8_t> RouterCheckpoint::to_bytes() const {
   std::vector<std::uint8_t> out;
-  out.reserve(48 + route_offsets.size() * 8 + route_edges.size() * 4 +
+  out.reserve(56 + route_offsets.size() * 8 + route_edges.size() * 4 +
               sink_weights.size() * 8 + sink_delays.size() * 8);
   wire::put_header(out, kCheckpointMagic, kCheckpointVersion);
   wire::put_u64(out, options_seed);
   wire::put_u32(out, static_cast<std::uint32_t>(rounds_done));
   wire::put_u32(out, static_cast<std::uint32_t>(weights_round));
+  wire::put_u64(out, round_cursor);
   wire::put_u64(out, route_offsets.size());
   wire::put_u64(out, route_edges.size());
   wire::put_u64(out, sink_weights.size());
@@ -93,6 +95,7 @@ StatusOr<RouterCheckpoint> RouterCheckpoint::from_bytes(
   cp.options_seed = r.u64();
   cp.rounds_done = static_cast<std::int32_t>(r.u32());
   cp.weights_round = static_cast<std::int32_t>(r.u32());
+  cp.round_cursor = r.u64();
   const std::uint64_t n_offsets = r.u64();
   const std::uint64_t n_edges = r.u64();
   const std::uint64_t n_weights = r.u64();
@@ -194,14 +197,19 @@ struct Router::Impl {
     RouterRoundEvent event;
     event.round = rounds_done;
     event.target_round = target;
-    event.nets_done = round_nets_committed;
+    event.nets_done = round_cursor;
     event.nets_total = netlist.nets.size();
     event.cancelled = true;
     fill_congestion(event);
     fan.emit_router_round(event);
   }
 
-  Status run(int rounds, const RunControl& control) {
+  /// Runs rounds until `rounds` more round barriers have passed, resuming
+  /// the current round at the cursor. With `one_slice` set it returns after
+  /// the first batch a batched round commits (after the barrier too, when
+  /// that batch ends the round); a sharded round is one slice. That slice
+  /// is what RouterRun::step() runs.
+  Status run(int rounds, const RunControl& control, bool one_slice = false) {
     if (!options_status.ok()) {
       return Status::Annotate(options_status, "Router::run");
     }
@@ -219,7 +227,6 @@ struct Router::Impl {
     try {
       const int target = rounds_done + rounds;
       while (rounds_done < target) {
-        round_nets_committed = 0;
         if (control.cancel != nullptr && control.cancel->cancelled()) {
           emit_cancel_summary(fan, target);
           return Status::Cancelled("router run cancelled");
@@ -227,12 +234,13 @@ struct Router::Impl {
         if (detail::deadline_expired(control)) {
           emit_cancel_summary(fan, target);
           return detail::deadline_exceeded_status(
-              "router run deadline expired at a round boundary");
+              "router run deadline expired at a round or batch boundary");
         }
         // Lagrangean step at the round boundary: slacks of the committed
         // routes drive the delay-weight multipliers of this round. Guarded
-        // per absolute round so a cancel/resume cycle never double-steps
-        // the multipliers. The decreasing subgradient step stabilizes them.
+        // per absolute round so a round resumed at its cursor never
+        // double-steps the multipliers. The decreasing subgradient step
+        // stabilizes them.
         if (rounds_done > 0 && weights_round != rounds_done) {
           const std::vector<double> slacks =
               compute_slacks(sink_delays, rats);
@@ -243,7 +251,11 @@ struct Router::Impl {
                                sink_weights, step);
           weights_round = rounds_done;
         }
-        const Status st = route_round(rounds_done, target, control, fan);
+        const Status st =
+            options.shards > 0
+                ? route_round_sharded(rounds_done, target, control, fan)
+                : route_round_batched(rounds_done, target, control, fan,
+                                      one_slice);
         if (!st.ok()) {
           if (st.code() == StatusCode::kCancelled ||
               st.code() == StatusCode::kDeadlineExceeded) {
@@ -251,17 +263,21 @@ struct Router::Impl {
           }
           return Status::Annotate(st, "Router::run");
         }
+        // A one-slice batched round that is not finished yet: the cursor
+        // holds its place for the next slice.
+        if (round_cursor < netlist.nets.size()) return Status::Ok();
         if (fan.active()) {
           // Round barrier: every update of the round is committed.
           RouterRoundEvent event;
           event.round = rounds_done;
           event.target_round = target;
-          event.nets_done = round_nets_committed;
+          event.nets_done = round_cursor;
           event.nets_total = netlist.nets.size();
           event.round_complete = true;
           fill_congestion(event);
           fan.emit_router_round(event);
         }
+        round_cursor = 0;
         ++rounds_done;
       }
       return Status::Ok();
@@ -278,13 +294,6 @@ struct Router::Impl {
     } catch (const std::exception& e) {
       return Status::Internal(e.what());
     }
-  }
-
-  Status route_round(int round, int target_rounds, const RunControl& control,
-                     const detail::EventFan& fan) {
-    return options.shards > 0
-               ? route_round_sharded(round, target_rounds, control, fan)
-               : route_round_batched(round, target_rounds, control, fan);
   }
 
   /// Materializes and solves one net's oracle instance — the one place the
@@ -423,10 +432,12 @@ struct Router::Impl {
   /// Nothing observable mutates before the barrier, so a cancelled or
   /// failed round leaves the session exactly at the previous boundary —
   /// no rollback needed — and results are bit-identical at any thread and
-  /// shard count.
+  /// shard count. The round cursor is 0 here: set_options and restore refuse
+  /// to put a session stopped inside a batched round on this discipline.
   Status route_round_sharded(int round, int target_rounds,
                              const RunControl& control,
                              const detail::EventFan& fan) {
+    CDST_CHECK(round_cursor == 0);
     const std::size_t num_nets = netlist.nets.size();
     const SolveControls controls = detail::make_solve_controls(control);
 
@@ -699,20 +710,22 @@ struct Router::Impl {
         sink_delays[sink_offset[i] + s] = out.eval.sink_delays[s];
       }
     }
-    round_nets_committed = num_nets;
+    round_cursor = num_nets;
     return Status::Ok();
   }
 
-  /// The legacy batched round discipline (RouterOptions::shards == 0).
+  /// The batched round discipline (RouterOptions::shards == 0). Starts at
+  /// the round cursor and advances it past every batch it commits; with
+  /// `one_batch` set it stops after the first.
   Status route_round_batched(int round, int target_rounds,
                              const RunControl& control,
-                             const detail::EventFan& fan) {
+                             const detail::EventFan& fan, bool one_batch) {
     const std::size_t num_nets = netlist.nets.size();
     const auto batch = static_cast<std::size_t>(options.batch_size);
     const SolveControls controls = detail::make_solve_controls(control);
     std::vector<std::pair<std::uint64_t, std::size_t>> order;
 
-    for (std::size_t lo = 0; lo < num_nets; lo += batch) {
+    for (std::size_t lo = round_cursor; lo < num_nets; lo += batch) {
       const std::size_t hi = std::min(num_nets, lo + batch);
       if (control.cancel != nullptr && control.cancel->cancelled()) {
         return Status::Cancelled("router run cancelled at a batch boundary");
@@ -787,7 +800,7 @@ struct Router::Impl {
           sink_delays[sink_offset[i] + s] = out.eval.sink_delays[s];
         }
       }
-      round_nets_committed = hi;
+      round_cursor = hi;
       if (fan.active()) {
         // Batch boundary inside the round (not the barrier: later batches
         // of this round are still outstanding, so no congestion stats yet).
@@ -798,6 +811,7 @@ struct Router::Impl {
         event.nets_total = num_nets;
         fan.emit_router_round(event);
       }
+      if (one_batch) break;
     }
     return Status::Ok();
   }
@@ -855,10 +869,13 @@ struct Router::Impl {
   std::vector<std::vector<EdgeId>> routes;
   int rounds_done{0};
   int weights_round{0};  ///< last absolute round the multipliers stepped for
-  /// Nets of the in-progress round already merged into committed state
-  /// (batched rounds commit per batch; sharded rounds all-at-once at the
-  /// barrier). Feeds the round/cancellation summary events.
-  std::size_t round_nets_committed{0};
+  /// The round cursor: nets of round `rounds_done` already merged into
+  /// committed state, so also the first net the round routes next. Batched
+  /// rounds advance it per batch and keep it across a cancel, a failed
+  /// batch or a one-batch slice; sharded rounds set it at the barrier. It
+  /// returns to 0 only when a round barrier passes. Feeds the round and
+  /// cancellation summary events, and checkpoints record it.
+  std::size_t round_cursor{0};
   double walltime_s{0.0};
 };
 
@@ -885,6 +902,12 @@ const RouterOptions& Router::options() const { return impl_->options; }
 Status Router::set_options(const RouterOptions& options) {
   if (Status st = validate_options(options); !st.ok()) return st;
   Impl& impl = *impl_;
+  if (impl.round_cursor != 0 &&
+      (options.shards > 0) != (impl.options.shards > 0)) {
+    return Status::FailedPrecondition(
+        "set_options: the session stopped inside a round; finish the round "
+        "before switching between batched and sharded rounds");
+  }
   const int old_threads = impl.options.threads;
   impl.options = options;
   impl.options_status = Status::Ok();
@@ -923,6 +946,7 @@ RouterCheckpoint Router::checkpoint() const {
   cp.options_seed = impl.options.seed;
   cp.rounds_done = impl.rounds_done;
   cp.weights_round = impl.weights_round;
+  cp.round_cursor = impl.round_cursor;
   cp.route_offsets.reserve(impl.routes.size() + 1);
   cp.route_offsets.push_back(0);
   std::size_t total_edges = 0;
@@ -954,6 +978,17 @@ Status Router::restore(const RouterCheckpoint& cp) {
     return Status::InvalidArgument("checkpoint: bad round indexes");
   }
   const std::size_t num_nets = impl.netlist.nets.size();
+  // A cursor inside a round names a net of this netlist, and that round's
+  // multiplier step has already been taken.
+  if (cp.round_cursor != 0 && (cp.round_cursor >= num_nets ||
+                               cp.weights_round != cp.rounds_done)) {
+    return Status::InvalidArgument("checkpoint: bad round cursor");
+  }
+  if (cp.round_cursor != 0 && impl.options.shards > 0) {
+    return Status::FailedPrecondition(
+        "checkpoint stopped inside a batched round; a session running "
+        "sharded rounds cannot finish it");
+  }
   const std::size_t num_sinks = impl.sink_offset[num_nets];
   if (cp.route_offsets.size() != num_nets + 1 ||
       cp.route_offsets.front() != 0 ||
@@ -991,7 +1026,7 @@ Status Router::restore(const RouterCheckpoint& cp) {
   impl.sink_delays = cp.sink_delays;
   impl.rounds_done = cp.rounds_done;
   impl.weights_round = cp.weights_round;
-  impl.round_nets_committed = 0;
+  impl.round_cursor = static_cast<std::size_t>(cp.round_cursor);
   // Congestion prices are a pure function of the committed usage: rebuild
   // them from the restored routes (the same discipline set_options uses), so
   // the restored session prices rounds exactly like the uninterrupted one.
@@ -1090,8 +1125,10 @@ Status RouterRun::step() {
   if (s.remaining <= 0) return s.last;
   RunControl slice = s.base;
   slice.events = &s.sink;
-  s.last = s.router->run(1, slice);
-  if (s.last.ok()) --s.remaining;
+  Router::Impl& impl = *s.router->impl_;
+  const int rounds_before = impl.rounds_done;
+  s.last = impl.run(1, slice, /*one_slice=*/true);
+  if (impl.rounds_done > rounds_before) --s.remaining;
   return s.last;
 }
 

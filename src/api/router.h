@@ -13,10 +13,13 @@
 /// kCancelled with every committed batch intact (the in-flight batch is
 /// rolled back to its pre-rip-up routes), so result() is always a coherent
 /// snapshot, and the run emits a final cancelled round-summary event so
-/// observers see the round the unwind stopped at. No exception crosses
-/// this boundary. Observation goes through RunControl::events
-/// (api/events.h): batch/shard boundaries while a round runs, and a
-/// round_complete event with congestion stats at every round barrier.
+/// observers see the round the unwind stopped at. The session keeps its
+/// place in the round (the round cursor): the next run() continues at the
+/// first uncommitted batch and ends bit-identical to an uninterrupted run.
+/// No exception crosses this boundary. Observation goes through
+/// RunControl::events (api/events.h): batch/shard boundaries while a round
+/// runs, and a round_complete event with congestion stats at every round
+/// barrier.
 ///
 /// With RouterOptions::shards >= 1 rounds run spatially sharded instead of
 /// batched: prices freeze once per round, net shards (grid tiles, see
@@ -45,9 +48,9 @@ namespace cdst {
 class ThreadPool;
 class RouterRun;
 
-/// Serializable snapshot of a Router session's round state, taken at a
-/// round barrier (Router::checkpoint) and replayed into a fresh session
-/// over the same grid/netlist (Router::restore). Everything the Lagrangean
+/// Serializable snapshot of a Router session's round state, taken between
+/// run() calls (Router::checkpoint) and replayed into a fresh session over
+/// the same grid/netlist (Router::restore). Everything the Lagrangean
 /// iteration accumulates is either stored here or a pure function of it:
 /// congestion prices/usage are rebuilt from the routes, per-net seeds
 /// derive from (options.seed, net id, absolute round), so a restored
@@ -63,6 +66,10 @@ struct RouterCheckpoint {
   std::uint64_t options_seed{0};
   std::int32_t rounds_done{0};
   std::int32_t weights_round{0};
+  /// The round cursor: nets of round `rounds_done` already committed. 0 at
+  /// a round barrier; inside a batched round, the first net the resumed
+  /// round routes.
+  std::uint64_t round_cursor{0};
   /// Per-net routes, flattened: net i owns route_edges
   /// [route_offsets[i], route_offsets[i+1]).
   std::vector<std::uint64_t> route_offsets;
@@ -94,23 +101,27 @@ class Router {
   Router& operator=(Router&&) noexcept;
 
   /// Executes `rounds` additional Lagrangean rip-up & re-route rounds on top
-  /// of the current state. Deterministic: seeds and multiplier steps are
-  /// indexed by the absolute round number, so any split of N rounds across
-  /// run() calls produces bit-identical routes. rounds == 0 is a no-op.
+  /// of the current state. When the session stopped inside a round, that
+  /// round is the first of them and continues at its cursor. Deterministic:
+  /// seeds and multiplier steps are indexed by the absolute round number,
+  /// so any split of N rounds across run() calls, at round or batch
+  /// boundaries, produces bit-identical routes. rounds == 0 is a no-op.
   Status run(int rounds, const RunControl& control = {});
 
   /// Opens the same `rounds` as a resumable stream instead of one blocking
-  /// call: the returned RouterRun executes one round per step() on the
-  /// calling thread and queues the round-barrier events for poll(). Because
-  /// run() is split-invariant (run(1) x N is bit-identical to run(N)), the
-  /// stream's committed state after k steps equals run(k) — this is the
-  /// round-granularity slicing a scheduler interleaves across sessions (see
-  /// serve/serve.h). `control` is captured for every slice: its cancel
-  /// token, deadline and poll interval apply per step, and its EventSink
-  /// observes every slice (with target_round rewritten to the stream's
-  /// absolute target). The Router and the captured control must outlive the
-  /// RouterRun, and the Router must not be moved, run() directly, or handed
-  /// to a second run_async while this one is open.
+  /// call: the returned RouterRun executes one slice per step() on the
+  /// calling thread (one batch of a batched round, or one whole sharded
+  /// round) and queues the round-barrier events for poll(). Because run()
+  /// resumes at the round cursor, a split at any batch boundary is
+  /// bit-identical to run(N): once the stream has passed k round barriers
+  /// its committed state equals run(k). This is the slicing a scheduler
+  /// interleaves across sessions (see serve/serve.h). `control` is captured
+  /// for every slice: its cancel token, deadline and poll interval apply
+  /// per step, and its EventSink observes every slice (with target_round
+  /// rewritten to the stream's absolute target). The Router and the
+  /// captured control must outlive the RouterRun, and the Router must not
+  /// be moved, run() directly, or handed to a second run_async while this
+  /// one is open.
   RouterRun run_async(int rounds, const RunControl& control = {});
 
   /// Coherent snapshot of the current routing (timing/congestion/wire
@@ -125,8 +136,9 @@ class Router {
   /// path.
   RouterResult take_result() &&;
 
-  /// Fully completed Lagrangean rounds (a cancelled round does not count;
-  /// the next run() redoes it from the last round boundary).
+  /// Fully completed Lagrangean rounds. A round stopped inside (cancelled,
+  /// or sliced by RouterRun) does not count yet; the next run() continues
+  /// it at the round cursor.
   int rounds_completed() const;
 
   const RouterOptions& options() const;
@@ -136,7 +148,11 @@ class Router {
   /// re-routing after an option change. Grid and netlist stay fixed. When
   /// the session owns its thread pool and `options.threads` changed, the
   /// pool is rebuilt. kInvalidArgument (session unchanged) when
-  /// batch_size < 1 or shards < 0.
+  /// batch_size < 1 or shards < 0. Inside a round (a batched round stopped
+  /// at a non-zero cursor) the rest of the round routes under the new
+  /// options, with one exception: switching between batched and sharded
+  /// rounds (shards 0 <-> > 0) returns kFailedPrecondition, session
+  /// unchanged, until the round is finished.
   Status set_options(const RouterOptions& options);
 
   /// Live per-sink Lagrange multipliers, flattened in netlist order.
@@ -144,22 +160,25 @@ class Router {
   /// Per-sink delays of the committed routes, flattened in netlist order.
   const std::vector<double>& sink_delays() const;
 
-  /// Snapshot of the committed round state. Valid after any run() —
-  /// including one that returned kCancelled / kDeadlineExceeded, whose
-  /// committed state is the last round barrier. restore()ing the snapshot
-  /// into a session over the same grid/netlist/options and running the
-  /// remaining rounds reproduces the uninterrupted run bit-identically.
+  /// Snapshot of the committed state. Valid after any run() — including
+  /// one that returned kCancelled / kDeadlineExceeded, whose committed
+  /// state is the last committed batch, recorded with the round cursor.
+  /// restore()ing the snapshot into a session over the same grid/netlist/
+  /// options and running the remaining rounds reproduces the uninterrupted
+  /// run bit-identically.
   RouterCheckpoint checkpoint() const;
 
   /// Replaces the session's accumulated state (routes, multipliers, delays,
-  /// round index; prices are rebuilt from the routes) with the checkpoint.
-  /// kInvalidArgument on a malformed checkpoint (shape/bounds mismatches
-  /// against this session's grid and netlist), kFailedPrecondition when the
-  /// checkpoint was taken under a different options.seed. On failure the
-  /// session is unchanged.
+  /// round index and cursor; prices are rebuilt from the routes) with the
+  /// checkpoint. kInvalidArgument on a malformed checkpoint (shape/bounds
+  /// mismatches against this session's grid and netlist, a cursor past the
+  /// last net), kFailedPrecondition when the checkpoint was taken under a
+  /// different options.seed, or stopped inside a round while this session
+  /// runs sharded rounds. On failure the session is unchanged.
   Status restore(const RouterCheckpoint& checkpoint);
 
  private:
+  friend class RouterRun;
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
@@ -167,18 +186,20 @@ class Router {
 /// A Router::run() opened as a resumable round stream (submit/step/poll/
 /// drain) — the unit a multi-tenant scheduler interleaves.
 ///
-/// Execution is cooperative, not background: step() runs exactly one
-/// Lagrangean round synchronously on the calling thread, fanning out on the
-/// session's ThreadPool exactly like run() would (a round pushed onto the
-/// pool as a fire-and-forget task would serialize its own nested
+/// Execution is cooperative, not background: step() runs one slice
+/// synchronously on the calling thread — one batch of a batched round
+/// (RouterOptions::batch_size nets), or one whole sharded round — fanning
+/// out on the session's ThreadPool exactly like run() would (a slice pushed
+/// onto the pool as a fire-and-forget task would serialize its own nested
 /// parallel_for — see util/thread_pool.h — so the pump stays outside the
-/// pool by design). Determinism is inherited, not re-proven: each step() is
-/// a run(1), and run() guarantees any split of N rounds is bit-identical.
+/// pool by design). Determinism is inherited, not re-proven: a slice is
+/// run(1) stopped after its first batch, and run() resumes at the round
+/// cursor, so slices commit exactly the batches one run(N) commits.
 ///
 /// step()'s Status is the slice's run() Status; kCancelled /
-/// kDeadlineExceeded / kUnavailable leave the session at the last round
-/// barrier and the stream open, so the pump may step() again after the
-/// owner clears the condition (reset the token, extend the deadline via
+/// kDeadlineExceeded / kUnavailable leave the session at its last committed
+/// batch and the stream open, so the pump may step() again after the owner
+/// clears the condition (reset the token, extend the deadline via
 /// set_deadline()). submit() adds rounds to an open stream at any point.
 ///
 /// Round-barrier and cancelled-summary events of every slice are queued for
@@ -195,10 +216,12 @@ class RouterRun {
   RouterRun(RouterRun&&) noexcept;
   RouterRun& operator=(RouterRun&&) noexcept;
 
-  /// Executes one round slice (a run(1)) on the calling thread. No-op
-  /// returning status() when the stream is already drained. On kOk one
-  /// round was committed; on any other Status the session sits at its last
-  /// round barrier and the round stays pending — step() again to retry.
+  /// Executes one slice on the calling thread: the next batch of the
+  /// current round (and the round barrier when that batch ends the round),
+  /// or one sharded round. No-op returning status() when the stream is
+  /// already drained. On kOk one batch was committed; on any other Status
+  /// the session keeps its last committed batch and the batch stays
+  /// pending — step() again to retry.
   Status step();
 
   /// step()s until rounds_remaining() == 0 or a slice fails; returns the
@@ -208,7 +231,8 @@ class RouterRun {
   /// Adds rounds to the stream's target. kInvalidArgument when negative.
   Status submit(int rounds);
 
-  /// Rounds not yet committed by a step().
+  /// Rounds whose barrier no step() has passed yet; drops by one at each
+  /// round barrier, not per batch.
   int rounds_remaining() const;
   /// True once every submitted round has been committed.
   bool done() const;

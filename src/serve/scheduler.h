@@ -7,7 +7,7 @@
 /// same sequence of add/remove/set_runnable/pick calls it produces the same
 /// pick sequence, which is what makes a multi-tenant serve run bit-identical
 /// to replaying each tenant serially (slices commute across sessions — each
-/// Router round only touches its own session's state).
+/// Router slice only touches its own session's state).
 ///
 /// kDeficitRoundRobin: sessions are visited in admission order; when the
 /// cursor arrives at a session its credit refills to its weight, and each

@@ -7,10 +7,11 @@
 /// that makes the substrate *servable*: it owns a session registry, admits
 /// tenants against configured limits (serve/admission.h), and time-slices
 /// the admitted sessions' work across the one pool with a deterministic
-/// fair scheduler (serve/scheduler.h). The slicing unit is a Router round
-/// (via Router::run_async — a run(1) per slice, split-invariant by the
-/// run() contract) or a single cost-distance solve, so N routers and M
-/// solver streams interleave at round/job granularity on one pool while
+/// fair scheduler (serve/scheduler.h). The slicing unit is one batch of a
+/// Router round, or one whole sharded round (via Router::run_async, whose
+/// step() resumes at the session's round cursor, so any split is
+/// bit-identical to run()), or a single cost-distance solve. N routers and
+/// M solver streams interleave at batch/job granularity on one pool, and
 /// each slice still fans out across every worker.
 ///
 /// Flow: admission -> schedule -> slice -> aggregate.
@@ -19,8 +20,11 @@
 ///                     scheduler entry
 ///   submit_*()        queues rounds/jobs; the session becomes runnable
 ///   step()            one scheduling quantum: pick a tenant (deficit
-///                     round-robin or FIFO), run one slice on the calling
-///                     thread, fold the outcome back into the registry
+///                     round-robin or FIFO), run one slice (a router batch
+///                     or sharded round, or one solve) on the calling
+///                     thread, fold the outcome back into the registry; a
+///                     router tenant's pending rounds drop at round
+///                     barriers only
 ///   stats()           fleet snapshot: per-tenant progress, queue depth,
 ///                     worst-case congestion telemetry, budget high-water
 ///
@@ -31,13 +35,13 @@
 /// serve tests verify this across a tenants x threads x shards matrix.
 ///
 /// Pause/resume: a slice that returns kCancelled, kDeadlineExceeded or
-/// kUnavailable pauses its session at the last committed boundary (round
-/// barrier / before the job); the session's state is coherent and the
-/// pending work is retained. resume() re-arms it (resetting its cancel
-/// token); set_deadline() extends or clears a tenant deadline first if that
-/// is what paused it. Deadlines propagate into every slice's RunControl, so
-/// an expiring tenant yields at the next batch/round boundary without
-/// perturbing any other tenant.
+/// kUnavailable pauses its session at the last committed boundary (its
+/// last committed batch, keeping its place in the round / before the job);
+/// the session's state is coherent and the pending work is retained.
+/// resume() re-arms it (resetting its cancel token); set_deadline() extends
+/// or clears a tenant deadline first if that is what paused it. Deadlines
+/// propagate into every slice's RunControl, so an expiring tenant yields at
+/// the next batch/round boundary without perturbing any other tenant.
 ///
 /// Threading contract: ONE controller thread owns the lifecycle and the
 /// pump — open/submit/resume/set_deadline/close/result/pop_result/step/
@@ -160,7 +164,8 @@ class EngineServer {
   Status session_status(SessionId id) const;
 
   /// One scheduling quantum on the calling thread: picks the next tenant
-  /// under the policy and runs one slice (a router round / one solve).
+  /// under the policy and runs one slice (one batch of a router round, one
+  /// sharded round, or one solve).
   /// Returns false — without running anything — when no session is
   /// runnable.
   bool step();

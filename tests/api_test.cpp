@@ -282,6 +282,18 @@ TEST(RouterSession, RunValidatesArguments) {
   EXPECT_EQ(session.rounds_completed(), 0);
 }
 
+/// Requests cancellation at the `at`-th batch boundary a run reports. That
+/// batch is committed; the run stops before the next one starts.
+struct CancelAtBatch final : EventSink {
+  CancelToken* token{nullptr};
+  std::size_t at{0};
+  std::size_t batches_seen{0};
+  void on_router_round(const RouterRoundEvent& e) override {
+    if (e.round_complete || e.cancelled) return;
+    if (++batches_seen == at) token->request_cancel();
+  }
+};
+
 TEST(RouterSession, CancelMidRunLeavesCoherentResumableState) {
   const ChipConfig c = tiny_chip();
   const RoutingGrid grid = make_chip_grid(c);
@@ -292,15 +304,9 @@ TEST(RouterSession, CancelMidRunLeavesCoherentResumableState) {
 
   Router session(grid, nl, opts);
   CancelToken token;
-  struct CancelAtSecondBatch final : EventSink {
-    CancelToken* token{nullptr};
-    std::size_t batches_seen{0};
-    void on_router_round(const RouterRoundEvent& e) override {
-      if (e.round_complete || e.cancelled) return;
-      if (++batches_seen == 2) token->request_cancel();
-    }
-  } sink;
+  CancelAtBatch sink;
   sink.token = &token;
+  sink.at = 2;
   RunControl control;
   control.cancel = &token;
   control.events = &sink;
@@ -320,6 +326,124 @@ TEST(RouterSession, CancelMidRunLeavesCoherentResumableState) {
   EXPECT_EQ(session.rounds_completed(), 2);
   const RouterResult full = session.result();
   EXPECT_GT(full.wires.wirelength_gcells, 0.0);
+}
+
+/// Table V's c4 at scale 0.001 (305 nets), routed with the CD oracle at
+/// dbif 4 and the default batch size: a round spans seven 48-net batches.
+struct C4Fixture {
+  ChipConfig config = paper_chip_configs(0.001)[3];
+  RoutingGrid grid = make_chip_grid(config);
+  Netlist netlist = generate_netlist(config, grid);
+  RouterOptions options = [] {
+    RouterOptions o;
+    o.method = SteinerMethod::kCD;
+    o.oracle.dbif = 4.0;
+    o.threads = 2;
+    return o;
+  }();
+};
+
+/// Runs `session` toward `rounds` more rounds, cancelled at the `at`-th
+/// batch boundary it reports.
+Status run_cancelled_at_batch(Router& session, int rounds, std::size_t at) {
+  CancelToken token;
+  CancelAtBatch sink;
+  sink.token = &token;
+  sink.at = at;
+  RunControl control;
+  control.cancel = &token;
+  control.events = &sink;
+  return session.run(rounds, control);
+}
+
+TEST(RouterSession, CancelAtBatchBoundaryResumesBitIdentically) {
+  // A cancelled batched round keeps its committed batches and resumes at
+  // the first uncommitted one, so the interrupted run ends exactly where
+  // an uninterrupted one does.
+  const C4Fixture f;
+  ASSERT_EQ(f.options.batch_size, 48);
+  Router ref(f.grid, f.netlist, f.options);
+  ASSERT_TRUE(ref.run(3).ok());
+
+  // Round 0 reports 7 batch boundaries, so the 10th is inside round 1.
+  Router session(f.grid, f.netlist, f.options);
+  ASSERT_EQ(run_cancelled_at_batch(session, 3, 10).code(),
+            StatusCode::kCancelled);
+  ASSERT_EQ(session.rounds_completed(), 1);
+  ASSERT_TRUE(session.run(2).ok());
+  EXPECT_EQ(session.rounds_completed(), 3);
+  testutil::expect_same_routing(session.result(), ref.result());
+}
+
+TEST(RouterSession, CancelAtBatchBoundaryCheckpointRestoresBitIdentically) {
+  // The checkpoint of a session stopped inside a round records the round
+  // cursor; a fresh session restored from its bytes finishes the round
+  // there and matches the uninterrupted run.
+  const C4Fixture f;
+  Router ref(f.grid, f.netlist, f.options);
+  ASSERT_TRUE(ref.run(3).ok());
+
+  Router victim(f.grid, f.netlist, f.options);
+  ASSERT_EQ(run_cancelled_at_batch(victim, 3, 10).code(),
+            StatusCode::kCancelled);
+  const StatusOr<RouterCheckpoint> cp =
+      RouterCheckpoint::from_bytes(victim.checkpoint().to_bytes());
+  ASSERT_TRUE(cp.ok()) << cp.status().to_string();
+  EXPECT_EQ(cp->rounds_done, 1);
+  EXPECT_EQ(cp->weights_round, 1) << "round 1's multiplier step is taken";
+  // Round 0 reported 7 batch boundaries, so round 1 committed 3 batches.
+  EXPECT_EQ(cp->round_cursor, 3u * 48u);
+
+  // A sharded session cannot finish a batched round: refused, unchanged.
+  RouterOptions sharded = f.options;
+  sharded.shards = 4;
+  Router wrong(f.grid, f.netlist, sharded);
+  EXPECT_EQ(wrong.restore(*cp).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(wrong.rounds_completed(), 0);
+  EXPECT_EQ(wrong.checkpoint().round_cursor, 0u);
+
+  Router resumed(f.grid, f.netlist, f.options);
+  ASSERT_TRUE(resumed.restore(*cp).ok());
+  EXPECT_EQ(resumed.rounds_completed(), 1);
+  EXPECT_EQ(resumed.checkpoint().round_cursor, cp->round_cursor);
+  ASSERT_TRUE(resumed.run(2).ok());
+  EXPECT_EQ(resumed.checkpoint().round_cursor, 0u);
+  testutil::expect_same_routing(resumed.result(), ref.result());
+}
+
+TEST(RouterSession, SetOptionsInsideARoundRefusesOnlyADisciplineSwitch) {
+  const ChipConfig c = tiny_chip();
+  const RoutingGrid grid = make_chip_grid(c);
+  const Netlist nl = generate_netlist(c, grid);
+  RouterOptions opts;
+  opts.method = SteinerMethod::kCD;
+  opts.batch_size = 8;
+
+  Router session(grid, nl, opts);
+  ASSERT_EQ(run_cancelled_at_batch(session, 1, 2).code(),
+            StatusCode::kCancelled);
+  ASSERT_EQ(session.checkpoint().round_cursor, 16u);
+
+  // Batched -> sharded inside a round is refused and changes nothing.
+  RouterOptions sharded = opts;
+  sharded.shards = 4;
+  EXPECT_EQ(session.set_options(sharded).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(session.options().shards, 0);
+  EXPECT_EQ(session.checkpoint().round_cursor, 16u);
+
+  // Any other change applies to the rest of the round.
+  RouterOptions smaller = opts;
+  smaller.batch_size = 5;
+  ASSERT_TRUE(session.set_options(smaller).ok());
+  ASSERT_TRUE(session.run(1).ok());
+  EXPECT_EQ(session.rounds_completed(), 1);
+  EXPECT_EQ(session.checkpoint().round_cursor, 0u);
+
+  // At a round barrier the discipline may change again.
+  ASSERT_TRUE(session.set_options(sharded).ok());
+  ASSERT_TRUE(session.run(1).ok());
+  EXPECT_EQ(session.rounds_completed(), 2);
 }
 
 TEST(RouterSession, SetOptionsReroutesWarmFromConvergedState) {

@@ -38,6 +38,7 @@ namespace {
 
 using testutil::GridInstance;
 using testutil::expect_same;
+using testutil::expect_same_routing;
 using testutil::make_grid_instance;
 using testutil::stress_light;
 
@@ -73,20 +74,6 @@ RouterOptions sweep_router_options() {
   opts.threads = 2;
   opts.shards = 4;
   return opts;
-}
-
-/// Router-result bit-identity (routes, delays, multipliers).
-void expect_same_routing(const RouterResult& got, const RouterResult& want) {
-  ASSERT_EQ(got.routes.size(), want.routes.size());
-  for (std::size_t i = 0; i < got.routes.size(); ++i) {
-    EXPECT_EQ(got.routes[i], want.routes[i]) << "net " << i;
-  }
-  ASSERT_EQ(got.sink_delays.size(), want.sink_delays.size());
-  for (std::size_t s = 0; s < got.sink_delays.size(); ++s) {
-    EXPECT_DOUBLE_EQ(got.sink_delays[s], want.sink_delays[s]) << "sink " << s;
-    EXPECT_DOUBLE_EQ(got.sink_weights[s], want.sink_weights[s])
-        << "sink " << s;
-  }
 }
 
 struct JobFixture {
@@ -385,6 +372,11 @@ TEST(RouterCheckpointTest, RejectsCorruptAndMismatchedInput) {
   bad_magic[0] ^= 0xff;
   EXPECT_EQ(RouterCheckpoint::from_bytes(bad_magic).status().code(),
             StatusCode::kInvalidArgument);
+  // Version 1 had no round cursor; its bytes are refused, not guessed at.
+  std::vector<std::uint8_t> version_one = bytes;
+  version_one[4] = 1;  // the little-endian version follows the magic
+  EXPECT_EQ(RouterCheckpoint::from_bytes(version_one).status().code(),
+            StatusCode::kInvalidArgument);
 
   // A seed mismatch is a precondition failure (wrong session), not a
   // malformed checkpoint; the session must be left unchanged.
@@ -408,6 +400,17 @@ TEST(RouterCheckpointTest, RejectsCorruptAndMismatchedInput) {
   RouterCheckpoint bad_rounds = cp;
   bad_rounds.weights_round = bad_rounds.rounds_done + 1;
   EXPECT_EQ(other.restore(bad_rounds).code(), StatusCode::kInvalidArgument);
+  // A round cursor must name a net, and a round stopped inside has taken
+  // its multiplier step (cp sits at the barrier before round 1's step).
+  RouterCheckpoint past_last_net = cp;
+  past_last_net.round_cursor = nl.nets.size();
+  EXPECT_EQ(other.restore(past_last_net).code(),
+            StatusCode::kInvalidArgument);
+  RouterCheckpoint unstepped = cp;
+  unstepped.round_cursor = 1;
+  ASSERT_NE(unstepped.weights_round, unstepped.rounds_done);
+  EXPECT_EQ(other.restore(unstepped).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(other.rounds_completed(), 0);
 
   // After all the rejections the pristine session still works.
   ASSERT_TRUE(other.restore(cp).ok());

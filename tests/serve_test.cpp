@@ -4,7 +4,8 @@
 // The load-bearing claims, each verified here:
 //  - run_async stepping is bit-identical to a single run() at any thread /
 //    shard count and any submit/poll cadence (it inherits run()'s
-//    split-run invariance).
+//    split-run invariance); a batched round spans several slices, and the
+//    stream's round count drops only at round barriers.
 //  - A serve schedule commits, per tenant, exactly what a serial run
 //    would: the tenants x threads x shards matrix compares every tenant's
 //    result against a standalone reference (the ISSUE-10 acceptance
@@ -48,15 +49,22 @@ using serve::SessionId;
 using serve::SessionKind;
 using serve::TenantOptions;
 using testutil::expect_same;
+using testutil::expect_same_routing;
 using testutil::make_grid_instance;
 using testutil::stress_light;
+
+/// Nets per tenant chip, and the batch size of batched (shards == 0)
+/// tenants: every batched round spans three slices, so tenants interleave
+/// inside rounds.
+constexpr int kTenantNets = 24;
+constexpr int kTenantBatch = 8;
 
 /// Per-tenant chip: same small fabric, different netlist per seed so
 /// tenants are distinguishable workloads.
 ChipConfig tenant_chip(std::uint64_t seed) {
   ChipConfig c;
   c.name = "serve-" + std::to_string(seed);
-  c.num_nets = 24;
+  c.num_nets = kTenantNets;
   c.num_layers = 3;
   c.nx = c.ny = 12;
   c.capacity = 8.0;
@@ -70,20 +78,14 @@ RouterOptions serve_router_options(int threads, int shards) {
   opts.seed = 5;
   opts.threads = threads;
   opts.shards = shards;
+  if (shards == 0) opts.batch_size = kTenantBatch;
   return opts;
 }
 
-void expect_same_routing(const RouterResult& got, const RouterResult& want) {
-  ASSERT_EQ(got.routes.size(), want.routes.size());
-  for (std::size_t i = 0; i < got.routes.size(); ++i) {
-    EXPECT_EQ(got.routes[i], want.routes[i]) << "net " << i;
-  }
-  ASSERT_EQ(got.sink_delays.size(), want.sink_delays.size());
-  for (std::size_t s = 0; s < got.sink_delays.size(); ++s) {
-    EXPECT_DOUBLE_EQ(got.sink_delays[s], want.sink_delays[s]) << "sink " << s;
-    EXPECT_DOUBLE_EQ(got.sink_weights[s], want.sink_weights[s])
-        << "sink " << s;
-  }
+/// RouterRun::step() slices per round: one per batch, one per sharded
+/// round.
+int slices_per_round(int shards) {
+  return shards == 0 ? kTenantNets / kTenantBatch : 1;
 }
 
 // ------------------------------------------------------------ FairScheduler
@@ -161,7 +163,7 @@ TEST(RouterRun, StreamIsBitIdenticalToSerialRunAcrossThreadsAndShards) {
   const int rounds = 3;
   const std::vector<int> thread_counts =
       stress_light() ? std::vector<int>{2} : std::vector<int>{1, 2, 4};
-  const std::vector<int> shard_counts = {1, 4};
+  const std::vector<int> shard_counts = {0, 1, 4};
   const ChipConfig c = tenant_chip(7);
   const RoutingGrid grid = make_chip_grid(c);
   const Netlist nl = generate_netlist(c, grid);
@@ -185,18 +187,26 @@ TEST(RouterRun, StreamIsBitIdenticalToSerialRunAcrossThreadsAndShards) {
       int steps = 0;
       int barrier_events = 0;
       while (!run.done()) {
+        const int remaining = run.rounds_remaining();
         ASSERT_TRUE(run.step().ok()) << "threads=" << threads
                                      << " shards=" << shards;
         ++steps;
+        int barriers = 0;
         while (const auto event = run.poll()) {
           EXPECT_TRUE(event->round_complete);
           // The stream rewrites the slice's one-round horizon to the
           // absolute stream target.
           EXPECT_EQ(event->target_round, rounds);
-          ++barrier_events;
+          ++barriers;
         }
+        // A slice passes at most one barrier, and only a barrier counts
+        // a round off.
+        EXPECT_LE(barriers, 1);
+        EXPECT_EQ(run.rounds_remaining(), remaining - barriers);
+        EXPECT_EQ(session.rounds_completed(), rounds - remaining + barriers);
+        barrier_events += barriers;
       }
-      EXPECT_EQ(steps, rounds);
+      EXPECT_EQ(steps, rounds * slices_per_round(shards));
       EXPECT_EQ(barrier_events, rounds);
       EXPECT_EQ(run.dropped_events(), 0u);
       EXPECT_EQ(session.rounds_completed(), rounds);
@@ -253,7 +263,7 @@ TEST(EngineServer, MultiTenantMatrixBitIdenticalToSerialWithinBudget) {
   const std::vector<int> thread_counts =
       stress_light() ? std::vector<int>{2} : std::vector<int>{1, 2, 4};
   const std::vector<int> shard_counts =
-      stress_light() ? std::vector<int>{4} : std::vector<int>{1, 4};
+      stress_light() ? std::vector<int>{0, 4} : std::vector<int>{0, 1, 4};
   const std::vector<int> tenant_counts =
       stress_light() ? std::vector<int>{2} : std::vector<int>{2, 4};
 
@@ -307,7 +317,8 @@ TEST(EngineServer, MultiTenantMatrixBitIdenticalToSerialWithinBudget) {
         EXPECT_EQ(stats.sessions_open, static_cast<std::size_t>(tenants));
         EXPECT_EQ(stats.queue_depth, 0u);
         EXPECT_EQ(stats.slices_total,
-                  static_cast<std::size_t>(tenants * rounds));
+                  static_cast<std::size_t>(tenants * rounds *
+                                           slices_per_round(shards)));
         // The acceptance bound: actual shared-budget reservations never
         // exceeded the configured admission limit.
         EXPECT_GT(stats.budget_peak_bytes, 0);
@@ -414,7 +425,6 @@ TEST(EngineServer, DeadlineExpiresCleanlyMidScheduleAndSessionResumes) {
 
 TEST(EngineServer, CancellingOneTenantNeverPerturbsAnother) {
   const int rounds = 3;
-  const RouterOptions opts = serve_router_options(2, 4);
   const ChipConfig ca = tenant_chip(41);
   const ChipConfig cb = tenant_chip(42);
   const RoutingGrid grid_a = make_chip_grid(ca);
@@ -422,34 +432,40 @@ TEST(EngineServer, CancellingOneTenantNeverPerturbsAnother) {
   const Netlist nl_a = generate_netlist(ca, grid_a);
   const Netlist nl_b = generate_netlist(cb, grid_b);
 
-  Router ref_a(grid_a, nl_a, opts);
-  ASSERT_TRUE(ref_a.run(rounds).ok());
-  Router ref_b(grid_b, nl_b, opts);
-  ASSERT_TRUE(ref_b.run(rounds).ok());
+  // Sharded tenants stop at a round barrier; batched ones stop inside a
+  // round, after their first batch.
+  for (const int shards : {0, 4}) {
+    SCOPED_TRACE(testing::Message() << "shards=" << shards);
+    const RouterOptions opts = serve_router_options(2, shards);
+    Router ref_a(grid_a, nl_a, opts);
+    ASSERT_TRUE(ref_a.run(rounds).ok());
+    Router ref_b(grid_b, nl_b, opts);
+    ASSERT_TRUE(ref_b.run(rounds).ok());
 
-  Engine engine(EngineOptions{2, 64u << 20});
-  EngineServer server(engine, {});
-  const SessionId a =
-      server.open_router_session(grid_a, nl_a, opts).value();
-  const SessionId b =
-      server.open_router_session(grid_b, nl_b, opts).value();
-  ASSERT_TRUE(server.submit_rounds(a, rounds).ok());
-  ASSERT_TRUE(server.submit_rounds(b, rounds).ok());
+    Engine engine(EngineOptions{2, 64u << 20});
+    EngineServer server(engine, {});
+    const SessionId a =
+        server.open_router_session(grid_a, nl_a, opts).value();
+    const SessionId b =
+        server.open_router_session(grid_b, nl_b, opts).value();
+    ASSERT_TRUE(server.submit_rounds(a, rounds).ok());
+    ASSERT_TRUE(server.submit_rounds(b, rounds).ok());
 
-  // Let each tenant get one slice, then cancel b mid-schedule.
-  ASSERT_TRUE(server.step());
-  ASSERT_TRUE(server.step());
-  ASSERT_TRUE(server.cancel(b).ok());
-  ASSERT_TRUE(server.run_until_idle().ok());
+    // Let each tenant get one slice, then cancel b mid-schedule.
+    ASSERT_TRUE(server.step());
+    ASSERT_TRUE(server.step());
+    ASSERT_TRUE(server.cancel(b).ok());
+    ASSERT_TRUE(server.run_until_idle().ok());
 
-  EXPECT_TRUE(server.session_status(a).ok());
-  EXPECT_EQ(server.session_status(b).code(), StatusCode::kCancelled);
-  // The unperturbed tenant is bit-identical to its serial run...
-  expect_same_routing(server.result(a).value(), ref_a.result());
-  // ...and the cancelled one resumes to the same end state.
-  ASSERT_TRUE(server.resume(b).ok());
-  ASSERT_TRUE(server.run_until_idle().ok());
-  expect_same_routing(server.result(b).value(), ref_b.result());
+    EXPECT_TRUE(server.session_status(a).ok());
+    EXPECT_EQ(server.session_status(b).code(), StatusCode::kCancelled);
+    // The unperturbed tenant is bit-identical to its serial run...
+    expect_same_routing(server.result(a).value(), ref_a.result());
+    // ...and the cancelled one resumes to the same end state.
+    ASSERT_TRUE(server.resume(b).ok());
+    ASSERT_TRUE(server.run_until_idle().ok());
+    expect_same_routing(server.result(b).value(), ref_b.result());
+  }
 }
 
 TEST(EngineServer, AdmissionRejectsDepthAndBudgetWithTypedStatus) {

@@ -1,8 +1,9 @@
 /// \file tests/test_instances.h
-/// Shared fixtures for the api-layer test suites (api_test, stream_test):
-/// a self-owning grid-backed CostDistanceInstance builder, the tiny router
-/// chip, and the solve-result bit-identity comparator. One definition, so
-/// the suites cannot drift apart on instance shape.
+/// Shared fixtures for the api-layer test suites (api_test, stream_test,
+/// serve_test, fault_injection_test): a self-owning grid-backed
+/// CostDistanceInstance builder, the tiny router chip, and the solve- and
+/// router-result bit-identity comparators. One definition, so the suites
+/// cannot drift apart on instance shape.
 
 #pragma once
 
@@ -17,6 +18,7 @@
 #include "grid/future_cost.h"
 #include "grid/routing_grid.h"
 #include "route/netlist_gen.h"
+#include "route/router.h"
 #include "util/rng.h"
 
 namespace cdst::testutil {
@@ -87,6 +89,18 @@ inline void expect_same(const SolveResult& a, const SolveResult& b,
   EXPECT_DOUBLE_EQ(a.eval.objective, b.eval.objective) << what << " " << index;
   EXPECT_EQ(a.stats.labels_settled, b.stats.labels_settled)
       << what << " " << index;
+}
+
+/// Router-result bit-identity: routes, sink delays and multipliers, all
+/// compared exactly.
+inline void expect_same_routing(const RouterResult& got,
+                                const RouterResult& want) {
+  ASSERT_EQ(got.routes.size(), want.routes.size());
+  for (std::size_t i = 0; i < got.routes.size(); ++i) {
+    EXPECT_EQ(got.routes[i], want.routes[i]) << "net " << i;
+  }
+  EXPECT_EQ(got.sink_delays, want.sink_delays);
+  EXPECT_EQ(got.sink_weights, want.sink_weights);
 }
 
 }  // namespace cdst::testutil
