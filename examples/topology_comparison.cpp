@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
                                                   &scratch).eval});
   }
   if (k <= 5) {
-    const ExactResult exact = solve_exact(oi.instance());
+    const ExactResult exact = solve_exact(MaterializedInstance(oi).instance());
     rows.push_back(Row{"OPT", exact.eval});
   }
   double best = rows[0].eval.objective;

@@ -306,6 +306,12 @@ struct SolverScratch::Impl {
   std::vector<std::uint64_t> edge_owned_bits;
   std::vector<VertexId> path_verts;
   std::vector<EdgeId> path_edges;
+  /// Box instances' arc strip: one generated vertex's arcs, padded to whole
+  /// kRelaxStrip strips so the Vec4d loads stay in bounds.
+  std::vector<VertexId> strip_heads;
+  std::vector<EdgeId> strip_edges;
+  AlignedVector<double> strip_cost;
+  AlignedVector<double> strip_delay;
   /// Future-bound memo generation, monotonic across the scratch's lifetime
   /// so recycled SearchStates can never leak h-values between solves.
   std::uint32_t h_gen{0};
@@ -339,13 +345,14 @@ class Solver {
  public:
   Solver(const CostDistanceInstance& inst, const SolverOptions& opts,
          SolverScratch::Impl& scratch, const SolveControls* controls)
-      : inst_(inst),
+      : inst_(validated(inst)),
         opts_(opts),
-        g_(*inst.graph),
+        g_(inst.graph),
+        box_(inst.box),
         c_(*inst.cost),
         d_(*inst.delay),
         plane_(inst.arc_costs),
-        assembler_(*inst.graph),
+        assembler_(inst.endpoints()),
         heap_(opts.queue),
         scratch_(scratch),
         state_pool_(scratch.state_pool),
@@ -424,7 +431,7 @@ class Solver {
     SolveResult result;
     result.tree = assembler_.finalize();
     if (opts_.validate_result) {
-      result.tree.validate(g_, inst_.sinks.size());
+      result.tree.validate(inst_.endpoints(), inst_.sinks.size());
     }
     result.eval = evaluate_tree(result.tree, inst_);
     result.stats = stats_;
@@ -433,8 +440,13 @@ class Solver {
 
  private:
   // ---------------------------------------------------------------- setup --
+  static const CostDistanceInstance& validated(
+      const CostDistanceInstance& inst) {
+    inst.validate();
+    return inst;
+  }
+
   void init() {
-    inst_.validate();
     const auto t = static_cast<std::uint32_t>(inst_.sinks.size());
 
     // Dense-state footprint of this solve: t+1 live searches x n vertices.
@@ -445,7 +457,7 @@ class Solver {
     // opted into strict_shared_budget, where an oversized footprint (one no
     // amount of waiting can satisfy) fails the solve outright.
     const std::size_t dense_bytes =
-        (static_cast<std::size_t>(t) + 1) * g_.num_vertices() *
+        (static_cast<std::size_t>(t) + 1) * inst_.num_vertices() *
         SearchState::slot_bytes();
     bool dense;
     if (opts_.shared_dense_budget != nullptr) {
@@ -473,7 +485,8 @@ class Solver {
     // states start at stamp 0) and it restarts — the 2^15 generations of
     // headroom left to the fence cover far more merges (one per sink) than
     // any single solve performs.
-    state_pool_.configure(g_.num_vertices(), opts_.pool_search_state, dense);
+    state_pool_.configure(inst_.num_vertices(), opts_.pool_search_state,
+                          dense);
     if (scratch_.h_gen >= 0x8000u) {
       state_pool_.drop_all();
       scratch_.h_gen = 0;
@@ -484,7 +497,15 @@ class Solver {
     searches_.clear();
     vertex_owner_.clear();
     edge_owner_.clear();
-    edge_owned_bits_.assign((g_.num_edges() + 63) / 64, 0);
+    edge_owned_bits_.assign((inst_.num_edges() + 63) / 64, 0);
+    if (box_ != nullptr) {
+      const std::size_t strip =
+          (box_->max_degree() + kRelaxStrip - 1) / kRelaxStrip * kRelaxStrip;
+      scratch_.strip_heads.resize(strip);
+      scratch_.strip_edges.resize(strip);
+      scratch_.strip_cost.resize(strip);
+      scratch_.strip_delay.resize(strip);
+    }
 
     assembler_.add_root(inst_.root);  // node 0
     comps_.resize(t + 1);
@@ -767,21 +788,17 @@ class Solver {
       return kNoPush;
     };
 
-    if (plane_ != nullptr) {
-      // Blocked SoA relaxation: strip metrics evaluate as two Vec4d
-      // operations over the contiguous per-arc arrays (the plane's zeroed
-      // tail pad keeps full-width loads in-bounds on the last partial
-      // strip; lanes beyond the strip count are computed and discarded),
-      // head slots are prefetched while the arithmetic runs, and the III-A
-      // discount probe is hoisted out entirely for singleton components —
-      // which own no tree edges by construction.
-      const std::uint32_t lo = g_.arc_begin(vtx);
-      const std::uint32_t hi = g_.arc_end(vtx);
-      const VertexId* heads = g_.arc_heads().data();
-      const EdgeId* earr = g_.arc_edges().data();
+    // Blocked SoA relaxation of the arcs [lo, hi) of four parallel strips
+    // (heads, edges, costs, delays): strip metrics evaluate as two Vec4d
+    // operations over the contiguous arrays (which are readable up to the
+    // next multiple of kRelaxStrip past `hi`; lanes beyond the strip count
+    // are computed and discarded), head slots are prefetched while the
+    // arithmetic runs, and the III-A discount probe is hoisted out entirely
+    // for singleton components — which own no tree edges by construction.
+    const auto relax_strips = [&](const VertexId* heads, const EdgeId* earr,
+                                  const double* ac, const double* ad,
+                                  std::uint32_t lo, std::uint32_t hi) {
       for (std::uint32_t a = lo; a < hi; ++a) su.prefetch_slot(heads[a]);
-      const double* ac = plane_->arc_cost_data();
-      const double* ad = plane_->arc_delay_data();
       const bool may_discount =
           opts_.discount_components && !comps_[u].singleton;
       const Vec4d bg4 = Vec4d::broadcast(base_g);
@@ -873,11 +890,34 @@ class Solver {
           heap_.push_or_decrease(u, keys[i], ng[pk[i]] + h[i]);
         }
       }
+    };
+
+    if (box_ != nullptr) {
+      // Window-free relaxation: the vertex's arcs are generated from the
+      // box into the scratch strip (sized for the box's maximum degree,
+      // rounded up to whole strips), in the order a materialized CSR
+      // holds them, and their planes' cost and delay gathered alongside.
+      SolverScratch::Impl& sc = scratch_;
+      const std::uint32_t deg =
+          box_->arcs(vtx, sc.strip_heads.data(), sc.strip_edges.data());
+      for (std::uint32_t k = 0; k < deg; ++k) {
+        const EdgeId e = sc.strip_edges[k];
+        sc.strip_cost[k] = c_[e];
+        sc.strip_delay[k] = d_[e];
+      }
+      relax_strips(sc.strip_heads.data(), sc.strip_edges.data(),
+                   sc.strip_cost.data(), sc.strip_delay.data(), 0, deg);
+      return;
+    }
+    if (plane_ != nullptr) {
+      relax_strips(g_->arc_heads().data(), g_->arc_edges().data(),
+                   plane_->arc_cost_data(), plane_->arc_delay_data(),
+                   g_->arc_begin(vtx), g_->arc_end(vtx));
       return;
     }
 
     const CostDelayLength metric{c_, d_, w};  // l_u(e) = c(e) + w d(e)
-    for (const Graph::Arc& a : g_.arcs(vtx)) {
+    for (const Graph::Arc& a : g_->arcs(vtx)) {
       // Edges already owned by u are traversed at zero *cost* under the
       // Section III-A discount; the delay part always applies.
       const double ng = base_g + (edge_discounted(a.edge, u)
@@ -1104,7 +1144,8 @@ class Solver {
   // ----------------------------------------------------------------- data --
   const CostDistanceInstance& inst_;
   const SolverOptions& opts_;
-  const Graph& g_;
+  const Graph* g_;         ///< explicit CSR, or null for a box instance
+  const BoxGraph* box_;    ///< implicit box graph, or null
   const std::vector<double>& c_;
   const std::vector<double>& d_;
   const ArcCostView* plane_{nullptr};  ///< SoA relax plane; null = per-edge

@@ -8,6 +8,14 @@
 ///
 ///   cost(T) = sum_{e in T} c(e) + sum_{t in S} w(t) * delay_T(r, t)
 ///   delay_T(r,t) = sum_{e=(u,v) on the r-t path} ( d(e) + lambda_v * dbif )
+///
+/// The graph comes in one of two forms. An explicit CSR `graph` (with an
+/// optional SoA arc plane) serves any graph. An implicit `box` serves a
+/// routing window (graph/box_graph.h): the cost-distance solver generates
+/// each settled vertex's arcs from it, so a per-net instance needs no CSR.
+/// Consumers that scan every vertex's arcs — the topology embedder, exact
+/// enumeration, instance files — require the CSR form; a routing window
+/// provides it through MaterializedInstance (route/steiner_oracle.h).
 
 #pragma once
 
@@ -15,6 +23,7 @@
 #include <vector>
 
 #include "graph/arc_cost_view.h"
+#include "graph/box_graph.h"
 #include "graph/graph.h"
 #include "util/assert.h"
 
@@ -26,14 +35,18 @@ struct Terminal {
 };
 
 struct CostDistanceInstance {
+  /// Explicit CSR graph; exactly one of `graph` and `box` is set.
   const Graph* graph{nullptr};
+  /// Implicit box graph of a routing window, the alternative to `graph` +
+  /// `arc_costs`.
+  const BoxGraph* box{nullptr};
   const std::vector<double>* cost{nullptr};   ///< c(e), congestion cost
   const std::vector<double>* delay{nullptr};  ///< d(e), linear delay
-  /// Optional SoA arc plane of the same (cost, delay) attributes over the
-  /// same graph. When set, the solver's relax loop scans it with the
-  /// blocked, branch-light kernel; when null it gathers per-edge. Results
-  /// are bit-identical either way. Windows provide this for free; standalone
-  /// callers can build one with ArcCostView(graph, cost, delay).
+  /// Optional SoA arc plane of the same (cost, delay) attributes over
+  /// `graph`. When set, the solver's relax loop scans it with the blocked,
+  /// branch-light kernel; when null it gathers per-edge. Results are
+  /// bit-identical either way. Standalone callers can build one with
+  /// ArcCostView(graph, cost, delay).
   const ArcCostView* arc_costs{nullptr};
   VertexId root{kInvalidVertex};
   std::vector<Terminal> sinks;
@@ -48,21 +61,33 @@ struct CostDistanceInstance {
     return w;
   }
 
+  std::size_t num_vertices() const {
+    return graph != nullptr ? graph->num_vertices() : box->num_vertices();
+  }
+  std::size_t num_edges() const {
+    return graph != nullptr ? graph->num_edges() : box->num_edges();
+  }
+  EdgeEndpoints endpoints() const {
+    return graph != nullptr ? EdgeEndpoints(*graph) : EdgeEndpoints(*box);
+  }
+
   void validate() const {
-    CDST_CHECK(graph != nullptr && cost != nullptr && delay != nullptr);
-    CDST_CHECK(cost->size() == graph->num_edges());
-    CDST_CHECK(delay->size() == graph->num_edges());
+    CDST_CHECK_MSG((graph != nullptr) != (box != nullptr),
+                   "instance needs exactly one of graph and box");
+    CDST_CHECK(cost != nullptr && delay != nullptr);
+    CDST_CHECK(cost->size() == num_edges());
+    CDST_CHECK(delay->size() == num_edges());
     if (arc_costs != nullptr) {
       CDST_CHECK_MSG(arc_costs->graph() == graph,
                      "arc_costs plane built over a different graph");
-      CDST_CHECK(arc_costs->edge_cost().size() == graph->num_edges());
+      CDST_CHECK(arc_costs->edge_cost().size() == num_edges());
     }
-    CDST_CHECK(root < graph->num_vertices());
+    CDST_CHECK(root < num_vertices());
     CDST_CHECK_MSG(!sinks.empty(), "instance needs at least one sink");
     CDST_CHECK(eta >= 0.0 && eta <= 0.5);
     CDST_CHECK(dbif >= 0.0);
     for (const Terminal& t : sinks) {
-      CDST_CHECK(t.vertex < graph->num_vertices());
+      CDST_CHECK(t.vertex < num_vertices());
       CDST_CHECK(t.weight >= 0.0);
     }
   }

@@ -13,7 +13,7 @@ std::vector<EdgeId> SteinerTree::all_edges() const {
   return out;
 }
 
-void SteinerTree::validate(const Graph& g, std::size_t num_sinks,
+void SteinerTree::validate(const EdgeEndpoints& g, std::size_t num_sinks,
                            bool allow_shared_edges) const {
   CDST_CHECK(!nodes.empty());
   CDST_CHECK(nodes[0].parent == -1);
@@ -38,9 +38,10 @@ void SteinerTree::validate(const Graph& g, std::size_t num_sinks,
         CDST_CHECK(e < g.num_edges());
         CDST_CHECK_MSG(used_edges.insert(e).second || allow_shared_edges,
                        "graph edge used by two tree segments");
-        CDST_CHECK_MSG(g.tail(e) == at || g.head(e) == at,
-                       "embedded path is not contiguous");
-        at = g.other_end(e, at);
+        const VertexId t = g.tail(e);
+        const VertexId h = g.head(e);
+        CDST_CHECK_MSG(t == at || h == at, "embedded path is not contiguous");
+        at = t == at ? h : t;
       }
       CDST_CHECK_MSG(
           at == nodes[static_cast<std::size_t>(n.parent)].graph_vertex,
@@ -160,9 +161,10 @@ void TreeAssembler::add_segment(NodeId a, NodeId b,
   VertexId at = nodes_[a].v;
   s.verts.push_back(at);
   for (const EdgeId e : path) {
-    CDST_CHECK_MSG(graph_->tail(e) == at || graph_->head(e) == at,
-                   "segment path is not contiguous");
-    at = graph_->other_end(e, at);
+    const VertexId t = graph_.tail(e);
+    const VertexId h = graph_.head(e);
+    CDST_CHECK_MSG(t == at || h == at, "segment path is not contiguous");
+    at = t == at ? h : t;
     s.verts.push_back(at);
   }
   CDST_CHECK_MSG(at == nodes_[b].v, "segment path does not reach endpoint");

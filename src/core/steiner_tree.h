@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/instance.h"
+#include "graph/box_graph.h"
 #include "graph/graph.h"
 #include "util/sparse_map.h"
 
@@ -53,7 +54,7 @@ struct SteinerTree {
   /// `allow_shared_edges` relaxes the edge-reuse check for embeddings of
   /// fixed topologies, which may legitimately route two topology edges over
   /// the same graph edge (paying its cost twice).
-  void validate(const Graph& g, std::size_t num_sinks,
+  void validate(const EdgeEndpoints& g, std::size_t num_sinks,
                 bool allow_shared_edges = false) const;
 };
 
@@ -64,7 +65,8 @@ class TreeAssembler {
   using NodeId = std::uint32_t;
   static constexpr NodeId kNoNode = 0xffffffffu;
 
-  explicit TreeAssembler(const Graph& g) : graph_(&g) {}
+  /// Borrows the graph behind `g`, which must outlive the assembler.
+  explicit TreeAssembler(const EdgeEndpoints& g) : graph_(g) {}
 
   /// Registers the root terminal; must be called exactly once, first.
   NodeId add_root(VertexId v);
@@ -127,7 +129,7 @@ class TreeAssembler {
   NodeId split_segment(std::uint32_t seg_id, std::uint32_t offset);
   void reindex_segment(std::uint32_t seg_id);
 
-  const Graph* graph_;
+  EdgeEndpoints graph_;
   std::vector<NodeRec> nodes_;
   std::vector<Seg> segs_;
   SparseMap<Loc> loc_;

@@ -58,10 +58,6 @@ StatusOr<std::unique_ptr<ShardContext>> make_shard_context(
       }
     }
     return ctx;
-  } catch (const InjectedFault& e) {
-    // The grid build crosses fault sites (e.g. arcplane.assign): transient,
-    // so configure is worth retrying like any other transport failure.
-    return Status::Unavailable(e.what());
   } catch (const ContractViolation& e) {
     return Status::InvalidArgument(
         std::string("shard context: grid build rejected setup: ") + e.what());

@@ -16,6 +16,9 @@ EmbedResult embed_topology(const PlaneTopology& topo,
                            const CostDistanceInstance& instance,
                            const SolveControls* controls) {
   instance.validate();
+  CDST_CHECK_MSG(instance.graph != nullptr,
+                 "embedding needs an explicit CSR graph (materialize the "
+                 "window first)");
   topo.validate(instance.sinks.size());
   const std::atomic<bool>* cancel =
       controls != nullptr ? controls->cancel : nullptr;

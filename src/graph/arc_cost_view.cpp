@@ -3,21 +3,14 @@
 #include <cstdint>
 
 #include "util/assert.h"
-#include "util/fault_injection.h"
 
 namespace cdst {
 
 void ArcCostView::build_arcs(const Graph& g,
                              std::span<const double> edge_cost,
-                             std::span<const double> edge_delay,
-                             std::span<const std::uint8_t> edge_layer) {
-  // Shared allocation core of assign()/assign_borrowed(): the SoA arc
-  // planes are (re)built here, which is where a real allocation failure
-  // would surface during window/instance materialization.
-  CDST_FAULT_POINT("arcplane.assign");
+                             std::span<const double> edge_delay) {
   CDST_CHECK(edge_cost.size() == g.num_edges());
   CDST_CHECK(edge_delay.size() == g.num_edges());
-  CDST_CHECK(edge_layer.empty() || edge_layer.size() == g.num_edges());
   graph_ = &g;
 
   const std::span<const EdgeId> arc_edges = g.arc_edges();
@@ -44,20 +37,11 @@ void ArcCostView::build_arcs(const Graph& g,
     arc_cost_[a] = 0.0;
     arc_delay_[a] = 0.0;
   }
-  if (edge_layer.empty()) {
-    arc_layer_.clear();
-  } else {
-    arc_layer_.resize(na);
-    for (std::size_t a = 0; a < na; ++a) {
-      arc_layer_[a] = edge_layer[arc_edges[a]];
-    }
-  }
 }
 
 void ArcCostView::assign(const Graph& g, std::span<const double> edge_cost,
-                         std::span<const double> edge_delay,
-                         std::span<const std::uint8_t> edge_layer) {
-  build_arcs(g, edge_cost, edge_delay, edge_layer);
+                         std::span<const double> edge_delay) {
+  build_arcs(g, edge_cost, edge_delay);
   edge_cost_store_.assign(edge_cost.begin(), edge_cost.end());
   edge_delay_store_.assign(edge_delay.begin(), edge_delay.end());
   edge_cost_view_ = edge_cost_store_;
@@ -66,9 +50,8 @@ void ArcCostView::assign(const Graph& g, std::span<const double> edge_cost,
 
 void ArcCostView::assign_borrowed(const Graph& g,
                                   std::span<const double> edge_cost,
-                                  std::span<const double> edge_delay,
-                                  std::span<const std::uint8_t> edge_layer) {
-  build_arcs(g, edge_cost, edge_delay, edge_layer);
+                                  std::span<const double> edge_delay) {
+  build_arcs(g, edge_cost, edge_delay);
   edge_cost_store_.clear();
   edge_delay_store_.clear();
   edge_cost_view_ = edge_cost;

@@ -7,7 +7,7 @@
 /// ArcCostView expands the per-edge attributes once into per-*arc* arrays
 /// aligned with Graph's SoA arc plane (graph/graph.h): the arcs of vertex v
 /// occupy the contiguous index range [arc_begin(v), arc_end(v)) in every
-/// array, so a relax loop reads cost/delay/layer as sequential strips — the
+/// array, so a relax loop reads cost/delay as sequential strips — the
 /// shape the blocked, branch-light kernels in graph/dijkstra.h and
 /// core/cost_distance.cpp scan.
 ///
@@ -22,14 +22,16 @@
 /// derived per-arc arrays. The per-edge inputs are copied by assign() (the
 /// safe default for callers whose source arrays may die first) or borrowed
 /// by assign_borrowed() — the right mode for producers whose source
-/// vectors share the view's lifetime (RoutingGrid's base plane,
-/// RoutingWindow's priced plane: a heap-allocated vector's buffer survives
-/// moves of the owner, so the borrowed spans stay valid). Producers:
-/// RoutingGrid finalizes a base-cost plane with its graph; RoutingWindow
-/// builds one per window over current congestion prices; the sharded
-/// router rebuilds a window plane per round from the frozen price
-/// snapshot. assign() retains capacity, so per-round rebuilds stop
-/// churning the allocator.
+/// vectors share the view's lifetime (RoutingGrid's base plane, a
+/// materialized window over its own planes: a heap-allocated vector's
+/// buffer survives moves of the owner, so the borrowed spans stay valid).
+/// Producers:
+/// RoutingGrid finalizes a base-cost plane with its graph, and
+/// MaterializedInstance (route/steiner_oracle.h) builds one over a
+/// materialized routing window for the embedded L1/SL/PD baselines. The
+/// cost-distance oracle needs none: it generates a window vertex's arcs
+/// from the box (graph/box_graph.h) into a small strip of the same shape.
+/// assign() retains capacity, so rebuilds stop churning the allocator.
 
 #pragma once
 
@@ -46,24 +48,20 @@ class ArcCostView {
  public:
   ArcCostView() = default;
   ArcCostView(const Graph& g, std::span<const double> edge_cost,
-              std::span<const double> edge_delay,
-              std::span<const std::uint8_t> edge_layer = {}) {
-    assign(g, edge_cost, edge_delay, edge_layer);
+              std::span<const double> edge_delay) {
+    assign(g, edge_cost, edge_delay);
   }
 
-  /// (Re)builds the plane over g from per-edge attributes. `edge_layer` is
-  /// optional (grids key arcs by layer; generic graphs have none). The graph
-  /// is borrowed and must outlive the view; the attribute arrays are copied.
+  /// (Re)builds the plane over g from per-edge attributes. The graph is
+  /// borrowed and must outlive the view; the attribute arrays are copied.
   void assign(const Graph& g, std::span<const double> edge_cost,
-              std::span<const double> edge_delay,
-              std::span<const std::uint8_t> edge_layer = {});
+              std::span<const double> edge_delay);
 
   /// Like assign(), but the per-edge cost/delay arrays are borrowed, not
   /// copied — for producers whose source vectors live exactly as long as
   /// the view (per-arc strips are still owned/derived).
   void assign_borrowed(const Graph& g, std::span<const double> edge_cost,
-                       std::span<const double> edge_delay,
-                       std::span<const std::uint8_t> edge_layer = {});
+                       std::span<const double> edge_delay);
 
   bool empty() const { return graph_ == nullptr; }
   const Graph* graph() const { return graph_; }
@@ -77,7 +75,6 @@ class ArcCostView {
   std::span<const double> arc_delay() const {
     return {arc_delay_.data(), num_arcs_};
   }
-  std::span<const std::uint8_t> arc_layer() const { return arc_layer_; }
   const double* arc_cost_data() const { return arc_cost_.data(); }
   const double* arc_delay_data() const { return arc_delay_.data(); }
 
@@ -89,14 +86,12 @@ class ArcCostView {
 
  private:
   void build_arcs(const Graph& g, std::span<const double> edge_cost,
-                  std::span<const double> edge_delay,
-                  std::span<const std::uint8_t> edge_layer);
+                  std::span<const double> edge_delay);
 
   const Graph* graph_{nullptr};
   std::size_t num_arcs_{0};  ///< logical strip length (pad lives beyond it)
   AlignedVector<double> arc_cost_;
   AlignedVector<double> arc_delay_;
-  std::vector<std::uint8_t> arc_layer_;
   std::vector<double> edge_cost_store_;  ///< empty in borrowed mode
   std::vector<double> edge_delay_store_;
   std::span<const double> edge_cost_view_;

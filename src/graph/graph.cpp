@@ -2,7 +2,7 @@
 
 namespace cdst {
 
-void Graph::build(const GraphBuilder& b) {
+Graph::Graph(const GraphBuilder& b) {
   tails_ = b.tails_;
   heads_ = b.heads_;
   const std::size_t n = b.num_vertices_;

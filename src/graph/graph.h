@@ -29,14 +29,6 @@ class GraphBuilder {
   explicit GraphBuilder(std::size_t num_vertices = 0)
       : num_vertices_(num_vertices) {}
 
-  /// Empties the builder for a graph over n vertices, keeping the edge
-  /// lists' capacity (per-net window rebuilds reuse one builder).
-  void clear(std::size_t n) {
-    num_vertices_ = n;
-    tails_.clear();
-    heads_.clear();
-  }
-
   std::size_t num_vertices() const { return num_vertices_; }
   std::size_t num_edges() const { return tails_.size(); }
 
@@ -76,12 +68,7 @@ class Graph {
   };
 
   Graph() = default;
-  explicit Graph(const GraphBuilder& b) { build(b); }
-
-  /// Replaces this graph with b's, in place: every buffer keeps its
-  /// capacity, so rebuilding one graph per net stops churning the
-  /// allocator. The arc order is the one the constructor produces.
-  void build(const GraphBuilder& b);
+  explicit Graph(const GraphBuilder& b);
 
   std::size_t num_vertices() const { return offsets_.empty() ? 0 : offsets_.size() - 1; }
   std::size_t num_edges() const { return tails_.size(); }

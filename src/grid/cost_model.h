@@ -43,6 +43,12 @@ class CongestionCosts {
     return info.unit_cost * price_[info.resource];
   }
 
+  /// The per-resource factor of edge_cost: edge_cost(e) is exactly
+  /// edge_info(e).unit_cost * price(edge_info(e).resource). For callers
+  /// that walk resources arithmetically (routing windows price a row of
+  /// boundaries from one unit cost per wire type).
+  double price(ResourceId r) const { return price_[r]; }
+
   /// Price of e with `excluded_usage` capacity units of its resource's usage
   /// discounted (floored at zero). The sharded router prices each net
   /// against the frozen round snapshot *minus the net's own committed

@@ -34,6 +34,20 @@ void RoutingGrid::build() {
     return static_cast<ResourceId>(resource_capacity_.size() - 1);
   };
 
+  // The per-layer numbering wire_edge()/wire_resource() read; the loops
+  // below emit edges and resources in exactly that order and check it.
+  numbering_.assign(static_cast<std::size_t>(nz) + 1, LayerNumbering{});
+  for (std::int32_t z = 0; z < nz; ++z) {
+    const LayerSpec& layer = layers_[z];
+    const bool horizontal = layer.dir == LayerDir::kHorizontal;
+    LayerNumbering& l = numbering_[z];
+    l.row = static_cast<std::uint32_t>(horizontal ? nx_ - 1 : nx_);
+    l.rows = static_cast<std::uint32_t>(horizontal ? ny_ : ny_ - 1);
+    l.wire_types = static_cast<std::uint32_t>(layer.wire_types.size());
+    numbering_[z + 1].first_edge = l.first_edge + l.row * l.rows * l.wire_types;
+    numbering_[z + 1].first_resource = l.first_resource + l.row * l.rows;
+  }
+
   // Intra-layer wiring edges.
   for (std::int32_t z = 0; z < nz; ++z) {
     const LayerSpec& layer = layers_[z];
@@ -50,10 +64,12 @@ void RoutingGrid::build() {
         const VertexId b =
             horizontal ? vertex_at(x + 1, y, z) : vertex_at(x, y + 1, z);
         const ResourceId res = new_resource(layer.capacity);
+        CDST_ASSERT(res == wire_resource(x, y, z));
         for (std::size_t w = 0; w < layer.wire_types.size(); ++w) {
           const WireType& wt = layer.wire_types[w];
           const EdgeId e = builder.add_edge(a, b);
           CDST_ASSERT(static_cast<std::size_t>(e) == edge_info_.size());
+          CDST_ASSERT(e == wire_edge(x, y, z, static_cast<std::uint32_t>(w)));
           (void)e;
           edge_info_.push_back(EdgeInfo{res, static_cast<float>(wt.width),
                                         static_cast<float>(wt.unit_cost),
@@ -65,7 +81,7 @@ void RoutingGrid::build() {
     }
   }
 
-  num_wire_resources_ = resource_capacity_.size();
+  CDST_ASSERT(resource_capacity_.size() == num_wire_resources());
 
   // Via edges between adjacent layers; one resource per gcell stack segment.
   for (std::int32_t z = 0; z + 1 < nz; ++z) {
@@ -77,8 +93,10 @@ void RoutingGrid::build() {
         const double cap =
             std::min(layers_[z].capacity, layers_[z + 1].capacity);
         const ResourceId res = new_resource(cap);
+        CDST_ASSERT(res == via_resource(x, y, z));
         const EdgeId e = builder.add_edge(a, b);
         CDST_ASSERT(static_cast<std::size_t>(e) == edge_info_.size());
+        CDST_ASSERT(e == via_edge(x, y, z));
         (void)e;
         edge_info_.push_back(EdgeInfo{res, static_cast<float>(via_.width),
                                       static_cast<float>(via_.unit_cost),
@@ -106,13 +124,9 @@ void RoutingGrid::build() {
   }
 
   // Finalize the static SoA attribute plane alongside the graph.
-  std::vector<std::uint8_t> layer_of(edge_info_.size());
-  for (std::size_t e = 0; e < edge_info_.size(); ++e) {
-    layer_of[e] = edge_info_[e].layer;
-  }
   // base_costs_/delays_ are members sharing the view's lifetime (vector
   // buffers survive grid moves), so the per-edge arrays are borrowed.
-  arc_costs_.assign_borrowed(graph_, base_costs_, delays_, layer_of);
+  arc_costs_.assign_borrowed(graph_, base_costs_, delays_);
 
   positions_.resize(graph_.num_vertices());
   for (VertexId v = 0; v < positions_.size(); ++v) {

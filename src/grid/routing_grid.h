@@ -75,10 +75,43 @@ class RoutingGrid {
     return edge_info_[e];
   }
 
+  // Edge and resource numbering, as arithmetic. Wire edges come first,
+  // layer by layer; within a layer, gcell boundaries in row-major order of
+  // their lower endpoint, one edge per wire type (innermost). Vias follow,
+  // one per (layer, gcell) in (z, y, x) order. Every boundary and via stack
+  // segment owns one resource in the same order. build() lays the graph
+  // out by these accessors, so they are the numbering's single definition.
+
+  /// Wire edge of type w from (x, y, z) one gcell along z's preferred
+  /// direction (toward higher x on horizontal layers, higher y on vertical).
+  EdgeId wire_edge(std::int32_t x, std::int32_t y, std::int32_t z,
+                   std::uint32_t w) const {
+    const LayerNumbering& l = numbering_[static_cast<std::size_t>(z)];
+    CDST_ASSERT(w < l.wire_types);
+    return l.first_edge + boundary(l, x, y) * l.wire_types + w;
+  }
+  /// Resource of the gcell boundary wire_edge(x, y, z, *) crosses.
+  ResourceId wire_resource(std::int32_t x, std::int32_t y,
+                           std::int32_t z) const {
+    const LayerNumbering& l = numbering_[static_cast<std::size_t>(z)];
+    return l.first_resource + boundary(l, x, y);
+  }
+  /// Via edge from (x, y, z) up to (x, y, z + 1).
+  EdgeId via_edge(std::int32_t x, std::int32_t y, std::int32_t z) const {
+    return numbering_.back().first_edge + via_stack(x, y, z);
+  }
+  /// Resource of via_edge(x, y, z).
+  ResourceId via_resource(std::int32_t x, std::int32_t y,
+                          std::int32_t z) const {
+    return numbering_.back().first_resource + via_stack(x, y, z);
+  }
+
   std::size_t num_resources() const { return resource_capacity_.size(); }
   /// Wire resources (gcell boundaries) are ids [0, num_wire_resources());
   /// via resources follow them.
-  std::size_t num_wire_resources() const { return num_wire_resources_; }
+  std::size_t num_wire_resources() const {
+    return numbering_.back().first_resource;
+  }
   double resource_capacity(ResourceId r) const {
     CDST_ASSERT(r < resource_capacity_.size());
     return resource_capacity_[r];
@@ -91,10 +124,9 @@ class RoutingGrid {
   const std::vector<double>& base_costs() const { return base_costs_; }
 
   /// Structure-of-arrays plane of the static edge attributes (base cost,
-  /// delay, layer) keyed by arc index — finalized once with the graph. The
+  /// delay) keyed by arc index — finalized once with the graph. The
   /// uncongested metric the landmark preprocessing and admissible-bound
-  /// machinery scan; congestion-priced planes live on windows (and, sharded,
-  /// on the router's round snapshot).
+  /// machinery scan; congestion prices live on each net's window planes.
   const ArcCostView& arc_costs() const { return arc_costs_; }
 
   /// Cheapest congestion cost per gcell over all layers and wire types
@@ -109,6 +141,31 @@ class RoutingGrid {
  private:
   void build();
 
+  /// The numbering of one layer's wire edges: where its edges and boundary
+  /// resources start and the shape of its grid of boundaries.
+  struct LayerNumbering {
+    EdgeId first_edge{0};
+    ResourceId first_resource{0};
+    std::uint32_t row{0};   ///< boundaries per row: nx - 1 or nx
+    std::uint32_t rows{0};  ///< rows of boundaries: ny or ny - 1
+    std::uint32_t wire_types{0};
+  };
+
+  /// Index of the boundary from (x, y) along l's direction among l's.
+  static std::uint32_t boundary(const LayerNumbering& l, std::int32_t x,
+                                std::int32_t y) {
+    CDST_ASSERT(x >= 0 && static_cast<std::uint32_t>(x) < l.row && y >= 0 &&
+                static_cast<std::uint32_t>(y) < l.rows);
+    return static_cast<std::uint32_t>(y) * l.row +
+           static_cast<std::uint32_t>(x);
+  }
+  /// Index of the via stack segment above (x, y, z) among all vias.
+  std::uint32_t via_stack(std::int32_t x, std::int32_t y,
+                          std::int32_t z) const {
+    CDST_ASSERT(z + 1 < nz());
+    return static_cast<std::uint32_t>(vertex_at(x, y, z));
+  }
+
   std::int32_t nx_;
   std::int32_t ny_;
   std::vector<LayerSpec> layers_;
@@ -121,7 +178,9 @@ class RoutingGrid {
   std::vector<double> delays_;
   std::vector<double> base_costs_;
   std::vector<double> resource_capacity_;
-  std::size_t num_wire_resources_{0};
+  /// One entry per layer plus one past the top, whose first ids are the
+  /// wire edge and wire resource totals: where the vias' ids begin.
+  std::vector<LayerNumbering> numbering_;
   double min_unit_cost_{0.0};
   double min_unit_delay_{0.0};
 };

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/fault_injection.h"
+
 namespace cdst {
 
 RoutingWindow::RoutingWindow(const RoutingGrid& grid,
@@ -13,80 +15,97 @@ RoutingWindow::RoutingWindow(const RoutingGrid& grid,
 void RoutingWindow::rebuild(const RoutingGrid& grid,
                             const CongestionCosts& costs, Rect box,
                             const RoundPricing* pricing) {
+  // The per-net allocation site: the planes below grow here when a lane
+  // meets a larger box than any before.
+  CDST_FAULT_POINT("window.rebuild");
   grid_ = &grid;
   box = clip(grid, box);
   CDST_CHECK_MSG(!box.empty(), "routing window does not intersect the grid");
   box_ = box;
-  wx_ = static_cast<std::int32_t>(box.width()) + 1;
-  wy_ = static_cast<std::int32_t>(box.height()) + 1;
 
   const std::int32_t nz = grid.nz();
-  const std::size_t wn = static_cast<std::size_t>(wx_) * wy_ * nz;
-  to_grid_vertex_.resize(wn);
-  positions_.resize(wn);
+  layers_.resize(static_cast<std::size_t>(nz));
+  for (std::int32_t z = 0; z < nz; ++z) {
+    const LayerSpec& l = grid.layers()[static_cast<std::size_t>(z)];
+    layers_[static_cast<std::size_t>(z)] =
+        BoxLayer{l.dir == LayerDir::kHorizontal,
+                 static_cast<std::uint32_t>(l.wire_types.size())};
+  }
+  graph_.assign(static_cast<std::int32_t>(box.width()) + 1,
+                static_cast<std::int32_t>(box.height()) + 1, layers_);
 
-  auto wvertex = [&](std::int32_t x, std::int32_t y, std::int32_t z) {
-    return static_cast<VertexId>(
-        (static_cast<std::int64_t>(z) * wy_ + (y - box_.ylo)) * wx_ +
-        (x - box_.xlo));
-  };
-
+  // Every plane is appended in id order rather than resized and then
+  // overwritten: one pass over memory a fresh window first-touches.
+  positions_.clear();
+  positions_.reserve(graph_.num_vertices());
   for (std::int32_t z = 0; z < nz; ++z) {
     for (std::int32_t y = box_.ylo; y <= box_.yhi; ++y) {
       for (std::int32_t x = box_.xlo; x <= box_.xhi; ++x) {
-        const VertexId wv = wvertex(x, y, z);
-        to_grid_vertex_[wv] = grid.vertex_at(x, y, z);
-        positions_[wv] = Point3{x, y, z};
+        positions_.push_back(Point3{x, y, z});
       }
     }
   }
 
-  // Copy edges whose endpoints both lie in the window. Iterating grid arcs
-  // from each window vertex visits each such edge twice; keep tail < head.
-  builder_.clear(wn);
-  to_grid_edge_.clear();
-  const Graph& gg = grid.graph();
-  const std::vector<Point3>& gpos = grid.positions();
-  for (VertexId wv = 0; wv < wn; ++wv) {
-    const VertexId gv = to_grid_vertex_[wv];
-    for (const Graph::Arc& a : gg.arcs(gv)) {
-      if (a.to < gv) continue;  // visit once
-      const Point3 pu = gpos[a.to];
-      if (!box_.contains(pu.xy())) continue;
-      const VertexId wu = wvertex(pu.x, pu.y, pu.z);
-      builder_.add_edge(wv, wu);
-      to_grid_edge_.push_back(a.edge);
-    }
-  }
-  graph_.build(builder_);
-
-  const std::size_t wm = to_grid_edge_.size();
-  costs_.resize(wm);
-  delays_.resize(wm);
-  layer_of_.resize(wm);
+  // The planes, in window-edge order, one box row at a time. Along a row
+  // the grid's wire ids step by one boundary of wire types and its via ids
+  // by one, and so do their resources. Unit costs and delays are uniform
+  // per layer and wire type (LayerSpec), so the row's first boundary and
+  // via supply them for the whole row. Each price is the active pricing
+  // mode's expression for its grid edge, snapshotted now; the live one is
+  // edge_cost's unit_cost * price(resource).
+  costs_.clear();
+  costs_.reserve(graph_.num_edges());
+  delays_.clear();
+  delays_.reserve(graph_.num_edges());
   const std::vector<double>& gd = grid.edge_delays();
-  for (std::size_t e = 0; e < wm; ++e) {
-    const EdgeId ge = to_grid_edge_[e];
-    if (pricing == nullptr) {
-      costs_[e] = costs.edge_cost(ge);
-    } else {
-      // Frozen round snapshot: only the net's own resources re-price, with
-      // its committed usage excluded.
-      const double* excluded =
-          pricing->excluded_usage != nullptr
-              ? pricing->excluded_usage->find(grid.edge_info(ge).resource)
-              : nullptr;
-      costs_[e] = excluded == nullptr
-                      ? pricing->edge_costs[ge]
-                      : costs.edge_cost_excluding(ge, *excluded);
+  // Price of grid edge ge on resource r with unit cost `unit`.
+  const auto price = [&](EdgeId ge, ResourceId r, float unit) {
+    CDST_ASSERT(grid.edge_info(ge).resource == r);
+    CDST_ASSERT(grid.edge_info(ge).unit_cost == unit);
+    if (pricing == nullptr) return unit * costs.price(r);
+    // Frozen round snapshot: only the net's own resources re-price, with
+    // its committed usage excluded.
+    const double* excluded = pricing->excluded_usage != nullptr
+                                 ? pricing->excluded_usage->find(r)
+                                 : nullptr;
+    return excluded == nullptr ? pricing->edge_costs[ge]
+                               : costs.edge_cost_excluding(ge, *excluded);
+  };
+  graph_.for_each_row([&](const BoxRow& row) {
+    const auto z = static_cast<std::int32_t>(row.z);
+    const std::int32_t y = box_.ylo + static_cast<std::int32_t>(row.j);
+    const std::uint32_t nw = row.wire_types;
+    CDST_ASSERT(costs_.size() == row.first);
+    EdgeId gw0 = 0;
+    ResourceId rw0 = 0;
+    if (row.wired > 0) {
+      gw0 = grid.wire_edge(box_.xlo, y, z, 0);
+      rw0 = grid.wire_resource(box_.xlo, y, z);
     }
-    delays_[e] = gd[ge];
-    layer_of_[e] = grid.edge_info(ge).layer;
-  }
-  // Borrowed per-edge spans: costs_/delays_ are members with exactly the
-  // view's lifetime (and vector buffers survive window moves), so only the
-  // derived per-arc strips are materialized.
-  arc_costs_.assign_borrowed(graph_, costs_, delays_, layer_of_);
+    EdgeId gv0 = 0;
+    ResourceId rv0 = 0;
+    float uv = 0.0f;
+    double dv = 0.0;
+    if (row.via) {
+      gv0 = grid.via_edge(box_.xlo, y, z);
+      rv0 = grid.via_resource(box_.xlo, y, z);
+      uv = grid.edge_info(gv0).unit_cost;
+      dv = gd[gv0];
+    }
+    for (std::uint32_t i = 0; i < graph_.wx(); ++i) {
+      if (i < row.wired) {
+        for (std::uint32_t w = 0; w < nw; ++w) {
+          costs_.push_back(price(gw0 + i * nw + w, rw0 + i,
+                                 grid.edge_info(gw0 + w).unit_cost));
+          delays_.push_back(gd[gw0 + w]);
+        }
+      }
+      if (row.via) {
+        costs_.push_back(price(gv0 + i, rv0 + i, uv));
+        delays_.push_back(dv);
+      }
+    }
+  });
 }
 
 Rect RoutingWindow::clip(const RoutingGrid& grid, Rect box) {
@@ -97,20 +116,45 @@ Rect RoutingWindow::clip(const RoutingGrid& grid, Rect box) {
   return box;
 }
 
+EdgeId RoutingWindow::to_grid_edge(EdgeId we) const {
+  const BoxEdgeSite s = graph_.site(we);
+  const std::int32_t x = box_.xlo + static_cast<std::int32_t>(s.i);
+  const std::int32_t y = box_.ylo + static_cast<std::int32_t>(s.j);
+  const auto z = static_cast<std::int32_t>(s.z);
+  return s.via ? grid_->via_edge(x, y, z) : grid_->wire_edge(x, y, z, s.w);
+}
+
 VertexId RoutingWindow::from_grid_vertex(VertexId gv) const {
   const Point3 p = grid_->positions()[gv];
   if (!box_.contains(p.xy())) return kInvalidVertex;
-  return static_cast<VertexId>(
-      (static_cast<std::int64_t>(p.z) * wy_ + (p.y - box_.ylo)) * wx_ +
-      (p.x - box_.xlo));
+  return graph_.vertex(static_cast<std::uint32_t>(p.x - box_.xlo),
+                       static_cast<std::uint32_t>(p.y - box_.ylo),
+                       static_cast<std::uint32_t>(p.z));
 }
 
 std::vector<EdgeId> RoutingWindow::to_grid_edges(
     const std::vector<EdgeId>& wes) const {
   std::vector<EdgeId> out;
   out.reserve(wes.size());
-  for (const EdgeId we : wes) out.push_back(to_grid_edge_[we]);
+  for (const EdgeId we : wes) out.push_back(to_grid_edge(we));
   return out;
+}
+
+Graph RoutingWindow::materialize() const {
+  // Copy edges whose endpoints both lie in the window. Iterating grid arcs
+  // from each window vertex visits each such edge twice; keep tail < head.
+  GraphBuilder builder(graph_.num_vertices());
+  const Graph& gg = grid_->graph();
+  const std::vector<Point3>& gpos = grid_->positions();
+  for (VertexId wv = 0; wv < graph_.num_vertices(); ++wv) {
+    const VertexId gv = to_grid_vertex(wv);
+    for (const Graph::Arc& a : gg.arcs(gv)) {
+      if (a.to < gv) continue;  // visit once
+      if (!box_.contains(gpos[a.to].xy())) continue;
+      builder.add_edge(wv, from_grid_vertex(a.to));
+    }
+  }
+  return Graph(builder);
 }
 
 }  // namespace cdst

@@ -1,11 +1,19 @@
 /// \file window.h
-/// Routing windows: subgraphs of the routing grid restricted to a plane
-/// rectangle (all layers), with id translation back to the full grid.
+/// Routing windows: the routing grid restricted to a plane rectangle (all
+/// layers), priced for one net, with id translation back to the full grid.
 ///
 /// Global routers solve per-net Steiner problems inside the net's bounding
 /// box inflated by a detour margin — both for speed and because optimal
 /// detours rarely leave that region. All per-net oracles (cost-distance and
 /// the embedded baselines) run on windows; usage is committed on grid edges.
+///
+/// A window stores no graph. Its topology is an implicit BoxGraph
+/// (graph/box_graph.h) whose vertex and edge ids are window-local; per net
+/// the window fills only the per-vertex grid positions (the future-cost
+/// geometry plane) and two per-edge planes: congestion cost, snapshotted
+/// from the pricing in force at rebuild(), and delay. The cost-distance
+/// solver generates each settled vertex's arcs from the box. Consumers
+/// that need a CSR call materialize() once.
 
 #pragma once
 
@@ -14,7 +22,7 @@
 
 #include "core/future_oracle.h"
 #include "geom/rect.h"
-#include "graph/arc_cost_view.h"
+#include "graph/box_graph.h"
 #include "grid/cost_model.h"
 #include "grid/routing_grid.h"
 #include "util/sparse_map.h"
@@ -35,8 +43,8 @@ struct RoundPricing {
 
 class RoutingWindow {
  public:
-  /// Builds the subgraph of `grid` over gcells in `box` (clipped to the
-  /// grid), all layers included, with current congestion prices as costs
+  /// The window of `grid` over the gcells in `box` (clipped to the grid),
+  /// all layers included, with current congestion prices as costs
   /// (gathered from CongestionCosts' per-resource price table).
   /// `pricing` (optional) prices from a frozen round snapshot instead of the
   /// live CongestionCosts state — see RoundPricing.
@@ -48,14 +56,17 @@ class RoutingWindow {
 
   /// Turns this window into the one the constructor would build for the
   /// same arguments, in place: every buffer keeps its capacity, so a window
-  /// recycled across nets allocates only when it meets a larger box.
+  /// recycled across nets allocates only when it meets a larger box. The
+  /// prices are read here and never again: later usage changes do not
+  /// reach the window.
   void rebuild(const RoutingGrid& grid, const CongestionCosts& costs,
                Rect box, const RoundPricing* pricing = nullptr);
 
   /// `box` clipped to the grid, as the constructor clips it.
   static Rect clip(const RoutingGrid& grid, Rect box);
 
-  const Graph& graph() const { return graph_; }
+  /// The window's topology, in window-local vertex and edge ids.
+  const BoxGraph& box_graph() const { return graph_; }
   const RoutingGrid& grid() const { return *grid_; }
   const Rect& box() const { return box_; }
 
@@ -64,12 +75,10 @@ class RoutingWindow {
   /// Static delays of window edges (the instance's d vector).
   const std::vector<double>& edge_delays() const { return delays_; }
 
-  /// SoA plane of the window's priced attributes, keyed by window arc index
-  /// (what the solver's blocked relax loop scans).
-  const ArcCostView& arc_costs() const { return arc_costs_; }
-
-  VertexId to_grid_vertex(VertexId wv) const { return to_grid_vertex_[wv]; }
-  EdgeId to_grid_edge(EdgeId we) const { return to_grid_edge_[we]; }
+  VertexId to_grid_vertex(VertexId wv) const {
+    return grid_->vertex_at(positions_[wv]);
+  }
+  EdgeId to_grid_edge(EdgeId we) const;
 
   /// Dense per-window-vertex positions in grid coordinates (the SoA
   /// geometry plane behind WindowFutureCost's bounds).
@@ -81,19 +90,22 @@ class RoutingWindow {
   /// Maps window-edge paths back to grid edges.
   std::vector<EdgeId> to_grid_edges(const std::vector<EdgeId>& wes) const;
 
+  /// The window as an explicit CSR graph, built from the grid's own
+  /// adjacency: edges in the order their lower endpoints' grid arcs reach
+  /// them, which is box_graph()'s numbering and arc order. For consumers
+  /// that scan every vertex's arcs (see MaterializedInstance in
+  /// route/steiner_oracle.h) and as the reference the box is tested
+  /// against; the cost-distance oracle never calls it.
+  Graph materialize() const;
+
  private:
   const RoutingGrid* grid_{nullptr};
   Rect box_;
-  GraphBuilder builder_;  ///< edge-list staging, recycled by rebuild()
-  Graph graph_;
-  ArcCostView arc_costs_;
-  std::vector<VertexId> to_grid_vertex_;
+  BoxGraph graph_;
+  std::vector<BoxLayer> layers_;  ///< box_graph()'s layer table input
   std::vector<Point3> positions_;
-  std::vector<EdgeId> to_grid_edge_;
   std::vector<double> costs_;
   std::vector<double> delays_;
-  std::vector<std::uint8_t> layer_of_;  ///< arc-plane build input
-  std::int32_t wx_{0}, wy_{0};  ///< window extent in gcells
 };
 
 /// FutureCostOracle over a routing window: geometric L1 bounds evaluated in

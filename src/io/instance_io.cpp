@@ -11,6 +11,9 @@ namespace cdst {
 
 void write_instance(std::ostream& os, const CostDistanceInstance& inst) {
   inst.validate();
+  CDST_CHECK_MSG(inst.graph != nullptr,
+                 "instance files need an explicit CSR graph (materialize "
+                 "the window first)");
   const Graph& g = *inst.graph;
   os << "cdst-instance 1\n";
   os << "graph " << g.num_vertices() << ' ' << g.num_edges() << '\n';

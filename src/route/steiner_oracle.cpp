@@ -30,10 +30,9 @@ OracleInstance::OracleInstance(const RoutingGrid& grid,
 OracleInstance::OracleInstance() : rep_(std::make_unique<Rep>()) {}
 
 OracleInstance::Rep::Rep() : future_cost(window) {
-  instance.graph = &window.graph();
+  instance.box = &window.box_graph();
   instance.cost = &window.edge_costs();
   instance.delay = &window.edge_delays();
-  instance.arc_costs = &window.arc_costs();
 }
 
 void OracleInstance::rebuild(const RoutingGrid& grid,
@@ -69,6 +68,17 @@ OracleInstance& OracleInstance::operator=(OracleInstance&&) noexcept =
 
 double OracleInstance::delay_per_unit() const {
   return rep_->window.grid().min_unit_delay();
+}
+
+MaterializedInstance::MaterializedInstance(const OracleInstance& oi)
+    : graph_(oi.window().materialize()), instance_(oi.instance()) {
+  // The per-edge planes are the window's own (they outlive this object by
+  // contract), so the arc plane borrows them.
+  arc_costs_.assign_borrowed(graph_, oi.window().edge_costs(),
+                             oi.window().edge_delays());
+  instance_.box = nullptr;
+  instance_.graph = &graph_;
+  instance_.arc_costs = &arc_costs_;
 }
 
 OracleOutcome run_method(const OracleInstance& oi, SteinerMethod method,
@@ -118,7 +128,8 @@ OracleOutcome run_method(const OracleInstance& oi, SteinerMethod method,
     case SteinerMethod::kCD:
       break;  // handled above
   }
-  EmbedResult r = embed_topology(topo, oi.instance(), controls);
+  const MaterializedInstance csr(oi);
+  EmbedResult r = embed_topology(topo, csr.instance(), controls);
   out.eval = r.eval;
   out.grid_edges = oi.window().to_grid_edges(r.tree.all_edges());
   return out;

@@ -1,8 +1,11 @@
 /// \file steiner_oracle.h
-/// Per-net Steiner oracles: materializes one net's cost-distance instance on
-/// a routing window and solves it with any of the four Section IV-A methods.
+/// Per-net Steiner oracles: prices one net's cost-distance instance on a
+/// routing window and solves it with any of the four Section IV-A methods.
 /// Shared by the global router (Tables IV/V) and the apples-to-apples
-/// instance benchmarks (Tables I/II).
+/// instance benchmarks (Tables I/II). The instance lives on the window's
+/// implicit box graph; only the embedded L1/SL/PD baselines, which run a
+/// full-window Dijkstra per topology node, materialize a CSR
+/// (MaterializedInstance).
 
 #pragma once
 
@@ -35,9 +38,11 @@ struct OracleParams {
 /// this box; the batched router sizes each net's work estimate from it.
 Rect net_window_box(const Net& net, const OracleParams& p);
 
-/// One net's Steiner problem, materialized on a routing window with current
-/// congestion prices. Self-contained: owns the window and all vectors the
-/// embedded CostDistanceInstance points into. Movable (batch APIs store
+/// One net's Steiner problem on a routing window, priced at construction
+/// (or rebuild()) and never again: the instance's cost plane is a snapshot,
+/// so later usage changes do not reach a built instance. Its
+/// CostDistanceInstance is a box instance (instance.h). Self-contained: owns
+/// the window and all vectors the embedded CostDistanceInstance points into. Movable (batch APIs store
 /// oracles in vectors): everything self-referential lives behind a single
 /// owning pointer, so a move never relocates what instance()/future_cost()
 /// point into. Not copyable. Recyclable: rebuild() re-materializes the
@@ -95,6 +100,27 @@ class OracleInstance {
     Point2 root_xy;
   };
   std::unique_ptr<Rep> rep_;
+};
+
+/// An oracle instance over an explicit CSR: the window materialized once
+/// (RoutingWindow::materialize) with an arc plane over the window's own cost
+/// and delay planes, and the instance's root, sinks and penalties. Edge ids
+/// are the window's, so trees map back through the window. For consumers
+/// that scan every vertex's arcs: the embedded L1/SL/PD baselines, exact
+/// enumeration (solve_exact) and instance files (write_instance). Borrows
+/// `oi`, which must outlive it and stay unrebuilt; not copyable or movable.
+class MaterializedInstance {
+ public:
+  explicit MaterializedInstance(const OracleInstance& oi);
+  MaterializedInstance(const MaterializedInstance&) = delete;
+  MaterializedInstance& operator=(const MaterializedInstance&) = delete;
+
+  const CostDistanceInstance& instance() const { return instance_; }
+
+ private:
+  Graph graph_;
+  ArcCostView arc_costs_;
+  CostDistanceInstance instance_;
 };
 
 struct OracleOutcome {

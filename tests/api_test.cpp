@@ -728,8 +728,10 @@ TEST(OracleInstanceApi, MoveKeepsSelfReferencesValid) {
     held.push_back(OracleInstance(grid, costs, *net, weights, params));
   }
   OracleInstance& moved = held.front();
-  EXPECT_EQ(moved.instance().graph, &moved.window().graph())
+  EXPECT_EQ(moved.instance().box, &moved.window().box_graph())
       << "moved instance must still point at its own window";
+  EXPECT_EQ(moved.instance().cost, &moved.window().edge_costs());
+  EXPECT_EQ(moved.instance().delay, &moved.window().edge_delays());
   const OracleOutcome after = run_method(moved, SteinerMethod::kCD, params);
   EXPECT_EQ(after.grid_edges, before.grid_edges);
   EXPECT_DOUBLE_EQ(after.eval.objective, before.eval.objective);

@@ -7,6 +7,9 @@
 
 #include <array>
 #include <cmath>
+#include <memory>
+#include <set>
+#include <utility>
 
 #include "api/cd_solver.h"
 #include "core/cost_distance.h"
@@ -16,6 +19,7 @@
 #include "grid/future_cost.h"
 #include "topology/rsmt.h"
 #include "grid/routing_grid.h"
+#include "route/steiner_oracle.h"
 #include "util/rng.h"
 
 namespace cdst {
@@ -199,34 +203,105 @@ TEST_P(CostDistanceProperty, DeterministicGivenSeed) {
   EXPECT_EQ(r1.tree.nodes.size(), r2.tree.nodes.size());
 }
 
+/// A router-shaped tiny instance: one net's OracleInstance (a box instance,
+/// the production arc source) on a small RoutingGrid under uneven live
+/// prices, its window a margin-1 box around the pins.
+struct OracleFixture {
+  std::unique_ptr<RoutingGrid> grid;
+  std::unique_ptr<CongestionCosts> costs;
+  std::unique_ptr<OracleInstance> oi;
+};
+
+OracleFixture make_oracle_instance(std::uint64_t seed, std::size_t num_sinks,
+                                   double dbif) {
+  OracleFixture f;
+  f.grid = std::make_unique<RoutingGrid>(9, 8, make_default_layer_stack(3),
+                                         ViaSpec{});
+  f.costs = std::make_unique<CongestionCosts>(*f.grid);
+  Rng rng(seed);
+  const auto m = static_cast<std::uint64_t>(f.grid->graph().num_edges());
+  for (int k = 0; k < 150; ++k) {
+    f.costs->add_usage({static_cast<EdgeId>(rng.uniform(m))}, +1.0);
+  }
+  std::set<std::pair<std::int32_t, std::int32_t>> used;
+  const auto pick = [&] {
+    while (true) {
+      const auto x = static_cast<std::int32_t>(rng.uniform(5)) + 2;
+      const auto y = static_cast<std::int32_t>(rng.uniform(4)) + 2;
+      if (used.insert({x, y}).second) return Point3{x, y, 0};
+    }
+  };
+  Net net;
+  net.source = pick();
+  std::vector<double> weights;
+  for (std::size_t s = 0; s < num_sinks; ++s) {
+    net.sinks.push_back(SinkPin{pick(), 0.0});
+    weights.push_back(std::exp(rng.uniform_double(-2.0, 2.0)));
+  }
+  OracleParams params;
+  params.dbif = dbif;
+  params.window_margin = 1;
+  params.window_margin_frac = 0.0;
+  f.oi = std::make_unique<OracleInstance>(*f.grid, *f.costs, net, weights,
+                                          params);
+  return f;
+}
+
 TEST_P(CostDistanceProperty, NearOptimalOnTinyInstances) {
   // Compare against the exact enumeration oracle under every solver
   // toggle: queue kind, A*, component discounts, Steiner placement, root
   // encouragement and pooled search state (64 combinations, each with its
   // own seed). Theorem 6 guarantees O(log t) in expectation; on 2-4 sink
-  // instances the practical algorithm lands much closer — enforce a
-  // generous factor 2.
+  // CSR instances with random congestion the practical algorithm lands
+  // much closer — enforce a generous factor 2 there.
+  //
+  // The second input is a router oracle instance, solved on its box (the
+  // production arc source) and enumerated exactly on its materialized CSR:
+  // the box solve must equal the CSR solve bit for bit and never beat the
+  // optimum. The factor-2 bound is not asserted on it: these windows are
+  // delay-dominated (sink weights up to e^2 against unit-cost wires, a
+  // 3.5x faster top layer), and CD does not hold it there — seed 7 at
+  // dbif 0 lands at about 2.0x under every toggle (its tree never reaches
+  // the fast layer, where L1/SL/PD embed within 1.05x), seed 5 at 3.15x
+  // under one toggle. ROADMAP item 5 tracks that gap.
   const std::size_t num_sinks = 2 + GetParam() % 3;
+  const auto options = [&](const FutureCostOracle* fc, int mask) {
+    SolverOptions o;
+    o.future_cost = fc;
+    o.use_astar = (mask & 1) != 0;
+    o.queue = (mask & 2) != 0 ? QueueKind::kSingleLazy : QueueKind::kTwoLevel;
+    o.discount_components = (mask & 4) != 0;
+    o.better_steiner_placement = (mask & 8) != 0;
+    o.encourage_root = (mask & 16) != 0;
+    o.pool_search_state = (mask & 32) != 0;
+    o.seed = GetParam() * 64 + static_cast<std::uint64_t>(mask);
+    return o;
+  };
   for (const double dbif : {0.0, 4.0}) {
+    SCOPED_TRACE(testing::Message() << "dbif " << dbif);
     GridInstance gi =
         make_grid_instance(GetParam() * 1313, 6, 6, 3, num_sinks, dbif);
     const ExactResult exact = solve_exact(gi.inst);
+    const OracleFixture f =
+        make_oracle_instance(GetParam() * 2029, num_sinks, dbif);
+    ASSERT_NE(f.oi->instance().box, nullptr);
+    const MaterializedInstance csr(*f.oi);
+    const ExactResult oracle_exact = solve_exact(csr.instance());
     for (int mask = 0; mask < 64; ++mask) {
-      SolverOptions o = with_fc(gi, (mask & 1) != 0);
-      o.queue =
-          (mask & 2) != 0 ? QueueKind::kSingleLazy : QueueKind::kTwoLevel;
-      o.discount_components = (mask & 4) != 0;
-      o.better_steiner_placement = (mask & 8) != 0;
-      o.encourage_root = (mask & 16) != 0;
-      o.pool_search_state = (mask & 32) != 0;
-      o.seed = GetParam() * 64 + static_cast<std::uint64_t>(mask);
-      SCOPED_TRACE(testing::Message()
-                   << "dbif " << dbif << ", toggle mask " << mask);
-      const auto r = solve(gi.inst, o);
+      SCOPED_TRACE(testing::Message() << "toggle mask " << mask);
+      const auto r = solve(gi.inst, options(gi.fc.get(), mask));
       EXPECT_GE(r.eval.objective, exact.eval.objective - 1e-6)
           << "nothing beats the exact optimum";
       EXPECT_LE(r.eval.objective, 2.0 * exact.eval.objective)
           << "approximation far above the expected practical quality";
+
+      const SolverOptions o = options(&f.oi->future_cost(), mask);
+      const auto on_box = solve(f.oi->instance(), o);
+      const auto on_csr = solve(csr.instance(), o);
+      EXPECT_EQ(on_box.tree.all_edges(), on_csr.tree.all_edges());
+      EXPECT_EQ(on_box.eval.objective, on_csr.eval.objective);
+      EXPECT_GE(on_box.eval.objective, oracle_exact.eval.objective - 1e-6)
+          << "nothing beats the exact optimum (oracle instance)";
     }
   }
 }

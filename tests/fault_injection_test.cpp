@@ -44,13 +44,13 @@ using testutil::stress_light;
 
 // The sweep manifest: every CDST_FAULT_POINT site compiled into src/.
 constexpr const char* kFaultSiteManifest[] = {
-    "arcplane.assign",
     "dist.transport",
     "pool.task",
     "router.shard",
     "serve.admit",
     "solver.budget_reserve",
     "stream.dispatch",
+    "window.rebuild",
 };
 
 /// Smaller than testutil::tiny_chip(): the sweep and the restore matrix run

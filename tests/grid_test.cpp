@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "graph/dijkstra.h"
 #include "grid/cost_model.h"
@@ -182,6 +185,224 @@ TEST(FutureCost, BoundsAreAdmissible) {
   }
 }
 
+/// Grids for the exhaustive id and window checks: 2, 9 and 15 layers of
+/// the default stack (1 wire type below the middle, 2 above), a stack that
+/// starts vertical with 2 wire types everywhere, and the degenerate
+/// one-column and one-row shapes.
+std::vector<RoutingGrid> id_test_grids() {
+  std::vector<RoutingGrid> grids;
+  grids.emplace_back(7, 6, make_default_layer_stack(2), ViaSpec{});
+  grids.emplace_back(9, 8, make_default_layer_stack(9), ViaSpec{});
+  grids.emplace_back(6, 7, make_default_layer_stack(15), ViaSpec{});
+  std::vector<LayerSpec> vertical_first = make_default_layer_stack(4);
+  for (LayerSpec& l : vertical_first) {
+    l.dir = l.dir == LayerDir::kHorizontal ? LayerDir::kVertical
+                                           : LayerDir::kHorizontal;
+    if (l.wire_types.size() == 1) l.wire_types.push_back(l.wire_types[0]);
+  }
+  grids.emplace_back(5, 6, vertical_first, ViaSpec{});
+  grids.emplace_back(1, 6, make_default_layer_stack(3), ViaSpec{});
+  grids.emplace_back(6, 1, make_default_layer_stack(3), ViaSpec{});
+  grids.emplace_back(1, 1, make_default_layer_stack(2), ViaSpec{});
+  return grids;
+}
+
+TEST(RoutingGrid, EdgeAndResourceArithmeticMatchesGraph) {
+  for (const RoutingGrid& g : id_test_grids()) {
+    SCOPED_TRACE(std::to_string(g.nx()) + "x" + std::to_string(g.ny()) +
+                 "x" + std::to_string(g.nz()));
+    const Graph& gg = g.graph();
+    // Every edge is where the accessors say, with the accessors' resource.
+    for (EdgeId e = 0; e < gg.num_edges(); ++e) {
+      const RoutingGrid::EdgeInfo& info = g.edge_info(e);
+      const Point3 a = g.position(gg.tail(e));
+      const Point3 b = g.position(gg.head(e));
+      ASSERT_EQ(a.z, info.layer) << "edge " << e;
+      if (info.is_via) {
+        ASSERT_EQ(g.via_edge(a.x, a.y, a.z), e);
+        ASSERT_EQ(g.via_resource(a.x, a.y, a.z), info.resource);
+        ASSERT_EQ(b, (Point3{a.x, a.y, a.z + 1}));
+      } else {
+        ASSERT_EQ(g.wire_edge(a.x, a.y, a.z, info.wire_type), e);
+        ASSERT_EQ(g.wire_resource(a.x, a.y, a.z), info.resource);
+        const bool horizontal =
+            g.layers()[info.layer].dir == LayerDir::kHorizontal;
+        const Point3 next = horizontal ? Point3{a.x + 1, a.y, a.z}
+                                       : Point3{a.x, a.y + 1, a.z};
+        ASSERT_EQ(b, next);
+      }
+    }
+    // ...and the accessors name every edge exactly once.
+    std::vector<int> named(gg.num_edges(), 0);
+    for (std::int32_t z = 0; z < g.nz(); ++z) {
+      const LayerSpec& l = g.layers()[static_cast<std::size_t>(z)];
+      const bool horizontal = l.dir == LayerDir::kHorizontal;
+      std::size_t wires = 0;
+      for (std::int32_t y = 0; y < g.ny(); ++y) {
+        for (std::int32_t x = 0; x < g.nx(); ++x) {
+          if (z + 1 < g.nz()) ++named[g.via_edge(x, y, z)];
+          if (horizontal ? x + 1 == g.nx() : y + 1 == g.ny()) continue;
+          for (std::uint32_t w = 0; w < l.wire_types.size(); ++w) {
+            ++named[g.wire_edge(x, y, z, w)];
+            ++wires;
+          }
+        }
+      }
+      // A horizontal layer one gcell wide (or a vertical one one gcell
+      // tall) has no wire edges.
+      if (horizontal ? g.nx() == 1 : g.ny() == 1) EXPECT_EQ(wires, 0u);
+    }
+    for (EdgeId e = 0; e < gg.num_edges(); ++e) {
+      ASSERT_EQ(named[e], 1) << "edge " << e;
+    }
+  }
+}
+
+/// The window the seed materialized per net, rebuilt here from the grid's
+/// adjacency alone: window edge e is the e-th grid edge reached from the
+/// window vertices in order (tail < head). The reference to_grid_edge map.
+std::vector<EdgeId> reference_window_edges(const RoutingGrid& grid,
+                                           const RoutingWindow& w) {
+  std::vector<EdgeId> out;
+  for (VertexId wv = 0; wv < w.box_graph().num_vertices(); ++wv) {
+    const VertexId gv = w.to_grid_vertex(wv);
+    for (const Graph::Arc& a : grid.graph().arcs(gv)) {
+      if (a.to > gv && w.box().contains(grid.position(a.to).xy())) {
+        out.push_back(a.edge);
+      }
+    }
+  }
+  return out;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(Window, BoxAdjacencyEqualsMaterializedCsr) {
+  // The window-free oracle's contract: per vertex, the arcs the box
+  // generates equal the materialized CSR's arcs in count, order, heads and
+  // edges; every window edge maps to the grid edge the seed's window build
+  // gave it, with the same endpoints; and the planes hold, bit for bit, the
+  // price of that grid edge under each pricing mode and its delay.
+  enum class Mode { kLive, kSnapshot, kSnapshotExcluding };
+  Rng rng(20261018);
+  for (const RoutingGrid& grid : id_test_grids()) {
+    SCOPED_TRACE(std::to_string(grid.nx()) + "x" + std::to_string(grid.ny()) +
+                 "x" + std::to_string(grid.nz()));
+    CongestionCosts costs(grid);
+    const std::size_t m = grid.graph().num_edges();
+    std::vector<EdgeId> route;
+    for (int k = 0; k < 40; ++k) {
+      route.push_back(static_cast<EdgeId>(rng.uniform(m)));
+    }
+    costs.add_usage(route, +1.0);
+    const std::vector<double> snapshot = costs.edge_cost_vector();
+    // Live prices move on after the snapshot, so a window that read live
+    // prices in a snapshot mode would show.
+    std::vector<EdgeId> later;
+    for (int k = 0; k < 40; ++k) {
+      later.push_back(static_cast<EdgeId>(rng.uniform(m)));
+    }
+    costs.add_usage(later, +1.0);
+    SparseMap<double> excluded;
+    for (std::size_t k = 0; k < route.size(); k += 2) {
+      const RoutingGrid::EdgeInfo& info = grid.edge_info(route[k]);
+      excluded[info.resource] += info.width;
+    }
+
+    std::vector<Rect> boxes;
+    const auto box_of = [](std::int32_t xlo, std::int32_t ylo,
+                           std::int32_t xhi, std::int32_t yhi) {
+      Rect r;
+      r.expand(Point2{xlo, ylo});
+      r.expand(Point2{xhi, yhi});
+      return r;
+    };
+    const std::int32_t nx = grid.nx();
+    const std::int32_t ny = grid.ny();
+    boxes.push_back(box_of(0, 0, nx - 1, ny - 1));         // whole grid
+    boxes.push_back(box_of(-3, -3, nx + 3, ny + 3));       // clipped all round
+    boxes.push_back(box_of(nx / 2, -2, nx / 2, ny + 2));   // 1 gcell wide
+    boxes.push_back(box_of(-2, ny / 2, nx + 2, ny / 2));   // 1 gcell tall
+    boxes.push_back(box_of(nx / 2, ny / 2, nx / 2, ny / 2));  // one gcell
+    for (int k = 0; k < 6; ++k) {
+      const auto lo = [&](std::int32_t n) {
+        return static_cast<std::int32_t>(rng.uniform(
+                   static_cast<std::uint64_t>(n + 2))) - 2;
+      };
+      // Low corners up to 2 gcells outside, high corners anywhere from the
+      // grid's first gcell to 2 outside: every box meets the grid.
+      const std::int32_t xlo = lo(nx), ylo = lo(ny);
+      boxes.push_back(box_of(
+          xlo, ylo,
+          std::max(xlo, 0) + static_cast<std::int32_t>(rng.uniform(
+                                 static_cast<std::uint64_t>(nx + 2))),
+          std::max(ylo, 0) + static_cast<std::int32_t>(rng.uniform(
+                                 static_cast<std::uint64_t>(ny + 2)))));
+    }
+
+    for (const Mode mode :
+         {Mode::kLive, Mode::kSnapshot, Mode::kSnapshotExcluding}) {
+      const RoundPricing pricing{
+          snapshot, mode == Mode::kSnapshotExcluding ? &excluded : nullptr};
+      const auto expected_cost = [&](EdgeId ge) {
+        if (mode == Mode::kLive) return costs.edge_cost(ge);
+        const double* ex =
+            mode == Mode::kSnapshotExcluding
+                ? excluded.find(grid.edge_info(ge).resource)
+                : nullptr;
+        return ex == nullptr ? snapshot[ge]
+                             : costs.edge_cost_excluding(ge, *ex);
+      };
+      for (const Rect& box : boxes) {
+        const RoutingWindow w(grid, costs, box,
+                              mode == Mode::kLive ? nullptr : &pricing);
+        const Rect clipped = RoutingWindow::clip(grid, box);
+        ASSERT_EQ(w.box(), clipped);
+        const BoxGraph& bg = w.box_graph();
+        const Graph csr = w.materialize();
+        const std::vector<EdgeId> ref = reference_window_edges(grid, w);
+        ASSERT_EQ(bg.num_vertices(),
+                  static_cast<std::size_t>((clipped.width() + 1) *
+                                           (clipped.height() + 1)) *
+                      static_cast<std::size_t>(grid.nz()));
+        ASSERT_EQ(csr.num_vertices(), bg.num_vertices());
+        ASSERT_EQ(csr.num_edges(), bg.num_edges());
+        ASSERT_EQ(ref.size(), bg.num_edges());
+        ASSERT_EQ(w.edge_costs().size(), bg.num_edges());
+        ASSERT_EQ(w.edge_delays().size(), bg.num_edges());
+
+        std::vector<VertexId> heads(bg.max_degree());
+        std::vector<EdgeId> edges(bg.max_degree());
+        for (VertexId v = 0; v < bg.num_vertices(); ++v) {
+          const std::uint32_t deg = bg.arcs(v, heads.data(), edges.data());
+          const std::span<const Graph::Arc> arcs = csr.arcs(v);
+          ASSERT_EQ(deg, arcs.size()) << "vertex " << v;
+          ASSERT_LE(deg, bg.max_degree());
+          for (std::uint32_t k = 0; k < deg; ++k) {
+            ASSERT_EQ(heads[k], arcs[k].to) << "vertex " << v << " arc " << k;
+            ASSERT_EQ(edges[k], arcs[k].edge)
+                << "vertex " << v << " arc " << k;
+            const EdgeId ge = w.to_grid_edge(edges[k]);
+            ASSERT_EQ(ge, ref[edges[k]]) << "vertex " << v << " arc " << k;
+            ASSERT_EQ(bits(w.edge_costs()[edges[k]]), bits(expected_cost(ge)))
+                << "vertex " << v << " arc " << k;
+            ASSERT_EQ(bits(w.edge_delays()[edges[k]]),
+                      bits(grid.edge_delays()[ge]))
+                << "vertex " << v << " arc " << k;
+          }
+        }
+        for (EdgeId e = 0; e < bg.num_edges(); ++e) {
+          ASSERT_EQ(bg.tail(e), csr.tail(e)) << "edge " << e;
+          ASSERT_EQ(bg.head(e), csr.head(e)) << "edge " << e;
+          const EdgeId ge = ref[e];
+          ASSERT_EQ(w.to_grid_vertex(bg.tail(e)), grid.graph().tail(ge));
+          ASSERT_EQ(w.to_grid_vertex(bg.head(e)), grid.graph().head(ge));
+        }
+      }
+    }
+  }
+}
+
 TEST(Window, MapsVerticesAndEdgesBack) {
   const RoutingGrid g = small_grid(10, 10, 3);
   CongestionCosts costs(g);
@@ -189,10 +410,11 @@ TEST(Window, MapsVerticesAndEdgesBack) {
   box.expand(Point2{2, 3});
   box.expand(Point2{6, 7});
   const RoutingWindow w(g, costs, box);
-  EXPECT_EQ(w.graph().num_vertices(), 5u * 5u * 3u);
+  const BoxGraph& bg = w.box_graph();
+  EXPECT_EQ(bg.num_vertices(), 5u * 5u * 3u);
 
   // Round-trip all window vertices.
-  for (VertexId wv = 0; wv < w.graph().num_vertices(); ++wv) {
+  for (VertexId wv = 0; wv < bg.num_vertices(); ++wv) {
     const VertexId gv = w.to_grid_vertex(wv);
     EXPECT_EQ(w.from_grid_vertex(gv), wv);
     EXPECT_TRUE(box.contains(g.position(gv).xy()));
@@ -201,9 +423,9 @@ TEST(Window, MapsVerticesAndEdgesBack) {
   EXPECT_EQ(w.from_grid_vertex(g.vertex_at(0, 0, 0)), kInvalidVertex);
 
   // Window edges correspond to grid edges with identical endpoints.
-  for (EdgeId we = 0; we < w.graph().num_edges(); ++we) {
+  for (EdgeId we = 0; we < bg.num_edges(); ++we) {
     const EdgeId ge = w.to_grid_edge(we);
-    const VertexId wa = w.graph().tail(we), wb = w.graph().head(we);
+    const VertexId wa = bg.tail(we), wb = bg.head(we);
     const VertexId ga = g.graph().tail(ge), gb = g.graph().head(ge);
     const bool match = (w.to_grid_vertex(wa) == ga &&
                         w.to_grid_vertex(wb) == gb) ||
@@ -222,8 +444,8 @@ TEST(Window, ClipsToGrid) {
   box.expand(Point2{-10, -10});
   box.expand(Point2{100, 100});
   const RoutingWindow w(g, costs, box);
-  EXPECT_EQ(w.graph().num_vertices(), g.graph().num_vertices());
-  EXPECT_EQ(w.graph().num_edges(), g.graph().num_edges());
+  EXPECT_EQ(w.box_graph().num_vertices(), g.graph().num_vertices());
+  EXPECT_EQ(w.box_graph().num_edges(), g.graph().num_edges());
 }
 
 TEST(Window, PricesReflectCongestion) {
@@ -245,7 +467,7 @@ TEST(Window, PricesReflectCongestion) {
   box.expand(Point2{7, 7});
   const RoutingWindow w(g, costs, box);
   bool found_expensive = false;
-  for (EdgeId we = 0; we < w.graph().num_edges(); ++we) {
+  for (EdgeId we = 0; we < w.box_graph().num_edges(); ++we) {
     if (w.to_grid_edge(we) == wire) {
       EXPECT_GT(w.edge_costs()[we], 2.0 * g.edge_info(wire).unit_cost);
       found_expensive = true;

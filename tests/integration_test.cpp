@@ -73,7 +73,8 @@ TEST(Integration, RouterInstancesSolveConsistentlyAcrossMethods) {
     }
     // On tiny instances the exact oracle must lower-bound all methods.
     if (k <= 4) {
-      const ExactResult exact = solve_exact(oi.instance());
+      const ExactResult exact =
+          solve_exact(MaterializedInstance(oi).instance());
       EXPECT_LE(exact.eval.objective, best + 1e-6);
     }
     costs.add_usage(warm.routes[i], +1.0);
@@ -136,7 +137,7 @@ TEST(Integration, RouterInstanceSurvivesSerializationRoundTrip) {
   const OracleInstance oi(grid, costs, net, weights, params);
 
   std::stringstream ss;
-  write_instance(ss, oi.instance());
+  write_instance(ss, MaterializedInstance(oi).instance());
   const OwnedInstance loaded = read_instance(ss);
 
   SolverOptions so;  // generic-graph mode on both sides for comparability
@@ -163,7 +164,7 @@ TEST(Integration, SingleGcellWindowRoutesThroughViaStack) {
   params.window_margin_frac = 0.0;
   const std::vector<double> sink_weights{1.0, 2.0};
   const OracleInstance oi(grid, costs, net, sink_weights, params);
-  EXPECT_EQ(oi.window().graph().num_vertices(), 4u);  // 1 gcell x 4 layers
+  EXPECT_EQ(oi.window().box_graph().num_vertices(), 4u);  // 1 gcell x 4 layers
   const OracleOutcome out = run_method(oi, SteinerMethod::kCD, params);
   EXPECT_DOUBLE_EQ(out.eval.objective, 0.0);
 }

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <span>
 #include <vector>
 
 #include "api/router.h"
@@ -12,7 +11,6 @@
 #include "route/netlist_gen.h"
 #include "route/router.h"
 #include "route/steiner_oracle.h"
-#include "util/simd.h"
 #include "util/sparse_map.h"
 
 namespace cdst {
@@ -145,58 +143,49 @@ TEST(SteinerOracle, InstanceMapsPinsIntoWindow) {
   }
 }
 
-template <class T>
-std::vector<T> to_vector(std::span<const T> s) {
-  return {s.begin(), s.end()};
-}
-
-/// Field-by-field exact comparison of two materialized oracle instances,
-/// down to the arc strips' zero pad and the CD solve they produce.
+/// Field-by-field exact comparison of two oracle instances — box shape,
+/// generated arcs, id maps and planes — down to the CD solve they produce.
 void expect_same_instance(const OracleInstance& got,
                           const OracleInstance& want,
                           const OracleParams& params) {
   const RoutingWindow& gw = got.window();
   const RoutingWindow& ww = want.window();
-  const Graph& gg = gw.graph();
-  const Graph& wg = ww.graph();
+  const BoxGraph& gb = gw.box_graph();
+  const BoxGraph& wb = ww.box_graph();
   EXPECT_EQ(gw.box(), ww.box());
-  ASSERT_EQ(gg.num_vertices(), wg.num_vertices());
-  ASSERT_EQ(gg.num_edges(), wg.num_edges());
-  ASSERT_EQ(gg.num_arcs(), wg.num_arcs());
-  for (VertexId v = 0; v < gg.num_vertices(); ++v) {
-    EXPECT_EQ(gg.arc_begin(v), wg.arc_begin(v)) << "vertex " << v;
-    EXPECT_EQ(gg.arc_end(v), wg.arc_end(v)) << "vertex " << v;
+  ASSERT_EQ(gb.wx(), wb.wx());
+  ASSERT_EQ(gb.wy(), wb.wy());
+  ASSERT_EQ(gb.nz(), wb.nz());
+  ASSERT_EQ(gb.num_vertices(), wb.num_vertices());
+  ASSERT_EQ(gb.num_edges(), wb.num_edges());
+  ASSERT_EQ(gb.max_degree(), wb.max_degree());
+  std::vector<VertexId> gh(gb.max_degree()), wh(wb.max_degree());
+  std::vector<EdgeId> ge(gb.max_degree()), we(wb.max_degree());
+  for (VertexId v = 0; v < gb.num_vertices(); ++v) {
+    const std::uint32_t gd = gb.arcs(v, gh.data(), ge.data());
+    ASSERT_EQ(gd, wb.arcs(v, wh.data(), we.data())) << "vertex " << v;
+    for (std::uint32_t k = 0; k < gd; ++k) {
+      EXPECT_EQ(gh[k], wh[k]) << "vertex " << v << " arc " << k;
+      EXPECT_EQ(ge[k], we[k]) << "vertex " << v << " arc " << k;
+    }
     EXPECT_EQ(gw.to_grid_vertex(v), ww.to_grid_vertex(v)) << "vertex " << v;
   }
-  EXPECT_EQ(to_vector(gg.arc_heads()), to_vector(wg.arc_heads()));
-  EXPECT_EQ(to_vector(gg.arc_edges()), to_vector(wg.arc_edges()));
-  for (EdgeId e = 0; e < gg.num_edges(); ++e) {
-    EXPECT_EQ(gg.tail(e), wg.tail(e)) << "edge " << e;
-    EXPECT_EQ(gg.head(e), wg.head(e)) << "edge " << e;
+  for (EdgeId e = 0; e < gb.num_edges(); ++e) {
+    EXPECT_EQ(gb.tail(e), wb.tail(e)) << "edge " << e;
+    EXPECT_EQ(gb.head(e), wb.head(e)) << "edge " << e;
     EXPECT_EQ(gw.to_grid_edge(e), ww.to_grid_edge(e)) << "edge " << e;
   }
   EXPECT_EQ(gw.edge_costs(), ww.edge_costs());
   EXPECT_EQ(gw.edge_delays(), ww.edge_delays());
   EXPECT_EQ(gw.positions(), ww.positions());
 
-  const ArcCostView& ga = gw.arc_costs();
-  const ArcCostView& wa = ww.arc_costs();
-  EXPECT_EQ(ga.graph(), &gg);
-  EXPECT_EQ(to_vector(ga.arc_cost()), to_vector(wa.arc_cost()));
-  EXPECT_EQ(to_vector(ga.arc_delay()), to_vector(wa.arc_delay()));
-  EXPECT_EQ(to_vector(ga.arc_layer()), to_vector(wa.arc_layer()));
-  EXPECT_EQ(to_vector(ga.edge_cost()), to_vector(wa.edge_cost()));
-  EXPECT_EQ(to_vector(ga.edge_delay()), to_vector(wa.edge_delay()));
-  const std::size_t na = gg.num_arcs();
-  for (std::size_t a = na; a < na + kRelaxStrip; ++a) {
-    EXPECT_EQ(ga.arc_cost_data()[a], 0.0) << "pad " << a - na;
-    EXPECT_EQ(ga.arc_delay_data()[a], 0.0) << "pad " << a - na;
-  }
-
   const CostDistanceInstance& gi = got.instance();
   const CostDistanceInstance& wi = want.instance();
-  EXPECT_EQ(gi.graph, &gg);
-  EXPECT_EQ(gi.arc_costs, &ga);
+  EXPECT_EQ(gi.box, &gb);
+  EXPECT_EQ(gi.graph, nullptr);
+  EXPECT_EQ(gi.arc_costs, nullptr);
+  EXPECT_EQ(gi.cost, &gw.edge_costs());
+  EXPECT_EQ(gi.delay, &gw.edge_delays());
   EXPECT_EQ(gi.root, wi.root);
   EXPECT_EQ(gi.dbif, wi.dbif);
   EXPECT_EQ(gi.eta, wi.eta);
