@@ -156,14 +156,20 @@ class SearchStatePool {
   /// DenseStateBudget pool) — sparse states cost O(touched) memory and skip
   /// the future-bound memo, with identical results. Reclaims every state
   /// allocated by earlier solves — including states left un-released when a
-  /// cancellation unwound a solve mid-flight.
+  /// cancellation unwound a solve mid-flight. The free stack is filled in
+  /// reverse, so acquire() hands states out in creation order: a solve draws
+  /// the same states whatever larger solves have added behind them, and
+  /// each state's arena settles at its largest use after one pass over a
+  /// workload.
   void configure(std::size_t num_vertices, bool pooled, bool dense) {
     n_ = num_vertices;
     pooled_ = pooled;
     dense_ = dense;
     free_.clear();
     free_.reserve(all_.size());
-    for (const auto& st : all_) free_.push_back(st.get());
+    for (auto it = all_.rbegin(); it != all_.rend(); ++it) {
+      free_.push_back(it->get());
+    }
   }
 
   /// Drops every retained state (h-generation wrap fence; see solve setup).
@@ -226,7 +232,8 @@ struct Component {
 /// Priority-queue facade: the paper's two-level structure (III-B) or a
 /// single lazy binary heap for the ablation. Lazy mode pushes duplicates and
 /// relies on the solver's settled/stale checks to skip superseded entries,
-/// which is exactly how single-heap Dijkstra implementations work.
+/// which is exactly how single-heap Dijkstra implementations work. Lives in
+/// the SolverScratch and is reset per solve, keeping its storage.
 class SolverQueue {
  public:
   struct Min {
@@ -235,7 +242,13 @@ class SolverQueue {
     double key;
   };
 
-  explicit SolverQueue(QueueKind kind) : kind_(kind) {}
+  /// Empties both queues — including whatever a cancelled or failed solve
+  /// left behind — and selects the organization for the next solve.
+  void reset(QueueKind kind) {
+    kind_ = kind;
+    two_level_.clear();
+    lazy_.clear();
+  }
 
   bool empty() const {
     return kind_ == QueueKind::kTwoLevel ? two_level_.empty() : lazy_.empty();
@@ -283,7 +296,7 @@ class SolverQueue {
     bool operator<(const LazyEntry& o) const { return key < o.key; }
   };
 
-  QueueKind kind_;
+  QueueKind kind_{QueueKind::kTwoLevel};
   TwoLevelHeap<double> two_level_;
   DAryQueue<LazyEntry, 4> lazy_;
 };
@@ -292,9 +305,17 @@ class SolverQueue {
 
 /// The recycled allocations behind a SolverScratch. Defined here (and only
 /// here) because the members are internal solver machinery; the header hands
-/// out an opaque handle. One Impl serves one solve at a time.
+/// out an opaque handle. One Impl serves one solve at a time. Every member
+/// is reset at solve setup and keeps its capacity, so a warm solve
+/// allocates only its result.
 struct SolverScratch::Impl {
   SearchStatePool state_pool;
+  SolverQueue queue;
+  /// Active-terminal index behind the A* bounds.
+  L1NearestNeighbor nn;
+  TreeAssembler assembler;
+  TreeValidator validator;
+  TreeEvalScratch eval;
   std::vector<Component> comps;
   std::vector<std::uint32_t> dsu_parent;
   std::vector<Search> searches;
@@ -352,8 +373,8 @@ class Solver {
         c_(*inst.cost),
         d_(*inst.delay),
         plane_(inst.arc_costs),
-        assembler_(inst.endpoints()),
-        heap_(opts.queue),
+        assembler_(scratch.assembler),
+        heap_(scratch.queue),
         scratch_(scratch),
         state_pool_(scratch.state_pool),
         comps_(scratch.comps),
@@ -364,6 +385,7 @@ class Solver {
         edge_owned_bits_(scratch.edge_owned_bits),
         path_verts_(scratch.path_verts),
         path_edges_(scratch.path_edges),
+        nn_(scratch.nn),
         controls_(controls),
         rng_(opts.seed) {
     astar_on_ = opts_.use_astar && opts_.future_cost != nullptr;
@@ -431,9 +453,10 @@ class Solver {
     SolveResult result;
     result.tree = assembler_.finalize();
     if (opts_.validate_result) {
-      result.tree.validate(inst_.endpoints(), inst_.sinks.size());
+      scratch_.validator.validate(result.tree, inst_.endpoints(),
+                                  inst_.sinks.size());
     }
-    result.eval = evaluate_tree(result.tree, inst_);
+    result.eval = evaluate_tree(result.tree, inst_, scratch_.eval);
     result.stats = stats_;
     return result;
   }
@@ -495,6 +518,8 @@ class Solver {
     comps_.clear();
     dsu_parent_.clear();
     searches_.clear();
+    heap_.reset(opts_.queue);
+    assembler_.reset(inst_.endpoints());
     vertex_owner_.clear();
     edge_owner_.clear();
     edge_owned_bits_.assign((inst_.num_edges() + 63) / 64, 0);
@@ -532,9 +557,9 @@ class Solver {
     if (astar_on_) {
       fc_min_unit_cost_ = opts_.future_cost->min_unit_cost();
       fc_min_unit_delay_ = opts_.future_cost->min_unit_delay();
-      nn_ = std::make_unique<L1NearestNeighbor>(nn_bucket_size());
+      nn_.reset(nn_bucket_size());
       for (std::uint32_t i = 0; i <= t; ++i) {
-        nn_->insert(i, xy_of(comps_[i].terminal));
+        nn_.insert(i, xy_of(comps_[i].terminal));
       }
     }
 
@@ -634,7 +659,7 @@ class Solver {
     if (cost_ok) h += fc.cost_lb(x, rootv);
 
     // Nearest other terminal in the plane.
-    const std::int64_t nd = nn_->nearest_distance(x_xy, comp);
+    const std::int64_t nd = nn_.nearest_distance(x_xy, comp);
     if (nd != std::numeric_limits<std::int64_t>::max()) {
       const double dist = static_cast<double>(nd);
       double ht = dist * w * fc_min_unit_delay_;
@@ -704,7 +729,7 @@ class Solver {
     for (std::uint32_t k = 0; k < cnt; ++k) {
       double hk = h4[k];
       // Nearest other terminal in the plane.
-      const std::int64_t nd = nn_->nearest_distance(pb_.xy(xs[k]), comp);
+      const std::int64_t nd = nn_.nearest_distance(pb_.xy(xs[k]), comp);
       if (nd != std::numeric_limits<std::int64_t>::max()) {
         const double dist = static_cast<double>(nd);
         double ht = dist * w * fc_min_unit_delay_;
@@ -1070,9 +1095,9 @@ class Solver {
     if (!comps_[o].is_root) deactivate_search(o);
 
     if (astar_on_) {
-      if (nn_->active(u)) nn_->erase(u);
-      if (nn_->active(o)) nn_->erase(o);
-      nn_->insert(s, xy_of(cs.terminal));
+      if (nn_.active(u)) nn_.erase(u);
+      if (nn_.active(o)) nn_.erase(o);
+      nn_.insert(s, xy_of(cs.terminal));
     }
     // The active target set changed: every memoized future bound is stale.
     // Bumping the generation both invalidates surviving searches' memos and
@@ -1151,10 +1176,10 @@ class Solver {
   const ArcCostView* plane_{nullptr};  ///< SoA relax plane; null = per-edge
   std::size_t budget_reserved_{0};     ///< bytes held in the shared pool
 
-  TreeAssembler assembler_;
-  SolverQueue heap_;
   // Recycled allocations, owned by the SolverScratch (see SolverScratch::Impl
-  // above); cleared in init(), capacity retained across solves.
+  // above); reset in init(), capacity retained across solves.
+  TreeAssembler& assembler_;
+  SolverQueue& heap_;
   SolverScratch::Impl& scratch_;
   SearchStatePool& state_pool_;
   std::vector<Component>& comps_;
@@ -1166,6 +1191,7 @@ class Solver {
   /// Pooled merge() scratch for path reconstruction.
   std::vector<VertexId>& path_verts_;
   std::vector<EdgeId>& path_edges_;
+  L1NearestNeighbor& nn_;
 
   const SolveControls* controls_{nullptr};
   Rng rng_;
@@ -1174,7 +1200,6 @@ class Solver {
   PlaneBoundData pb_;  ///< SoA geometry plane; invalid -> virtual oracle
   double fc_min_unit_cost_{0.0};   ///< cached oracle minima (loop constants)
   double fc_min_unit_delay_{0.0};
-  std::unique_ptr<L1NearestNeighbor> nn_;
 
   std::uint32_t root_comp_{0};
   std::uint32_t remaining_{0};

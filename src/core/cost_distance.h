@@ -236,11 +236,20 @@ struct SolveResult {
   SolveStats stats;
 };
 
-/// Recyclable solver workspace: the search-state pool (label arenas + dense
-/// vertex index arrays), ownership maps, component tables and path scratch of
-/// one solve, kept allocated between solves. A session (`CdSolver`) holds one
-/// SolverScratch per concurrent solve lane, so the production pattern of
-/// millions of oracle calls stops churning the allocator entirely.
+/// Recyclable solver workspace: everything one solve builds besides its
+/// result — the search-state pool (label arenas + dense vertex index
+/// arrays), the two-level label queue, the nearest-terminal index of the A*
+/// bounds, ownership maps, component tables, path scratch, the tree
+/// assembler and the working storage of tree validation and evaluation —
+/// kept allocated between solves. A session (`CdSolver`) holds one
+/// SolverScratch per concurrent solve lane.
+///
+/// Contract: a warm solve allocates only its result. Once a scratch has
+/// served solves at least as large, a solve against it makes no heap
+/// allocation besides the vectors its SolveResult owns (tree nodes, their
+/// up-paths and children lists, sink delays, node lambdas); tests/
+/// alloc_test.cpp counts this. Resetting costs what the previous solve
+/// touched, including a cancelled or failed solve's leftovers.
 ///
 /// Scratch contents never influence results: a solve against a recycled
 /// scratch is bit-identical to one against a fresh scratch (asserted by the

@@ -4,6 +4,13 @@ namespace cdst {
 
 TreeEvaluation evaluate_tree(const SteinerTree& tree,
                              const CostDistanceInstance& instance) {
+  TreeEvalScratch scratch;
+  return evaluate_tree(tree, instance, scratch);
+}
+
+TreeEvaluation evaluate_tree(const SteinerTree& tree,
+                             const CostDistanceInstance& instance,
+                             TreeEvalScratch& scratch) {
   instance.validate();
   const std::vector<double>& c = *instance.cost;
   const std::vector<double>& d = *instance.delay;
@@ -16,7 +23,8 @@ TreeEvaluation evaluate_tree(const SteinerTree& tree,
 
   // Subtree delay weights; nodes are stored in BFS order (parent < child),
   // so a reverse sweep accumulates bottom-up.
-  std::vector<double> subtree_weight(nn, 0.0);
+  std::vector<double>& subtree_weight = scratch.subtree_weight;
+  subtree_weight.assign(nn, 0.0);
   for (std::size_t i = nn; i-- > 0;) {
     const SteinerTree::Node& n = tree.nodes[i];
     if (n.sink_index >= 0) {
@@ -29,7 +37,8 @@ TreeEvaluation evaluate_tree(const SteinerTree& tree,
   }
 
   // Top-down delay accumulation with optimal lambda at every bifurcation.
-  std::vector<double> delay_from_root(nn, 0.0);
+  std::vector<double>& delay_from_root = scratch.delay_from_root;
+  delay_from_root.assign(nn, 0.0);
   for (std::size_t i = 1; i < nn; ++i) {
     const SteinerTree::Node& n = tree.nodes[i];
     const auto p = static_cast<std::size_t>(n.parent);

@@ -24,10 +24,22 @@ struct TreeEvaluation {
   std::size_t num_graph_edges{0};
 };
 
+/// Per-node temporaries of evaluate_tree, kept allocated between calls.
+struct TreeEvalScratch {
+  std::vector<double> subtree_weight;
+  std::vector<double> delay_from_root;
+};
+
 /// Computes Eq. (1)+(3) for the given tree. Lambda penalty shares at each
 /// bifurcation are assigned optimally per Eq. (2) from the subtree delay
 /// weights (the evaluator owns this choice; solvers need not record lambdas).
 TreeEvaluation evaluate_tree(const SteinerTree& tree,
                              const CostDistanceInstance& instance);
+
+/// The same evaluation with recycled temporaries: allocates only the
+/// returned evaluation's own vectors.
+TreeEvaluation evaluate_tree(const SteinerTree& tree,
+                             const CostDistanceInstance& instance,
+                             TreeEvalScratch& scratch);
 
 }  // namespace cdst

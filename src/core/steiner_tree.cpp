@@ -1,7 +1,6 @@
 #include "core/steiner_tree.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace cdst {
 
@@ -15,17 +14,30 @@ std::vector<EdgeId> SteinerTree::all_edges() const {
 
 void SteinerTree::validate(const EdgeEndpoints& g, std::size_t num_sinks,
                            bool allow_shared_edges) const {
+  TreeValidator().validate(*this, g, num_sinks, allow_shared_edges);
+}
+
+void TreeValidator::validate(const SteinerTree& tree, const EdgeEndpoints& g,
+                             std::size_t num_sinks, bool allow_shared_edges) {
+  const std::vector<SteinerTree::Node>& nodes = tree.nodes;
+  const std::vector<std::vector<std::int32_t>>& children = tree.children;
   CDST_CHECK(!nodes.empty());
   CDST_CHECK(nodes[0].parent == -1);
   CDST_CHECK(nodes[0].kind == NodeKind::kRoot);
   CDST_CHECK(children.size() == nodes.size());
 
-  std::vector<int> sink_seen(num_sinks, 0);
-  std::vector<std::size_t> out_degree(nodes.size(), 0);
-  std::unordered_set<EdgeId> used_edges;
+  std::vector<int>& sink_seen = sink_seen_;
+  std::vector<std::size_t>& out_degree = out_degree_;
+  sink_seen.assign(num_sinks, 0);
+  out_degree.assign(nodes.size(), 0);
+  // The bitset is all-zero between calls unless a throw cut a walk short.
+  if (dirty_) std::fill(used_edges_.begin(), used_edges_.end(), 0);
+  const std::size_t words = (g.num_edges() + 63) / 64;
+  if (used_edges_.size() < words) used_edges_.resize(words, 0);
+  dirty_ = true;
 
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const Node& n = nodes[i];
+    const SteinerTree::Node& n = nodes[i];
     if (i == 0) {
       CDST_CHECK(n.up_path.empty());
     } else {
@@ -36,7 +48,7 @@ void SteinerTree::validate(const EdgeEndpoints& g, std::size_t num_sinks,
       VertexId at = n.graph_vertex;
       for (const EdgeId e : n.up_path) {
         CDST_CHECK(e < g.num_edges());
-        CDST_CHECK_MSG(used_edges.insert(e).second || allow_shared_edges,
+        CDST_CHECK_MSG(mark_edge(e) || allow_shared_edges,
                        "graph edge used by two tree segments");
         const VertexId t = g.tail(e);
         const VertexId h = g.head(e);
@@ -53,6 +65,15 @@ void SteinerTree::validate(const EdgeEndpoints& g, std::size_t num_sinks,
       ++sink_seen[static_cast<std::size_t>(n.sink_index)];
     }
   }
+  // Every edge walked is in range, so clearing them restores the all-zero
+  // bitset in O(tree edges).
+  for (const SteinerTree::Node& n : nodes) {
+    for (const EdgeId e : n.up_path) {
+      used_edges_[e >> 6] &= ~(std::uint64_t{1} << (e & 63));
+    }
+  }
+  dirty_ = false;
+
   for (std::size_t s = 0; s < num_sinks; ++s) {
     CDST_CHECK_MSG(sink_seen[s] == 1, "sink missing or duplicated in tree");
   }
@@ -69,14 +90,37 @@ void SteinerTree::validate(const EdgeEndpoints& g, std::size_t num_sinks,
   }
 }
 
+void TreeAssembler::reset(const EdgeEndpoints& g) {
+  graph_ = g;
+  num_nodes_ = 0;
+  num_segs_ = 0;
+  loc_.clear();
+  root_ = kNoNode;
+}
+
 TreeAssembler::NodeId TreeAssembler::new_node(VertexId v, NodeKind kind,
                                               std::int32_t sink_index) {
-  nodes_.push_back(NodeRec{v, kind, sink_index, {}});
-  const auto id = static_cast<NodeId>(nodes_.size() - 1);
+  if (num_nodes_ == nodes_.size()) nodes_.emplace_back();
+  NodeRec& r = nodes_[num_nodes_];
+  r.v = v;
+  r.kind = kind;
+  r.sink_index = sink_index;
+  r.segs.clear();
+  const auto id = static_cast<NodeId>(num_nodes_++);
   // Terminals always own their vertex location; later writers (segments
   // passing through) may overwrite, which is fine — see node_at().
   loc_[v] = Loc{id, 0xffffffffu, 0};
   return id;
+}
+
+TreeAssembler::Seg& TreeAssembler::spare_seg(NodeId a, NodeId b) {
+  if (num_segs_ == segs_.size()) segs_.emplace_back();
+  Seg& s = segs_[num_segs_];
+  s.a = a;
+  s.b = b;
+  s.edges.clear();
+  s.verts.clear();
+  return s;
 }
 
 TreeAssembler::NodeId TreeAssembler::add_root(VertexId v) {
@@ -113,26 +157,23 @@ void TreeAssembler::reindex_segment(std::uint32_t seg_id) {
 
 TreeAssembler::NodeId TreeAssembler::split_segment(std::uint32_t seg_id,
                                                    std::uint32_t offset) {
-  Seg& s = segs_[seg_id];
-  CDST_ASSERT(offset > 0 && offset + 1 < s.verts.size());
-  const VertexId v = s.verts[offset];
+  CDST_ASSERT(offset > 0 && offset + 1 < segs_[seg_id].verts.size());
+  const VertexId v = segs_[seg_id].verts[offset];
   const NodeId mid = new_node(v, NodeKind::kSteiner, -1);
 
-  // Tail half becomes a new segment mid -> b.
-  Seg tail;
-  tail.a = mid;
-  tail.b = s.b;
+  // Tail half becomes a new segment mid -> b. Taking the spare record may
+  // grow segs_, so the head's reference is formed after it.
+  const NodeId old_b = segs_[seg_id].b;
+  Seg& tail = spare_seg(mid, old_b);
+  Seg& s = segs_[seg_id];
   tail.edges.assign(s.edges.begin() + offset, s.edges.end());
   tail.verts.assign(s.verts.begin() + offset, s.verts.end());
+  const auto tail_id = static_cast<std::uint32_t>(num_segs_++);
 
   // Head half: a -> mid (shrink in place).
-  const NodeId old_b = s.b;
   s.b = mid;
   s.edges.resize(offset);
   s.verts.resize(offset + 1);
-
-  const auto tail_id = static_cast<std::uint32_t>(segs_.size());
-  segs_.push_back(std::move(tail));
 
   // Fix adjacency: old_b loses seg_id, gains tail; mid gains both.
   auto& b_segs = nodes_[old_b].segs;
@@ -148,14 +189,14 @@ TreeAssembler::NodeId TreeAssembler::split_segment(std::uint32_t seg_id,
 
 void TreeAssembler::add_segment(NodeId a, NodeId b,
                                 std::span<const EdgeId> path) {
-  CDST_CHECK(a < nodes_.size() && b < nodes_.size());
+  CDST_CHECK(a < num_nodes_ && b < num_nodes_);
   if (a == b) {
     CDST_CHECK_MSG(path.empty(), "non-empty segment with equal endpoints");
     return;
   }
-  Seg s;
-  s.a = a;
-  s.b = b;
+  // Built in the spare record and committed only once the path checks out,
+  // so a rejected path leaves the structure as it was.
+  Seg& s = spare_seg(a, b);
   s.edges.assign(path.begin(), path.end());
   s.verts.reserve(path.size() + 1);
   VertexId at = nodes_[a].v;
@@ -169,19 +210,41 @@ void TreeAssembler::add_segment(NodeId a, NodeId b,
   }
   CDST_CHECK_MSG(at == nodes_[b].v, "segment path does not reach endpoint");
 
-  const auto seg_id = static_cast<std::uint32_t>(segs_.size());
-  segs_.push_back(std::move(s));
+  const auto seg_id = static_cast<std::uint32_t>(num_segs_++);
   nodes_[a].segs.push_back(seg_id);
   nodes_[b].segs.push_back(seg_id);
   reindex_segment(seg_id);
 }
 
-SteinerTree TreeAssembler::finalize() const {
+SteinerTree TreeAssembler::finalize() {
   CDST_CHECK_MSG(root_ != kNoNode, "no root added");
 
-  // Work on a mutable copy so normalization can restructure.
-  std::vector<NodeRec> nodes = nodes_;
-  std::vector<Seg> segs = segs_;
+  // Work on a copy so normalization can restructure. The copies live in
+  // recycled members; segments carry only their endpoints and a reference
+  // to the assembled segment whose edges they embed.
+  std::vector<NodeRec>& nodes = fin_nodes_;
+  std::vector<FinSeg>& segs = fin_segs_;
+  std::size_t nn = 0;  // live records in `nodes`
+  auto acquire_node = [&](VertexId v, NodeKind kind,
+                          std::int32_t sink_index) -> NodeId {
+    if (nn == nodes.size()) nodes.emplace_back();
+    NodeRec& r = nodes[nn];
+    r.v = v;
+    r.kind = kind;
+    r.sink_index = sink_index;
+    r.segs.clear();
+    return static_cast<NodeId>(nn++);
+  };
+  for (std::size_t i = 0; i < num_nodes_; ++i) {
+    const NodeRec& src = nodes_[i];
+    const NodeId id = acquire_node(src.v, src.kind, src.sink_index);
+    nodes[id].segs.assign(src.segs.begin(), src.segs.end());
+  }
+  segs.clear();
+  for (std::size_t i = 0; i < num_segs_; ++i) {
+    segs.push_back(
+        FinSeg{segs_[i].a, segs_[i].b, static_cast<std::uint32_t>(i)});
+  }
 
   // --- Normalize: terminals must be leaves, internal degree <= 3. ---------
   // A terminal (root/sink) with degree k > (root ? 1 : 1 if attached ... )
@@ -189,21 +252,16 @@ SteinerTree TreeAssembler::finalize() const {
   // connected by a zero-length segment. Internal nodes with > 3 segments
   // split off extra segments onto twins chained at the same position.
   auto add_twin = [&](NodeId n) -> NodeId {
-    nodes.push_back(NodeRec{nodes[n].v, NodeKind::kSteiner, -1, {}});
-    return static_cast<NodeId>(nodes.size() - 1);
+    return acquire_node(nodes[n].v, NodeKind::kSteiner, -1);
   };
   auto add_zero_seg = [&](NodeId a, NodeId b) {
     const auto id = static_cast<std::uint32_t>(segs.size());
-    Seg z;
-    z.a = a;
-    z.b = b;
-    z.verts = {nodes[a].v};  // degenerate; not used for walking
-    segs.push_back(std::move(z));
+    segs.push_back(FinSeg{a, b, kNoSeg});
     nodes[a].segs.push_back(id);
     nodes[b].segs.push_back(id);
   };
   auto move_seg_endpoint = [&](std::uint32_t seg_id, NodeId from, NodeId to) {
-    Seg& s = segs[seg_id];
+    FinSeg& s = segs[seg_id];
     if (s.a == from) {
       s.a = to;
     } else {
@@ -216,24 +274,22 @@ SteinerTree TreeAssembler::finalize() const {
   };
 
   // Terminals: move all real segments to a twin, keep one zero-seg.
-  for (NodeId n = 0; n < nodes_.size(); ++n) {
+  std::vector<std::uint32_t>& moved = fin_moved_;
+  for (NodeId n = 0; n < num_nodes_; ++n) {
     const bool is_terminal = nodes[n].kind != NodeKind::kSteiner;
     if (!is_terminal || nodes[n].segs.size() <= 1) continue;
     const NodeId twin = add_twin(n);
-    const std::vector<std::uint32_t> moved = nodes[n].segs;
+    moved.assign(nodes[n].segs.begin(), nodes[n].segs.end());
     for (const std::uint32_t sid : moved) move_seg_endpoint(sid, n, twin);
     add_zero_seg(n, twin);
   }
   // Internal degree cap: chain twins while degree > 3.
-  for (NodeId n = 0; n < nodes.size(); ++n) {
+  for (NodeId n = 0; n < nn; ++n) {
     while (nodes[n].kind == NodeKind::kSteiner && nodes[n].segs.size() > 3) {
       const NodeId twin = add_twin(n);
       // Move all but two segments to the twin; the zero-seg link uses the
       // third slot on n and one slot on the twin.
-      std::vector<std::uint32_t> keep(nodes[n].segs.begin(),
-                                      nodes[n].segs.begin() + 2);
-      std::vector<std::uint32_t> moved(nodes[n].segs.begin() + 2,
-                                       nodes[n].segs.end());
+      moved.assign(nodes[n].segs.begin() + 2, nodes[n].segs.end());
       for (const std::uint32_t sid : moved) move_seg_endpoint(sid, n, twin);
       add_zero_seg(n, twin);
     }
@@ -241,9 +297,10 @@ SteinerTree TreeAssembler::finalize() const {
 
   // --- Orient as arborescence from the root (BFS over segments). ----------
   SteinerTree out;
-  const std::size_t nn = nodes.size();
-  std::vector<std::int32_t> order(nn, -1);  // node -> output index
-  std::vector<NodeId> queue;
+  std::vector<std::int32_t>& order = fin_order_;  // node -> output index
+  std::vector<NodeId>& queue = fin_queue_;
+  order.assign(nn, -1);
+  queue.clear();
   queue.push_back(root_);
   order[root_] = 0;
 
@@ -258,7 +315,7 @@ SteinerTree TreeAssembler::finalize() const {
     const NodeId cur = queue[qi];
     const std::int32_t cur_out = order[cur];
     for (const std::uint32_t sid : nodes[cur].segs) {
-      const Seg& s = segs[sid];
+      const FinSeg& s = segs[sid];
       const NodeId nb = (s.a == cur) ? s.b : s.a;
       if (order[nb] != -1) continue;  // parent side (or cycle: caught below)
       order[nb] = next_index;
@@ -267,9 +324,15 @@ SteinerTree TreeAssembler::finalize() const {
       rec.parent = cur_out;
       rec.kind = nodes[nb].kind;
       rec.sink_index = nodes[nb].sink_index;
-      // Path from child (nb) up to parent (cur).
-      rec.up_path = s.edges;
-      if (s.a == cur) std::reverse(rec.up_path.begin(), rec.up_path.end());
+      // Path from child (nb) up to parent (cur); edges run a -> b.
+      if (s.src != kNoSeg) {
+        const std::vector<EdgeId>& edges = segs_[s.src].edges;
+        if (s.a == cur) {
+          rec.up_path.assign(edges.rbegin(), edges.rend());
+        } else {
+          rec.up_path.assign(edges.begin(), edges.end());
+        }
+      }
       ++next_index;
       queue.push_back(nb);
     }
@@ -279,7 +342,16 @@ SteinerTree TreeAssembler::finalize() const {
   CDST_CHECK_MSG(queue.size() == nn && segs.size() == nn - 1,
                  "tree structure contains a cycle");
 
-  out.children.assign(nn, {});
+  // Children lists sized exactly, so each is one allocation.
+  std::vector<std::uint32_t>& child_count = fin_child_count_;
+  child_count.assign(nn, 0);
+  for (std::size_t i = 1; i < nn; ++i) {
+    ++child_count[static_cast<std::size_t>(out.nodes[i].parent)];
+  }
+  out.children.resize(nn);
+  for (std::size_t i = 0; i < nn; ++i) {
+    if (child_count[i] != 0) out.children[i].reserve(child_count[i]);
+  }
   for (std::size_t i = 1; i < nn; ++i) {
     out.children[static_cast<std::size_t>(out.nodes[i].parent)].push_back(
         static_cast<std::int32_t>(i));

@@ -53,20 +53,56 @@ struct SteinerTree {
   /// root out-degree <= 1, no graph edge used twice. Throws on violation.
   /// `allow_shared_edges` relaxes the edge-reuse check for embeddings of
   /// fixed topologies, which may legitimately route two topology edges over
-  /// the same graph edge (paying its cost twice).
+  /// the same graph edge (paying its cost twice). Allocates its working
+  /// storage per call; TreeValidator is the recyclable form.
   void validate(const EdgeEndpoints& g, std::size_t num_sinks,
                 bool allow_shared_edges = false) const;
 };
 
+/// SteinerTree::validate with recycled working storage: sink counts,
+/// out-degrees and a used-edge bitset that survive across calls, so a
+/// solver validating every tree it builds allocates nothing once warm.
+/// Same checks, same order, same messages as SteinerTree::validate. A call
+/// costs O(nodes + tree edges + sinks): the bitset is cleared edge by edge
+/// after a tree passes, and wholesale only after a throw left bits set.
+class TreeValidator {
+ public:
+  void validate(const SteinerTree& tree, const EdgeEndpoints& g,
+                std::size_t num_sinks, bool allow_shared_edges = false);
+
+ private:
+  /// Marks edge e used; false if it already was.
+  bool mark_edge(EdgeId e) {
+    std::uint64_t& word = used_edges_[e >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (e & 63);
+    const bool fresh = (word & bit) == 0;
+    word |= bit;
+    return fresh;
+  }
+
+  std::vector<int> sink_seen_;
+  std::vector<std::size_t> out_degree_;
+  std::vector<std::uint64_t> used_edges_;  ///< bitset over edge ids
+  bool dirty_{false};  ///< a throw left bits set in used_edges_
+};
+
 /// Incremental tree assembly used by the cost-distance solver and the
-/// topology embedder.
+/// topology embedder. Recyclable: reset() starts a new tree and keeps every
+/// allocation (node and segment records with their path vectors, the
+/// location map and finalize()'s working copies), so the solver's scratch
+/// assembles tree after tree without touching the allocator.
 class TreeAssembler {
  public:
   using NodeId = std::uint32_t;
   static constexpr NodeId kNoNode = 0xffffffffu;
 
+  /// Unbound; reset() before use.
+  TreeAssembler() = default;
   /// Borrows the graph behind `g`, which must outlive the assembler.
   explicit TreeAssembler(const EdgeEndpoints& g) : graph_(g) {}
+
+  /// Drops the assembled structure and rebinds to `g` (borrowed).
+  void reset(const EdgeEndpoints& g);
 
   /// Registers the root terminal; must be called exactly once, first.
   NodeId add_root(VertexId v);
@@ -95,12 +131,14 @@ class TreeAssembler {
 
   VertexId vertex_of(NodeId n) const { return nodes_[n].v; }
 
-  std::size_t num_nodes() const { return nodes_.size(); }
+  std::size_t num_nodes() const { return num_nodes_; }
 
   /// Orients the structure as an arborescence from the root, normalizes it
-  /// to a bifurcation-compatible tree and returns the result.
+  /// to a bifurcation-compatible tree and returns the result. Leaves the
+  /// assembled structure unchanged. The only allocations are the returned
+  /// tree's own vectors, each sized exactly once.
   /// Throws if the structure is disconnected or cyclic.
-  SteinerTree finalize() const;
+  SteinerTree finalize();
 
  private:
   struct NodeRec {
@@ -125,15 +163,39 @@ class TreeAssembler {
     bool is_node() const { return node != kNoNode; }
   };
 
+  /// finalize()'s view of a segment: endpoints plus the assembled segment
+  /// whose edges it carries (kNoSeg for a zero-length link).
+  struct FinSeg {
+    NodeId a{kNoNode};
+    NodeId b{kNoNode};
+    std::uint32_t src{kNoSeg};
+  };
+  static constexpr std::uint32_t kNoSeg = 0xffffffffu;
+
   NodeId new_node(VertexId v, NodeKind kind, std::int32_t sink_index);
+  /// The record past the live segments, reset to an empty a -> b segment;
+  /// the caller commits it with ++num_segs_.
+  Seg& spare_seg(NodeId a, NodeId b);
   NodeId split_segment(std::uint32_t seg_id, std::uint32_t offset);
   void reindex_segment(std::uint32_t seg_id);
 
   EdgeEndpoints graph_;
+  // Records [0, num_nodes_) and [0, num_segs_) are live; those past the
+  // counts are recycled husks whose vectors keep their capacity.
   std::vector<NodeRec> nodes_;
   std::vector<Seg> segs_;
+  std::size_t num_nodes_{0};
+  std::size_t num_segs_{0};
   SparseMap<Loc> loc_;
   NodeId root_{kNoNode};
+
+  // finalize() working set, recycled the same way.
+  std::vector<NodeRec> fin_nodes_;
+  std::vector<FinSeg> fin_segs_;
+  std::vector<std::int32_t> fin_order_;
+  std::vector<NodeId> fin_queue_;
+  std::vector<std::uint32_t> fin_moved_;
+  std::vector<std::uint32_t> fin_child_count_;
 };
 
 }  // namespace cdst

@@ -42,6 +42,28 @@ class L1NearestNeighbor {
   explicit L1NearestNeighbor(std::int32_t bucket_size = 8)
       : bucket_size_(std::max(1, bucket_size)) {}
 
+  /// Empties the structure and sets a new bucket size, keeping every
+  /// allocation (point table, SoA mirror, bucket index and the buckets'
+  /// storage). Afterwards it answers exactly like a freshly constructed
+  /// one. Costs O(points active + buckets used) plus the bucket index's
+  /// capacity.
+  void reset(std::int32_t bucket_size) {
+    bucket_size_ = std::max(1, bucket_size);
+    for (const std::uint32_t id : act_ids_) points_[id].active = false;
+    xs_.clear();
+    ys_.clear();
+    xd_.clear();
+    yd_.clear();
+    act_ids_.clear();
+    for (std::size_t b = 0; b < num_buckets_; ++b) buckets_[b].clear();
+    num_buckets_ = 0;
+    bucket_index_.clear();
+    corner_slot_ = 0;
+    org_x_ = org_y_ = 0;
+    lo_x_ = hi_x_ = lo_y_ = hi_y_ = 0;
+    active_count_ = 0;
+  }
+
   /// Inserts point p with identifier id. Ids must be unique.
   void insert(std::uint32_t id, const Point2& p) {
     if (id >= points_.size()) {
@@ -225,7 +247,7 @@ class L1NearestNeighbor {
   std::vector<std::uint32_t>& bucket_of(const Point2& p) {
     const std::int32_t bx = bucket_coord(p.x);
     const std::int32_t by = bucket_coord(p.y);
-    if (buckets_.empty() && corner_slot_ == 0) {
+    if (num_buckets_ == 0) {
       org_x_ = bx;  // anchor the packed key space at the first point
       org_y_ = by;
     }
@@ -240,8 +262,8 @@ class L1NearestNeighbor {
                               ? corner_slot_
                               : bucket_index_[key];
     if (slot == 0) {
-      buckets_.emplace_back();
-      slot = static_cast<std::uint32_t>(buckets_.size());  // index + 1
+      if (num_buckets_ == buckets_.size()) buckets_.emplace_back();
+      slot = static_cast<std::uint32_t>(++num_buckets_);  // index + 1
       track_extent(bx, by);
     }
     return buckets_[slot - 1];
@@ -300,7 +322,10 @@ class L1NearestNeighbor {
   // solver profile at t = 128 before this index existed).
   SparseMap<std::uint32_t> bucket_index_;
   std::uint32_t corner_slot_{0};  ///< bucket whose key packs to kEmpty
+  /// Buckets [0, num_buckets_) are live; later ones are emptied storage
+  /// kept for reuse after reset().
   std::vector<std::vector<std::uint32_t>> buckets_;
+  std::size_t num_buckets_{0};
   std::int32_t org_x_{0}, org_y_{0};  ///< key-space anchor (first bucket)
   std::int32_t lo_x_{0}, hi_x_{0}, lo_y_{0}, hi_y_{0};
   std::size_t active_count_{0};

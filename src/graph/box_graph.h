@@ -184,9 +184,11 @@ class BoxGraph {
 
 /// Endpoint queries over either graph form — what tree assembly and tree
 /// validation need. Implicitly built from a Graph or a BoxGraph, both
-/// borrowed.
+/// borrowed. A default-constructed one is unbound (a recycled assembler's
+/// state before its first reset) and must not be queried.
 class EdgeEndpoints {
  public:
+  EdgeEndpoints() = default;
   // Implicit on purpose: callers pass either graph form where endpoints
   // are wanted (SteinerTree::validate, TreeAssembler).
   EdgeEndpoints(const Graph& g) : graph_(&g) {}

@@ -7,11 +7,17 @@
 /// over the per-search minima, so extracting the globally cheapest label is
 /// O(log #searches + log #labels) and work can stay inside a single sub-heap
 /// while its minimum remains globally minimal. The per-group heaps default
-/// to the cache-friendly 4-ary heap (see d_ary_heap.h); any addressable heap
+/// to the cache-aligned 4-ary heap (see d_ary_heap.h); any addressable heap
 /// with the BinaryHeap API works.
+///
+/// The structure is built to be recycled: clear() visits only the groups
+/// used since the last clear, and every sub-heap keeps its storage and its
+/// position map, so a solver that reuses one instance across solves stops
+/// allocating once it has seen its largest solve.
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -38,6 +44,7 @@ class TwoLevelHeap {
   /// Creates/activates an empty group. Groups can be reused after erase.
   void ensure_group(GroupId g) {
     if (g >= subs_.size()) subs_.resize(static_cast<std::size_t>(g) + 1);
+    groups_used_ = std::max(groups_used_, static_cast<std::size_t>(g) + 1);
   }
 
   bool empty() const { return top_.empty(); }
@@ -45,7 +52,7 @@ class TwoLevelHeap {
   /// Total number of entries across all groups (O(#groups)).
   std::size_t size() const {
     std::size_t n = 0;
-    for (const auto& s : subs_) n += s.size();
+    for (std::size_t g = 0; g < groups_used_; ++g) n += subs_[g].size();
     return n;
   }
 
@@ -91,8 +98,12 @@ class TwoLevelHeap {
     if (top_.contains(g)) top_.erase(g);
   }
 
+  /// Empties every group, including entries a caller abandoned mid-way
+  /// (an unwound solve). Costs O(groups used + entries held) since the last
+  /// clear and keeps every allocation.
   void clear() {
-    for (auto& s : subs_) s.clear();
+    for (std::size_t g = 0; g < groups_used_; ++g) subs_[g].clear();
+    groups_used_ = 0;
     top_.clear();
   }
 
@@ -118,6 +129,7 @@ class TwoLevelHeap {
   }
 
   std::vector<SubHeap> subs_;
+  std::size_t groups_used_{0};  ///< groups [0, groups_used_) touched since clear
   SubHeap top_;
 };
 

@@ -228,6 +228,306 @@ TEST_P(HeapPropertyTest, TwoLevelMatchesFlatHeap) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Tie-order differential test. The solver's trees depend on which of several
+// equal-key labels pops first, and that order is fixed by the exact sequence
+// of sift steps. The reference below is a frozen copy of the original
+// array-of-structs heap and two-level heap; the production heaps must match
+// it operation for operation with keys drawn from {0, 1, 2, 3}, so nearly
+// every comparison ties.
+namespace tie_ref {
+
+template <typename Key, unsigned Arity>
+class AosDAryHeap {
+ public:
+  using Id = std::uint32_t;
+  static constexpr std::uint32_t kNpos = 0xffffffffu;
+
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
+  bool contains(Id id) const { return id < pos_.size() && pos_[id] != kNpos; }
+  const Key& key_of(Id id) const { return heap_[pos_[id]].key; }
+  const Key& min_key() const { return heap_[0].key; }
+  Id min_id() const { return heap_[0].id; }
+
+  void push(Id id, const Key& key) {
+    if (id >= pos_.size()) pos_.resize(static_cast<std::size_t>(id) + 1, kNpos);
+    heap_.push_back(Entry{key, id});
+    pos_[id] = static_cast<std::uint32_t>(heap_.size() - 1);
+    sift_up(heap_.size() - 1);
+  }
+  bool push_or_decrease(Id id, const Key& key) {
+    if (!contains(id)) {
+      push(id, key);
+      return true;
+    }
+    if (key < heap_[pos_[id]].key) {
+      heap_[pos_[id]].key = key;
+      sift_up(pos_[id]);
+      return true;
+    }
+    return false;
+  }
+  void decrease_key(Id id, const Key& key) {
+    heap_[pos_[id]].key = key;
+    sift_up(pos_[id]);
+  }
+  Id pop_min() {
+    const Id top = heap_[0].id;
+    remove_at(0);
+    return top;
+  }
+  void erase(Id id) { remove_at(pos_[id]); }
+  void clear() {
+    for (const Entry& e : heap_) pos_[e.id] = kNpos;
+    heap_.clear();
+  }
+
+ private:
+  struct Entry {
+    Key key;
+    Id id;
+  };
+  static std::size_t parent(std::size_t i) { return (i - 1) / Arity; }
+  void remove_at(std::size_t i) {
+    pos_[heap_[i].id] = kNpos;
+    if (i + 1 != heap_.size()) {
+      heap_[i] = heap_.back();
+      pos_[heap_[i].id] = static_cast<std::uint32_t>(i);
+      heap_.pop_back();
+      if (i > 0 && heap_[i].key < heap_[parent(i)].key) {
+        sift_up(i);
+      } else {
+        sift_down(i);
+      }
+    } else {
+      heap_.pop_back();
+    }
+  }
+  void sift_up(std::size_t i) {
+    Entry e = heap_[i];
+    while (i > 0 && e.key < heap_[parent(i)].key) {
+      heap_[i] = heap_[parent(i)];
+      pos_[heap_[i].id] = static_cast<std::uint32_t>(i);
+      i = parent(i);
+    }
+    heap_[i] = e;
+    pos_[e.id] = static_cast<std::uint32_t>(i);
+  }
+  void sift_down(std::size_t i) {
+    Entry e = heap_[i];
+    const std::size_t n = heap_.size();
+    while (true) {
+      const std::size_t first = Arity * i + 1;
+      if (first >= n) break;
+      const std::size_t last = std::min(first + Arity, n);
+      std::size_t best = first;
+      for (std::size_t c = first + 1; c < last; ++c) {
+        if (heap_[c].key < heap_[best].key) best = c;
+      }
+      if (!(heap_[best].key < e.key)) break;
+      heap_[i] = heap_[best];
+      pos_[heap_[i].id] = static_cast<std::uint32_t>(i);
+      i = best;
+    }
+    heap_[i] = e;
+    pos_[e.id] = static_cast<std::uint32_t>(i);
+  }
+
+  std::vector<Entry> heap_;
+  std::vector<std::uint32_t> pos_;
+};
+
+template <typename Key>
+class TwoLevelHeap {
+ public:
+  using SubHeap = AosDAryHeap<Key, 4>;
+  struct Min {
+    std::uint32_t group;
+    std::uint32_t entry;
+    Key key;
+  };
+
+  bool empty() const { return top_.empty(); }
+  std::size_t size() const {
+    std::size_t n = 0;
+    for (const auto& s : subs_) n += s.size();
+    return n;
+  }
+  bool group_empty(std::uint32_t g) const {
+    return g >= subs_.size() || subs_[g].empty();
+  }
+  bool contains(std::uint32_t g, std::uint32_t e) const {
+    return g < subs_.size() && subs_[g].contains(e);
+  }
+  bool push_or_decrease(std::uint32_t g, std::uint32_t e, const Key& key) {
+    if (g >= subs_.size()) subs_.resize(static_cast<std::size_t>(g) + 1);
+    const bool changed = subs_[g].push_or_decrease(e, key);
+    if (changed) refresh_top(g);
+    return changed;
+  }
+  Min global_min() const {
+    const std::uint32_t g = top_.min_id();
+    return Min{g, subs_[g].min_id(), subs_[g].min_key()};
+  }
+  Min pop_global_min() {
+    const std::uint32_t g = top_.min_id();
+    Min out{g, subs_[g].min_id(), subs_[g].min_key()};
+    subs_[g].pop_min();
+    refresh_top(g);
+    return out;
+  }
+  void erase_group(std::uint32_t g) {
+    if (g >= subs_.size()) return;
+    subs_[g].clear();
+    if (top_.contains(g)) top_.erase(g);
+  }
+  void clear() {
+    for (auto& s : subs_) s.clear();
+    top_.clear();
+  }
+
+ private:
+  void refresh_top(std::uint32_t g) {
+    if (subs_[g].empty()) {
+      if (top_.contains(g)) top_.erase(g);
+      return;
+    }
+    const Key& k = subs_[g].min_key();
+    if (top_.contains(g)) {
+      if (k < top_.key_of(g)) {
+        top_.decrease_key(g, k);
+      } else if (top_.key_of(g) < k) {
+        top_.erase(g);
+        top_.push(g, k);
+      }
+    } else {
+      top_.push(g, k);
+    }
+  }
+
+  std::vector<SubHeap> subs_;
+  SubHeap top_;
+};
+
+}  // namespace tie_ref
+
+constexpr std::uint32_t kTieIds = 500;
+
+template <typename Heap, typename Ref>
+void expect_same_heap_state(const Heap& heap, const Ref& ref, int step) {
+  ASSERT_EQ(heap.size(), ref.size()) << "step " << step;
+  ASSERT_EQ(heap.empty(), ref.empty()) << "step " << step;
+  if (!ref.empty()) {
+    ASSERT_EQ(heap.min_id(), ref.min_id()) << "step " << step;
+    ASSERT_EQ(heap.min_key(), ref.min_key()) << "step " << step;
+  }
+  for (std::uint32_t id = 0; id <= kTieIds; ++id) {
+    ASSERT_EQ(heap.contains(id), ref.contains(id))
+        << "step " << step << " id " << id;
+  }
+}
+
+/// Random push / push_or_decrease / decrease_key / pop_min / erase / clear
+/// over tie-heavy keys, checked against the frozen reference after every
+/// operation.
+template <unsigned Arity>
+void run_tie_order_differential(std::uint64_t seed) {
+  Rng rng(seed);
+  DAryHeap<double, Arity> heap;
+  tie_ref::AosDAryHeap<double, Arity> ref;
+  const auto key = [&] { return static_cast<double>(rng.uniform(4)); };
+  for (int step = 0; step < 6000; ++step) {
+    const double action = rng.uniform_double();
+    const auto id = static_cast<std::uint32_t>(rng.uniform(kTieIds));
+    if (action < 0.30 || ref.empty()) {
+      const double k = key();
+      if (ref.contains(id)) {
+        ASSERT_EQ(heap.push_or_decrease(id, k), ref.push_or_decrease(id, k));
+      } else {
+        heap.push(id, k);
+        ref.push(id, k);
+      }
+    } else if (action < 0.50) {
+      const double k = key();
+      ASSERT_EQ(heap.push_or_decrease(id, k), ref.push_or_decrease(id, k));
+    } else if (action < 0.62) {
+      if (ref.contains(id)) {
+        const double k =
+            std::min(ref.key_of(id), static_cast<double>(rng.uniform(4)));
+        heap.decrease_key(id, k);
+        ref.decrease_key(id, k);
+      }
+    } else if (action < 0.92) {
+      ASSERT_EQ(heap.pop_min(), ref.pop_min()) << "step " << step;
+    } else if (action < 0.998) {
+      // Erase a contained id: the probed one if present, else the minimum.
+      const std::uint32_t victim = ref.contains(id) ? id : ref.min_id();
+      heap.erase(victim);
+      ref.erase(victim);
+    } else {
+      heap.clear();
+      ref.clear();
+    }
+    expect_same_heap_state(heap, ref, step);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST_P(HeapPropertyTest, BinaryHeapTieOrderMatchesReference) {
+  run_tie_order_differential<2>(GetParam() * 7919 + 1);
+}
+
+TEST_P(HeapPropertyTest, DAryHeapTieOrderMatchesReference) {
+  run_tie_order_differential<4>(GetParam() * 7919 + 2);
+}
+
+TEST_P(HeapPropertyTest, TwoLevelTieOrderMatchesReference) {
+  // Few groups with many entries each, groups erased and reused mid-run,
+  // and whole-structure clears: the solver's recycled-queue pattern.
+  Rng rng(GetParam() * 7919 + 3);
+  TwoLevelHeap<double> two;
+  tie_ref::TwoLevelHeap<double> ref;
+  constexpr std::uint32_t kGroups = 9;
+  for (int step = 0; step < 6000; ++step) {
+    const double action = rng.uniform_double();
+    const auto g = static_cast<std::uint32_t>(rng.uniform(kGroups));
+    if (action < 0.55 || ref.empty()) {
+      const auto e = static_cast<std::uint32_t>(rng.uniform(kTieIds));
+      const auto k = static_cast<double>(rng.uniform(4));
+      ASSERT_EQ(two.push_or_decrease(g, e, k), ref.push_or_decrease(g, e, k));
+    } else if (action < 0.95) {
+      const auto a = two.pop_global_min();
+      const auto b = ref.pop_global_min();
+      ASSERT_EQ(a.group, b.group) << "step " << step;
+      ASSERT_EQ(a.entry, b.entry) << "step " << step;
+      ASSERT_EQ(a.key, b.key) << "step " << step;
+    } else if (action < 0.995) {
+      two.erase_group(g);
+      ref.erase_group(g);
+    } else {
+      two.clear();
+      ref.clear();
+    }
+    ASSERT_EQ(two.empty(), ref.empty()) << "step " << step;
+    ASSERT_EQ(two.size(), ref.size()) << "step " << step;
+    if (!ref.empty()) {
+      const auto a = two.global_min();
+      const auto b = ref.global_min();
+      ASSERT_EQ(a.group, b.group) << "step " << step;
+      ASSERT_EQ(a.entry, b.entry) << "step " << step;
+      ASSERT_EQ(a.key, b.key) << "step " << step;
+    }
+    for (std::uint32_t gg = 0; gg <= kGroups; ++gg) {
+      ASSERT_EQ(two.group_empty(gg), ref.group_empty(gg)) << "step " << step;
+      for (std::uint32_t e = 0; e <= kTieIds; e += 7) {
+        ASSERT_EQ(two.contains(gg, e), ref.contains(gg, e))
+            << "step " << step << " group " << gg << " entry " << e;
+      }
+    }
+  }
+}
+
 TEST(DisjointSet, UniteAndFind) {
   DisjointSet d(10);
   EXPECT_EQ(d.num_sets(), 10u);
