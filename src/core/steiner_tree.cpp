@@ -92,9 +92,17 @@ void TreeValidator::validate(const SteinerTree& tree, const EdgeEndpoints& g,
 
 void TreeAssembler::reset(const EdgeEndpoints& g) {
   graph_ = g;
+  // Every location key is a node's vertex or a vertex of a live segment
+  // (splits move vertices between segments, never drop them), so clearing
+  // costs the size of the last tree, not the map's capacity.
+  loc_.clear_covering([this](auto&& visit) {
+    for (std::size_t i = 0; i < num_nodes_; ++i) visit(nodes_[i].v);
+    for (std::size_t i = 0; i < num_segs_; ++i) {
+      for (const VertexId v : segs_[i].verts) visit(v);
+    }
+  });
   num_nodes_ = 0;
   num_segs_ = 0;
-  loc_.clear();
   root_ = kNoNode;
 }
 

@@ -45,8 +45,7 @@ class L1NearestNeighbor {
   /// Empties the structure and sets a new bucket size, keeping every
   /// allocation (point table, SoA mirror, bucket index and the buckets'
   /// storage). Afterwards it answers exactly like a freshly constructed
-  /// one. Costs O(points active + buckets used) plus the bucket index's
-  /// capacity.
+  /// one. Costs O(points active + buckets used).
   void reset(std::int32_t bucket_size) {
     bucket_size_ = std::max(1, bucket_size);
     for (const std::uint32_t id : act_ids_) points_[id].active = false;
@@ -55,9 +54,15 @@ class L1NearestNeighbor {
     xd_.clear();
     yd_.clear();
     act_ids_.clear();
+    bucket_index_.clear_covering([this](auto&& visit) {
+      for (std::size_t b = 0; b < num_buckets_; ++b) {
+        if (bucket_keys_[b] != SparseMap<std::uint32_t>::kEmpty) {
+          visit(bucket_keys_[b]);
+        }
+      }
+    });
     for (std::size_t b = 0; b < num_buckets_; ++b) buckets_[b].clear();
     num_buckets_ = 0;
-    bucket_index_.clear();
     corner_slot_ = 0;
     org_x_ = org_y_ = 0;
     lo_x_ = hi_x_ = lo_y_ = hi_y_ = 0;
@@ -262,7 +267,12 @@ class L1NearestNeighbor {
                               ? corner_slot_
                               : bucket_index_[key];
     if (slot == 0) {
-      if (num_buckets_ == buckets_.size()) buckets_.emplace_back();
+      if (num_buckets_ == buckets_.size()) {
+        buckets_.emplace_back();
+        bucket_keys_.push_back(key);
+      } else {
+        bucket_keys_[num_buckets_] = key;
+      }
       slot = static_cast<std::uint32_t>(++num_buckets_);  // index + 1
       track_extent(bx, by);
     }
@@ -325,6 +335,7 @@ class L1NearestNeighbor {
   /// Buckets [0, num_buckets_) are live; later ones are emptied storage
   /// kept for reuse after reset().
   std::vector<std::vector<std::uint32_t>> buckets_;
+  std::vector<std::uint32_t> bucket_keys_;  ///< packed key of each bucket
   std::size_t num_buckets_{0};
   std::int32_t org_x_{0}, org_y_{0};  ///< key-space anchor (first bucket)
   std::int32_t lo_x_{0}, hi_x_{0}, lo_y_{0}, hi_y_{0};

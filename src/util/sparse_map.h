@@ -38,6 +38,31 @@ class SparseMap {
     size_ = 0;
   }
 
+  /// clear() at the cost of the given keys' probe runs instead of the
+  /// capacity. `for_each_key(visit)` calls visit(k) for keys that cover
+  /// every key the map holds; repeats and absent keys are fine. Each visit
+  /// empties the run from k's probe start to the next empty slot, and since
+  /// nothing is ever erased, every held key sits in the run of its own
+  /// probe start, so covering keys empty every slot. If the visited keys
+  /// missed one, the emptied-slot count shows it and this falls back to
+  /// clear().
+  template <typename F>
+  void clear_covering(F&& for_each_key) {
+    std::size_t emptied = 0;
+    for_each_key([&](Key k) {
+      for (std::size_t i = probe_start(k); keys_[i] != kEmpty;
+           i = (i + 1) & mask_) {
+        keys_[i] = kEmpty;
+        ++emptied;
+      }
+    });
+    if (emptied != size_) {
+      clear();
+      return;
+    }
+    size_ = 0;
+  }
+
   /// Returns a pointer to the value for key, or nullptr if absent.
   V* find(Key key) {
     CDST_ASSERT(key != kEmpty);

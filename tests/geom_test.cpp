@@ -148,6 +148,53 @@ TEST_P(NearestPropertyTest, MatchesBruteForceUnderChurn) {
   }
 }
 
+TEST_P(NearestPropertyTest, ResetAnswersLikeFresh) {
+  // One structure reset between rounds against a fresh one per round, on
+  // identical inserts and erasures: small rounds answer from the linear
+  // scan, large ones (above kLinearScanMax) from the bucket rings, and the
+  // anchor, extent and bucket size all change from round to round. Large
+  // rounds pack their points densely, so equal distances are common and
+  // the reported id exposes any stale bucket entry that is visited first.
+  Rng rng(GetParam() * 131);
+  L1NearestNeighbor recycled;
+  for (int round = 0; round < 12; ++round) {
+    const auto bucket = static_cast<std::int32_t>(1 + rng.uniform(16));
+    const std::size_t n =
+        round % 3 == 2 ? 2 * L1NearestNeighbor::kLinearScanMax
+                       : 1 + rng.uniform(40);
+    const auto origin = static_cast<std::int32_t>(rng.uniform_int(-500, 500));
+    const std::uint64_t span = n > L1NearestNeighbor::kLinearScanMax ? 40 : 300;
+    recycled.reset(bucket);
+    L1NearestNeighbor fresh(bucket);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Point2 p{origin + static_cast<std::int32_t>(rng.uniform(span)),
+                     origin + static_cast<std::int32_t>(rng.uniform(span))};
+      recycled.insert(static_cast<std::uint32_t>(i), p);
+      fresh.insert(static_cast<std::uint32_t>(i), p);
+    }
+    for (std::size_t i = 0; i < n; i += 3) {
+      recycled.erase(static_cast<std::uint32_t>(i));
+      fresh.erase(static_cast<std::uint32_t>(i));
+    }
+    ASSERT_EQ(recycled.active_count(), fresh.active_count());
+    for (int q = 0; q < 60; ++q) {
+      const auto off = [&] {
+        return origin + static_cast<std::int32_t>(rng.uniform(span + 60)) - 30;
+      };
+      const Point2 at{off(), off()};
+      const auto exclude = static_cast<std::uint32_t>(rng.uniform(n + 1));
+      const auto a = recycled.nearest(at, exclude);
+      const auto b = fresh.nearest(at, exclude);
+      ASSERT_EQ(a.found, b.found) << "round " << round;
+      ASSERT_EQ(a.id, b.id) << "round " << round;
+      ASSERT_EQ(a.distance, b.distance) << "round " << round;
+      ASSERT_EQ(recycled.nearest_distance(at, exclude),
+                fresh.nearest_distance(at, exclude))
+          << "round " << round;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, NearestPropertyTest,
                          ::testing::Values(5, 6, 7, 8));
 

@@ -112,6 +112,57 @@ TEST(TreeAssembler, ZeroLengthSegmentBetweenCoincidentTerminals) {
   t.validate(g, 2);
 }
 
+TEST(TreeAssembler, ResetForgetsThePreviousTree) {
+  // A recycled assembler must answer like a fresh one: no vertex of the
+  // previous tree (terminals, split points, segment interiors) is still
+  // covered, and the next tree comes out identical to a fresh assembly.
+  GraphBuilder b(6);
+  b.add_edge(0, 1);
+  b.add_edge(1, 2);
+  b.add_edge(2, 3);
+  b.add_edge(3, 4);
+  b.add_edge(2, 5);
+  const Graph g(b);
+  const Graph p = path_graph(7);
+  const auto build_star = [&g](TreeAssembler& a) {
+    const auto root = a.add_root(0);
+    const auto s0 = a.add_sink(4, 0);
+    const auto s1 = a.add_sink(5, 1);
+    a.add_segment(s0, root, {3, 2, 1, 0});
+    a.add_segment(s1, a.node_at(2), {4});
+    return a.finalize();
+  };
+  const auto build_path = [](TreeAssembler& a) {
+    const auto root = a.add_root(6);
+    const auto s0 = a.add_sink(3, 0);
+    a.add_segment(s0, root, {3, 4, 5});
+    return a.finalize();
+  };
+
+  TreeAssembler recycled(g);
+  build_star(recycled);
+  for (int round = 0; round < 3; ++round) {
+    recycled.reset(p);
+    for (VertexId v = 0; v < 7; ++v) EXPECT_FALSE(recycled.covers(v)) << v;
+    TreeAssembler fresh_path(p);
+    const SteinerTree want_path = build_path(fresh_path);
+    const SteinerTree got_path = build_path(recycled);
+    got_path.validate(p, 1);
+    EXPECT_EQ(got_path.all_edges(), want_path.all_edges());
+    EXPECT_EQ(got_path.children, want_path.children);
+
+    recycled.reset(g);
+    for (VertexId v = 0; v < 6; ++v) EXPECT_FALSE(recycled.covers(v)) << v;
+    TreeAssembler fresh_star(g);
+    const SteinerTree want_star = build_star(fresh_star);
+    const SteinerTree got_star = build_star(recycled);
+    got_star.validate(g, 2);
+    EXPECT_EQ(got_star.all_edges(), want_star.all_edges());
+    EXPECT_EQ(got_star.children, want_star.children);
+    EXPECT_EQ(got_star.nodes.size(), want_star.nodes.size());
+  }
+}
+
 TEST(TreeAssembler, DisconnectedStructureThrows) {
   const Graph g = path_graph(4);
   TreeAssembler a(g);

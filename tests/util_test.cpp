@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <queue>
 #include <set>
@@ -587,6 +588,48 @@ TEST(SparseMap, InsertFindClear) {
   m.clear();
   EXPECT_EQ(m.find(5), nullptr);
   EXPECT_TRUE(m.empty());
+}
+
+TEST_P(HeapPropertyTest, SparseMapClearCoveringEmptiesTheMap) {
+  // Rounds of inserts with clustered keys (long probe runs), each ended by
+  // clear_covering with the held keys shuffled, repeated and mixed with
+  // absent ones — or, every third round, with one held key left out, which
+  // must fall back to a full clear. After each round the map must be empty
+  // and then behave like a fresh map against the reference.
+  Rng rng(GetParam() + 777);
+  SparseMap<std::uint32_t> sm;
+  for (int round = 0; round < 40; ++round) {
+    std::unordered_map<std::uint32_t, std::uint32_t> ref;
+    const auto base = static_cast<std::uint32_t>(rng.uniform(1000));
+    const auto count = 1 + rng.uniform(300);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      const auto key =
+          base + static_cast<std::uint32_t>(rng.uniform(2 * count + 1));
+      const auto val = static_cast<std::uint32_t>(rng());
+      sm[key] = val;
+      ref[key] = val;
+    }
+    ASSERT_EQ(sm.size(), ref.size());
+    for (const auto& [k, v] : ref) {
+      ASSERT_NE(sm.find(k), nullptr);
+      ASSERT_EQ(*sm.find(k), v);
+    }
+    std::vector<std::uint32_t> cover;
+    for (const auto& [k, v] : ref) cover.push_back(k);
+    if (round % 3 == 2) cover.pop_back();  // incomplete: must fall back
+    for (int extra = 0; extra < 20; ++extra) {
+      cover.push_back(static_cast<std::uint32_t>(rng.uniform(5000)));
+      cover.push_back(cover[rng.uniform(cover.size())]);
+    }
+    std::shuffle(cover.begin(), cover.end(), rng);
+    sm.clear_covering([&](auto&& visit) {
+      for (const std::uint32_t k : cover) visit(k);
+    });
+    ASSERT_TRUE(sm.empty()) << "round " << round;
+    for (std::uint32_t k = 0; k < 5000; ++k) {
+      ASSERT_EQ(sm.find(k), nullptr) << "round " << round << " key " << k;
+    }
+  }
 }
 
 TEST_P(HeapPropertyTest, SparseMapMatchesUnorderedMap) {
