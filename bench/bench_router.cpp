@@ -90,16 +90,19 @@ BENCHMARK(BM_Router_Sharded)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-/// Sharded rounds across the transport tiers (dist/transport.h): arg 0 runs
-/// the rounds directly, 1 through the InProcessTransport serialization
-/// loopback (the wire tax: encode + parse every boundary, zero IO), 2
-/// through SubprocessTransport's worker pool (the wire tax plus pipe
-/// framing and real process hops). Transports are constructed outside the
-/// timed loop — the rows measure steady-state rounds, not worker spawns.
+/// Sharded rounds across the transport tiers (dist/transport.h): first arg
+/// 0 runs the rounds directly, 1 through the InProcessTransport
+/// serialization loopback (the wire tax: encode + parse every boundary,
+/// zero IO), 2 through SubprocessTransport's worker pool (the wire tax plus
+/// pipe framing and real process hops). The second arg is the shard count:
+/// 4 shards on the 4-lane pool, or 8, the imbalanced shape of perfbench's
+/// route_dist, where span stealing has to even out the lanes. Transports
+/// are constructed outside the timed loop — the rows measure steady-state
+/// rounds, not worker spawns.
 void BM_Router_Transport(benchmark::State& state) {
   const int tier = static_cast<int>(state.range(0));
   const Fixture& f = fixture();
-  RouterOptions opts = options_for(4);
+  RouterOptions opts = options_for(static_cast<int>(state.range(1)));
 
   dist::InProcessTransport in_process;
 #if defined(CDST_SHARD_WORKER_PATH)
@@ -129,9 +132,7 @@ void BM_Router_Transport(benchmark::State& state) {
                              : "subprocess-transport");
 }
 BENCHMARK(BM_Router_Transport)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
+    ->ArgsProduct({{0, 1, 2}, {4, 8}})
     ->Unit(benchmark::kMillisecond);
 
 bool verify_shard_count_invariance() {

@@ -59,8 +59,9 @@ struct JobEvent {
 };
 
 /// One spatial shard of a sharded router round finished routing (the merge
-/// into committed state happens later, at the round barrier). In-process
-/// rounds emit nothing for a shard with no nets.
+/// into committed state happens later, at the round barrier). One event per
+/// shard per round, from the lane that executed the shard's last span; a
+/// shard with no nets emits nothing.
 struct RouterShardEvent {
   int round{0};         ///< absolute session round index
   int target_round{0};  ///< absolute round this run() call is heading for
@@ -71,13 +72,14 @@ struct RouterShardEvent {
   std::size_t shard_nets{0};  ///< nets assigned to this shard
   std::size_t nets_done{0};   ///< nets routed so far this round (monotonic)
   std::size_t nets_total{0};
-  /// Wall seconds spent inside ShardTransport::dispatch for this shard;
-  /// 0.0 when the shard ran in-process without a transport.
+  /// Wall seconds spent inside ShardTransport::dispatch for this shard,
+  /// summed over its span dispatches (one per span, possibly concurrent, so
+  /// the sum can exceed the shard's wall time) in the attempt that
+  /// completed it; 0.0 when the round ran in process without a transport.
   double dispatch_seconds{0.0};
-  /// Work-stealing telemetry of in-process rounds (0 for transport rounds,
-  /// whose unit of work is the whole shard): nets of this shard routed by
-  /// lanes other than the shard's owner, and steal probes that found the
-  /// shard fully claimed but still in flight.
+  /// Work-stealing telemetry, in process and over a transport alike: nets
+  /// of this shard executed by lanes other than the shard's owner, and
+  /// steal probes that found the shard fully claimed but still in flight.
   std::size_t stolen_nets{0};
   std::size_t steal_waits{0};
 };

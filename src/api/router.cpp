@@ -362,18 +362,22 @@ struct alignas(16) Router::Impl {
     return setup;
   }
 
-  /// Packs one shard's round inputs for a transport dispatch: per net the
-  /// sink-weight slice, the committed route, and the frozen usage of that
-  /// route's distinct resources (sorted by resource id), so the remote
+  /// Packs one span of a shard's round inputs for a transport dispatch: per
+  /// net the sink-weight slice, the committed route, and the frozen usage of
+  /// that route's distinct resources (sorted by resource id), so the remote
   /// executor prices exactly as route_one_net does against the snapshot.
-  dist::ShardWorkMsg make_shard_work(std::size_t sh, int round) const {
+  dist::ShardWorkMsg make_span_work(const ShardStealSchedule::Span& s,
+                                    int round) const {
+    const std::vector<std::uint32_t>& mine =
+        shard_map.nets[static_cast<std::size_t>(s.shard)];
     dist::ShardWorkMsg work;
     work.round = round;
-    work.shard = static_cast<std::int32_t>(sh);
+    work.shard = s.shard;
     work.shards = shard_map.tiles.num_shards();
-    work.tile = shard_tile(shard_map.tiles, static_cast<int>(sh));
-    work.nets.reserve(shard_map.nets[sh].size());
-    for (const std::uint32_t i : shard_map.nets[sh]) {
+    work.tile = shard_tile(shard_map.tiles, s.shard);
+    work.nets.reserve(s.end - s.begin);
+    for (std::uint32_t k = s.begin; k < s.end; ++k) {
+      const std::uint32_t i = mine[k];
       const Net& net = netlist.nets[i];
       if (net.sinks.empty()) continue;  // skipped at the merge too
       dist::ShardWorkMsg::NetWork nw;
@@ -482,8 +486,11 @@ struct alignas(16) Router::Impl {
 
     std::vector<OracleOutcome> outcomes(num_nets);
     Mutex progress_mu;
-    std::size_t nets_done = 0;  // guarded by progress_mu (a local, so the
-                                // guard is convention, not analysis-checked)
+    // Both guarded by progress_mu (locals, so the guard is convention, not
+    // analysis-checked): nets of completed shards, and per shard the seconds
+    // this attempt spent inside ShardTransport::dispatch.
+    std::size_t nets_done = 0;
+    std::vector<double> dispatch_seconds(shard_map.nets.size(), 0.0);
     // Shards completed by any attempt so far. A faulted attempt leaves its
     // incomplete shards unmarked; the retry re-executes exactly those.
     // Re-execution is safe because a shard's outcomes are a pure function
@@ -492,120 +499,105 @@ struct alignas(16) Router::Impl {
     // one — the net-order merge below never sees the difference.
     std::vector<std::uint8_t> shard_done(shard_map.nets.size(), 0);
 
-    // Routes nets mine[b, e) of shard sh against the frozen snapshot.
-    // `excluded` is caller-recycled scratch (one per lane, cleared per
-    // net). The shard fault site sits here, on every span, so a persistent
-    // fault fails each lane that routes any part of the shard: a thief
-    // cannot complete a shard whose claimer faulted.
-    const auto route_net_span = [&](std::size_t sh, std::uint32_t b,
-                                    std::uint32_t e,
-                                    SparseMap<double>& excluded) {
+    const auto throw_if_stopped = [&] {
+      if (controls.cancel != nullptr &&
+          controls.cancel->load(std::memory_order_relaxed)) {
+        // cdst-lint: allow(api-throw) internal unwind: caught at the
+        // fan-out boundary below, mapped to kCancelled.
+        throw SolveCancelled();
+      }
+      throw_if_deadline_expired(&controls);
+    };
+
+    // Executes one span against the frozen snapshot: routed on this lane,
+    // or shipped through the transport as one ShardWorkMsg. `excluded` is
+    // caller-recycled scratch (one per lane, cleared per net). The shard
+    // fault site sits here, on every span, so a persistent fault fails each
+    // lane that executes any part of the shard: a thief cannot complete a
+    // shard whose claimer faulted.
+    const auto execute_span = [&](const ShardStealSchedule::Span& s,
+                                  SparseMap<double>& excluded) {
       CDST_FAULT_POINT("router.shard");
-      const std::vector<std::uint32_t>& mine = shard_map.nets[sh];
-      for (std::uint32_t k = b; k < e; ++k) {
-        const std::uint32_t i = mine[k];
-        const Net& net = netlist.nets[i];
-        if (net.sinks.empty()) continue;
-        if (controls.cancel != nullptr &&
-            controls.cancel->load(std::memory_order_relaxed)) {
-          // cdst-lint: allow(api-throw) internal unwind: caught at the
-          // fan-out boundary below, mapped to kCancelled.
-          throw SolveCancelled();
+      const auto sh = static_cast<std::size_t>(s.shard);
+      if (transport == nullptr) {
+        const std::vector<std::uint32_t>& mine = shard_map.nets[sh];
+        for (std::uint32_t k = s.begin; k < s.end; ++k) {
+          const std::uint32_t i = mine[k];
+          if (netlist.nets[i].sinks.empty()) continue;
+          throw_if_stopped();
+          // The net prices against the snapshot minus its own committed
+          // usage — the snapshot-world equivalent of ripping it up.
+          excluded.clear();
+          for (const EdgeId ge : routes[i]) {
+            const RoutingGrid::EdgeInfo& info = grid.edge_info(ge);
+            excluded[info.resource] += info.width;
+          }
+          const RoundPricing pricing{round_costs,
+                                     routes[i].empty() ? nullptr : &excluded};
+          outcomes[i] = route_one_net(i, round, &pricing, controls);
         }
-        throw_if_deadline_expired(&controls);
-        // The net prices against the snapshot minus its own committed
-        // usage — the snapshot-world equivalent of ripping it up.
-        excluded.clear();
-        for (const EdgeId ge : routes[i]) {
-          const RoutingGrid::EdgeInfo& info = grid.edge_info(ge);
-          excluded[info.resource] += info.width;
-        }
-        const RoundPricing pricing{round_costs,
-                                   routes[i].empty() ? nullptr : &excluded};
-        outcomes[i] = route_one_net(i, round, &pricing, controls);
+        return;
+      }
+      throw_if_stopped();
+      const dist::ShardWorkMsg work = make_span_work(s, round);
+      if (work.nets.empty()) return;  // only sink-less nets
+      WallTimer dispatch_timer;
+      StatusOr<dist::ShardResultMsg> result = transport->dispatch(work);
+      {
+        MutexLock lock(progress_mu);
+        dispatch_seconds[sh] += dispatch_timer.seconds();
+      }
+      Status st = result.ok() ? apply_shard_result(work, *result, outcomes)
+                              : result.status();
+      if (!st.ok()) {
+        // cdst-lint: allow(api-throw) internal unwind: caught at the
+        // retry loop below, emitted as a "dist.transport" FaultEvent.
+        throw TransportDispatchError{std::move(st)};
       }
     };
 
     // Serialized shard boundary: sinks need not be thread-safe and
     // nets_done is monotonic across events.
-    const auto emit_shard_event = [&](std::size_t sh, double dispatch_seconds,
-                                      std::size_t stolen_nets,
-                                      std::size_t steal_waits) {
+    const auto emit_shard_event = [&](const ShardStealSchedule& sched,
+                                      int sh) {
+      const auto idx = static_cast<std::size_t>(sh);
       MutexLock lock(progress_mu);
-      nets_done += shard_map.nets[sh].size();
-      const ShardTile tile =
-          shard_tile(shard_map.tiles, static_cast<int>(sh));
+      nets_done += shard_map.nets[idx].size();
+      const ShardTile tile = shard_tile(shard_map.tiles, sh);
       RouterShardEvent event;
       event.round = round;
       event.target_round = target_rounds;
-      event.shard = static_cast<int>(sh);
+      event.shard = sh;
       event.shards = shard_map.tiles.num_shards();
       event.tile_x = tile.tx;
       event.tile_y = tile.ty;
-      event.shard_nets = shard_map.nets[sh].size();
+      event.shard_nets = shard_map.nets[idx].size();
       event.nets_done = nets_done;
       event.nets_total = num_nets;
-      event.dispatch_seconds = dispatch_seconds;
-      event.stolen_nets = stolen_nets;
-      event.steal_waits = steal_waits;
+      event.dispatch_seconds = dispatch_seconds[idx];
+      event.stolen_nets = sched.stolen_nets(sh);
+      event.steal_waits = sched.steal_waits(sh);
       fan.emit_router_shard(event);
     };
 
-    // Transport execution: one whole shard per dispatch.
-    const std::function<void(std::size_t)> dispatch_shard =
-        [&](std::size_t sh) {
-          if (shard_done[sh] != 0) return;
-          // A dispatched shard computes elsewhere; its fault site stands in
-          // for that computation, as route_net_span's does in-process.
-          CDST_FAULT_POINT("router.shard");
-          if (controls.cancel != nullptr &&
-              controls.cancel->load(std::memory_order_relaxed)) {
-            // cdst-lint: allow(api-throw) internal unwind: caught at the
-            // parallel_for boundary below and mapped to kCancelled.
-            throw SolveCancelled();
-          }
-          throw_if_deadline_expired(&controls);
-          const dist::ShardWorkMsg work = make_shard_work(sh, round);
-          WallTimer dispatch_timer;
-          StatusOr<dist::ShardResultMsg> result = transport->dispatch(work);
-          const double dispatch_seconds = dispatch_timer.seconds();
-          Status st = result.ok() ? apply_shard_result(work, *result, outcomes)
-                                  : result.status();
-          if (!st.ok()) {
-            // cdst-lint: allow(api-throw) internal unwind: caught at the
-            // retry loop below, emitted as a "dist.transport" FaultEvent.
-            throw TransportDispatchError{std::move(st)};
-          }
-          if (fan.active()) {
-            emit_shard_event(sh, dispatch_seconds, /*stolen_nets=*/0,
-                             /*steal_waits=*/0);
-          }
-          shard_done[sh] = 1;
-        };
-
-    // In-process execution: a work-stealing lane over the
-    // ShardStealSchedule claims whole shards (owner phase), drains each in
-    // spans, then steals spans from unfinished shards. Whichever lane
-    // routes a shard's last span owns its completion event. The schedule
-    // only reorders execution — every net is claimed exactly once and
-    // commits into outcomes[] by net index — so results are bit-identical
-    // at any lane count.
+    // The one execution loop, in process or over a transport: a
+    // work-stealing lane over the ShardStealSchedule claims whole shards
+    // (owner phase), drains each in spans, then steals spans from
+    // unfinished shards. Whichever lane executes a shard's last span owns
+    // its completion event. The schedule only reorders execution — every
+    // net is claimed exactly once and commits into outcomes[] by net
+    // index — so results are bit-identical at any lane count.
     const auto steal_lane = [&](ShardStealSchedule& sched) {
       SparseMap<double> excluded;
       std::vector<ShardStealSchedule::Span> lifo;
-      const auto route_spans = [&] {
+      const auto execute_spans = [&] {
         while (!lifo.empty()) {
           const ShardStealSchedule::Span s = lifo.back();
           lifo.pop_back();
-          const auto sh = static_cast<std::size_t>(s.shard);
-          route_net_span(sh, s.begin, s.end, excluded);
+          execute_span(s, excluded);
           if (sched.complete(s)) {
-            if (fan.active()) {
-              emit_shard_event(sh, /*dispatch_seconds=*/0.0,
-                               sched.stolen_nets(s.shard),
-                               sched.steal_waits(s.shard));
-            }
-            shard_done[sh] = 1;
+            if (fan.active()) emit_shard_event(sched, s.shard);
+            shard_done[static_cast<std::size_t>(s.shard)] = 1;
           }
         }
       };
@@ -620,34 +612,31 @@ struct alignas(16) Router::Impl {
           const ShardStealSchedule::Span t =
               sched.take_span(sh, /*stolen=*/false);
           if (t.valid()) lifo.push_back(t);
-          route_spans();
+          execute_spans();
         }
       }
       for (ShardStealSchedule::Span s = sched.steal_span(); s.valid();
            s = sched.steal_span()) {
         lifo.push_back(s);
-        route_spans();
+        execute_spans();
       }
     };
     // Bounded retry around the shard fan-out: a retryable (injected or
     // transient) fault fails only the shards it interrupted. Every attempt
     // is the same call; completed shards are skipped via shard_done (a
     // fresh ShardStealSchedule never claims them), so they never re-emit
-    // their shard events. Cancellation and deadlines are not retried — they
+    // their shard events. Re-executing a partly finished shard rewrites the
+    // same outcome slots. Cancellation and deadlines are not retried — they
     // unwind to the previous round boundary as before. BudgetExhausted
     // deliberately propagates to run()'s status mapping (retrying could not
     // help: the footprint exceeds the whole budget).
     constexpr int kMaxShardAttempts = 3;
     for (int attempt = 1;; ++attempt) {
       try {
-        if (transport != nullptr) {
-          pool->parallel_for(0, shard_map.nets.size(), dispatch_shard);
-        } else {
-          ShardStealSchedule sched(shard_map, shard_done);
-          pool->parallel_for(
-              0, static_cast<std::size_t>(pool->concurrency()),
-              [&](std::size_t) { steal_lane(sched); });
-        }
+        std::fill(dispatch_seconds.begin(), dispatch_seconds.end(), 0.0);
+        ShardStealSchedule sched(shard_map, shard_done);
+        pool->parallel_for(0, static_cast<std::size_t>(pool->concurrency()),
+                           [&](std::size_t) { steal_lane(sched); });
         break;
       } catch (const SolveCancelled&) {
         return Status::Cancelled(

@@ -85,8 +85,10 @@ SolveMergeEvent to_event(const MergeTick& tick);
 /// Free list of per-task lanes: a task leases a Lane for its duration and
 /// the pool recycles it from there on. CdSolver's lanes are bare
 /// SolverScratch; Router's also carry the recycled OracleInstance its nets
-/// are rebuilt into (api/router.cpp). The pool is owned by the session, so
-/// lane memory never outlives it or leaks between tenants.
+/// are rebuilt into (api/router.cpp), and a shard executor's lanes add
+/// zero-usage congestion state (dist/shard_executor.h). The pool is owned
+/// by the session or context, so lane memory never outlives it or leaks
+/// between tenants.
 ///
 /// A lease prefers the lane its thread released last, so a worker keeps
 /// routing into buffers that are warm in its cache and were allocated from
@@ -112,7 +114,12 @@ class LanePool {
     Lane* lane_;
   };
 
-  Lease lease() { return Lease(*this, acquire()); }
+  /// Leases a free lane, or builds a new one from `args` when none is free
+  /// (a recycled lane is handed out as its last user left it).
+  template <class... Args>
+  Lease lease(const Args&... args) {
+    return Lease(*this, acquire(args...));
+  }
 
  private:
   // cdst-lint: allow(raw-thread) only the id of the releasing thread is
@@ -124,20 +131,28 @@ class LanePool {
     ThreadId last_user;
   };
 
-  Lane* acquire() {
+  template <class... Args>
+  Lane* acquire(const Args&... args) {
+    {
+      MutexLock lock(mu_);
+      if (!free_.empty()) {
+        const ThreadId self = std::this_thread::get_id();
+        auto pick = free_.end() - 1;
+        for (auto it = free_.begin(); it != free_.end(); ++it) {
+          if (it->last_user == self) pick = it;
+        }
+        Lane* lane = pick->lane;
+        free_.erase(pick);
+        return lane;
+      }
+    }
+    // A new lane is built outside the lock: building one may be as costly
+    // as sizing grid-wide state.
+    auto lane = std::make_unique<Lane>(args...);
+    Lane* raw = lane.get();
     MutexLock lock(mu_);
-    if (free_.empty()) {
-      owned_.push_back(std::make_unique<Lane>());
-      return owned_.back().get();
-    }
-    const ThreadId self = std::this_thread::get_id();
-    auto pick = free_.end() - 1;
-    for (auto it = free_.begin(); it != free_.end(); ++it) {
-      if (it->last_user == self) pick = it;
-    }
-    Lane* lane = pick->lane;
-    free_.erase(pick);
-    return lane;
+    owned_.push_back(std::move(lane));
+    return raw;
   }
 
   void release(Lane* lane) {

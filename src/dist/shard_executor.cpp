@@ -3,14 +3,10 @@
 #include <string>
 #include <utility>
 
-#include "api/scratch_pool.h"
-#include "grid/cost_model.h"
 #include "grid/window.h"
 #include "route/sharding.h"
-#include "route/steiner_oracle.h"
 #include "util/assert.h"
 #include "util/fault_injection.h"
-#include "util/sparse_map.h"
 
 namespace cdst::dist {
 namespace {
@@ -97,6 +93,10 @@ StatusOr<ShardResultMsg> execute_shard(ShardContext& ctx,
             "shard work: committed route edge out of range");
       }
     }
+    if (nw.usage.size() != nw.resources.size()) {
+      return Status::InvalidArgument(
+          "shard work: frozen usage count does not match the resources");
+    }
     for (const std::uint32_t res : nw.resources) {
       if (res >= num_resources) {
         return Status::InvalidArgument(
@@ -106,12 +106,13 @@ StatusOr<ShardResultMsg> execute_shard(ShardContext& ctx,
   }
 
   try {
-    // Call-local congestion state: execute_shard runs concurrently against
-    // one shared context, and the frozen usage replay below mutates it.
-    CongestionCosts costs(ctx.grid, ctx.congestion);
-    SolverScratch scratch;
-    OracleInstance oi;  // rebuilt in place for each net of the shard
-    SparseMap<double> excluded;
+    // A leased lane: execute_shard runs concurrently against one shared
+    // context, and the frozen usage replay below mutates the lane's costs.
+    const detail::LanePool<ShardLane>::Lease lease =
+        ctx.lanes.lease(ctx.grid, ctx.congestion);
+    ShardLane& lane = *lease.get();
+    CongestionCosts& costs = lane.costs;
+    SparseMap<double>& excluded = lane.excluded;
 
     ShardResultMsg result;
     result.round = work.round;
@@ -128,6 +129,16 @@ StatusOr<ShardResultMsg> execute_shard(ShardContext& ctx,
         const RoutingGrid::EdgeInfo& info = ctx.grid.edge_info(e);
         excluded[info.resource] += info.width;
       }
+      // Restores the lane's zero-usage state on every exit, exceptions
+      // included: each net's pricing depends only on its own frozen
+      // resources, and the lane outlives this call.
+      struct UsageReset {
+        CongestionCosts& costs;
+        const std::vector<std::uint32_t>& resources;
+        ~UsageReset() {
+          for (const std::uint32_t res : resources) costs.set_usage(res, 0.0);
+        }
+      } usage_reset{costs, nw.resources};
       for (std::size_t k = 0; k < nw.resources.size(); ++k) {
         costs.set_usage(nw.resources[k], nw.usage[k]);
       }
@@ -138,13 +149,8 @@ StatusOr<ShardResultMsg> execute_shard(ShardContext& ctx,
       if (p.cd.shared_dense_budget == nullptr) {
         p.cd.shared_dense_budget = &ctx.dense_budget;
       }
-      oi.rebuild(ctx.grid, costs, net, nw.sink_weights, p, &pricing);
-      OracleOutcome out = run_method(oi, ctx.method, p, &scratch);
-      // Restore the pristine zero-usage state for the next net: each net's
-      // pricing depends only on its own frozen resources.
-      for (const std::uint32_t res : nw.resources) {
-        costs.set_usage(res, 0.0);
-      }
+      lane.oracle.rebuild(ctx.grid, costs, net, nw.sink_weights, p, &pricing);
+      OracleOutcome out = run_method(lane.oracle, ctx.method, p, &lane.scratch);
 
       ShardResultMsg::NetResult nr;
       nr.net = nw.net;

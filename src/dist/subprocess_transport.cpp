@@ -39,6 +39,21 @@ void set_cloexec(int fd) {
   if (flags >= 0) ::fcntl(fd, F_SETFD, flags | FD_CLOEXEC);
 }
 
+/// True iff `result` can be the reply to `work`: same round and shard, and
+/// the same nets in the same order. Several spans of one shard are in
+/// flight at once, so round and shard alone cannot tell a stale reply of a
+/// desynchronized worker from the awaited one.
+bool answers(const ShardResultMsg& result, const ShardWorkMsg& work) {
+  if (result.round != work.round || result.shard != work.shard ||
+      result.nets.size() != work.nets.size()) {
+    return false;
+  }
+  for (std::size_t k = 0; k < work.nets.size(); ++k) {
+    if (result.nets[k].net != work.nets[k].net) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 struct SubprocessTransport::Impl {
@@ -181,11 +196,10 @@ struct SubprocessTransport::Impl {
       destroy_worker(w);
       return Status::Annotate(result.status(), "worker result reply");
     }
-    if (result->round != work.round || result->shard != work.shard) {
+    if (!answers(*result, work)) {
       destroy_worker(w);
       return Status::Unavailable(
-          "worker replied for a different round/shard (desynchronized "
-          "stream)");
+          "worker replied to different work (desynchronized stream)");
     }
     return std::move(*result);
   }

@@ -2,18 +2,23 @@
 /// Pluggable execution of sharded router rounds: where a shard's work runs.
 ///
 /// The Router's sharded round loop (api/router.cpp) stays the owner of the
-/// protocol — it freezes prices, partitions nets, retries failures and
-/// merges at the barrier; a ShardTransport only answers "execute this
-/// shard's work and return its deltas". Because every implementation is fed
-/// by the same serializable messages (dist/wire.h) and the executor
-/// (dist/shard_executor.h) is a pure function of them, routing results are
-/// bit-identical across transports and worker counts.
+/// protocol — it freezes prices, partitions nets, schedules spans, retries
+/// failures and merges at the barrier; a ShardTransport only answers
+/// "execute this span of a shard's nets and return its deltas". The round
+/// loop's work-stealing lanes (route/sharding.h ShardStealSchedule) issue
+/// one dispatch per span of ShardStealSchedule::kSpanNets consecutive nets
+/// of one shard, several spans of a shard possibly in flight at once.
+/// Because every implementation is fed by the same serializable messages
+/// (dist/wire.h) and the executor (dist/shard_executor.h) is a pure
+/// function of them, routing results are bit-identical across transports,
+/// worker counts and span schedules.
 ///
 /// Failure contract: dispatch returns kUnavailable for transient faults
-/// worth retrying (a dead worker, a broken pipe, an injected fault at site
-/// `dist.transport`); the round loop then re-executes the failed shards
-/// through the transport again, serially on later attempts (dead workers
-/// respawn on their next dispatch).
+/// worth retrying (a dead worker, a broken pipe, a desynchronized reply,
+/// an injected fault at site `dist.transport`); the round loop then
+/// re-executes the unfinished shards through the transport again, with the
+/// same parallel fan-out as the first attempt (dead workers respawn on
+/// their next dispatch).
 /// Non-kUnavailable codes mean retrying cannot help (malformed messages,
 /// exhausted budgets) and fail the round immediately.
 
@@ -43,8 +48,9 @@ class ShardTransport {
   /// next begin_round executes against it. Never concurrent with dispatch.
   virtual Status begin_round(const PriceSnapshotMsg& snapshot) = 0;
 
-  /// Executes one shard's work. Thread-safe: the round loop dispatches
-  /// shards concurrently from its worker pool.
+  /// Executes one span of a shard's nets. Thread-safe: the round loop's
+  /// lanes dispatch spans concurrently from its worker pool. The reply
+  /// answers exactly the dispatched nets, in work order.
   virtual StatusOr<ShardResultMsg> dispatch(const ShardWorkMsg& work) = 0;
 };
 

@@ -72,10 +72,11 @@ struct RouterOptions {
   /// per batch.
   int shards{0};
   /// Where sharded rounds execute shard work. Null (default) runs every
-  /// shard in-process on the session's worker pool. Non-null routes each
-  /// shard through the transport (dist/transport.h) as serializable round
-  /// messages — potentially to out-of-process workers — with results
-  /// bit-identical to the in-process path at any worker count. Borrowed,
+  /// shard in-process on the session's worker pool. Non-null dispatches
+  /// every span the pool's stealing lanes claim through the transport
+  /// (dist/transport.h) as serializable round messages — potentially to
+  /// out-of-process workers — with results bit-identical to the
+  /// in-process path at any worker count. Borrowed,
   /// not owned: the transport must outlive the session (or the set_options
   /// call that replaces it). Ignored when shards == 0.
   dist::ShardTransport* transport{nullptr};

@@ -1,23 +1,34 @@
 // Tests for the distributed shard-round layer (src/dist/): wire-format
-// round-trips and corruption rejection, the InProcessTransport serialization
-// oracle, and — on POSIX, where the cdst_shard_worker binary exists — the
-// SubprocessTransport matrix: a sharded round through 1/2/4 out-of-process
-// workers must be bit-identical to the direct in-process round, and a worker
-// killed mid-round must be absorbed by the shard retry path with identical
-// final routes.
+// round-trips and corruption rejection, the shard executor's recycled
+// lanes, the InProcessTransport serialization oracle and its span
+// dispatches, and — on POSIX, where the cdst_shard_worker binary exists —
+// the SubprocessTransport matrix: a sharded round through 1/2/4
+// out-of-process workers must be bit-identical to the direct in-process
+// round, and a worker killed mid-round must be absorbed by the shard retry
+// path with identical final routes.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <mutex>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "api/cdst.h"
+#include "dist/shard_executor.h"
 #include "dist/transport.h"
 #include "dist/wire.h"
 #include "grid/routing_grid.h"
 #include "route/netlist_gen.h"
+#include "route/sharding.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
+
+#if defined(CDST_FAULT_INJECTION)
+#include "util/fault_injection.h"
+#endif
 
 #if defined(CDST_SHARD_WORKER_PATH)
 #include "dist/subprocess_transport.h"
@@ -314,6 +325,238 @@ TEST(DistWireTest, BitFlipsNeverCrashTheParsers) {
   }
 }
 
+// ---------------------------------------------------------- shard executor
+
+/// Wraps a transport and records what the round loop sends it: the setup,
+/// each round's snapshot and every dispatched work.
+class RecordingTransport final : public dist::ShardTransport {
+ public:
+  explicit RecordingTransport(dist::ShardTransport& inner) : inner_(inner) {}
+
+  const char* name() const override { return "recording"; }
+  Status configure(const dist::WorkerSetupMsg& setup) override {
+    this->setup = setup;
+    return inner_.configure(setup);
+  }
+  Status begin_round(const dist::PriceSnapshotMsg& snapshot) override {
+    snapshots.push_back(snapshot);
+    return inner_.begin_round(snapshot);
+  }
+  StatusOr<dist::ShardResultMsg> dispatch(
+      const dist::ShardWorkMsg& work) override {
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      works.push_back(work);
+    }
+    return inner_.dispatch(work);
+  }
+
+  std::optional<dist::WorkerSetupMsg> setup;
+  std::vector<dist::PriceSnapshotMsg> snapshots;
+  std::vector<dist::ShardWorkMsg> works;  ///< read only between runs
+
+ private:
+  dist::ShardTransport& inner_;
+  std::mutex mu_;
+};
+
+/// Round 1 of a dist_chip session through the loopback transport: the
+/// setup, the round's snapshot and its spans, whose nets carry committed
+/// routes and frozen usage.
+struct RecordedRound {
+  dist::WorkerSetupMsg setup;
+  std::vector<double> snapshot;
+  std::vector<dist::ShardWorkMsg> works;
+};
+
+RecordedRound record_second_round() {
+  const ChipConfig c = dist_chip();
+  const RoutingGrid grid = make_chip_grid(c);
+  const Netlist nl = generate_netlist(c, grid);
+  dist::InProcessTransport inner;
+  RecordingTransport recorder(inner);
+  RouterOptions opts = dist_router_options();
+  opts.transport = &recorder;
+  Router session(grid, nl, opts);
+  EXPECT_TRUE(session.run(2).ok());
+  RecordedRound out;
+  out.setup = *recorder.setup;
+  out.snapshot = recorder.snapshots.back().edge_costs;
+  for (const dist::ShardWorkMsg& work : recorder.works) {
+    if (work.round == 1) out.works.push_back(work);
+  }
+  return out;
+}
+
+std::size_t largest_sink_count(const dist::ShardWorkMsg& work) {
+  std::size_t most = 0;
+  for (const dist::ShardWorkMsg::NetWork& nw : work.nets) {
+    most = std::max(most, nw.sink_weights.size());
+  }
+  return most;
+}
+
+void expect_same_result(const dist::ShardResultMsg& got,
+                        const dist::ShardResultMsg& want) {
+  EXPECT_EQ(got.round, want.round);
+  EXPECT_EQ(got.shard, want.shard);
+  ASSERT_EQ(got.nets.size(), want.nets.size());
+  for (std::size_t k = 0; k < want.nets.size(); ++k) {
+    EXPECT_EQ(got.nets[k].net, want.nets[k].net);
+    EXPECT_EQ(got.nets[k].route_edges, want.nets[k].route_edges)
+        << "net " << want.nets[k].net;
+    EXPECT_EQ(got.nets[k].sink_delays, want.nets[k].sink_delays)
+        << "net " << want.nets[k].net;
+  }
+  EXPECT_EQ(got.route_edges_total, want.route_edges_total);
+  EXPECT_EQ(got.snapshot_cost_total, want.snapshot_cost_total);
+}
+
+/// The reference: `work` on a context built for it alone.
+dist::ShardResultMsg execute_fresh(const RecordedRound& rec,
+                                   const dist::ShardWorkMsg& work) {
+  StatusOr<std::unique_ptr<dist::ShardContext>> ctx =
+      dist::make_shard_context(rec.setup);
+  EXPECT_TRUE(ctx.ok());
+  StatusOr<dist::ShardResultMsg> result =
+      dist::execute_shard(**ctx, rec.snapshot, work);
+  EXPECT_TRUE(result.ok()) << result.status().to_string();
+  return std::move(*result);
+}
+
+/// A work whose second net is the recorded net with the longest committed
+/// route, its frozen usage raised by two capacities' worth, and the probe
+/// that follows it: the same net with no frozen usage at all. The probe's
+/// own-usage exclusion then reads the lane's usage state directly — zero on
+/// a fresh or correctly restored lane, the heavy work's usage on a leaky
+/// one — which prices the net's own route very differently.
+struct HeavyAndProbe {
+  dist::ShardWorkMsg heavy;
+  dist::ShardWorkMsg probe;
+};
+
+HeavyAndProbe heavy_and_probe(const RecordedRound& rec) {
+  const dist::ShardWorkMsg::NetWork* longest = nullptr;
+  for (const dist::ShardWorkMsg& work : rec.works) {
+    for (const dist::ShardWorkMsg::NetWork& nw : work.nets) {
+      if (longest == nullptr ||
+          nw.route_edges.size() > longest->route_edges.size()) {
+        longest = &nw;
+      }
+    }
+  }
+  HeavyAndProbe out;
+  out.heavy = rec.works.front();
+  out.heavy.nets.resize(1);
+  dist::ShardWorkMsg::NetWork inflated = *longest;
+  for (double& u : inflated.usage) u += 16.0;
+  out.heavy.nets.push_back(inflated);
+  out.probe = out.heavy;
+  out.probe.nets.assign(1, *longest);
+  out.probe.nets[0].resources.clear();
+  out.probe.nets[0].usage.clear();
+  return out;
+}
+
+TEST(DistExecutorTest, RecycledLanesMatchFreshContexts) {
+  const RecordedRound rec = record_second_round();
+  ASSERT_GE(rec.works.size(), 4u);
+
+  // Spans of every shard, smallest nets first so the largest net arrives on
+  // a lane warmed by small ones; then the heavy work and its probe; then the
+  // same work twice.
+  std::vector<dist::ShardWorkMsg> seq = rec.works;
+  std::stable_sort(seq.begin(), seq.end(), [](const auto& a, const auto& b) {
+    return largest_sink_count(a) < largest_sink_count(b);
+  });
+  const HeavyAndProbe hp = heavy_and_probe(rec);
+  seq.push_back(hp.heavy);
+  seq.push_back(hp.probe);
+  seq.push_back(seq.front());
+  seq.push_back(seq.front());
+
+  std::vector<dist::ShardResultMsg> want;
+  for (const dist::ShardWorkMsg& work : seq) {
+    want.push_back(execute_fresh(rec, work));
+  }
+  // The probe must be sensitive to a leaked usage: priced against the heavy
+  // work's usage instead of zero, its net routes differently.
+  dist::ShardWorkMsg leaky_probe = hp.probe;
+  leaky_probe.nets[0].resources = hp.heavy.nets[1].resources;
+  leaky_probe.nets[0].usage = hp.heavy.nets[1].usage;
+  EXPECT_NE(execute_fresh(rec, leaky_probe).nets[0].route_edges,
+            want[seq.size() - 3].nets[0].route_edges);
+
+  // One context, one calling thread: every work recycles the same lane.
+  StatusOr<std::unique_ptr<dist::ShardContext>> shared =
+      dist::make_shard_context(rec.setup);
+  ASSERT_TRUE(shared.ok());
+  for (std::size_t k = 0; k < seq.size(); ++k) {
+    SCOPED_TRACE(testing::Message() << "work " << k);
+    StatusOr<dist::ShardResultMsg> got =
+        dist::execute_shard(**shared, rec.snapshot, seq[k]);
+    ASSERT_TRUE(got.ok()) << got.status().to_string();
+    expect_same_result(*got, want[k]);
+  }
+
+  // Four threads on one context run the whole sequence concurrently; every
+  // call leases whichever lane is free.
+  StatusOr<std::unique_ptr<dist::ShardContext>> concurrent =
+      dist::make_shard_context(rec.setup);
+  ASSERT_TRUE(concurrent.ok());
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::optional<dist::ShardResultMsg>>> got(
+      kThreads, std::vector<std::optional<dist::ShardResultMsg>>(seq.size()));
+  ThreadPool pool(kThreads);
+  pool.parallel_for(0, kThreads, [&](std::size_t t) {
+    for (std::size_t k = 0; k < seq.size(); ++k) {
+      StatusOr<dist::ShardResultMsg> r =
+          dist::execute_shard(**concurrent, rec.snapshot, seq[k]);
+      if (r.ok()) got[t][k] = std::move(*r);
+    }
+  });
+  for (int t = 0; t < kThreads; ++t) {
+    for (std::size_t k = 0; k < seq.size(); ++k) {
+      SCOPED_TRACE(testing::Message() << "thread " << t << " work " << k);
+      ASSERT_TRUE(got[t][k].has_value());
+      expect_same_result(*got[t][k], want[k]);
+    }
+  }
+}
+
+#if defined(CDST_FAULT_INJECTION)
+
+TEST(DistExecutorTest, FaultMidSpanLeavesTheLaneLikeFresh) {
+  const RecordedRound rec = record_second_round();
+  const HeavyAndProbe hp = heavy_and_probe(rec);
+  StatusOr<std::unique_ptr<dist::ShardContext>> shared =
+      dist::make_shard_context(rec.setup);
+  ASSERT_TRUE(shared.ok());
+
+  // The second net's window rebuild faults after its heavy usage was
+  // replayed into the lane.
+  FaultRegistry& reg = FaultRegistry::instance();
+  reg.disarm_all();
+  FaultPolicy second;
+  second.n = 2;
+  reg.arm("window.rebuild", second);
+  const StatusOr<dist::ShardResultMsg> faulted =
+      dist::execute_shard(**shared, rec.snapshot, hp.heavy);
+  reg.disarm_all();
+  ASSERT_FALSE(faulted.ok());
+  EXPECT_EQ(faulted.status().code(), StatusCode::kUnavailable);
+
+  for (const dist::ShardWorkMsg* work : {&hp.probe, &hp.heavy,
+                                         &rec.works.front()}) {
+    StatusOr<dist::ShardResultMsg> got =
+        dist::execute_shard(**shared, rec.snapshot, *work);
+    ASSERT_TRUE(got.ok()) << got.status().to_string();
+    expect_same_result(*got, execute_fresh(rec, *work));
+  }
+}
+
+#endif  // CDST_FAULT_INJECTION
+
 // ----------------------------------------------------- in-process transport
 
 TEST(DistTransportTest, DispatchBeforeConfigureIsFailedPrecondition) {
@@ -380,6 +623,80 @@ TEST(DistTransportTest, SetOptionsReconfiguresTheTransport) {
   ASSERT_TRUE(viaTransport.set_options(tchanged).ok());
   ASSERT_TRUE(viaTransport.run(2).ok());
   expect_same_routing(viaTransport.result(), want);
+}
+
+TEST(DistTransportTest, SpanDispatchCoversEveryNetOnceWithOneEventPerShard) {
+  ChipConfig c = dist_chip();
+  c.num_nets = 96;
+  c.nx = c.ny = 20;
+  const RoutingGrid grid = make_chip_grid(c);
+  const Netlist nl = generate_netlist(c, grid);
+  RouterOptions opts = dist_router_options();
+  opts.threads = 4;
+  opts.shards = 8;
+
+  Router direct(grid, nl, opts);
+  ASSERT_TRUE(direct.run(2).ok());
+
+  struct ShardEvents final : EventSink {
+    std::vector<RouterShardEvent> events;
+    void on_router_shard(const RouterShardEvent& event) override {
+      events.push_back(event);
+    }
+  } sink;
+  RunControl control;
+  control.events = &sink;
+  dist::InProcessTransport inner;
+  RecordingTransport recorder(inner);
+  RouterOptions topts = opts;
+  topts.transport = &recorder;
+  Router session(grid, nl, topts);
+  ASSERT_TRUE(session.run(2, control).ok());
+  expect_same_routing(session.result(), direct.result());
+
+  const ShardMap map = assign_nets_to_shards(grid, nl, opts.shards);
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(testing::Message() << "round " << round);
+    std::vector<int> dispatched(nl.nets.size(), 0);
+    for (const dist::ShardWorkMsg& work : recorder.works) {
+      if (work.round != round) continue;
+      ASSERT_GE(work.shard, 0);
+      ASSERT_LT(work.shard, opts.shards);
+      ASSERT_FALSE(work.nets.empty());
+      // A contiguous ascending run of the shard's net list (sink-less nets
+      // are never packed), at most one span long.
+      const std::vector<std::uint32_t>& mine =
+          map.nets[static_cast<std::size_t>(work.shard)];
+      const auto first =
+          std::find(mine.begin(), mine.end(), work.nets.front().net);
+      ASSERT_NE(first, mine.end());
+      auto pos = first;
+      for (const dist::ShardWorkMsg::NetWork& nw : work.nets) {
+        while (pos != mine.end() && nl.nets[*pos].sinks.empty()) ++pos;
+        ASSERT_NE(pos, mine.end());
+        EXPECT_EQ(nw.net, *pos);
+        ++dispatched[nw.net];
+        ++pos;
+      }
+      EXPECT_LE(pos - first, ShardStealSchedule::kSpanNets);
+    }
+    for (std::size_t i = 0; i < nl.nets.size(); ++i) {
+      EXPECT_EQ(dispatched[i], nl.nets[i].sinks.empty() ? 0 : 1)
+          << "net " << i;
+    }
+
+    std::vector<int> per_shard(map.nets.size(), 0);
+    for (const RouterShardEvent& e : sink.events) {
+      if (e.round != round) continue;
+      ++per_shard[static_cast<std::size_t>(e.shard)];
+      EXPECT_GT(e.dispatch_seconds, 0.0) << "shard " << e.shard;
+      EXPECT_LE(e.stolen_nets, e.shard_nets) << "shard " << e.shard;
+    }
+    for (std::size_t sh = 0; sh < map.nets.size(); ++sh) {
+      EXPECT_EQ(per_shard[sh], map.nets[sh].empty() ? 0 : 1)
+          << "shard " << sh;
+    }
+  }
 }
 
 // ---------------------------------------------------- subprocess transport
