@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <deque>
 #include <functional>
 #include <span>
@@ -36,14 +37,6 @@ constexpr std::uint32_t kCheckpointVersion = 2;
 /// carried status.
 struct TransportDispatchError {
   Status status;
-};
-
-/// One oracle lane of a Router session: the solver scratch plus the oracle
-/// instance each net is rebuilt into, so routing a net allocates only when
-/// its window is the largest the lane has met.
-struct OracleLane {
-  SolverScratch scratch;
-  OracleInstance oracle;
 };
 
 /// The one check of RouterOptions, shared by the constructor (whose verdict
@@ -127,13 +120,14 @@ StatusOr<RouterCheckpoint> RouterCheckpoint::from_bytes(
   return cp;
 }
 
-// Aligned to 16 bytes, which rounds the session object to 704 bytes. With
-// glibc's default malloc settings this object's size class decides whether
+// Kept at 704 bytes: 16-byte aligned, with a trailing pad. With glibc's
+// default malloc settings this object's size class decides whether
 // destroying a batch of sessions and grids hands their freed heap back to
 // the OS, to be faulted in again page by page when the next ones are built:
 // about 10,000 minor faults, or twice the set-up time, for Table V's c6-c8
 // (ARCHITECTURE.md, "Heap trimming"). 704 bytes measures 0 faults; the
-// unaligned 696 measures about 2,600.
+// unaligned 696 measured about 2,600, 672 bytes doubled the set-up time, and
+// 704 reached through alignas(64) instead of the pad cost about a quarter.
 struct alignas(16) Router::Impl {
   Impl(const RoutingGrid& grid_in, const Netlist& netlist_in,
        const RouterOptions& options_in, ThreadPool* shared_pool)
@@ -303,31 +297,32 @@ struct alignas(16) Router::Impl {
     }
   }
 
-  /// Materializes and solves one net's oracle instance — the one place the
-  /// per-net seed derivation, sink-weight view, dense-budget injection and
-  /// lane lease live, so the batched and sharded disciplines cannot drift
-  /// apart. The leased lane's oracle is rebuilt in place for the net.
-  /// `pricing` null = live congestion prices (batched path); otherwise the
-  /// round's frozen snapshot (sharded path).
+  /// Routes net i of `round` on a leased lane (route_round_net, the step
+  /// the shard executor shares). `own_route` is the committed route priced
+  /// out of the window: the sharded rip-up; the batched path has ripped the
+  /// batch up already and passes none. The weights view borrows from
+  /// sink_weights, which only changes between rounds.
   OracleOutcome route_one_net(std::size_t i, int round,
-                              const RoundPricing* pricing,
+                              std::span<const EdgeId> own_route,
                               const SolveControls& controls) {
-    const Net& net = netlist.nets[i];
-    // The weights view borrows from sink_weights, which only changes
-    // between rounds — never while nets are in flight.
     const std::span<const double> weights(
         sink_weights.data() + sink_offset[i],
         sink_offset[i + 1] - sink_offset[i]);
-    OracleParams p = options.oracle;
-    p.seed = net_round_seed(options.seed, net.id, round);
-    if (p.cd.shared_dense_budget == nullptr) {
-      p.cd.shared_dense_budget = &dense_budget;
-    }
     const detail::LanePool<OracleLane>::Lease lease = lanes.lease();
-    OracleLane& lane = *lease.get();
-    lane.oracle.rebuild(grid, costs, net, weights, p, pricing);
-    return run_method(lane.oracle, options.method, p, &lane.scratch,
-                      &controls);
+    return route_round_net(*lease.get(), grid, costs, netlist.nets[i],
+                           weights, own_route, options.method, options.oracle,
+                           options.seed, round, &dense_budget, &controls);
+  }
+
+  /// The per-net commit both round barriers end in: the new route's usage
+  /// goes in, the route and its sink delays become the net's committed
+  /// state. The caller has taken the old route's usage out.
+  void commit_net(std::size_t i, OracleOutcome& out) {
+    costs.add_usage(out.grid_edges, +1.0);
+    routes[i] = std::move(out.grid_edges);
+    std::copy_n(out.eval.sink_delays.begin(), netlist.nets[i].sinks.size(),
+                sink_delays.begin() +
+                    static_cast<std::ptrdiff_t>(sink_offset[i]));
   }
 
   /// Estimated solve work of net i, the t·n of the oracle's
@@ -363,9 +358,8 @@ struct alignas(16) Router::Impl {
   }
 
   /// Packs one span of a shard's round inputs for a transport dispatch: per
-  /// net the sink-weight slice, the committed route, and the frozen usage of
-  /// that route's distinct resources (sorted by resource id), so the remote
-  /// executor prices exactly as route_one_net does against the snapshot.
+  /// net the sink-weight slice and the committed route, which the executor
+  /// prices out of the round's loaded usage exactly as route_one_net does.
   dist::ShardWorkMsg make_span_work(const ShardStealSchedule::Span& s,
                                     int round) const {
     const std::vector<std::uint32_t>& mine =
@@ -387,18 +381,6 @@ struct alignas(16) Router::Impl {
           sink_weights.begin() +
               static_cast<std::ptrdiff_t>(sink_offset[i + 1]));
       nw.route_edges = routes[i];
-      nw.resources.reserve(routes[i].size());
-      for (const EdgeId e : routes[i]) {
-        nw.resources.push_back(grid.edge_info(e).resource);
-      }
-      std::sort(nw.resources.begin(), nw.resources.end());
-      nw.resources.erase(
-          std::unique(nw.resources.begin(), nw.resources.end()),
-          nw.resources.end());
-      nw.usage.reserve(nw.resources.size());
-      for (const ResourceId r : nw.resources) {
-        nw.usage.push_back(costs.usage(r));
-      }
       work.nets.push_back(std::move(nw));
     }
     return work;
@@ -438,9 +420,10 @@ struct alignas(16) Router::Impl {
     return Status::Ok();
   }
 
-  /// One spatially sharded round (RouterOptions::shards): frozen price
-  /// snapshot, shard-parallel routing, net-order merge at the barrier.
-  /// Nothing observable mutates before the barrier, so a cancelled or
+  /// One spatially sharded round (RouterOptions::shards): every net prices
+  /// from the committed usage as the round found it, shards route in
+  /// parallel, and the barrier merges in net order. Nothing mutates the
+  /// usage or anything else observable before the barrier, so a cancelled or
   /// failed round leaves the session exactly at the previous boundary —
   /// no rollback needed — and results are bit-identical at any thread and
   /// shard count. The round cursor is 0 here: set_options and restore refuse
@@ -459,12 +442,8 @@ struct alignas(16) Router::Impl {
       shard_map = assign_nets_to_shards(grid, netlist, options.shards);
     }
 
-    // Freeze this round's price plane once: every net gathers window prices
-    // from it instead of exponentiating utilization per window edge.
-    costs.fill_edge_costs(round_costs);
-
     // With a transport installed, send the round-invariant world once (and
-    // again after set_options) and publish this round's frozen price plane.
+    // again after set_options) and publish this round's committed usage.
     // Nothing has been dispatched yet, so failures here are round-level and
     // surface directly instead of entering the shard retry loop.
     dist::ShardTransport* const transport = options.transport;
@@ -478,7 +457,7 @@ struct alignas(16) Router::Impl {
       }
       dist::PriceSnapshotMsg snapshot;
       snapshot.round = round;
-      snapshot.edge_costs = round_costs;
+      snapshot.usage = costs.usages();
       if (Status st = transport->begin_round(snapshot); !st.ok()) {
         return Status::Annotate(st, "shard transport begin_round failed");
       }
@@ -494,8 +473,8 @@ struct alignas(16) Router::Impl {
     // Shards completed by any attempt so far. A faulted attempt leaves its
     // incomplete shards unmarked; the retry re-executes exactly those.
     // Re-execution is safe because a shard's outcomes are a pure function
-    // of the frozen round inputs (snapshot prices, committed routes,
-    // per-net seeds), so a retried round is bit-identical to a fault-free
+    // of the frozen round inputs (committed usage and routes, per-net
+    // seeds), so a retried round is bit-identical to a fault-free
     // one — the net-order merge below never sees the difference.
     std::vector<std::uint8_t> shard_done(shard_map.nets.size(), 0);
 
@@ -509,14 +488,12 @@ struct alignas(16) Router::Impl {
       throw_if_deadline_expired(&controls);
     };
 
-    // Executes one span against the frozen snapshot: routed on this lane,
-    // or shipped through the transport as one ShardWorkMsg. `excluded` is
-    // caller-recycled scratch (one per lane, cleared per net). The shard
-    // fault site sits here, on every span, so a persistent fault fails each
-    // lane that executes any part of the shard: a thief cannot complete a
-    // shard whose claimer faulted.
-    const auto execute_span = [&](const ShardStealSchedule::Span& s,
-                                  SparseMap<double>& excluded) {
+    // Executes one span against the round's committed usage: routed in
+    // process, or shipped through the transport as one ShardWorkMsg. The
+    // shard fault site sits here, on every span, so a persistent fault
+    // fails each lane that executes any part of the shard: a thief cannot
+    // complete a shard whose claimer faulted.
+    const auto execute_span = [&](const ShardStealSchedule::Span& s) {
       CDST_FAULT_POINT("router.shard");
       const auto sh = static_cast<std::size_t>(s.shard);
       if (transport == nullptr) {
@@ -525,16 +502,7 @@ struct alignas(16) Router::Impl {
           const std::uint32_t i = mine[k];
           if (netlist.nets[i].sinks.empty()) continue;
           throw_if_stopped();
-          // The net prices against the snapshot minus its own committed
-          // usage — the snapshot-world equivalent of ripping it up.
-          excluded.clear();
-          for (const EdgeId ge : routes[i]) {
-            const RoutingGrid::EdgeInfo& info = grid.edge_info(ge);
-            excluded[info.resource] += info.width;
-          }
-          const RoundPricing pricing{round_costs,
-                                     routes[i].empty() ? nullptr : &excluded};
-          outcomes[i] = route_one_net(i, round, &pricing, controls);
+          outcomes[i] = route_one_net(i, round, routes[i], controls);
         }
         return;
       }
@@ -588,13 +556,12 @@ struct alignas(16) Router::Impl {
     // net is claimed exactly once and commits into outcomes[] by net
     // index — so results are bit-identical at any lane count.
     const auto steal_lane = [&](ShardStealSchedule& sched) {
-      SparseMap<double> excluded;
       std::vector<ShardStealSchedule::Span> lifo;
       const auto execute_spans = [&] {
         while (!lifo.empty()) {
           const ShardStealSchedule::Span s = lifo.back();
           lifo.pop_back();
-          execute_span(s, excluded);
+          execute_span(s);
           if (sched.complete(s)) {
             if (fan.active()) emit_shard_event(sched, s.shard);
             shard_done[static_cast<std::size_t>(s.shard)] = 1;
@@ -696,15 +663,9 @@ struct alignas(16) Router::Impl {
     // net-order commit makes the accumulated usage bit-identical regardless
     // of how many shards (or threads) produced the outcomes.
     for (std::size_t i = 0; i < num_nets; ++i) {
-      const Net& net = netlist.nets[i];
-      if (net.sinks.empty()) continue;
+      if (netlist.nets[i].sinks.empty()) continue;
       if (!routes[i].empty()) costs.add_usage(routes[i], -1.0);
-      OracleOutcome& out = outcomes[i];
-      costs.add_usage(out.grid_edges, +1.0);
-      routes[i] = std::move(out.grid_edges);
-      for (std::size_t s = 0; s < net.sinks.size(); ++s) {
-        sink_delays[sink_offset[i] + s] = out.eval.sink_delays[s];
-      }
+      commit_net(i, outcomes[i]);
     }
     round_cursor = num_nets;
     return Status::Ok();
@@ -759,8 +720,7 @@ struct alignas(16) Router::Impl {
               throw SolveCancelled();
             }
             throw_if_deadline_expired(&controls);
-            outcomes[i - lo] =
-                route_one_net(i, round, /*pricing=*/nullptr, controls);
+            outcomes[i - lo] = route_one_net(i, round, {}, controls);
           };
       try {
         pool->parallel_for(0, order.size(), route_one);
@@ -787,14 +747,8 @@ struct alignas(16) Router::Impl {
         // Anything else propagates to run()'s status mapping.
       }
       for (std::size_t i = lo; i < hi; ++i) {
-        const Net& net = netlist.nets[i];
-        if (net.sinks.empty()) continue;
-        OracleOutcome& out = outcomes[i - lo];
-        costs.add_usage(out.grid_edges, +1.0);
-        routes[i] = std::move(out.grid_edges);
-        for (std::size_t s = 0; s < net.sinks.size(); ++s) {
-          sink_delays[sink_offset[i] + s] = out.eval.sink_delays[s];
-        }
+        if (netlist.nets[i].sinks.empty()) continue;
+        commit_net(i, outcomes[i - lo]);
       }
       round_cursor = hi;
       if (fan.active()) {
@@ -850,10 +804,8 @@ struct alignas(16) Router::Impl {
   /// concurrency high-water mark times the largest window routed.
   detail::LanePool<OracleLane> lanes;
 
-  // Sharded-round state: the net partition (rebuilt when the shard count
-  // changes) and the recycled per-round price snapshot.
+  /// Sharded-round net partition, rebuilt when the shard count changes.
   ShardMap shard_map;
-  std::vector<double> round_costs;
   /// The transport last configured with this session's world; set_options
   /// resets it so the next sharded round re-sends the setup.
   dist::ShardTransport* configured_transport{nullptr};
@@ -873,11 +825,19 @@ struct alignas(16) Router::Impl {
   /// cancellation summary events, and checkpoints record it.
   std::size_t round_cursor{0};
   double walltime_s{0.0};
+  /// Holds the session at 704 bytes (see above); never read.
+  std::byte heap_class_pad[32]{};
 };
 
 Router::Router(const RoutingGrid& grid, const Netlist& netlist,
                const RouterOptions& options, ThreadPool* pool)
-    : impl_(std::make_unique<Impl>(grid, netlist, options, pool)) {}
+    : impl_(std::make_unique<Impl>(grid, netlist, options, pool)) {
+#if defined(__GLIBC__) && defined(__GLIBCXX__) && defined(__x86_64__)
+  static_assert(sizeof(Impl) == 704,
+                "Router::Impl left the 704-byte malloc size class; re-measure "
+                "set-up page faults (ARCHITECTURE.md, \"Heap trimming\")");
+#endif
+}
 
 Router::~Router() = default;
 Router::Router(Router&&) noexcept = default;

@@ -22,11 +22,11 @@
 /// barrier.
 ///
 /// With RouterOptions::shards >= 1 rounds run spatially sharded instead of
-/// batched: prices freeze once per round, net shards (grid tiles, see
-/// route/sharding.h) route on work-stealing lanes against the snapshot,
-/// and all updates merge at the round barrier in net order — bit-identical
-/// results at any thread and shard count, and cancellation unwinds to the
-/// previous round boundary with no rollback at all.
+/// batched: the committed usage stays frozen for the round, net shards
+/// (grid tiles, see route/sharding.h) route on work-stealing lanes against
+/// it, and all updates merge at the round barrier in net order —
+/// bit-identical results at any thread and shard count, and cancellation
+/// unwinds to the previous round boundary with no rollback at all.
 
 #pragma once
 

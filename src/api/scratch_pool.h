@@ -84,11 +84,10 @@ SolveMergeEvent to_event(const MergeTick& tick);
 
 /// Free list of per-task lanes: a task leases a Lane for its duration and
 /// the pool recycles it from there on. CdSolver's lanes are bare
-/// SolverScratch; Router's also carry the recycled OracleInstance its nets
-/// are rebuilt into (api/router.cpp), and a shard executor's lanes add
-/// zero-usage congestion state (dist/shard_executor.h). The pool is owned
-/// by the session or context, so lane memory never outlives it or leaks
-/// between tenants.
+/// SolverScratch; Router sessions and shard executors lease OracleLanes
+/// (route/steiner_oracle.h), which also carry the recycled OracleInstance
+/// each net is rebuilt into. The pool is owned by the session or context,
+/// so lane memory never outlives it or leaks between tenants.
 ///
 /// A lease prefers the lane its thread released last, so a worker keeps
 /// routing into buffers that are warm in its cache and were allocated from
@@ -114,12 +113,9 @@ class LanePool {
     Lane* lane_;
   };
 
-  /// Leases a free lane, or builds a new one from `args` when none is free
-  /// (a recycled lane is handed out as its last user left it).
-  template <class... Args>
-  Lease lease(const Args&... args) {
-    return Lease(*this, acquire(args...));
-  }
+  /// Leases a free lane, or builds a new one when none is free (a recycled
+  /// lane is handed out as its last user left it).
+  Lease lease() { return Lease(*this, acquire()); }
 
  private:
   // cdst-lint: allow(raw-thread) only the id of the releasing thread is
@@ -131,8 +127,7 @@ class LanePool {
     ThreadId last_user;
   };
 
-  template <class... Args>
-  Lane* acquire(const Args&... args) {
+  Lane* acquire() {
     {
       MutexLock lock(mu_);
       if (!free_.empty()) {
@@ -146,9 +141,7 @@ class LanePool {
         return lane;
       }
     }
-    // A new lane is built outside the lock: building one may be as costly
-    // as sizing grid-wide state.
-    auto lane = std::make_unique<Lane>(args...);
+    auto lane = std::make_unique<Lane>();
     Lane* raw = lane.get();
     MutexLock lock(mu_);
     owned_.push_back(std::move(lane));

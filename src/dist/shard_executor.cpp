@@ -1,10 +1,9 @@
 #include "dist/shard_executor.h"
 
+#include <cmath>
 #include <string>
 #include <utility>
 
-#include "grid/window.h"
-#include "route/sharding.h"
 #include "util/assert.h"
 #include "util/fault_injection.h"
 
@@ -62,15 +61,34 @@ StatusOr<std::unique_ptr<ShardContext>> make_shard_context(
   }
 }
 
-StatusOr<ShardResultMsg> execute_shard(ShardContext& ctx,
-                                       std::span<const double> snapshot,
-                                       const ShardWorkMsg& work) {
-  const std::size_t num_edges = ctx.grid.graph().num_edges();
-  const std::size_t num_resources = ctx.grid.num_resources();
-  if (snapshot.size() != num_edges) {
+Status load_snapshot(ShardContext& ctx, const PriceSnapshotMsg& snapshot) {
+  ctx.round.reset();
+  if (snapshot.usage.size() != ctx.costs.num_resources()) {
     return Status::InvalidArgument(
-        "shard work: price snapshot does not match the setup grid");
+        "price snapshot: usage count does not match the setup grid");
   }
+  // set_usage would floor NaN to 0 without a word, and +inf would make
+  // every price on its resource infinite.
+  for (const double u : snapshot.usage) {
+    if (!std::isfinite(u) || u < 0.0) {
+      return Status::InvalidArgument(
+          "price snapshot: usage must be finite and non-negative");
+    }
+  }
+  for (ResourceId r = 0; r < snapshot.usage.size(); ++r) {
+    ctx.costs.set_usage(r, snapshot.usage[r]);
+  }
+  ctx.round = snapshot.round;
+  return Status::Ok();
+}
+
+StatusOr<ShardResultMsg> execute_shard(ShardContext& ctx,
+                                       const ShardWorkMsg& work) {
+  if (ctx.round != work.round) {
+    return Status::FailedPrecondition(
+        "shard work: no price snapshot loaded for this round");
+  }
+  const std::size_t num_edges = ctx.grid.graph().num_edges();
   // Validate the whole chunk before running any oracle: wire-supplied
   // indexes must never reach a contract check, and a half-executed chunk
   // would waste work the caller is about to retry anyway.
@@ -93,71 +111,22 @@ StatusOr<ShardResultMsg> execute_shard(ShardContext& ctx,
             "shard work: committed route edge out of range");
       }
     }
-    if (nw.usage.size() != nw.resources.size()) {
-      return Status::InvalidArgument(
-          "shard work: frozen usage count does not match the resources");
-    }
-    for (const std::uint32_t res : nw.resources) {
-      if (res >= num_resources) {
-        return Status::InvalidArgument(
-            "shard work: frozen resource id out of range");
-      }
-    }
   }
 
   try {
-    // A leased lane: execute_shard runs concurrently against one shared
-    // context, and the frozen usage replay below mutates the lane's costs.
-    const detail::LanePool<ShardLane>::Lease lease =
-        ctx.lanes.lease(ctx.grid, ctx.congestion);
-    ShardLane& lane = *lease.get();
-    CongestionCosts& costs = lane.costs;
-    SparseMap<double>& excluded = lane.excluded;
-
+    const detail::LanePool<OracleLane>::Lease lease = ctx.lanes.lease();
     ShardResultMsg result;
     result.round = work.round;
     result.shard = work.shard;
     result.nets.reserve(work.nets.size());
     for (const ShardWorkMsg::NetWork& nw : work.nets) {
-      const Net& net = ctx.netlist.nets[nw.net];
-      // The net prices against the snapshot minus its own committed usage —
-      // identical to the in-process shard loop, except the live usage of
-      // the net's resources arrives frozen on the wire instead of sitting
-      // in the session's CongestionCosts.
-      excluded.clear();
-      for (const EdgeId e : nw.route_edges) {
-        const RoutingGrid::EdgeInfo& info = ctx.grid.edge_info(e);
-        excluded[info.resource] += info.width;
-      }
-      // Restores the lane's zero-usage state on every exit, exceptions
-      // included: each net's pricing depends only on its own frozen
-      // resources, and the lane outlives this call.
-      struct UsageReset {
-        CongestionCosts& costs;
-        const std::vector<std::uint32_t>& resources;
-        ~UsageReset() {
-          for (const std::uint32_t res : resources) costs.set_usage(res, 0.0);
-        }
-      } usage_reset{costs, nw.resources};
-      for (std::size_t k = 0; k < nw.resources.size(); ++k) {
-        costs.set_usage(nw.resources[k], nw.usage[k]);
-      }
-      const RoundPricing pricing{
-          snapshot, nw.route_edges.empty() ? nullptr : &excluded};
-      OracleParams p = ctx.oracle;
-      p.seed = net_round_seed(ctx.options_seed, net.id, work.round);
-      if (p.cd.shared_dense_budget == nullptr) {
-        p.cd.shared_dense_budget = &ctx.dense_budget;
-      }
-      lane.oracle.rebuild(ctx.grid, costs, net, nw.sink_weights, p, &pricing);
-      OracleOutcome out = run_method(lane.oracle, ctx.method, p, &lane.scratch);
-
+      OracleOutcome out = route_round_net(
+          *lease.get(), ctx.grid, ctx.costs, ctx.netlist.nets[nw.net],
+          nw.sink_weights, nw.route_edges, ctx.method, ctx.oracle,
+          ctx.options_seed, work.round, &ctx.dense_budget,
+          /*controls=*/nullptr);
       ShardResultMsg::NetResult nr;
       nr.net = nw.net;
-      result.route_edges_total += out.grid_edges.size();
-      for (const EdgeId e : out.grid_edges) {
-        result.snapshot_cost_total += snapshot[e];
-      }
       nr.route_edges = std::move(out.grid_edges);
       nr.sink_delays = std::move(out.eval.sink_delays);
       result.nets.push_back(std::move(nr));

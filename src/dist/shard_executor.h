@@ -3,25 +3,27 @@
 /// compute half every ShardTransport placement shares.
 ///
 /// A ShardContext is the materialized WorkerSetupMsg: the rebuilt grid,
-/// netlist and knobs, plus a process-local dense-state budget pool and the
-/// recycled execution lanes. Both worker processes (dist/worker_main.cpp)
-/// and the in-process loopback transport create one and then call
+/// netlist and knobs, one CongestionCosts holding the loaded round's usage,
+/// a process-local dense-state budget pool and the recycled oracle lanes.
+/// Both worker processes (dist/worker_main.cpp) and the in-process loopback
+/// transport create one, call load_snapshot once per round and then
 /// execute_shard per ShardWorkMsg — one span of a shard's nets.
 ///
-/// Bit-identity contract: execute_shard(make_shard_context(setup),
-/// snapshot, work) produces exactly the routes/delays the in-process
-/// sharded round (api/router.cpp) computes for the same nets, because every
-/// input the oracles read — frozen snapshot prices, the net's committed
-/// route and the frozen usage of its resources, sink weights, the per-net
-/// round seed (route/sharding.h net_round_seed) — travels in the messages,
-/// and everything else (dense/sparse state placement, scratch history) is
-/// result-invariant by the solver's own contracts.
+/// Bit-identity contract: execute_shard on a context loaded with a round's
+/// PriceSnapshotMsg produces exactly the routes/delays the in-process
+/// sharded round (api/router.cpp) computes for the same nets. Both call
+/// route_round_net (route/steiner_oracle.h) with the same inputs: the
+/// loaded usage gives every resource the price the session's does (the
+/// same refresh on the same double), and the net's committed route, sink
+/// weights and round index travel in the work. Everything else (dense or
+/// sparse state placement, lane history) is result-invariant by the
+/// solver's own contracts.
 
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <span>
+#include <optional>
 
 #include "api/scratch_pool.h"
 #include "api/status.h"
@@ -31,51 +33,41 @@
 #include "grid/routing_grid.h"
 #include "route/net.h"
 #include "route/steiner_oracle.h"
-#include "util/sparse_map.h"
 
 namespace cdst::dist {
 
-/// One recycled execution lane of a ShardContext. `costs` is a zero-usage
-/// CongestionCosts: execute_shard replays a net's frozen usage into it and
-/// restores zero on every exit path, so a leased lane prices exactly like a
-/// freshly built one. The rest is per-net working state whose contents
-/// never influence results.
-struct ShardLane {
-  ShardLane(const RoutingGrid& grid, const CongestionParams& params)
-      : costs(grid, params) {}
-
-  CongestionCosts costs;
-  SolverScratch scratch;
-  OracleInstance oracle;  ///< rebuilt in place for each net
-  SparseMap<double> excluded;
-};
-
-/// The round-invariant execution state of one setup message. Create via
-/// make_shard_context; safe to share across concurrent execute_shard calls
-/// (each call leases its own lane; the budget pool is atomic).
+/// The execution state of one setup message. Create via make_shard_context.
+/// execute_shard calls may share a context concurrently (each leases its
+/// own lane; the budget pool is atomic); load_snapshot must not overlap
+/// them, which the transport contract guarantees (begin_round is never
+/// concurrent with dispatch).
 struct ShardContext {
   RoutingGrid grid;
   Netlist netlist;
   SteinerMethod method;
   OracleParams oracle;
-  CongestionParams congestion;
   std::uint64_t options_seed;
+  /// The loaded round's committed usage, priced: every net of the round
+  /// prices from it, and nothing mutates it before the next load.
+  CongestionCosts costs;
+  /// The round `costs` holds; empty before the first load and after a
+  /// failed one.
+  std::optional<std::int32_t> round;
   /// Process-local twin of the Router session's shared dense-state pool,
   /// sized from oracle.cd.dense_state_budget_bytes. Whether a solve lands
   /// dense or sparse never changes results, so each process budgeting
   /// independently preserves bit-identity.
   DenseStateBudget dense_budget;
-  /// Grows to the execute_shard concurrency high-water mark; a lane's
-  /// grid-sized state is built once, not per dispatch.
-  detail::LanePool<ShardLane> lanes;
+  /// Grows to the execute_shard concurrency high-water mark.
+  detail::LanePool<OracleLane> lanes;
 
   explicit ShardContext(const WorkerSetupMsg& setup)
       : grid(setup.nx, setup.ny, setup.layers, setup.via),
         netlist(setup.netlist),
         method(setup.method),
         oracle(setup.oracle),
-        congestion(setup.congestion),
         options_seed(setup.options_seed),
+        costs(grid, setup.congestion),
         dense_budget(setup.oracle.cd.dense_state_budget_bytes) {}
 
   ShardContext(const ShardContext&) = delete;
@@ -89,15 +81,19 @@ struct ShardContext {
 StatusOr<std::unique_ptr<ShardContext>> make_shard_context(
     const WorkerSetupMsg& setup);
 
-/// Routes the work's nets (one span of a shard) against the frozen round
-/// snapshot and returns their deltas in work order. `snapshot` must hold
-/// one price per grid edge (a parsed PriceSnapshotMsg for the work's
-/// round); the work's net indexes, routes and resources are validated
-/// against the context before any oracle runs. Thread-safe for one shared
-/// context (see ShardContext); results do not depend on which lane, or
-/// which earlier work, a call recycles.
+/// Loads one round's committed usage into the context. The usage comes from
+/// a pipe, so it is checked first: one value per resource of the setup
+/// grid, each finite and >= 0. Otherwise kInvalidArgument, and the context
+/// holds no round until a later load succeeds.
+Status load_snapshot(ShardContext& ctx, const PriceSnapshotMsg& snapshot);
+
+/// Routes the work's nets (one span of a shard) against the loaded round
+/// and returns their deltas in work order. kFailedPrecondition unless the
+/// context holds the work's round. The work's net indexes, routes and sink
+/// weights are validated against the context before any oracle runs.
+/// Thread-safe for one shared context (see ShardContext); results do not
+/// depend on which lane, or which earlier work, a call recycles.
 StatusOr<ShardResultMsg> execute_shard(ShardContext& ctx,
-                                       std::span<const double> snapshot,
                                        const ShardWorkMsg& work);
 
 }  // namespace cdst::dist

@@ -9,8 +9,6 @@ namespace cdst::dist {
 
 struct InProcessTransport::Impl {
   std::unique_ptr<ShardContext> ctx;
-  std::vector<double> snapshot;
-  std::int32_t snapshot_round{-1};
 };
 
 InProcessTransport::InProcessTransport() : impl_(std::make_unique<Impl>()) {}
@@ -30,8 +28,6 @@ Status InProcessTransport::configure(const WorkerSetupMsg& setup) {
     return Status::Annotate(ctx.status(), "in-process configure");
   }
   impl_->ctx = std::move(*ctx);
-  impl_->snapshot.clear();
-  impl_->snapshot_round = -1;
   return Status::Ok();
 }
 
@@ -45,16 +41,15 @@ Status InProcessTransport::begin_round(const PriceSnapshotMsg& snapshot) {
   if (!parsed.ok()) {
     return Status::Annotate(parsed.status(), "in-process begin_round");
   }
-  impl_->snapshot = std::move(parsed->edge_costs);
-  impl_->snapshot_round = parsed->round;
-  return Status::Ok();
+  return Status::Annotate(load_snapshot(*impl_->ctx, *parsed),
+                          "in-process begin_round");
 }
 
 StatusOr<ShardResultMsg> InProcessTransport::dispatch(
     const ShardWorkMsg& work) {
-  if (impl_->ctx == nullptr || impl_->snapshot_round != work.round) {
+  if (impl_->ctx == nullptr) {
     return Status::FailedPrecondition(
-        "in-process dispatch: transport not configured for this round");
+        "in-process dispatch: transport not configured");
   }
   try {
     // The transport's own failure point: models a delivery fault (as
@@ -68,8 +63,7 @@ StatusOr<ShardResultMsg> InProcessTransport::dispatch(
   if (!parsed.ok()) {
     return Status::Annotate(parsed.status(), "in-process dispatch");
   }
-  StatusOr<ShardResultMsg> result =
-      execute_shard(*impl_->ctx, impl_->snapshot, *parsed);
+  StatusOr<ShardResultMsg> result = execute_shard(*impl_->ctx, *parsed);
   if (!result.ok()) {
     return Status::Annotate(result.status(), "in-process dispatch");
   }

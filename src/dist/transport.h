@@ -2,12 +2,13 @@
 /// Pluggable execution of sharded router rounds: where a shard's work runs.
 ///
 /// The Router's sharded round loop (api/router.cpp) stays the owner of the
-/// protocol — it freezes prices, partitions nets, schedules spans, retries
-/// failures and merges at the barrier; a ShardTransport only answers
-/// "execute this span of a shard's nets and return its deltas". The round
-/// loop's work-stealing lanes (route/sharding.h ShardStealSchedule) issue
-/// one dispatch per span of ShardStealSchedule::kSpanNets consecutive nets
-/// of one shard, several spans of a shard possibly in flight at once.
+/// protocol — it publishes the round's usage, partitions nets, schedules
+/// spans, retries failures and merges at the barrier; a ShardTransport only
+/// answers "execute this span of a shard's nets and return its deltas".
+/// The round loop's work-stealing lanes (route/sharding.h
+/// ShardStealSchedule) issue one dispatch per span of
+/// ShardStealSchedule::kSpanNets consecutive nets of one shard, several
+/// spans of a shard possibly in flight at once.
 /// Because every implementation is fed by the same serializable messages
 /// (dist/wire.h) and the executor (dist/shard_executor.h) is a pure
 /// function of them, routing results are bit-identical across transports,
@@ -44,8 +45,10 @@ class ShardTransport {
   /// Never concurrent with dispatch.
   virtual Status configure(const WorkerSetupMsg& setup) = 0;
 
-  /// Publishes one round's frozen price plane; every dispatch until the
-  /// next begin_round executes against it. Never concurrent with dispatch.
+  /// Publishes one round's committed usage, one value per resource (the
+  /// executor loads it with load_snapshot, dist/shard_executor.h); every
+  /// dispatch until the next begin_round prices from it. Never concurrent
+  /// with dispatch.
   virtual Status begin_round(const PriceSnapshotMsg& snapshot) = 0;
 
   /// Executes one span of a shard's nets. Thread-safe: the round loop's

@@ -233,10 +233,10 @@ StatusOr<WorkerSetupMsg> WorkerSetupMsg::from_bytes(
 
 std::vector<std::uint8_t> PriceSnapshotMsg::to_bytes() const {
   std::vector<std::uint8_t> out;
-  out.reserve(24 + edge_costs.size() * 8);
+  out.reserve(24 + usage.size() * 8);
   wire::put_header(out, kPriceSnapshotMagic, kDistWireVersion);
   put_i32(out, round);
-  wire::put_vec(out, edge_costs);
+  wire::put_vec(out, usage);
   return out;
 }
 
@@ -250,7 +250,7 @@ StatusOr<PriceSnapshotMsg> PriceSnapshotMsg::from_bytes(
   }
   PriceSnapshotMsg msg;
   msg.round = read_i32(r);
-  wire::read_vec(r, msg.edge_costs);
+  wire::read_vec(r, msg.usage);
   if (!consumed(r)) return truncated("price snapshot");
   return msg;
 }
@@ -275,8 +275,6 @@ std::vector<std::uint8_t> ShardWorkMsg::to_bytes() const {
     wire::put_u32(out, nw.net);
     wire::put_vec(out, nw.sink_weights);
     wire::put_vec(out, nw.route_edges);
-    wire::put_vec(out, nw.resources);
-    wire::put_vec(out, nw.usage);
   }
   return out;
 }
@@ -306,9 +304,6 @@ StatusOr<ShardWorkMsg> ShardWorkMsg::from_bytes(
     nw.net = r.u32();
     wire::read_vec(r, nw.sink_weights);
     wire::read_vec(r, nw.route_edges);
-    wire::read_vec(r, nw.resources);
-    wire::read_vec(r, nw.usage);
-    if (nw.resources.size() != nw.usage.size()) r.ok = false;
     msg.nets.push_back(std::move(nw));
   }
   if (!consumed(r)) return truncated("shard work");
@@ -332,8 +327,6 @@ std::vector<std::uint8_t> ShardResultMsg::to_bytes() const {
     wire::put_vec(out, nr.route_edges);
     wire::put_vec(out, nr.sink_delays);
   }
-  wire::put_u64(out, route_edges_total);
-  wire::put_f64(out, snapshot_cost_total);
   return out;
 }
 
@@ -357,8 +350,6 @@ StatusOr<ShardResultMsg> ShardResultMsg::from_bytes(
     wire::read_vec(r, nr.sink_delays);
     msg.nets.push_back(std::move(nr));
   }
-  msg.route_edges_total = r.u64();
-  msg.snapshot_cost_total = r.f64();
   if (!consumed(r)) return truncated("shard result");
   return msg;
 }

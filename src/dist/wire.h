@@ -8,16 +8,15 @@
 ///   WorkerSetupMsg    — the round-invariant world (grid geometry, netlist,
 ///                       oracle/congestion knobs, session seed); sent once
 ///                       per worker, re-sent only when set_options changes it.
-///   PriceSnapshotMsg  — the round's frozen per-edge price plane; sent once
-///                       per (worker, round).
-///   ShardWorkMsg      — one shard's net chunk: per net its sink weights,
-///                       committed route and the frozen usage of that route's
-///                       resources (what the net excludes when pricing
-///                       against the snapshot — the rip-up, in snapshot
-///                       terms), plus tile geometry and round/shard indexes.
-///   ShardResultMsg    — the shard's route deltas: per net the re-routed
-///                       grid edges and sink delays, plus aggregate
-///                       congestion stats for observability.
+///   PriceSnapshotMsg  — the round's frozen committed usage, one value per
+///                       resource; the worker prices from it exactly as the
+///                       session does. Sent once per (worker, round).
+///   ShardWorkMsg      — one span of a shard's nets: per net its sink
+///                       weights and committed route (whose usage the net
+///                       prices out — the rip-up, in frozen-round terms),
+///                       plus tile geometry and round/shard indexes.
+///   ShardResultMsg    — the span's route deltas: per net the re-routed
+///                       grid edges and sink delays.
 ///   WorkerErrorMsg    — a typed Status a worker sends instead of a result.
 ///
 /// Every message is versioned and magic-prefixed in the overflow-safe style
@@ -63,8 +62,9 @@ inline constexpr std::uint32_t kShardResultMagic = fourcc('C', 'D', 'r', 's');
 inline constexpr std::uint32_t kWorkerErrorMagic = fourcc('C', 'D', 'e', 'r');
 
 /// One version for the whole protocol: the messages only ever travel
-/// together, so they revise together.
-inline constexpr std::uint32_t kDistWireVersion = 1;
+/// together, so they revise together. Version 2 ships per-resource usage
+/// instead of per-edge prices and drops the per-net frozen usage.
+inline constexpr std::uint32_t kDistWireVersion = 2;
 
 /// The round-invariant world a shard worker reconstructs once. Grid geometry
 /// travels as the RoutingGrid constructor inputs (nx/ny/layers/via): the
@@ -86,11 +86,12 @@ struct WorkerSetupMsg {
       std::span<const std::uint8_t> bytes);
 };
 
-/// The frozen per-edge price plane of one round (CongestionCosts::
-/// fill_edge_costs output), indexed by EdgeId of the setup grid.
+/// The committed usage one round prices from (CongestionCosts::usages()),
+/// indexed by ResourceId of the setup grid. The executor validates it
+/// (dist/shard_executor.h load_snapshot) before loading it.
 struct PriceSnapshotMsg {
   std::int32_t round{0};
-  std::vector<double> edge_costs;
+  std::vector<double> usage;
 
   std::vector<std::uint8_t> to_bytes() const;
   static StatusOr<PriceSnapshotMsg> from_bytes(
@@ -106,15 +107,8 @@ struct ShardWorkMsg {
     std::uint32_t net{0};  ///< index into WorkerSetupMsg::netlist.nets
     /// Live Lagrange multipliers of this net's sinks, in sink order.
     std::vector<double> sink_weights;
-    /// The net's committed route (excluded from its own snapshot pricing).
+    /// The net's committed route (priced out of its own window).
     std::vector<std::uint32_t> route_edges;
-    /// Frozen usage of the distinct resources `route_edges` touches, as
-    /// parallel (resource id, committed usage) arrays sorted by resource:
-    /// edge_cost_excluding subtracts the net's own width from the LIVE
-    /// usage of exactly these resources, so the executor replays them into
-    /// its local CongestionCosts to price bit-identically off-process.
-    std::vector<std::uint32_t> resources;
-    std::vector<double> usage;
   };
 
   std::int32_t round{0};
@@ -139,10 +133,6 @@ struct ShardResultMsg {
   std::int32_t round{0};
   std::int32_t shard{0};
   std::vector<NetResult> nets;
-  /// Aggregate congestion stats of the shard's new routes (observability;
-  /// the merge never reads them).
-  std::uint64_t route_edges_total{0};
-  double snapshot_cost_total{0.0};
 
   std::vector<std::uint8_t> to_bytes() const;
   static StatusOr<ShardResultMsg> from_bytes(

@@ -8,7 +8,10 @@
 ///                        setup is remembered and reported as a typed
 ///                        WorkerErrorMsg on the next work frame, keeping
 ///                        the protocol strictly request/reply.
-///   PriceSnapshotMsg  -> store the round's frozen price plane. One-way.
+///   PriceSnapshotMsg  -> load the round's committed usage into the context
+///                        (load_snapshot). One-way: a bad or missing
+///                        snapshot leaves no round loaded, which the next
+///                        work frame reports as kFailedPrecondition.
 ///   ShardWorkMsg      -> execute the shard (dist/shard_executor.h) and
 ///                        reply with a ShardResultMsg or a WorkerErrorMsg.
 ///
@@ -37,9 +40,6 @@ namespace {
 int worker_loop() {
   std::unique_ptr<ShardContext> ctx;
   Status state = Status::FailedPrecondition("worker: no setup received");
-  std::vector<double> snapshot;
-  std::int32_t snapshot_round = -1;
-  bool have_snapshot = false;
 
   for (;;) {
     StatusOr<std::vector<std::uint8_t>> frame = read_frame(STDIN_FILENO);
@@ -64,42 +64,31 @@ int worker_loop() {
         state = built.status();
         continue;
       }
-      ctx = std::move(*built);
+      ctx = std::move(*built);  // a new world holds no round yet
       state = Status::Ok();
-      have_snapshot = false;  // a new world invalidates any old snapshot
       continue;
     }
 
     if (magic == kPriceSnapshotMagic) {
+      if (ctx == nullptr) continue;  // the work frame reports `state`
       StatusOr<PriceSnapshotMsg> msg = PriceSnapshotMsg::from_bytes(bytes);
-      if (!msg.ok()) {
-        // Dropping the snapshot is enough: the next work frame reports the
-        // missing round via FailedPrecondition below.
-        have_snapshot = false;
-        continue;
+      if (!msg.ok() || !load_snapshot(*ctx, *msg).ok()) {
+        // A corrupt frame unloads the previous round too: work for it
+        // must not run against stale usage.
+        ctx->round.reset();
       }
-      snapshot = std::move(msg->edge_costs);
-      snapshot_round = msg->round;
-      have_snapshot = true;
       continue;
     }
 
     if (magic == kShardWorkMagic) {
       Status failure = state;
       StatusOr<ShardResultMsg> result = Status::Internal("unset");
-      if (failure.ok() && !have_snapshot) {
-        failure = Status::FailedPrecondition(
-            "worker: no price snapshot for this round");
-      }
       if (failure.ok()) {
         StatusOr<ShardWorkMsg> work = ShardWorkMsg::from_bytes(bytes);
         if (!work.ok()) {
           failure = work.status();
-        } else if (work->round != snapshot_round) {
-          failure = Status::FailedPrecondition(
-              "worker: work round does not match the snapshot round");
         } else {
-          result = execute_shard(*ctx, snapshot, *work);
+          result = execute_shard(*ctx, *work);
           if (!result.ok()) failure = result.status();
         }
       }

@@ -20,15 +20,10 @@ CongestionCosts::CongestionCosts(const RoutingGrid& grid,
 }
 
 std::vector<double> CongestionCosts::edge_cost_vector() const {
-  std::vector<double> c;
-  fill_edge_costs(c);
-  return c;
-}
-
-void CongestionCosts::fill_edge_costs(std::vector<double>& out) const {
   const std::size_t m = grid_->graph().num_edges();
-  out.resize(m);
-  for (EdgeId e = 0; e < m; ++e) out[e] = edge_cost(e);
+  std::vector<double> c(m);
+  for (EdgeId e = 0; e < m; ++e) c[e] = edge_cost(e);
+  return c;
 }
 
 void CongestionCosts::add_usage(const std::vector<EdgeId>& edges,

@@ -51,8 +51,8 @@ class CongestionCosts {
 
   /// Price of e with `excluded_usage` capacity units of its resource's usage
   /// discounted (floored at zero). The sharded router prices each net
-  /// against the frozen round snapshot *minus the net's own committed
-  /// usage* — the snapshot-world equivalent of ripping the net up first.
+  /// against the round's frozen usage *minus the net's own committed
+  /// usage* — the frozen-round equivalent of ripping the net up first.
   double edge_cost_excluding(EdgeId e, double excluded_usage) const {
     const RoutingGrid::EdgeInfo& info = grid_->edge_info(e);
     const double use = std::max(0.0, usage_[info.resource] - excluded_usage);
@@ -63,23 +63,23 @@ class CongestionCosts {
   /// Snapshot of edge costs for all edges (the c vector handed to solvers).
   std::vector<double> edge_cost_vector() const;
 
-  /// Like edge_cost_vector(), but fills a caller-owned vector (capacity
-  /// recycled round over round by the sharded router's price snapshot).
-  void fill_edge_costs(std::vector<double>& out) const;
-
   /// Commits (sign=+1) or rips up (sign=-1) the usage of a set of edges.
   void add_usage(const std::vector<EdgeId>& edges, double sign);
 
   /// Overwrites one resource's usage (floored at zero). The distributed
-  /// shard executor (dist/shard_executor.h) replays a round's frozen
-  /// per-resource usage into a worker-local instance with this, so
-  /// edge_cost_excluding prices bit-identically off-process.
+  /// shard executor (dist/shard_executor.h) loads a round's usages() into
+  /// its context's instance with this: the price comes out of the same
+  /// refresh on the same double, so edge_cost and edge_cost_excluding are
+  /// bit-identical off-process.
   void set_usage(ResourceId r, double usage) {
     usage_[r] = std::max(0.0, usage);
     refresh_price(r);
   }
 
   double usage(ResourceId r) const { return usage_[r]; }
+  /// Every resource's usage, ResourceId indexed: the state a sharded
+  /// round's PriceSnapshotMsg ships (dist/wire.h).
+  const std::vector<double>& usages() const { return usage_; }
   double utilization(ResourceId r) const { return usage_[r] / capacity_[r]; }
   std::size_t num_resources() const { return usage_.size(); }
 

@@ -8,13 +8,13 @@ namespace cdst {
 
 RoutingWindow::RoutingWindow(const RoutingGrid& grid,
                              const CongestionCosts& costs, Rect box,
-                             const RoundPricing* pricing) {
-  rebuild(grid, costs, box, pricing);
+                             const SparseMap<double>* excluded_usage) {
+  rebuild(grid, costs, box, excluded_usage);
 }
 
 void RoutingWindow::rebuild(const RoutingGrid& grid,
                             const CongestionCosts& costs, Rect box,
-                            const RoundPricing* pricing) {
+                            const SparseMap<double>* excluded_usage) {
   // The per-net allocation site: the planes below grow here when a lane
   // meets a larger box than any before.
   CDST_FAULT_POINT("window.rebuild");
@@ -50,9 +50,9 @@ void RoutingWindow::rebuild(const RoutingGrid& grid,
   // the grid's wire ids step by one boundary of wire types and its via ids
   // by one, and so do their resources. Unit costs and delays are uniform
   // per layer and wire type (LayerSpec), so the row's first boundary and
-  // via supply them for the whole row. Each price is the active pricing
-  // mode's expression for its grid edge, snapshotted now; the live one is
-  // edge_cost's unit_cost * price(resource).
+  // via supply them for the whole row. Each price is edge_cost's
+  // unit_cost * price(resource), read now, or edge_cost_excluding for a
+  // resource the net's own usage occupies.
   costs_.clear();
   costs_.reserve(graph_.num_edges());
   delays_.clear();
@@ -62,13 +62,9 @@ void RoutingWindow::rebuild(const RoutingGrid& grid,
   const auto price = [&](EdgeId ge, ResourceId r, float unit) {
     CDST_ASSERT(grid.edge_info(ge).resource == r);
     CDST_ASSERT(grid.edge_info(ge).unit_cost == unit);
-    if (pricing == nullptr) return unit * costs.price(r);
-    // Frozen round snapshot: only the net's own resources re-price, with
-    // its committed usage excluded.
-    const double* excluded = pricing->excluded_usage != nullptr
-                                 ? pricing->excluded_usage->find(r)
-                                 : nullptr;
-    return excluded == nullptr ? pricing->edge_costs[ge]
+    const double* excluded =
+        excluded_usage != nullptr ? excluded_usage->find(r) : nullptr;
+    return excluded == nullptr ? unit * costs.price(r)
                                : costs.edge_cost_excluding(ge, *excluded);
   };
   graph_.for_each_row([&](const BoxRow& row) {

@@ -10,8 +10,9 @@
 /// A window stores no graph. Its topology is an implicit BoxGraph
 /// (graph/box_graph.h) whose vertex and edge ids are window-local; per net
 /// the window fills only the per-vertex grid positions (the future-cost
-/// geometry plane) and two per-edge planes: congestion cost, snapshotted
-/// from the pricing in force at rebuild(), and delay. The cost-distance
+/// geometry plane) and two per-edge planes: congestion cost, gathered from
+/// CongestionCosts at rebuild() (minus a net's own usage, when given), and
+/// delay. The cost-distance
 /// solver generates each settled vertex's arcs from the box. Consumers
 /// that need a CSR call materialize() once.
 
@@ -29,27 +30,18 @@
 
 namespace cdst {
 
-/// Frozen pricing of one sharded router round (route/sharding.h): every net
-/// of the round prices its window from the same per-grid-edge snapshot,
-/// except for the resources its own committed route occupies, which are
-/// re-priced with that usage excluded (the sharded equivalent of ripping the
-/// net up before pricing). Both members are borrowed for the window build.
-struct RoundPricing {
-  std::span<const double> edge_costs;  ///< snapshot, grid-EdgeId indexed
-  /// Resource -> capacity units of the net's own committed usage to exclude;
-  /// null when the net has no committed route.
-  const SparseMap<double>* excluded_usage{nullptr};
-};
-
 class RoutingWindow {
  public:
   /// The window of `grid` over the gcells in `box` (clipped to the grid),
   /// all layers included, with current congestion prices as costs
   /// (gathered from CongestionCosts' per-resource price table).
-  /// `pricing` (optional) prices from a frozen round snapshot instead of the
-  /// live CongestionCosts state — see RoundPricing.
+  /// `excluded_usage` (optional, borrowed for the build) maps resource ->
+  /// capacity units of a net's own committed usage: those resources are
+  /// re-priced with that usage excluded (edge_cost_excluding), the sharded
+  /// router's equivalent of ripping the net up before pricing. Null prices
+  /// every edge as it stands.
   RoutingWindow(const RoutingGrid& grid, const CongestionCosts& costs,
-                Rect box, const RoundPricing* pricing = nullptr);
+                Rect box, const SparseMap<double>* excluded_usage = nullptr);
 
   /// An empty window, to be filled by rebuild() before any other use.
   RoutingWindow() = default;
@@ -60,7 +52,7 @@ class RoutingWindow {
   /// prices are read here and never again: later usage changes do not
   /// reach the window.
   void rebuild(const RoutingGrid& grid, const CongestionCosts& costs,
-               Rect box, const RoundPricing* pricing = nullptr);
+               Rect box, const SparseMap<double>* excluded_usage = nullptr);
 
   /// `box` clipped to the grid, as the constructor clips it.
   static Rect clip(const RoutingGrid& grid, Rect box);

@@ -37,10 +37,11 @@ struct RouterOptions {
   /// (w0 = weight_init_scale * criticality^2).
   double weight_init_scale{3.0};
   std::uint64_t seed{1};
-  /// Worker threads for the per-net oracle calls. Nets are processed in
-  /// batches: each batch is ripped up, routed in parallel against a frozen
-  /// price snapshot, then committed — results are deterministic and
-  /// independent of the thread count (the paper's runs use 16 threads).
+  /// Worker threads for the per-net oracle calls. Batched rounds rip each
+  /// batch up, route its nets in parallel against the usage as it then
+  /// stands, and commit it; sharded rounds (below) do the same per round.
+  /// Results are deterministic and independent of the thread count (the
+  /// paper's runs use 16 threads).
   /// Only honored by self-owned sessions: a session vended by an Engine
   /// (api/engine.h) runs on the engine's shared pool, which decides
   /// concurrency — Engine::make_router warns on a conflicting request and
@@ -57,19 +58,19 @@ struct RouterOptions {
   int batch_size{48};
   /// Spatial sharding of the rip-up & re-route rounds. 0 (default) keeps the
   /// legacy batched round discipline above. With shards >= 1 each round
-  /// (a) freezes the congestion prices once into a per-edge snapshot,
-  /// (b) partitions the nets into `shards` grid tiles by bounding box
-  /// (route/sharding.h), (c) routes them on the worker pool, whose lanes
-  /// claim whole shards and then steal net spans from unfinished ones
-  /// (ShardStealSchedule) — every net priced against the frozen snapshot
-  /// minus its own committed usage — and (d) merges all route/price
-  /// updates at the round barrier in net order. Results are bit-identical
-  /// at ANY thread and shard count (shards only schedule work); they differ
-  /// from the legacy batched discipline, whose batches see earlier
-  /// batches' usage mid-round. Both disciplines price windows by gathering from
-  /// CongestionCosts' per-resource price table; sharded rounds win on
-  /// scheduling, with one merge barrier per round instead of one barrier
-  /// per batch.
+  /// (a) leaves the committed usage untouched until its barrier, so every
+  /// net prices from the same frozen state, (b) partitions the nets into
+  /// `shards` grid tiles by bounding box (route/sharding.h), (c) routes
+  /// them on the worker pool, whose lanes claim whole shards and then
+  /// steal net spans from unfinished ones (ShardStealSchedule) — every net
+  /// priced from that usage minus its own committed usage — and (d) merges
+  /// all route/usage updates at the barrier in net order. Results are
+  /// bit-identical at ANY thread and shard count (shards only schedule
+  /// work); they differ from the legacy batched discipline, whose batches
+  /// see earlier batches' usage mid-round. Both disciplines price windows
+  /// by gathering from CongestionCosts' per-resource price table; sharded
+  /// rounds win on scheduling, with one merge barrier per round instead of
+  /// one barrier per batch.
   int shards{0};
   /// Where sharded rounds execute shard work. Null (default) runs every
   /// shard in-process on the session's worker pool. Non-null dispatches

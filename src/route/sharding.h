@@ -5,7 +5,7 @@
 /// gcell plane into a lattice of near-square tiles — one shard per tile —
 /// and assigns every net to the tile containing its bounding-box center.
 /// Shards are the router's unit of parallel work: a lane claims a shard and
-/// routes its nets against the round's frozen price snapshot, so
+/// routes its nets against the round's frozen committed usage, so
 /// neighbouring nets (which share cache-resident grid regions) mostly stay
 /// on one core, while distant shards fan out across the ThreadPool and idle
 /// lanes steal spans of unfinished shards (ShardStealSchedule).
@@ -14,7 +14,7 @@
 /// count): deterministic, a partition of the netlist (every net in exactly
 /// one shard, ascending net order within a shard — asserted by the property
 /// tests), and independent of thread count. Because sharded rounds price
-/// every net against the same frozen snapshot and merge updates in net
+/// every net from the same frozen usage and merge updates in net
 /// order at the round barrier, routing *results* are additionally
 /// independent of the shard count itself (see api/router.h).
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "route/sharding.h"
 #include "topology/prim_dijkstra.h"
 #include "topology/rsmt.h"
 #include "topology/shallow_light.h"
@@ -22,9 +23,9 @@ OracleInstance::OracleInstance(const RoutingGrid& grid,
                                const CongestionCosts& costs, const Net& net,
                                std::span<const double> sink_weights,
                                const OracleParams& params,
-                               const RoundPricing* pricing)
+                               const SparseMap<double>* excluded_usage)
     : OracleInstance() {
-  rebuild(grid, costs, net, sink_weights, params, pricing);
+  rebuild(grid, costs, net, sink_weights, params, excluded_usage);
 }
 
 OracleInstance::OracleInstance() : rep_(std::make_unique<Rep>()) {}
@@ -39,10 +40,11 @@ void OracleInstance::rebuild(const RoutingGrid& grid,
                              const CongestionCosts& costs, const Net& net,
                              std::span<const double> sink_weights,
                              const OracleParams& params,
-                             const RoundPricing* pricing) {
+                             const SparseMap<double>* excluded_usage) {
   CDST_CHECK(sink_weights.size() == net.sinks.size());
   Rep& rep = *rep_;
-  rep.window.rebuild(grid, costs, net_window_box(net, params), pricing);
+  rep.window.rebuild(grid, costs, net_window_box(net, params),
+                     excluded_usage);
   rep.instance.dbif = params.dbif;
   rep.instance.eta = params.eta;
   rep.instance.root = rep.window.from_grid_vertex(grid.vertex_at(net.source));
@@ -133,6 +135,27 @@ OracleOutcome run_method(const OracleInstance& oi, SteinerMethod method,
   out.eval = r.eval;
   out.grid_edges = oi.window().to_grid_edges(r.tree.all_edges());
   return out;
+}
+
+OracleOutcome route_round_net(OracleLane& lane, const RoutingGrid& grid,
+                              const CongestionCosts& costs, const Net& net,
+                              std::span<const double> weights,
+                              std::span<const EdgeId> own_route,
+                              SteinerMethod method, const OracleParams& params,
+                              std::uint64_t options_seed, int round,
+                              DenseStateBudget* budget,
+                              const SolveControls* controls) {
+  lane.excluded.clear();
+  for (const EdgeId ge : own_route) {
+    const RoutingGrid::EdgeInfo& info = grid.edge_info(ge);
+    lane.excluded[info.resource] += info.width;
+  }
+  OracleParams p = params;
+  p.seed = net_round_seed(options_seed, net.id, round);
+  if (p.cd.shared_dense_budget == nullptr) p.cd.shared_dense_budget = budget;
+  lane.oracle.rebuild(grid, costs, net, weights, p,
+                      own_route.empty() ? nullptr : &lane.excluded);
+  return run_method(lane.oracle, method, p, &lane.scratch, controls);
 }
 
 }  // namespace cdst

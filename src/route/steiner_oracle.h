@@ -52,14 +52,14 @@ class OracleInstance {
  public:
   /// `sink_weights` is a borrowed view (one weight per net sink); it is read
   /// only during construction, so routers can pass views into their flat
-  /// per-sink arrays instead of materializing a per-net copy. `pricing`
-  /// (optional, borrowed for construction only) prices the window from a
-  /// frozen round snapshot instead of the live congestion state — the
-  /// sharded router's path (see grid/window.h, route/sharding.h).
+  /// per-sink arrays instead of materializing a per-net copy.
+  /// `excluded_usage` (optional, borrowed for construction only) is the
+  /// net's own committed usage per resource, priced out of the window — the
+  /// sharded router's rip-up (see grid/window.h).
   OracleInstance(const RoutingGrid& grid, const CongestionCosts& costs,
                  const Net& net, std::span<const double> sink_weights,
                  const OracleParams& params,
-                 const RoundPricing* pricing = nullptr);
+                 const SparseMap<double>* excluded_usage = nullptr);
   /// An empty instance that holds no net until rebuild() fills it.
   OracleInstance();
   ~OracleInstance();
@@ -78,7 +78,7 @@ class OracleInstance {
   void rebuild(const RoutingGrid& grid, const CongestionCosts& costs,
                const Net& net, std::span<const double> sink_weights,
                const OracleParams& params,
-               const RoundPricing* pricing = nullptr);
+               const SparseMap<double>* excluded_usage = nullptr);
 
   const CostDistanceInstance& instance() const { return rep_->instance; }
   const RoutingWindow& window() const { return rep_->window; }
@@ -138,5 +138,33 @@ OracleOutcome run_method(const OracleInstance& oi, SteinerMethod method,
                          const OracleParams& params,
                          SolverScratch* scratch = nullptr,
                          const SolveControls* controls = nullptr);
+
+/// One router lane's recycled per-net working state: the solver scratch,
+/// the oracle instance each net is rebuilt into and the own-usage map, so
+/// routing a net allocates only when its window is the largest the lane has
+/// met. Its contents never influence results.
+struct OracleLane {
+  SolverScratch scratch;
+  OracleInstance oracle;
+  SparseMap<double> excluded;
+};
+
+/// Routes one net of Lagrangean round `round` on `lane`: the per-net step
+/// every executor shares (the Router session's batched and sharded rounds,
+/// and the shard executor of dist/). It prices the net's window from
+/// `costs` minus the usage of `own_route`, the net's committed route (empty
+/// means no exclusion), seeds the oracle with net_round_seed(options_seed,
+/// net.id, round) (route/sharding.h), hands `budget` to the solver unless
+/// `params` carries a pool already, and runs `method`. `weights` holds one
+/// multiplier per sink. The result depends only on these arguments, never
+/// on the lane's history.
+OracleOutcome route_round_net(OracleLane& lane, const RoutingGrid& grid,
+                              const CongestionCosts& costs, const Net& net,
+                              std::span<const double> weights,
+                              std::span<const EdgeId> own_route,
+                              SteinerMethod method, const OracleParams& params,
+                              std::uint64_t options_seed, int round,
+                              DenseStateBudget* budget,
+                              const SolveControls* controls);
 
 }  // namespace cdst

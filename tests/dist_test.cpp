@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -108,10 +110,6 @@ dist::ShardWorkMsg sample_work(Rng& rng) {
     for (int e = 0; e < 8; ++e) {
       nw.route_edges.push_back(static_cast<std::uint32_t>(rng.uniform(500)));
     }
-    for (std::uint32_t r = 0; r < 4; ++r) {
-      nw.resources.push_back(n * 16 + r);
-      nw.usage.push_back(static_cast<double>(rng.uniform(64)));
-    }
     work.nets.push_back(nw);
   }
   return work;
@@ -126,15 +124,22 @@ dist::ShardResultMsg sample_result(Rng& rng) {
     nr.net = n * 3;
     for (int e = 0; e < 6; ++e) {
       nr.route_edges.push_back(static_cast<std::uint32_t>(rng.uniform(500)));
-      result.route_edges_total += 1;
     }
     for (int s = 0; s < 3; ++s) {
       nr.sink_delays.push_back(static_cast<double>(rng.uniform(1 << 20)));
     }
     result.nets.push_back(nr);
   }
-  result.snapshot_cost_total = 1234.5;
   return result;
+}
+
+dist::PriceSnapshotMsg sample_snapshot(Rng& rng) {
+  dist::PriceSnapshotMsg snapshot;
+  snapshot.round = 7;
+  for (int i = 0; i < 257; ++i) {
+    snapshot.usage.push_back(static_cast<double>(rng.uniform(1 << 16)) / 7.0);
+  }
+  return snapshot;
 }
 
 TEST(DistWireTest, SetupRoundTripsBitIdentically) {
@@ -190,17 +195,12 @@ TEST(DistWireTest, SetupRoundTripsBitIdentically) {
 TEST(DistWireTest, RoundMessagesRoundTripBitIdentically) {
   Rng rng(13);
 
-  dist::PriceSnapshotMsg snapshot;
-  snapshot.round = 7;
-  for (int i = 0; i < 257; ++i) {
-    snapshot.edge_costs.push_back(static_cast<double>(rng.uniform(1 << 16)) /
-                                  7.0);
-  }
+  const dist::PriceSnapshotMsg snapshot = sample_snapshot(rng);
   const StatusOr<dist::PriceSnapshotMsg> snap_back =
       dist::PriceSnapshotMsg::from_bytes(snapshot.to_bytes());
   ASSERT_TRUE(snap_back.ok()) << snap_back.status().to_string();
   EXPECT_EQ(snap_back->round, snapshot.round);
-  EXPECT_EQ(snap_back->edge_costs, snapshot.edge_costs);
+  EXPECT_EQ(snap_back->usage, snapshot.usage);
 
   const dist::ShardWorkMsg work = sample_work(rng);
   const StatusOr<dist::ShardWorkMsg> work_back =
@@ -216,8 +216,6 @@ TEST(DistWireTest, RoundMessagesRoundTripBitIdentically) {
     EXPECT_EQ(work_back->nets[i].net, work.nets[i].net);
     EXPECT_EQ(work_back->nets[i].sink_weights, work.nets[i].sink_weights);
     EXPECT_EQ(work_back->nets[i].route_edges, work.nets[i].route_edges);
-    EXPECT_EQ(work_back->nets[i].resources, work.nets[i].resources);
-    EXPECT_EQ(work_back->nets[i].usage, work.nets[i].usage);
   }
 
   const dist::ShardResultMsg result = sample_result(rng);
@@ -232,8 +230,6 @@ TEST(DistWireTest, RoundMessagesRoundTripBitIdentically) {
     EXPECT_EQ(result_back->nets[i].route_edges, result.nets[i].route_edges);
     EXPECT_EQ(result_back->nets[i].sink_delays, result.nets[i].sink_delays);
   }
-  EXPECT_EQ(result_back->route_edges_total, result.route_edges_total);
-  EXPECT_EQ(result_back->snapshot_cost_total, result.snapshot_cost_total);
 
   dist::WorkerErrorMsg error;
   error.code = StatusCode::kUnavailable;
@@ -266,6 +262,7 @@ TEST(DistWireTest, TruncationIsAlwaysRejected) {
   // the exact-consumption discipline means no prefix can be a valid message.
   Rng rng(17);
   const std::vector<std::vector<std::uint8_t>> encodings = {
+      sample_snapshot(rng).to_bytes(),
       sample_work(rng).to_bytes(),
       sample_result(rng).to_bytes(),
       dist::WorkerErrorMsg{StatusCode::kInternal, "boom"}.to_bytes(),
@@ -273,6 +270,9 @@ TEST(DistWireTest, TruncationIsAlwaysRejected) {
   for (const std::vector<std::uint8_t>& bytes : encodings) {
     for (std::size_t len = 0; len < bytes.size(); ++len) {
       const std::span<const std::uint8_t> prefix(bytes.data(), len);
+      EXPECT_EQ(dist::PriceSnapshotMsg::from_bytes(prefix).status().code(),
+                StatusCode::kInvalidArgument)
+          << "prefix " << len;
       EXPECT_EQ(dist::ShardWorkMsg::from_bytes(prefix).status().code(),
                 StatusCode::kInvalidArgument)
           << "prefix " << len;
@@ -299,8 +299,19 @@ TEST(DistWireTest, BitFlipsNeverCrashTheParsers) {
   // parse (a flipped payload double is still a double) or kInvalidArgument —
   // never a crash or a hang (this is the ASan-lane payoff).
   Rng rng(19);
+  std::vector<std::uint8_t> bytes = sample_snapshot(rng).to_bytes();
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] ^= 0x3C;
+    const StatusOr<dist::PriceSnapshotMsg> parsed =
+        dist::PriceSnapshotMsg::from_bytes(bytes);
+    if (!parsed.ok()) {
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+          << "byte " << i;
+    }
+    bytes[i] ^= 0x3C;
+  }
   const dist::ShardWorkMsg work = sample_work(rng);
-  std::vector<std::uint8_t> bytes = work.to_bytes();
+  bytes = work.to_bytes();
   for (std::size_t i = 0; i < bytes.size(); ++i) {
     bytes[i] ^= 0xA5;
     const StatusOr<dist::ShardWorkMsg> parsed =
@@ -362,10 +373,10 @@ class RecordingTransport final : public dist::ShardTransport {
 
 /// Round 1 of a dist_chip session through the loopback transport: the
 /// setup, the round's snapshot and its spans, whose nets carry committed
-/// routes and frozen usage.
+/// routes.
 struct RecordedRound {
   dist::WorkerSetupMsg setup;
-  std::vector<double> snapshot;
+  dist::PriceSnapshotMsg snapshot;
   std::vector<dist::ShardWorkMsg> works;
 };
 
@@ -381,11 +392,21 @@ RecordedRound record_second_round() {
   EXPECT_TRUE(session.run(2).ok());
   RecordedRound out;
   out.setup = *recorder.setup;
-  out.snapshot = recorder.snapshots.back().edge_costs;
+  out.snapshot = recorder.snapshots.back();
   for (const dist::ShardWorkMsg& work : recorder.works) {
     if (work.round == 1) out.works.push_back(work);
   }
   return out;
+}
+
+/// A context built for `rec`'s setup with its round loaded.
+std::unique_ptr<dist::ShardContext> loaded_context(const RecordedRound& rec) {
+  StatusOr<std::unique_ptr<dist::ShardContext>> ctx =
+      dist::make_shard_context(rec.setup);
+  EXPECT_TRUE(ctx.ok()) << ctx.status().to_string();
+  const Status st = dist::load_snapshot(**ctx, rec.snapshot);
+  EXPECT_TRUE(st.ok()) << st.to_string();
+  return std::move(*ctx);
 }
 
 std::size_t largest_sink_count(const dist::ShardWorkMsg& work) {
@@ -408,34 +429,20 @@ void expect_same_result(const dist::ShardResultMsg& got,
     EXPECT_EQ(got.nets[k].sink_delays, want.nets[k].sink_delays)
         << "net " << want.nets[k].net;
   }
-  EXPECT_EQ(got.route_edges_total, want.route_edges_total);
-  EXPECT_EQ(got.snapshot_cost_total, want.snapshot_cost_total);
 }
 
 /// The reference: `work` on a context built for it alone.
 dist::ShardResultMsg execute_fresh(const RecordedRound& rec,
                                    const dist::ShardWorkMsg& work) {
-  StatusOr<std::unique_ptr<dist::ShardContext>> ctx =
-      dist::make_shard_context(rec.setup);
-  EXPECT_TRUE(ctx.ok());
-  StatusOr<dist::ShardResultMsg> result =
-      dist::execute_shard(**ctx, rec.snapshot, work);
+  const std::unique_ptr<dist::ShardContext> ctx = loaded_context(rec);
+  StatusOr<dist::ShardResultMsg> result = dist::execute_shard(*ctx, work);
   EXPECT_TRUE(result.ok()) << result.status().to_string();
   return std::move(*result);
 }
 
-/// A work whose second net is the recorded net with the longest committed
-/// route, its frozen usage raised by two capacities' worth, and the probe
-/// that follows it: the same net with no frozen usage at all. The probe's
-/// own-usage exclusion then reads the lane's usage state directly — zero on
-/// a fresh or correctly restored lane, the heavy work's usage on a leaky
-/// one — which prices the net's own route very differently.
-struct HeavyAndProbe {
-  dist::ShardWorkMsg heavy;
-  dist::ShardWorkMsg probe;
-};
-
-HeavyAndProbe heavy_and_probe(const RecordedRound& rec) {
+/// A two-net work: the first recorded net, then the recorded net with the
+/// longest committed route.
+dist::ShardWorkMsg two_net_work(const RecordedRound& rec) {
   const dist::ShardWorkMsg::NetWork* longest = nullptr;
   for (const dist::ShardWorkMsg& work : rec.works) {
     for (const dist::ShardWorkMsg::NetWork& nw : work.nets) {
@@ -445,16 +452,9 @@ HeavyAndProbe heavy_and_probe(const RecordedRound& rec) {
       }
     }
   }
-  HeavyAndProbe out;
-  out.heavy = rec.works.front();
-  out.heavy.nets.resize(1);
-  dist::ShardWorkMsg::NetWork inflated = *longest;
-  for (double& u : inflated.usage) u += 16.0;
-  out.heavy.nets.push_back(inflated);
-  out.probe = out.heavy;
-  out.probe.nets.assign(1, *longest);
-  out.probe.nets[0].resources.clear();
-  out.probe.nets[0].usage.clear();
+  dist::ShardWorkMsg out = rec.works.front();
+  out.nets.resize(1);
+  out.nets.push_back(*longest);
   return out;
 }
 
@@ -463,15 +463,13 @@ TEST(DistExecutorTest, RecycledLanesMatchFreshContexts) {
   ASSERT_GE(rec.works.size(), 4u);
 
   // Spans of every shard, smallest nets first so the largest net arrives on
-  // a lane warmed by small ones; then the heavy work and its probe; then the
-  // same work twice.
+  // a lane warmed by small ones; then a two-net work; then the same work
+  // twice.
   std::vector<dist::ShardWorkMsg> seq = rec.works;
   std::stable_sort(seq.begin(), seq.end(), [](const auto& a, const auto& b) {
     return largest_sink_count(a) < largest_sink_count(b);
   });
-  const HeavyAndProbe hp = heavy_and_probe(rec);
-  seq.push_back(hp.heavy);
-  seq.push_back(hp.probe);
+  seq.push_back(two_net_work(rec));
   seq.push_back(seq.front());
   seq.push_back(seq.front());
 
@@ -479,31 +477,19 @@ TEST(DistExecutorTest, RecycledLanesMatchFreshContexts) {
   for (const dist::ShardWorkMsg& work : seq) {
     want.push_back(execute_fresh(rec, work));
   }
-  // The probe must be sensitive to a leaked usage: priced against the heavy
-  // work's usage instead of zero, its net routes differently.
-  dist::ShardWorkMsg leaky_probe = hp.probe;
-  leaky_probe.nets[0].resources = hp.heavy.nets[1].resources;
-  leaky_probe.nets[0].usage = hp.heavy.nets[1].usage;
-  EXPECT_NE(execute_fresh(rec, leaky_probe).nets[0].route_edges,
-            want[seq.size() - 3].nets[0].route_edges);
 
   // One context, one calling thread: every work recycles the same lane.
-  StatusOr<std::unique_ptr<dist::ShardContext>> shared =
-      dist::make_shard_context(rec.setup);
-  ASSERT_TRUE(shared.ok());
+  const std::unique_ptr<dist::ShardContext> shared = loaded_context(rec);
   for (std::size_t k = 0; k < seq.size(); ++k) {
     SCOPED_TRACE(testing::Message() << "work " << k);
-    StatusOr<dist::ShardResultMsg> got =
-        dist::execute_shard(**shared, rec.snapshot, seq[k]);
+    StatusOr<dist::ShardResultMsg> got = dist::execute_shard(*shared, seq[k]);
     ASSERT_TRUE(got.ok()) << got.status().to_string();
     expect_same_result(*got, want[k]);
   }
 
   // Four threads on one context run the whole sequence concurrently; every
   // call leases whichever lane is free.
-  StatusOr<std::unique_ptr<dist::ShardContext>> concurrent =
-      dist::make_shard_context(rec.setup);
-  ASSERT_TRUE(concurrent.ok());
+  const std::unique_ptr<dist::ShardContext> concurrent = loaded_context(rec);
   constexpr int kThreads = 4;
   std::vector<std::vector<std::optional<dist::ShardResultMsg>>> got(
       kThreads, std::vector<std::optional<dist::ShardResultMsg>>(seq.size()));
@@ -511,7 +497,7 @@ TEST(DistExecutorTest, RecycledLanesMatchFreshContexts) {
   pool.parallel_for(0, kThreads, [&](std::size_t t) {
     for (std::size_t k = 0; k < seq.size(); ++k) {
       StatusOr<dist::ShardResultMsg> r =
-          dist::execute_shard(**concurrent, rec.snapshot, seq[k]);
+          dist::execute_shard(*concurrent, seq[k]);
       if (r.ok()) got[t][k] = std::move(*r);
     }
   });
@@ -524,32 +510,62 @@ TEST(DistExecutorTest, RecycledLanesMatchFreshContexts) {
   }
 }
 
+TEST(DistExecutorTest, SnapshotLoadRefusesBadUsageAndOtherRounds) {
+  const RecordedRound rec = record_second_round();
+  const std::unique_ptr<dist::ShardContext> ctx = loaded_context(rec);
+  const dist::ShardWorkMsg& work = rec.works.front();
+  const dist::ShardResultMsg want = execute_fresh(rec, work);
+
+  // Work for another round than the loaded one.
+  dist::ShardWorkMsg other_round = work;
+  other_round.round = rec.snapshot.round + 1;
+  EXPECT_EQ(dist::execute_shard(*ctx, other_round).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  // Each bad usage is refused and unloads the round a good load left.
+  std::vector<dist::PriceSnapshotMsg> bad(6, rec.snapshot);
+  bad[0].usage.pop_back();
+  bad[1].usage.push_back(0.0);
+  bad[2].usage[3] = std::numeric_limits<double>::quiet_NaN();
+  bad[3].usage[3] = -1.0;
+  bad[4].usage[3] = std::numeric_limits<double>::infinity();
+  bad[5].usage.clear();
+  for (std::size_t k = 0; k < bad.size(); ++k) {
+    SCOPED_TRACE(testing::Message() << "bad snapshot " << k);
+    ASSERT_TRUE(dist::load_snapshot(*ctx, rec.snapshot).ok());
+    StatusOr<dist::ShardResultMsg> got = dist::execute_shard(*ctx, work);
+    ASSERT_TRUE(got.ok()) << got.status().to_string();
+    expect_same_result(*got, want);
+
+    EXPECT_EQ(dist::load_snapshot(*ctx, bad[k]).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(dist::execute_shard(*ctx, work).status().code(),
+              StatusCode::kFailedPrecondition);
+  }
+}
+
 #if defined(CDST_FAULT_INJECTION)
 
 TEST(DistExecutorTest, FaultMidSpanLeavesTheLaneLikeFresh) {
   const RecordedRound rec = record_second_round();
-  const HeavyAndProbe hp = heavy_and_probe(rec);
-  StatusOr<std::unique_ptr<dist::ShardContext>> shared =
-      dist::make_shard_context(rec.setup);
-  ASSERT_TRUE(shared.ok());
+  const dist::ShardWorkMsg two_nets = two_net_work(rec);
+  const std::unique_ptr<dist::ShardContext> shared = loaded_context(rec);
 
-  // The second net's window rebuild faults after its heavy usage was
-  // replayed into the lane.
+  // The second net's window rebuild faults after the first net routed on
+  // the same lane.
   FaultRegistry& reg = FaultRegistry::instance();
   reg.disarm_all();
   FaultPolicy second;
   second.n = 2;
   reg.arm("window.rebuild", second);
   const StatusOr<dist::ShardResultMsg> faulted =
-      dist::execute_shard(**shared, rec.snapshot, hp.heavy);
+      dist::execute_shard(*shared, two_nets);
   reg.disarm_all();
   ASSERT_FALSE(faulted.ok());
   EXPECT_EQ(faulted.status().code(), StatusCode::kUnavailable);
 
-  for (const dist::ShardWorkMsg* work : {&hp.probe, &hp.heavy,
-                                         &rec.works.front()}) {
-    StatusOr<dist::ShardResultMsg> got =
-        dist::execute_shard(**shared, rec.snapshot, *work);
+  for (const dist::ShardWorkMsg* work : {&two_nets, &rec.works.front()}) {
+    StatusOr<dist::ShardResultMsg> got = dist::execute_shard(*shared, *work);
     ASSERT_TRUE(got.ok()) << got.status().to_string();
     expect_same_result(*got, execute_fresh(rec, *work));
   }

@@ -166,6 +166,54 @@ TEST(CongestionCosts, PriceTableMatchesClosedForm) {
   }
 }
 
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(CongestionCosts, ReloadFromUsagesPricesBitIdentically) {
+  // What sharded workers rely on: a CongestionCosts loaded with set_usage
+  // from another one's usages() prices every edge, and every own-usage
+  // exclusion, bit for bit like the original.
+  const RoutingGrid g = small_grid();
+  CongestionParams params;
+  params.price_at_full = 11.0;
+  params.smoothing = 1.3;
+  const std::size_t m = g.graph().num_edges();
+  Rng rng(20261018);
+  for (int trial = 0; trial < 8; ++trial) {
+    CongestionCosts source(g, params);
+    for (int step = 0; step < 60; ++step) {
+      if (rng.uniform(4) < 3) {
+        std::vector<EdgeId> edges(1 + rng.uniform(6));
+        for (EdgeId& e : edges) e = static_cast<EdgeId>(rng.uniform(m));
+        source.add_usage(edges, rng.bernoulli(0.7) ? +1.0 : -1.0);
+      } else {
+        source.set_usage(
+            static_cast<ResourceId>(rng.uniform(source.num_resources())),
+            rng.uniform_double(0.0, 40.0) / 3.0);
+      }
+    }
+    // The worker's instance has a history of its own: an earlier round.
+    CongestionCosts loaded(g, params);
+    for (ResourceId r = 0; r < loaded.num_resources(); ++r) {
+      loaded.set_usage(r, rng.uniform_double(0.0, 10.0));
+    }
+    const std::vector<double>& usage = source.usages();
+    ASSERT_EQ(usage.size(), loaded.num_resources());
+    for (ResourceId r = 0; r < usage.size(); ++r) {
+      loaded.set_usage(r, usage[r]);
+    }
+    for (EdgeId e = 0; e < m; ++e) {
+      ASSERT_EQ(bits(loaded.edge_cost(e)), bits(source.edge_cost(e)))
+          << "trial " << trial << ", edge " << e;
+      const double width = g.edge_info(e).width;
+      for (const double excluded : {width, 2.0 * width, 0.5}) {
+        ASSERT_EQ(bits(loaded.edge_cost_excluding(e, excluded)),
+                  bits(source.edge_cost_excluding(e, excluded)))
+            << "trial " << trial << ", edge " << e;
+      }
+    }
+  }
+}
+
 TEST(FutureCost, BoundsAreAdmissible) {
   const RoutingGrid g = small_grid(7, 7, 4);
   const FutureCost fc(g, /*num_landmarks=*/4);
@@ -275,15 +323,13 @@ std::vector<EdgeId> reference_window_edges(const RoutingGrid& grid,
   return out;
 }
 
-std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
-
 TEST(Window, BoxAdjacencyEqualsMaterializedCsr) {
   // The window-free oracle's contract: per vertex, the arcs the box
   // generates equal the materialized CSR's arcs in count, order, heads and
   // edges; every window edge maps to the grid edge the seed's window build
   // gave it, with the same endpoints; and the planes hold, bit for bit, the
   // price of that grid edge under each pricing mode and its delay.
-  enum class Mode { kLive, kSnapshot, kSnapshotExcluding };
+  enum class Mode { kLive, kExcluding };
   Rng rng(20261018);
   for (const RoutingGrid& grid : id_test_grids()) {
     SCOPED_TRACE(std::to_string(grid.nx()) + "x" + std::to_string(grid.ny()) +
@@ -295,14 +341,6 @@ TEST(Window, BoxAdjacencyEqualsMaterializedCsr) {
       route.push_back(static_cast<EdgeId>(rng.uniform(m)));
     }
     costs.add_usage(route, +1.0);
-    const std::vector<double> snapshot = costs.edge_cost_vector();
-    // Live prices move on after the snapshot, so a window that read live
-    // prices in a snapshot mode would show.
-    std::vector<EdgeId> later;
-    for (int k = 0; k < 40; ++k) {
-      later.push_back(static_cast<EdgeId>(rng.uniform(m)));
-    }
-    costs.add_usage(later, +1.0);
     SparseMap<double> excluded;
     for (std::size_t k = 0; k < route.size(); k += 2) {
       const RoutingGrid::EdgeInfo& info = grid.edge_info(route[k]);
@@ -340,22 +378,17 @@ TEST(Window, BoxAdjacencyEqualsMaterializedCsr) {
                                  static_cast<std::uint64_t>(ny + 2)))));
     }
 
-    for (const Mode mode :
-         {Mode::kLive, Mode::kSnapshot, Mode::kSnapshotExcluding}) {
-      const RoundPricing pricing{
-          snapshot, mode == Mode::kSnapshotExcluding ? &excluded : nullptr};
+    for (const Mode mode : {Mode::kLive, Mode::kExcluding}) {
+      const SparseMap<double>* own =
+          mode == Mode::kExcluding ? &excluded : nullptr;
       const auto expected_cost = [&](EdgeId ge) {
-        if (mode == Mode::kLive) return costs.edge_cost(ge);
         const double* ex =
-            mode == Mode::kSnapshotExcluding
-                ? excluded.find(grid.edge_info(ge).resource)
-                : nullptr;
-        return ex == nullptr ? snapshot[ge]
+            own != nullptr ? own->find(grid.edge_info(ge).resource) : nullptr;
+        return ex == nullptr ? costs.edge_cost(ge)
                              : costs.edge_cost_excluding(ge, *ex);
       };
       for (const Rect& box : boxes) {
-        const RoutingWindow w(grid, costs, box,
-                              mode == Mode::kLive ? nullptr : &pricing);
+        const RoutingWindow w(grid, costs, box, own);
         const Rect clipped = RoutingWindow::clip(grid, box);
         ASSERT_EQ(w.box(), clipped);
         const BoxGraph& bg = w.box_graph();

@@ -244,12 +244,11 @@ TEST(SteinerOracle, RebuiltInstanceEqualsFresh) {
     committed.push_back(run_method(oi, SteinerMethod::kCD, params).grid_edges);
     costs.add_usage(committed.back(), +1.0);
   }
-  const std::vector<double> snapshot = costs.edge_cost_vector();
 
   OracleInstance recycled;
-  for (const bool frozen : {false, true}) {
+  for (const bool excluding : {false, true}) {
     for (const std::size_t k : {0, 1, 0}) {
-      SCOPED_TRACE(testing::Message() << (frozen ? "frozen" : "live")
+      SCOPED_TRACE(testing::Message() << (excluding ? "excluding" : "live")
                                       << " net " << k);
       const Net& net = k == 0 ? *big : *small;
       std::vector<double> weights(net.sinks.size());
@@ -261,10 +260,9 @@ TEST(SteinerOracle, RebuiltInstanceEqualsFresh) {
         const RoutingGrid::EdgeInfo& info = grid.edge_info(ge);
         excluded[info.resource] += info.width;
       }
-      const RoundPricing pricing{snapshot, &excluded};
-      const RoundPricing* p = frozen ? &pricing : nullptr;
-      recycled.rebuild(grid, costs, net, weights, params, p);
-      const OracleInstance fresh(grid, costs, net, weights, params, p);
+      const SparseMap<double>* own = excluding ? &excluded : nullptr;
+      recycled.rebuild(grid, costs, net, weights, params, own);
+      const OracleInstance fresh(grid, costs, net, weights, params, own);
       expect_same_instance(recycled, fresh, params);
     }
   }
