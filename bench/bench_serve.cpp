@@ -1,7 +1,7 @@
 // Microbenchmark for the multi-tenant serving core (serve/serve.h):
 // tenant-count scaling of the round-sliced scheduler over one shared
-// Engine, and the latency-spread price of FIFO scheduling against deficit
-// round-robin. The serving core's contract is that scheduling only
+// Engine, and the completion spread of its deficit round-robin across
+// equal tenants. The serving core's contract is that scheduling only
 // reorders work — per tenant, any serve schedule commits exactly the
 // rounds a serial Router::run would — so before the timed rows run,
 // main() verifies that served results are bit-identical to serial
@@ -94,24 +94,19 @@ BENCHMARK(BM_Serve_TenantScaling)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-/// Fair (deficit round-robin) against FIFO over 4 equal tenants. Both
-/// policies commit bit-identical per-tenant results; what differs is
-/// *when* each tenant finishes. The rows pump step() manually and record
-/// the scheduling quantum at which each tenant completed its last round;
-/// the "completion_spread" counter is last-finisher minus first-finisher
-/// in slices — FIFO drains tenants one after another (spread ~= slices of
-/// all later tenants), fair interleaving finishes everyone within one
-/// scheduling cycle of each other.
-void BM_Serve_FairVsFifo(benchmark::State& state) {
-  const bool fifo = state.range(0) != 0;
+/// Fair (deficit round-robin) scheduling over 4 equal tenants: *when*
+/// each tenant finishes. The row pumps step() manually and records the
+/// scheduling quantum at which each tenant completed its last round; the
+/// "completion_spread" counter is last-finisher minus first-finisher in
+/// slices — fair interleaving finishes everyone within one scheduling
+/// cycle of each other, where running tenants to completion one after
+/// another would spread them by the slices of all later tenants.
+void BM_Serve_FairCompletionSpread(benchmark::State& state) {
   const int tenants = 4;
   Engine engine({/*threads=*/4, /*dense_state_budget_bytes=*/256u << 20});
-  serve::ServeOptions serve_options;
-  serve_options.policy = fifo ? serve::SchedulePolicy::kFifo
-                              : serve::SchedulePolicy::kDeficitRoundRobin;
   double spread = 0.0;
   for (auto _ : state) {
-    serve::EngineServer server(engine, serve_options);
+    serve::EngineServer server(engine);
     std::vector<serve::SessionId> ids;
     for (int t = 0; t < tenants; ++t) {
       const Fixture& f = fixture(t);
@@ -146,12 +141,9 @@ void BM_Serve_FairVsFifo(benchmark::State& state) {
     benchmark::DoNotOptimize(slices);
   }
   state.counters["completion_spread_slices"] = spread;
-  state.SetLabel(fifo ? "fifo" : "fair-drr");
+  state.SetLabel("fair-drr");
 }
-BENCHMARK(BM_Serve_FairVsFifo)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Serve_FairCompletionSpread)->Unit(benchmark::kMillisecond);
 
 bool verify_serve_matches_serial() {
   const int tenants = 3;

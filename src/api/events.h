@@ -64,7 +64,7 @@ struct JobEvent {
 /// shard with no nets emits nothing.
 struct RouterShardEvent {
   int round{0};         ///< absolute session round index
-  int target_round{0};  ///< absolute round this run() call is heading for
+  int target_round{0};  ///< absolute round this run()/step() is heading for
   int shard{0};         ///< shard index within the round
   int shards{0};       ///< shard count of the round
   int tile_x{0};       ///< lattice coordinates of the shard's grid tile
@@ -89,7 +89,7 @@ struct RouterShardEvent {
 /// summary of a cancelled run() (cancelled, congestion stats filled).
 struct RouterRoundEvent {
   int round{0};         ///< absolute session round index
-  int target_round{0};  ///< absolute round this run() call is heading for
+  int target_round{0};  ///< absolute round this run()/step() is heading for
   std::size_t nets_done{0};
   std::size_t nets_total{0};
   /// True at the round barrier, after every update merged into committed

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <span>
 #include <string>
@@ -181,43 +180,46 @@ struct alignas(16) Router::Impl {
     }
   }
 
-  /// Fills a round event's congestion fields from the committed usage.
-  void fill_congestion(RouterRoundEvent& event) const {
-    const CongestionReport report = compute_ace(costs);
-    event.ace4 = report.ace4;
-    event.max_utilization = report.max_utilization;
-    event.overfull_edges = report.overfull_edges;
-  }
-
-  /// Final summary of a cancelled (or deadline-expired) run(): observers
-  /// see the round the unwind stopped at (not yet counted by rounds_done)
-  /// plus how much of it the committed state kept, so a monitoring pipeline
-  /// never loses track of where a session stands after an early return.
-  void emit_cancel_summary(const detail::EventFan& fan, int target) {
+  /// A round event with congestion stats from the committed usage: the
+  /// round barrier (`complete`), or the final summary of a cancelled (or
+  /// deadline-expired) slice. The summary shows the round the unwind
+  /// stopped at (not yet counted by rounds_done) plus how much of it the
+  /// committed state kept, so a monitoring pipeline never loses track of
+  /// where a session stands after an early return.
+  void emit_round_summary(const detail::EventFan& fan, int target,
+                          bool complete) const {
     if (!fan.active()) return;
     RouterRoundEvent event;
     event.round = rounds_done;
     event.target_round = target;
     event.nets_done = round_cursor;
     event.nets_total = netlist.nets.size();
-    event.cancelled = true;
-    fill_congestion(event);
+    event.round_complete = complete;
+    event.cancelled = !complete;
+    const CongestionReport report = compute_ace(costs);
+    event.ace4 = report.ace4;
+    event.max_utilization = report.max_utilization;
+    event.overfull_edges = report.overfull_edges;
     fan.emit_router_round(event);
   }
 
-  /// Runs rounds until `rounds` more round barriers have passed, resuming
-  /// the current round at the cursor. With `one_slice` set it returns after
-  /// the first batch a batched round commits (after the barrier too, when
-  /// that batch ends the round); a sharded round is one slice. That slice
-  /// is what RouterRun::step() runs.
-  Status run(int rounds, const RunControl& control, bool one_slice = false) {
+  /// The verdict run() and step() share before any slice runs.
+  Status check_rounds(int rounds) const {
     if (!options_status.ok()) {
       return Status::Annotate(options_status, "Router::run");
     }
     if (rounds < 0) return Status::InvalidArgument("rounds must be >= 0");
-    if (rounds == 0) return Status::Ok();
+    return Status::Ok();
+  }
+
+  /// One slice toward absolute round `target`: the next batch of a batched
+  /// round, or one whole sharded round, then the round barrier when that
+  /// ends the round. The cancel and deadline checks come first, then the
+  /// round's multiplier step when it is due. run() loops slices; a slice
+  /// never starts the next round, so Router::step commits one unit of work.
+  Status slice(int target, const RunControl& control) {
     WallTimer timer;
-    // Session walltime covers every run() path, including early returns.
+    // Session walltime covers every slice, including early returns.
     struct TimeAcc {
       WallTimer& timer;
       double& acc;
@@ -226,61 +228,45 @@ struct alignas(16) Router::Impl {
 
     const detail::EventFan fan(control);
     try {
-      const int target = rounds_done + rounds;
-      while (rounds_done < target) {
-        if (control.cancel != nullptr && control.cancel->cancelled()) {
-          emit_cancel_summary(fan, target);
-          return Status::Cancelled("router run cancelled");
-        }
-        if (detail::deadline_expired(control)) {
-          emit_cancel_summary(fan, target);
-          return detail::deadline_exceeded_status(
-              "router run deadline expired at a round or batch boundary");
-        }
-        // Lagrangean step at the round boundary: slacks of the committed
-        // routes drive the delay-weight multipliers of this round. Guarded
-        // per absolute round so a round resumed at its cursor never
-        // double-steps the multipliers. The decreasing subgradient step
-        // stabilizes them.
-        if (rounds_done > 0 && weights_round != rounds_done) {
-          const std::vector<double> slacks =
-              compute_slacks(sink_delays, rats);
-          const double step =
-              1.0 / std::sqrt(static_cast<double>(rounds_done));
-          update_delay_weights(slacks, options.weight_scale,
-                               options.weight_floor, options.weight_ceiling,
-                               sink_weights, step);
-          weights_round = rounds_done;
-        }
-        const Status st =
-            options.shards > 0
-                ? route_round_sharded(rounds_done, target, control, fan)
-                : route_round_batched(rounds_done, target, control, fan,
-                                      one_slice);
-        if (!st.ok()) {
-          if (st.code() == StatusCode::kCancelled ||
-              st.code() == StatusCode::kDeadlineExceeded) {
-            emit_cancel_summary(fan, target);
-          }
-          return Status::Annotate(st, "Router::run");
-        }
-        // A one-slice batched round that is not finished yet: the cursor
-        // holds its place for the next slice.
-        if (round_cursor < netlist.nets.size()) return Status::Ok();
-        if (fan.active()) {
-          // Round barrier: every update of the round is committed.
-          RouterRoundEvent event;
-          event.round = rounds_done;
-          event.target_round = target;
-          event.nets_done = round_cursor;
-          event.nets_total = netlist.nets.size();
-          event.round_complete = true;
-          fill_congestion(event);
-          fan.emit_router_round(event);
-        }
-        round_cursor = 0;
-        ++rounds_done;
+      if (control.cancel != nullptr && control.cancel->cancelled()) {
+        emit_round_summary(fan, target, /*complete=*/false);
+        return Status::Cancelled("router run cancelled");
       }
+      if (detail::deadline_expired(control)) {
+        emit_round_summary(fan, target, /*complete=*/false);
+        return detail::deadline_exceeded_status(
+            "router run deadline expired at a round or batch boundary");
+      }
+      // Lagrangean step at the round boundary: slacks of the committed
+      // routes drive the delay-weight multipliers of this round. Guarded
+      // per absolute round so the later slices of a round, or a round
+      // resumed at its cursor, never double-step the multipliers. The
+      // decreasing subgradient step stabilizes them.
+      if (rounds_done > 0 && weights_round != rounds_done) {
+        const std::vector<double> slacks = compute_slacks(sink_delays, rats);
+        const double step = 1.0 / std::sqrt(static_cast<double>(rounds_done));
+        update_delay_weights(slacks, options.weight_scale,
+                             options.weight_floor, options.weight_ceiling,
+                             sink_weights, step);
+        weights_round = rounds_done;
+      }
+      const Status st =
+          options.shards > 0
+              ? route_round_sharded(rounds_done, target, control, fan)
+              : route_batch(rounds_done, target, control, fan);
+      if (!st.ok()) {
+        if (st.code() == StatusCode::kCancelled ||
+            st.code() == StatusCode::kDeadlineExceeded) {
+          emit_round_summary(fan, target, /*complete=*/false);
+        }
+        return Status::Annotate(st, "Router::run");
+      }
+      // Mid-round: the cursor holds the round's place for the next slice.
+      if (round_cursor < netlist.nets.size()) return Status::Ok();
+      // Round barrier: every update of the round is committed.
+      emit_round_summary(fan, target, /*complete=*/true);
+      round_cursor = 0;
+      ++rounds_done;
       return Status::Ok();
     } catch (const SolveDeadlineExceeded& e) {
       return detail::deadline_exceeded_status(e.what());
@@ -671,97 +657,85 @@ struct alignas(16) Router::Impl {
     return Status::Ok();
   }
 
-  /// The batched round discipline (RouterOptions::shards == 0). Starts at
-  /// the round cursor and advances it past every batch it commits; with
-  /// `one_batch` set it stops after the first.
-  Status route_round_batched(int round, int target_rounds,
-                             const RunControl& control,
-                             const detail::EventFan& fan, bool one_batch) {
+  /// One batch of the batched round discipline (RouterOptions::shards ==
+  /// 0): the batch_size nets at the round cursor, which it advances past
+  /// the batch once the batch commits.
+  Status route_batch(int round, int target_rounds, const RunControl& control,
+                     const detail::EventFan& fan) {
     const std::size_t num_nets = netlist.nets.size();
-    const auto batch = static_cast<std::size_t>(options.batch_size);
+    const std::size_t lo = round_cursor;
+    const std::size_t hi =
+        std::min(num_nets, lo + static_cast<std::size_t>(options.batch_size));
     const SolveControls controls = detail::make_solve_controls(control);
+    // Rip up the whole batch so its nets price edges without their own
+    // (or each other's previous) usage, then route against the frozen
+    // snapshot — in parallel when the pool has workers.
+    for (std::size_t i = lo; i < hi; ++i) {
+      if (!routes[i].empty()) costs.add_usage(routes[i], -1.0);
+    }
+    // Heaviest first: the pool hands out one index at a time, so starting
+    // the big nets early keeps the batch from waiting on a lane that drew
+    // one last. Outcomes stay index-addressed and every net prices
+    // against the same frozen usage, so the order only schedules work.
     std::vector<std::pair<std::uint64_t, std::size_t>> order;
-
-    for (std::size_t lo = round_cursor; lo < num_nets; lo += batch) {
-      const std::size_t hi = std::min(num_nets, lo + batch);
-      if (control.cancel != nullptr && control.cancel->cancelled()) {
-        return Status::Cancelled("router run cancelled at a batch boundary");
+    order.reserve(hi - lo);
+    for (std::size_t i = lo; i < hi; ++i) {
+      order.emplace_back(estimated_work(i), i);
+    }
+    std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
+      return a.first != b.first ? a.first > b.first : a.second < b.second;
+    });
+    std::vector<OracleOutcome> outcomes(hi - lo);
+    const std::function<void(std::size_t)> route_one = [&](std::size_t k) {
+      const std::size_t i = order[k].second;
+      if (netlist.nets[i].sinks.empty()) return;
+      if (controls.cancel != nullptr &&
+          controls.cancel->load(std::memory_order_relaxed)) {
+        // cdst-lint: allow(api-throw) internal unwind: caught at the
+        // parallel_for boundary below and mapped to kCancelled.
+        throw SolveCancelled();
       }
-      if (detail::deadline_expired(control)) {
-        return detail::deadline_exceeded_status(
-            "router run deadline expired at a batch boundary");
-      }
-      // Rip up the whole batch so its nets price edges without their own
-      // (or each other's previous) usage, then route against the frozen
-      // snapshot — in parallel when the pool has workers.
+      throw_if_deadline_expired(&controls);
+      outcomes[i - lo] = route_one_net(i, round, {}, controls);
+    };
+    try {
+      pool->parallel_for(0, order.size(), route_one);
+    } catch (...) {
+      // Restore the batch's pre-rip-up routes so the session stays a
+      // coherent snapshot, whatever unwound the batch.
       for (std::size_t i = lo; i < hi; ++i) {
-        if (!routes[i].empty()) costs.add_usage(routes[i], -1.0);
+        if (!routes[i].empty()) costs.add_usage(routes[i], +1.0);
       }
-      // Heaviest first: the pool hands out one index at a time, so starting
-      // the big nets early keeps the batch from waiting on a lane that drew
-      // one last. Outcomes stay index-addressed and every net prices
-      // against the same frozen usage, so the order only schedules work.
-      order.clear();
-      for (std::size_t i = lo; i < hi; ++i) {
-        order.emplace_back(estimated_work(i), i);
-      }
-      std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
-        return a.first != b.first ? a.first > b.first : a.second < b.second;
-      });
-      std::vector<OracleOutcome> outcomes(hi - lo);
-      const std::function<void(std::size_t)> route_one =
-          [&](std::size_t k) {
-            const std::size_t i = order[k].second;
-            if (netlist.nets[i].sinks.empty()) return;
-            if (controls.cancel != nullptr &&
-                controls.cancel->load(std::memory_order_relaxed)) {
-              // cdst-lint: allow(api-throw) internal unwind: caught at the
-              // parallel_for boundary below and mapped to kCancelled.
-              throw SolveCancelled();
-            }
-            throw_if_deadline_expired(&controls);
-            outcomes[i - lo] = route_one_net(i, round, {}, controls);
-          };
       try {
-        pool->parallel_for(0, order.size(), route_one);
-      } catch (...) {
-        // Restore the batch's pre-rip-up routes so the session stays a
-        // coherent snapshot, whatever unwound the batch.
-        for (std::size_t i = lo; i < hi; ++i) {
-          if (!routes[i].empty()) costs.add_usage(routes[i], +1.0);
-        }
-        try {
-          throw;
-        } catch (const SolveCancelled&) {
-          return Status::Cancelled(
-              "router run cancelled mid-batch; batch rolled back");
-        } catch (const SolveDeadlineExceeded&) {
-          return detail::deadline_exceeded_status(
-              "router run deadline expired mid-batch; batch rolled back");
-        } catch (const InjectedFault& e) {
-          // The batched discipline has no retry (batches mutate committed
-          // state in place); the batch is rolled back, so the session is
-          // coherent and the caller may simply run() again.
-          return Status::Unavailable(e.what());
-        }
-        // Anything else propagates to run()'s status mapping.
+        throw;
+      } catch (const SolveCancelled&) {
+        return Status::Cancelled(
+            "router run cancelled mid-batch; batch rolled back");
+      } catch (const SolveDeadlineExceeded&) {
+        return detail::deadline_exceeded_status(
+            "router run deadline expired mid-batch; batch rolled back");
+      } catch (const InjectedFault& e) {
+        // The batched discipline has no retry (batches mutate committed
+        // state in place); the batch is rolled back, so the session is
+        // coherent and the caller may simply run() again.
+        return Status::Unavailable(e.what());
       }
-      for (std::size_t i = lo; i < hi; ++i) {
-        if (netlist.nets[i].sinks.empty()) continue;
-        commit_net(i, outcomes[i - lo]);
-      }
-      round_cursor = hi;
-      if (fan.active()) {
-        // Batch boundary inside the round (not the barrier: later batches
-        // of this round are still outstanding, so no congestion stats yet).
-        RouterRoundEvent event;
-        event.round = round;
-        event.target_round = target_rounds;
-        event.nets_done = hi;
-        event.nets_total = num_nets;
-        fan.emit_router_round(event);
-      }
-      if (one_batch) break;
+      // Anything else propagates to slice()'s status mapping.
+    }
+    for (std::size_t i = lo; i < hi; ++i) {
+      if (netlist.nets[i].sinks.empty()) continue;
+      commit_net(i, outcomes[i - lo]);
+    }
+    round_cursor = hi;
+    if (fan.active()) {
+      // Batch boundary inside the round (not the barrier: later batches
+      // of this round may still be outstanding, so no congestion stats).
+      RouterRoundEvent event;
+      event.round = round;
+      event.target_round = target_rounds;
+      event.nets_done = hi;
+      event.nets_total = num_nets;
+      fan.emit_router_round(event);
     }
     return Status::Ok();
   }
@@ -820,7 +794,7 @@ struct alignas(16) Router::Impl {
   /// The round cursor: nets of round `rounds_done` already merged into
   /// committed state, so also the first net the round routes next. Batched
   /// rounds advance it per batch and keep it across a cancel, a failed
-  /// batch or a one-batch slice; sharded rounds set it at the barrier. It
+  /// batch or the end of a slice; sharded rounds set it at the barrier. It
   /// returns to 0 only when a round barrier passes. Feeds the round and
   /// cancellation summary events, and checkpoints record it.
   std::size_t round_cursor{0};
@@ -844,7 +818,20 @@ Router::Router(Router&&) noexcept = default;
 Router& Router::operator=(Router&&) noexcept = default;
 
 Status Router::run(int rounds, const RunControl& control) {
-  return impl_->run(rounds, control);
+  Impl& impl = *impl_;
+  if (Status st = impl.check_rounds(rounds); !st.ok()) return st;
+  const int target = impl.rounds_done + rounds;
+  while (impl.rounds_done < target) {
+    if (Status st = impl.slice(target, control); !st.ok()) return st;
+  }
+  return Status::Ok();
+}
+
+Status Router::step(int rounds, const RunControl& control) {
+  Impl& impl = *impl_;
+  if (Status st = impl.check_rounds(rounds); !st.ok()) return st;
+  if (rounds == 0) return Status::Ok();
+  return impl.slice(impl.rounds_done + rounds, control);
 }
 
 RouterResult Router::result() const { return impl_->result(/*take=*/false); }
@@ -963,6 +950,14 @@ Status Router::restore(const RouterCheckpoint& cp) {
     return Status::InvalidArgument(
         "checkpoint: sink arrays do not match this netlist");
   }
+  // Multipliers and delays feed the oracle's delay weights and the next
+  // multiplier step, which assume finite values >= 0.
+  const auto bad_value = [](double v) { return !std::isfinite(v) || v < 0.0; };
+  if (std::ranges::any_of(cp.sink_weights, bad_value) ||
+      std::ranges::any_of(cp.sink_delays, bad_value)) {
+    return Status::InvalidArgument(
+        "checkpoint: sink weight or delay is negative or not finite");
+  }
   const std::size_t num_edges = impl.grid.graph().num_edges();
   for (const std::uint32_t e : cp.route_edges) {
     if (e >= num_edges) {
@@ -991,144 +986,6 @@ Status Router::restore(const RouterCheckpoint& cp) {
     if (!route.empty()) impl.costs.add_usage(route, +1.0);
   }
   return Status::Ok();
-}
-
-// ---------------------------------------------------------------------------
-// RouterRun — run() opened as a resumable round stream.
-
-/// Heap state behind the move-only RouterRun handle. Heap allocation keeps
-/// the address stable across handle moves, because the capture sink below
-/// points back at it and engine worker threads hold that pointer while a
-/// slice runs.
-struct RouterRun::State {
-  /// Observes every slice's events: round-barrier and cancelled summaries
-  /// are queued for poll(), everything is forwarded to the stream owner's
-  /// sink with target_round rewritten from the slice's run(1) horizon to
-  /// the stream's absolute target (a slice only ever knows it is heading
-  /// for "one more round"; stream observers want the real goal).
-  struct CaptureSink final : public EventSink {
-    State* state{nullptr};
-
-    void on_solve_merge(const SolveMergeEvent& event) override {
-      if (state->base.events != nullptr) state->base.events->on_solve_merge(event);
-    }
-    void on_job(const JobEvent& event) override {
-      if (state->base.events != nullptr) state->base.events->on_job(event);
-    }
-    void on_router_shard(const RouterShardEvent& event) override {
-      if (state->base.events == nullptr) return;
-      RouterShardEvent rewritten = event;
-      rewritten.target_round = state->target_round;
-      state->base.events->on_router_shard(rewritten);
-    }
-    void on_router_round(const RouterRoundEvent& event) override {
-      RouterRoundEvent rewritten = event;
-      rewritten.target_round = state->target_round;
-      if (rewritten.round_complete || rewritten.cancelled) {
-        // The engine serializes event delivery within a slice, but poll()
-        // may drain from another thread concurrently — hence the lock.
-        MutexLock lock(state->mu);
-        if (state->queue.size() >= kMaxQueuedEvents) {
-          state->queue.pop_front();
-          ++state->dropped;
-        }
-        state->queue.push_back(rewritten);
-      }
-      if (state->base.events != nullptr) {
-        state->base.events->on_router_round(rewritten);
-      }
-    }
-    void on_fault(const FaultEvent& event) override {
-      if (state->base.events != nullptr) state->base.events->on_fault(event);
-    }
-  };
-
-  Router* router{nullptr};
-  RunControl base;  ///< captured at run_async(); deadline mutable later
-  /// Rounds not yet committed. Mutated only by the pumping thread (step /
-  /// submit), never during a slice.
-  int remaining{0};
-  /// Absolute session round the stream is heading for; read by the capture
-  /// sink on worker threads while a slice runs, updated by the pumping
-  /// thread only between slices.
-  int target_round{0};
-  Status last{Status::Ok()};
-  CaptureSink sink;
-
-  mutable Mutex mu;
-  std::deque<RouterRoundEvent> queue CDST_GUARDED_BY(mu);
-  std::size_t dropped CDST_GUARDED_BY(mu){0};
-};
-
-RouterRun Router::run_async(int rounds, const RunControl& control) {
-  CDST_CHECK(rounds >= 0);
-  auto state = std::make_unique<RouterRun::State>();
-  state->router = this;
-  state->base = control;
-  state->remaining = rounds;
-  state->target_round = impl_->rounds_done + rounds;
-  state->sink.state = state.get();
-  return RouterRun(std::move(state));
-}
-
-RouterRun::RouterRun(std::unique_ptr<State> state) : state_(std::move(state)) {}
-RouterRun::~RouterRun() = default;
-RouterRun::RouterRun(RouterRun&&) noexcept = default;
-RouterRun& RouterRun::operator=(RouterRun&&) noexcept = default;
-
-Status RouterRun::step() {
-  State& s = *state_;
-  if (s.remaining <= 0) return s.last;
-  RunControl slice = s.base;
-  slice.events = &s.sink;
-  Router::Impl& impl = *s.router->impl_;
-  const int rounds_before = impl.rounds_done;
-  s.last = impl.run(1, slice, /*one_slice=*/true);
-  if (impl.rounds_done > rounds_before) --s.remaining;
-  return s.last;
-}
-
-Status RouterRun::drain() {
-  while (state_->remaining > 0) {
-    const Status status = step();
-    if (!status.ok()) return status;
-  }
-  return Status::Ok();
-}
-
-Status RouterRun::submit(int rounds) {
-  if (rounds < 0) {
-    return Status::InvalidArgument("RouterRun::submit: rounds must be >= 0");
-  }
-  state_->remaining += rounds;
-  state_->target_round += rounds;
-  return Status::Ok();
-}
-
-int RouterRun::rounds_remaining() const { return state_->remaining; }
-
-bool RouterRun::done() const { return state_->remaining <= 0; }
-
-Status RouterRun::status() const { return state_->last; }
-
-std::optional<RouterRoundEvent> RouterRun::poll() {
-  State& s = *state_;
-  MutexLock lock(s.mu);
-  if (s.queue.empty()) return std::nullopt;
-  RouterRoundEvent event = s.queue.front();
-  s.queue.pop_front();
-  return event;
-}
-
-std::size_t RouterRun::dropped_events() const {
-  State& s = *state_;
-  MutexLock lock(s.mu);
-  return s.dropped;
-}
-
-void RouterRun::set_deadline(
-    std::optional<std::chrono::steady_clock::time_point> d) {
-  state_->base.deadline = d;
 }
 
 }  // namespace cdst

@@ -9,6 +9,12 @@
 /// the next run() re-routes warm from the converged prices instead of from
 /// scratch.
 ///
+/// Rounds advance in slices: the next batch of a batched round (with the
+/// round barrier when that batch ends the round), or one whole sharded
+/// round. run(N) loops slices until N more barriers have passed; step()
+/// runs one slice and returns, which is how a scheduler interleaves
+/// sessions on one pool (serve/serve.h).
+///
 /// Cancellation is honored at batch granularity: a cancelled run() returns
 /// kCancelled with every committed batch intact (the in-flight batch is
 /// rolled back to its pre-rip-up routes), so result() is always a coherent
@@ -30,11 +36,9 @@
 
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -46,7 +50,6 @@
 namespace cdst {
 
 class ThreadPool;
-class RouterRun;
 
 /// Serializable snapshot of a Router session's round state, taken between
 /// run() calls (Router::checkpoint) and replayed into a fresh session over
@@ -108,21 +111,18 @@ class Router {
   /// boundaries, produces bit-identical routes. rounds == 0 is a no-op.
   Status run(int rounds, const RunControl& control = {});
 
-  /// Opens the same `rounds` as a resumable stream instead of one blocking
-  /// call: the returned RouterRun executes one slice per step() on the
-  /// calling thread (one batch of a batched round, or one whole sharded
-  /// round) and queues the round-barrier events for poll(). Because run()
-  /// resumes at the round cursor, a split at any batch boundary is
-  /// bit-identical to run(N): once the stream has passed k round barriers
-  /// its committed state equals run(k). This is the slicing a scheduler
-  /// interleaves across sessions (see serve/serve.h). `control` is captured
-  /// for every slice: its cancel token, deadline and poll interval apply
-  /// per step, and its EventSink observes every slice (with target_round
-  /// rewritten to the stream's absolute target). The Router and the
-  /// captured control must outlive the RouterRun, and the Router must not
-  /// be moved, run() directly, or handed to a second run_async while this
-  /// one is open.
-  RouterRun run_async(int rounds, const RunControl& control = {});
+  /// The first slice of run(rounds), and nothing after it: the next batch
+  /// of a batched round (plus the round barrier when that batch ends the
+  /// round), or one whole sharded round. Events carry target_round =
+  /// rounds_completed() + rounds, as run(rounds) reports them. Because
+  /// run() resumes at the round cursor, a split at any slice boundary is
+  /// bit-identical to run(N): step() until rounds_completed() has risen by
+  /// N equals run(N). This is the unit a scheduler interleaves across
+  /// sessions (see serve/serve.h). The Status is run()'s: kCancelled /
+  /// kDeadlineExceeded / kUnavailable leave the session at its last
+  /// committed batch, and the slice is still pending. rounds == 0 is a
+  /// no-op.
+  Status step(int rounds, const RunControl& control = {});
 
   /// Coherent snapshot of the current routing (timing/congestion/wire
   /// metrics recomputed from committed state). Valid after any run() —
@@ -137,8 +137,8 @@ class Router {
   RouterResult take_result() &&;
 
   /// Fully completed Lagrangean rounds. A round stopped inside (cancelled,
-  /// or sliced by RouterRun) does not count yet; the next run() continues
-  /// it at the round cursor.
+  /// or sliced by step()) does not count yet; the next run() continues it
+  /// at the round cursor.
   int rounds_completed() const;
 
   const RouterOptions& options() const;
@@ -172,90 +172,15 @@ class Router {
   /// round index and cursor; prices are rebuilt from the routes) with the
   /// checkpoint. kInvalidArgument on a malformed checkpoint (shape/bounds
   /// mismatches against this session's grid and netlist, a cursor past the
-  /// last net), kFailedPrecondition when the checkpoint was taken under a
+  /// last net, a negative or non-finite sink weight or delay),
+  /// kFailedPrecondition when the checkpoint was taken under a
   /// different options.seed, or stopped inside a round while this session
   /// runs sharded rounds. On failure the session is unchanged.
   Status restore(const RouterCheckpoint& checkpoint);
 
  private:
-  friend class RouterRun;
   struct Impl;
   std::unique_ptr<Impl> impl_;
-};
-
-/// A Router::run() opened as a resumable round stream (submit/step/poll/
-/// drain) — the unit a multi-tenant scheduler interleaves.
-///
-/// Execution is cooperative, not background: step() runs one slice
-/// synchronously on the calling thread — one batch of a batched round
-/// (RouterOptions::batch_size nets), or one whole sharded round — fanning
-/// out on the session's ThreadPool exactly like run() would (a slice pushed
-/// onto the pool as a fire-and-forget task would serialize its own nested
-/// parallel_for — see util/thread_pool.h — so the pump stays outside the
-/// pool by design). Determinism is inherited, not re-proven: a slice is
-/// run(1) stopped after its first batch, and run() resumes at the round
-/// cursor, so slices commit exactly the batches one run(N) commits.
-///
-/// step()'s Status is the slice's run() Status; kCancelled /
-/// kDeadlineExceeded / kUnavailable leave the session at its last committed
-/// batch and the stream open, so the pump may step() again after the owner
-/// clears the condition (reset the token, extend the deadline via
-/// set_deadline()). submit() adds rounds to an open stream at any point.
-///
-/// Round-barrier and cancelled-summary events of every slice are queued for
-/// poll() (bounded: the oldest are dropped beyond kMaxQueuedEvents, counted
-/// by dropped_events()) and forwarded to the captured control's sink.
-/// Threading: one pumping thread calls step()/drain()/submit(); poll() and
-/// dropped_events() are additionally safe from any thread.
-class RouterRun {
- public:
-  /// Queue capacity for poll(); beyond it the oldest events are dropped.
-  static constexpr std::size_t kMaxQueuedEvents = 256;
-
-  ~RouterRun();
-  RouterRun(RouterRun&&) noexcept;
-  RouterRun& operator=(RouterRun&&) noexcept;
-
-  /// Executes one slice on the calling thread: the next batch of the
-  /// current round (and the round barrier when that batch ends the round),
-  /// or one sharded round. No-op returning status() when the stream is
-  /// already drained. On kOk one batch was committed; on any other Status
-  /// the session keeps its last committed batch and the batch stays
-  /// pending — step() again to retry.
-  Status step();
-
-  /// step()s until rounds_remaining() == 0 or a slice fails; returns the
-  /// first non-OK slice Status (stream stays open and resumable) or kOk.
-  Status drain();
-
-  /// Adds rounds to the stream's target. kInvalidArgument when negative.
-  Status submit(int rounds);
-
-  /// Rounds whose barrier no step() has passed yet; drops by one at each
-  /// round barrier, not per batch.
-  int rounds_remaining() const;
-  /// True once every submitted round has been committed.
-  bool done() const;
-  /// Status of the most recent slice (kOk before the first step()).
-  Status status() const;
-
-  /// Pops the oldest queued round-barrier / cancelled-summary event, or
-  /// nullopt when none is pending. Safe from any thread.
-  std::optional<RouterRoundEvent> poll();
-  /// Events discarded because the poll() queue was full. Safe from any
-  /// thread.
-  std::size_t dropped_events() const;
-
-  /// Replaces the deadline applied to subsequent slices (nullopt removes
-  /// it) — the revival path for a stream whose last slice returned
-  /// kDeadlineExceeded.
-  void set_deadline(std::optional<std::chrono::steady_clock::time_point> d);
-
- private:
-  friend class Router;
-  struct State;
-  explicit RouterRun(std::unique_ptr<State> state);
-  std::unique_ptr<State> state_;
 };
 
 }  // namespace cdst

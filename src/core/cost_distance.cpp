@@ -28,6 +28,9 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::uint32_t kNoComp = 0xffffffffu;
 /// relax_to sentinel: relaxation rejected, no heap push owed.
 constexpr std::uint32_t kNoPush = 0xffffffffu;
+/// Backoff sleeps (50us doubling) before a contended shared dense-state
+/// reservation falls back to sparse state (reserve_with_backoff).
+constexpr int kBudgetBackoffAttempts = 6;
 
 struct Label {
   VertexId vertex{kInvalidVertex};
@@ -452,10 +455,8 @@ class Solver {
 
     SolveResult result;
     result.tree = assembler_.finalize();
-    if (opts_.validate_result) {
-      scratch_.validator.validate(result.tree, inst_.endpoints(),
-                                  inst_.sinks.size());
-    }
+    scratch_.validator.validate(result.tree, inst_.endpoints(),
+                                inst_.sinks.size());
     result.eval = evaluate_tree(result.tree, inst_, scratch_.eval);
     result.stats = stats_;
     return result;
@@ -486,8 +487,7 @@ class Solver {
     if (opts_.shared_dense_budget != nullptr) {
       CDST_FAULT_POINT("solver.budget_reserve");
       const BudgetReserve r = reserve_with_backoff(
-          *opts_.shared_dense_budget, dense_bytes,
-          opts_.budget_backoff_attempts);
+          *opts_.shared_dense_budget, dense_bytes, kBudgetBackoffAttempts);
       dense = r == BudgetReserve::kReserved;
       if (dense) budget_reserved_ = dense_bytes;
       if (r == BudgetReserve::kOversized && opts_.strict_shared_budget) {

@@ -179,9 +179,6 @@ struct SolverOptions {
   bool better_steiner_placement{true};
   /// III-E: discount root-connection penalties by eta * dbif * w(u).
   bool encourage_root{true};
-  /// Validate the produced tree structure against the graph (cheap; on by
-  /// default).
-  bool validate_result{true};
   /// Recycle per-search label arenas and vertex index arrays across the ~2t
   /// searches of a solve (epoch-versioned O(1) resets) instead of allocating
   /// fresh state per search. Identical results either way; off only for the
@@ -201,10 +198,6 @@ struct SolverOptions {
   /// the solve. Whether a solve lands dense or sparse never changes its
   /// result, so racing lanes stay deterministic.
   DenseStateBudget* shared_dense_budget{nullptr};
-  /// Bounded exponential backoff (50us doubling) before giving up on a
-  /// contended shared reservation; 0 disables waiting. Only meaningful with
-  /// shared_dense_budget set. See reserve_with_backoff.
-  int budget_backoff_attempts{6};
   /// When true, a dense-state footprint larger than the WHOLE shared pool
   /// fails the solve with BudgetExhausted (mapped to kResourceExhausted at
   /// the api boundary) instead of silently degrading to sparse state. Off

@@ -125,10 +125,8 @@ std::vector<std::uint8_t> WorkerSetupMsg::to_bytes() const {
   put_bool(out, oracle.cd.use_astar);
   put_bool(out, oracle.cd.better_steiner_placement);
   put_bool(out, oracle.cd.encourage_root);
-  put_bool(out, oracle.cd.validate_result);
   put_bool(out, oracle.cd.pool_search_state);
   wire::put_u64(out, oracle.cd.dense_state_budget_bytes);
-  put_i32(out, oracle.cd.budget_backoff_attempts);
   put_bool(out, oracle.cd.strict_shared_budget);
   wire::put_u8(out, static_cast<std::uint8_t>(oracle.cd.queue));
   wire::put_u64(out, oracle.cd.seed);
@@ -209,10 +207,8 @@ StatusOr<WorkerSetupMsg> WorkerSetupMsg::from_bytes(
   msg.oracle.cd.use_astar = read_bool(r);
   msg.oracle.cd.better_steiner_placement = read_bool(r);
   msg.oracle.cd.encourage_root = read_bool(r);
-  msg.oracle.cd.validate_result = read_bool(r);
   msg.oracle.cd.pool_search_state = read_bool(r);
   msg.oracle.cd.dense_state_budget_bytes = r.u64();
-  msg.oracle.cd.budget_backoff_attempts = read_i32(r);
   msg.oracle.cd.strict_shared_budget = read_bool(r);
   const std::uint8_t queue = r.u8();
   if (queue > static_cast<std::uint8_t>(QueueKind::kSingleLazy)) r.ok = false;

@@ -63,8 +63,10 @@ inline constexpr std::uint32_t kWorkerErrorMagic = fourcc('C', 'D', 'e', 'r');
 
 /// One version for the whole protocol: the messages only ever travel
 /// together, so they revise together. Version 2 ships per-resource usage
-/// instead of per-edge prices and drops the per-net frozen usage.
-inline constexpr std::uint32_t kDistWireVersion = 2;
+/// instead of per-edge prices and drops the per-net frozen usage; version 3
+/// drops two solver knobs that became constants (result validation and the
+/// shared-budget backoff).
+inline constexpr std::uint32_t kDistWireVersion = 3;
 
 /// The round-invariant world a shard worker reconstructs once. Grid geometry
 /// travels as the RoutingGrid constructor inputs (nx/ny/layers/via): the

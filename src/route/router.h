@@ -46,10 +46,10 @@ struct RouterOptions {
   /// (api/engine.h) runs on the engine's shared pool, which decides
   /// concurrency — Engine::make_router warns on a conflicting request and
   /// rewrites this field to the pool's actual lane count. Because every
-  /// round commits at a deterministic barrier regardless of this value, a
-  /// round is also the slicing unit of Router::run_async: a multi-tenant
-  /// scheduler (serve/serve.h) interleaves one-round slices of many
-  /// sessions on one pool without perturbing any session's results.
+  /// batch and round commits at a deterministic barrier regardless of this
+  /// value, a multi-tenant scheduler (serve/serve.h) interleaves
+  /// Router::step slices of many sessions on one pool without perturbing
+  /// any session's results.
   int threads{1};
   /// Nets per rip-up/re-route batch (larger batches = more parallelism but
   /// prices within a batch do not see each other's usage). The batch

@@ -50,13 +50,6 @@ std::size_t FairScheduler::runnable_count() const {
 std::optional<SessionId> FairScheduler::pick() {
   if (runnable_count() == 0) return std::nullopt;
 
-  if (policy_ == SchedulePolicy::kFifo) {
-    for (Entry& e : entries_) {
-      if (e.runnable) return e.id;
-    }
-    return std::nullopt;  // unreachable: runnable_count() > 0
-  }
-
   // Deficit round-robin: serve the entry under the cursor while it has
   // credit, otherwise advance and refill the entry the cursor arrives at.
   // Bounded: within size()+1 hops the cursor reaches a runnable entry with

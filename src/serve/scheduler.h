@@ -1,6 +1,6 @@
 /// \file serve/scheduler.h
 /// Fair slice scheduling across tenants: deterministic weighted round-robin
-/// with per-tenant deficit credits, plus a FIFO policy for comparison.
+/// with per-tenant deficit credits.
 ///
 /// The scheduler decides *which session runs the next slice*; it never
 /// executes anything itself, so it is trivially deterministic: given the
@@ -9,15 +9,12 @@
 /// to replaying each tenant serially (slices commute across sessions — each
 /// Router slice only touches its own session's state).
 ///
-/// kDeficitRoundRobin: sessions are visited in admission order; when the
+/// Deficit round-robin: sessions are visited in admission order; when the
 /// cursor arrives at a session its credit refills to its weight, and each
 /// pick spends one credit, so a weight-w tenant receives w consecutive
 /// slices per cycle — weighted max-min fairness in slice throughput with no
 /// starvation (every runnable tenant is visited once per cycle).
-///
-/// kFifo: always picks the earliest-admitted runnable session — tenant 1
-/// finishes before tenant 2 starts. Strictly worse completion-latency
-/// spread under concurrent tenants; bench/bench_serve.cpp measures the gap.
+/// bench/bench_serve.cpp measures the resulting completion spread.
 ///
 /// No lock of its own: EngineServer guards its instance with the registry
 /// mutex (see serve/serve.h).
@@ -25,7 +22,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -33,16 +29,8 @@
 
 namespace cdst::serve {
 
-/// Slice-ordering policy of the serving core.
-enum class SchedulePolicy : std::uint8_t {
-  kDeficitRoundRobin,  ///< weighted fair (default)
-  kFifo,               ///< run-to-completion in admission order
-};
-
 class FairScheduler {
  public:
-  explicit FairScheduler(SchedulePolicy policy) : policy_(policy) {}
-
   /// Registers a session at the end of the cycle order. Weights < 1 are
   /// treated as 1. Sessions start not runnable.
   void add(SessionId id, int weight);
@@ -51,8 +39,8 @@ class FairScheduler {
   /// Marks whether pick() may return the session.
   void set_runnable(SessionId id, bool runnable);
 
-  /// Chooses the session for the next slice under the policy, spending one
-  /// credit, or nullopt when no session is runnable.
+  /// Chooses the session for the next slice, spending one credit, or
+  /// nullopt when no session is runnable.
   std::optional<SessionId> pick();
 
   std::size_t size() const { return entries_.size(); }
@@ -68,7 +56,6 @@ class FairScheduler {
 
   std::vector<Entry> entries_;  ///< admission order
   std::size_t cursor_{0};       ///< deficit round-robin position
-  SchedulePolicy policy_;
 };
 
 }  // namespace cdst::serve

@@ -23,8 +23,8 @@ bool pauses_session(StatusCode code) {
 }  // namespace
 
 /// Registry entry for one admitted tenant. Heap-held (unique_ptr) so its
-/// address — which the aggregation sink and the session's RouterRun point
-/// back into — survives registry growth.
+/// address — which the aggregation sink points back into — survives
+/// registry growth.
 struct EngineServer::Session {
   /// Aggregates the tenant's slice events into the cross-thread stats
   /// mirror and forwards everything to the tenant's own sink. Runs on
@@ -73,7 +73,8 @@ struct EngineServer::Session {
   std::optional<std::chrono::steady_clock::time_point> deadline;
   bool paused{false};  ///< last slice ended kCancelled/kDeadlineExceeded/...
   std::optional<Router> router;
-  std::optional<RouterRun> run;
+  /// Rounds submitted to the router that no barrier has passed yet.
+  int pending_rounds{0};
   std::optional<CdSolver> solver;
   std::deque<CdSolver::Job> jobs;
   std::deque<StatusOr<SolveResult>> ready;
@@ -99,8 +100,6 @@ struct EngineServer::Session {
 
 EngineServer::EngineServer(Engine& engine, const ServeOptions& options)
     : engine_(engine),
-      options_(options),
-      scheduler_(options.policy),
       admission_(AdmissionLimits{
           options.max_sessions,
           options.admission_budget_bytes != 0
@@ -134,7 +133,7 @@ Status EngineServer::admit_locked(std::size_t projected_bytes) {
 
 void EngineServer::refresh_runnable_locked(Session& session) {
   const bool pending = session.kind == SessionKind::kRouter
-                           ? session.run->rounds_remaining() > 0
+                           ? session.pending_rounds > 0
                            : !session.jobs.empty();
   const bool runnable = pending && !session.paused;
   scheduler_.set_runnable(session.id, runnable);
@@ -159,12 +158,6 @@ StatusOr<SessionId> EngineServer::open_router_session(
   session->deadline = tenant.deadline;
   session->sink.session = session.get();
   session->router.emplace(engine_.make_router(grid, netlist, router_options));
-
-  RunControl control;
-  control.cancel = &session->cancel;
-  control.events = &session->sink;
-  control.deadline = tenant.deadline;
-  session->run.emplace(session->router->run_async(0, control));
 
   const SessionId id = session->id;
   scheduler_.add(id, session->weight);
@@ -207,8 +200,7 @@ Status EngineServer::submit_rounds(SessionId id, int rounds) {
   if (session->kind != SessionKind::kRouter) {
     return Status::FailedPrecondition("serve: not a router session");
   }
-  const Status submitted = session->run->submit(rounds);
-  if (!submitted.ok()) return submitted;
+  session->pending_rounds += rounds;
   {
     MutexLock stat_lock(session->stat_mu);
     session->rounds_submitted += rounds;
@@ -271,7 +263,6 @@ Status EngineServer::set_deadline(
     return Status::InvalidArgument("serve: unknown session id");
   }
   session->deadline = d;
-  if (session->kind == SessionKind::kRouter) session->run->set_deadline(d);
   return Status::Ok();
 }
 
@@ -341,6 +332,10 @@ Status EngineServer::session_status(SessionId id) const {
 }
 
 Status EngineServer::run_slice(Session& session) {
+  RunControl control;
+  control.cancel = &session.cancel;
+  control.events = &session.sink;
+  control.deadline = session.deadline;
   Status slice = Status::Ok();
   if (session.deadline.has_value() &&
       std::chrono::steady_clock::now() >= *session.deadline) {
@@ -349,13 +344,13 @@ Status EngineServer::run_slice(Session& session) {
     slice = detail::deadline_exceeded_status(
         "serve: tenant deadline expired before its slice");
   } else if (session.kind == SessionKind::kRouter) {
-    slice = session.run->step();
+    // Heading for every pending round, so the slice's events carry the
+    // tenant's absolute target round; only a barrier counts a round off.
+    const int before = session.router->rounds_completed();
+    slice = session.router->step(session.pending_rounds, control);
+    session.pending_rounds -= session.router->rounds_completed() - before;
   } else {
     const CdSolver::Job job = session.jobs.front();
-    RunControl control;
-    control.cancel = &session.cancel;
-    control.events = &session.sink;
-    control.deadline = session.deadline;
     StatusOr<SolveResult> result = session.solver->solve(job, control);
     const StatusCode code =
         result.ok() ? StatusCode::kOk : result.status().code();

@@ -8,11 +8,11 @@
 /// tenants against configured limits (serve/admission.h), and time-slices
 /// the admitted sessions' work across the one pool with a deterministic
 /// fair scheduler (serve/scheduler.h). The slicing unit is one batch of a
-/// Router round, or one whole sharded round (via Router::run_async, whose
-/// step() resumes at the session's round cursor, so any split is
-/// bit-identical to run()), or a single cost-distance solve. N routers and
-/// M solver streams interleave at batch/job granularity on one pool, and
-/// each slice still fans out across every worker.
+/// Router round, or one whole sharded round (one Router::step, which
+/// resumes at the session's round cursor, so any split is bit-identical to
+/// run()), or a single cost-distance solve. N routers and M solver streams
+/// interleave at batch/job granularity on one pool, and each slice still
+/// fans out across every worker.
 ///
 /// Flow: admission -> schedule -> slice -> aggregate.
 ///   open_*_session()  admission check (kResourceExhausted on queue depth
@@ -20,9 +20,9 @@
 ///                     scheduler entry
 ///   submit_*()        queues rounds/jobs; the session becomes runnable
 ///   step()            one scheduling quantum: pick a tenant (deficit
-///                     round-robin or FIFO), run one slice (a router batch
-///                     or sharded round, or one solve) on the calling
-///                     thread, fold the outcome back into the registry; a
+///                     round-robin), run one slice on the calling thread
+///                     (Router::step toward every pending round, or one
+///                     solve), fold the outcome back into the registry; a
 ///                     router tenant's pending rounds drop at round
 ///                     barriers only
 ///   stats()           fleet snapshot: per-tenant progress, queue depth,
@@ -31,7 +31,7 @@
 /// Determinism: the scheduler is deterministic and slices of different
 /// sessions touch disjoint session state, so any serve schedule commits,
 /// per tenant, exactly the rounds/jobs a serial run would — bit-identical
-/// results at any thread count, shard count, policy or interleaving. The
+/// results at any thread count, shard count or interleaving. The
 /// serve tests verify this across a tenants x threads x shards matrix.
 ///
 /// Pause/resume: a slice that returns kCancelled, kDeadlineExceeded or
@@ -83,7 +83,6 @@ struct ServeOptions {
   /// default admitted projections can never plan past the memory that
   /// actually exists.
   std::size_t admission_budget_bytes{0};
-  SchedulePolicy policy{SchedulePolicy::kDeficitRoundRobin};
 };
 
 /// Per-tenant admission-time configuration.
@@ -115,8 +114,8 @@ class EngineServer {
   EngineServer& operator=(const EngineServer&) = delete;
 
   /// Admits a router tenant: admission check, then a Router session on the
-  /// engine's pool and budget, opened as a round stream (run_async) with
-  /// the tenant's cancel token, deadline and event aggregation wired in.
+  /// engine's pool and budget. Its slices run with the tenant's cancel
+  /// token, deadline and event aggregation wired in.
   /// kResourceExhausted when admission refuses; the registry is untouched
   /// on any failure. Grid and netlist are borrowed for the session.
   StatusOr<SessionId> open_router_session(const RoutingGrid& grid,
@@ -164,7 +163,7 @@ class EngineServer {
   Status session_status(SessionId id) const;
 
   /// One scheduling quantum on the calling thread: picks the next tenant
-  /// under the policy and runs one slice (one batch of a router round, one
+  /// and runs one slice (one batch of a router round, one
   /// sharded round, or one solve).
   /// Returns false — without running anything — when no session is
   /// runnable.
@@ -196,7 +195,6 @@ class EngineServer {
   Status run_slice(Session& session);
 
   Engine& engine_;
-  ServeOptions options_;
 
   mutable Mutex mu_;
   std::vector<std::unique_ptr<Session>> sessions_ CDST_GUARDED_BY(mu_);

@@ -475,7 +475,7 @@ TEST(RouterSession, SetOptionsReroutesWarmFromConvergedState) {
 
 TEST(RouterSession, ConstructorRejectsWhatSetOptionsRejects) {
   // A session built directly with options set_options() refuses routes
-  // nothing: run() and run_async() report kInvalidArgument until valid
+  // nothing: run() and step() report kInvalidArgument until valid
   // options are installed.
   const ChipConfig c = tiny_chip();
   const RoutingGrid grid = make_chip_grid(c);
@@ -489,8 +489,7 @@ TEST(RouterSession, ConstructorRejectsWhatSetOptionsRejects) {
                                     << " shards=" << bad.shards);
     Router session(grid, nl, bad);
     EXPECT_EQ(session.run(1).code(), StatusCode::kInvalidArgument);
-    EXPECT_EQ(session.run_async(1).step().code(),
-              StatusCode::kInvalidArgument);
+    EXPECT_EQ(session.step(1).code(), StatusCode::kInvalidArgument);
     EXPECT_EQ(session.rounds_completed(), 0);
     EXPECT_TRUE(session.result().routes[0].empty()) << "nothing was routed";
 

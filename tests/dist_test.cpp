@@ -88,7 +88,14 @@ dist::WorkerSetupMsg sample_setup(Rng& rng) {
   setup.oracle.dbif = 1.5;
   setup.oracle.window_margin = 3;
   setup.oracle.cd.use_astar = true;
+  setup.oracle.cd.discount_components = false;
+  setup.oracle.cd.better_steiner_placement = false;
+  setup.oracle.cd.encourage_root = false;
+  setup.oracle.cd.pool_search_state = false;
   setup.oracle.cd.dense_state_budget_bytes = 1 << 20;
+  setup.oracle.cd.strict_shared_budget = true;
+  setup.oracle.cd.queue = QueueKind::kSingleLazy;
+  setup.oracle.cd.seed = rng();
   setup.congestion.price_at_full = 6.0;
   setup.congestion.smoothing = 0.25;
   setup.options_seed = rng();
@@ -183,8 +190,19 @@ TEST(DistWireTest, SetupRoundTripsBitIdentically) {
   EXPECT_EQ(back->oracle.dbif, setup.oracle.dbif);
   EXPECT_EQ(back->oracle.window_margin, setup.oracle.window_margin);
   EXPECT_EQ(back->oracle.cd.use_astar, setup.oracle.cd.use_astar);
+  EXPECT_EQ(back->oracle.cd.discount_components,
+            setup.oracle.cd.discount_components);
+  EXPECT_EQ(back->oracle.cd.better_steiner_placement,
+            setup.oracle.cd.better_steiner_placement);
+  EXPECT_EQ(back->oracle.cd.encourage_root, setup.oracle.cd.encourage_root);
+  EXPECT_EQ(back->oracle.cd.pool_search_state,
+            setup.oracle.cd.pool_search_state);
   EXPECT_EQ(back->oracle.cd.dense_state_budget_bytes,
             setup.oracle.cd.dense_state_budget_bytes);
+  EXPECT_EQ(back->oracle.cd.strict_shared_budget,
+            setup.oracle.cd.strict_shared_budget);
+  EXPECT_EQ(back->oracle.cd.queue, setup.oracle.cd.queue);
+  EXPECT_EQ(back->oracle.cd.seed, setup.oracle.cd.seed);
   EXPECT_EQ(back->oracle.cd.future_cost, nullptr);
   EXPECT_EQ(back->oracle.cd.shared_dense_budget, nullptr);
   EXPECT_EQ(back->congestion.price_at_full, setup.congestion.price_at_full);

@@ -15,6 +15,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -411,6 +412,24 @@ TEST(RouterCheckpointTest, RejectsCorruptAndMismatchedInput) {
   ASSERT_NE(unstepped.weights_round, unstepped.rounds_done);
   EXPECT_EQ(other.restore(unstepped).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(other.rounds_completed(), 0);
+  // Sink weights and delays must be finite and >= 0. With weights_round ==
+  // rounds_done no multiplier step would clamp a bad weight before the next
+  // solve, so restore() is the only place to refuse it.
+  ASSERT_FALSE(cp.sink_weights.empty());
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), -1.0,
+                           std::numeric_limits<double>::infinity()}) {
+    for (const bool weights : {true, false}) {
+      SCOPED_TRACE(testing::Message()
+                   << (weights ? "sink_weights" : "sink_delays") << " = "
+                   << bad);
+      RouterCheckpoint bad_value = cp;
+      bad_value.weights_round = bad_value.rounds_done;
+      (weights ? bad_value.sink_weights : bad_value.sink_delays)[0] = bad;
+      EXPECT_EQ(other.restore(bad_value).code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(other.rounds_completed(), 0);
+    }
+  }
 
   // After all the rejections the pristine session still works.
   ASSERT_TRUE(other.restore(cp).ok());

@@ -1,11 +1,11 @@
 // Tests for the multi-tenant serving core (serve/serve.h) and the
-// Router::run_async round stream it slices on.
+// Router::step slice it interleaves.
 //
 // The load-bearing claims, each verified here:
-//  - run_async stepping is bit-identical to a single run() at any thread /
-//    shard count and any submit/poll cadence (it inherits run()'s
-//    split-run invariance); a batched round spans several slices, and the
-//    stream's round count drops only at round barriers.
+//  - Router::step slicing is bit-identical to a single run() at any thread
+//    / shard count (it inherits run()'s split-run invariance); a batched
+//    round spans several slices, a sharded round is one, and
+//    rounds_completed() rises only at round barriers.
 //  - A serve schedule commits, per tenant, exactly what a serial run
 //    would: the tenants x threads x shards matrix compares every tenant's
 //    result against a standalone reference (the ISSUE-10 acceptance
@@ -42,7 +42,6 @@ using serve::AdmissionController;
 using serve::AdmissionLimits;
 using serve::EngineServer;
 using serve::FairScheduler;
-using serve::SchedulePolicy;
 using serve::ServeOptions;
 using serve::ServeStats;
 using serve::SessionId;
@@ -82,7 +81,7 @@ RouterOptions serve_router_options(int threads, int shards) {
   return opts;
 }
 
-/// RouterRun::step() slices per round: one per batch, one per sharded
+/// Router::step() slices per round: one per batch, one per sharded
 /// round.
 int slices_per_round(int shards) {
   return shards == 0 ? kTenantNets / kTenantBatch : 1;
@@ -91,7 +90,7 @@ int slices_per_round(int shards) {
 // ------------------------------------------------------------ FairScheduler
 
 TEST(FairScheduler, DeficitRoundRobinHonorsWeights) {
-  FairScheduler sched(SchedulePolicy::kDeficitRoundRobin);
+  FairScheduler sched;
   sched.add(1, 2);
   sched.add(2, 1);
   sched.add(3, 1);
@@ -107,7 +106,7 @@ TEST(FairScheduler, DeficitRoundRobinHonorsWeights) {
 }
 
 TEST(FairScheduler, SkipsNotRunnableAndDrainsToNullopt) {
-  FairScheduler sched(SchedulePolicy::kDeficitRoundRobin);
+  FairScheduler sched;
   sched.add(1, 1);
   sched.add(2, 1);
   sched.set_runnable(2, true);
@@ -122,17 +121,6 @@ TEST(FairScheduler, SkipsNotRunnableAndDrainsToNullopt) {
   sched.remove(1);
   EXPECT_EQ(sched.pick(), std::nullopt);
   EXPECT_EQ(sched.size(), 0u);
-}
-
-TEST(FairScheduler, FifoRunsEarliestAdmittedToCompletion) {
-  FairScheduler sched(SchedulePolicy::kFifo);
-  sched.add(7, 1);
-  sched.add(8, 4);
-  sched.set_runnable(7, true);
-  sched.set_runnable(8, true);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(sched.pick(), SessionId{7});
-  sched.set_runnable(7, false);
-  EXPECT_EQ(sched.pick(), SessionId{8});
 }
 
 // ------------------------------------------------------ AdmissionController
@@ -157,9 +145,22 @@ TEST(AdmissionController, EnforcesDepthAndBudget) {
   EXPECT_TRUE(adm.admit(900).ok());
 }
 
-// ----------------------------------------------------------- Router::run_async
+// ------------------------------------------------------------ Router::step
 
-TEST(RouterRun, StreamIsBitIdenticalToSerialRunAcrossThreadsAndShards) {
+/// Records what one slice emits: round events (batch boundaries, barriers,
+/// cancelled summaries) and shard boundaries.
+struct SliceRecorder final : EventSink {
+  std::vector<RouterRoundEvent> rounds;
+  std::vector<RouterShardEvent> shards;
+  void on_router_round(const RouterRoundEvent& event) override {
+    rounds.push_back(event);
+  }
+  void on_router_shard(const RouterShardEvent& event) override {
+    shards.push_back(event);
+  }
+};
+
+TEST(RouterStep, SlicesAreBitIdenticalToSerialRunAcrossThreadsAndShards) {
   const int rounds = 3;
   const std::vector<int> thread_counts =
       stress_light() ? std::vector<int>{2} : std::vector<int>{1, 2, 4};
@@ -170,52 +171,58 @@ TEST(RouterRun, StreamIsBitIdenticalToSerialRunAcrossThreadsAndShards) {
 
   for (const int threads : thread_counts) {
     for (const int shards : shard_counts) {
+      SCOPED_TRACE(testing::Message()
+                   << "threads=" << threads << " shards=" << shards);
       const RouterOptions opts = serve_router_options(threads, shards);
       Router ref(grid, nl, opts);
       ASSERT_TRUE(ref.run(rounds).ok());
       const RouterResult want = ref.result();
 
-      // Stream the same rounds: open empty, submit in two chunks, step
-      // with polls in between.
+      // Step toward the same target, one slice per call, passing the rounds
+      // still pending as a scheduler does.
       Router session(grid, nl, opts);
-      RouterRun run = session.run_async(0);
-      EXPECT_TRUE(run.done());
-      ASSERT_TRUE(run.submit(1).ok());
-      ASSERT_TRUE(run.submit(rounds - 1).ok());
-      EXPECT_EQ(run.rounds_remaining(), rounds);
-
+      EXPECT_TRUE(session.step(0).ok());
+      EXPECT_EQ(session.rounds_completed(), 0);
       int steps = 0;
       int barrier_events = 0;
-      while (!run.done()) {
-        const int remaining = run.rounds_remaining();
-        ASSERT_TRUE(run.step().ok()) << "threads=" << threads
-                                     << " shards=" << shards;
+      while (session.rounds_completed() < rounds) {
+        const int done = session.rounds_completed();
+        SliceRecorder recorder;
+        RunControl control;
+        control.events = &recorder;
+        ASSERT_TRUE(session.step(rounds - done, control).ok());
         ++steps;
         int barriers = 0;
-        while (const auto event = run.poll()) {
-          EXPECT_TRUE(event->round_complete);
-          // The stream rewrites the slice's one-round horizon to the
-          // absolute stream target.
-          EXPECT_EQ(event->target_round, rounds);
-          ++barriers;
+        for (const RouterRoundEvent& event : recorder.rounds) {
+          EXPECT_FALSE(event.cancelled);
+          EXPECT_EQ(event.round, done);
+          // The slice reports the absolute target of run(rounds - done).
+          EXPECT_EQ(event.target_round, rounds);
+          if (event.round_complete) ++barriers;
         }
-        // A slice passes at most one barrier, and only a barrier counts
-        // a round off.
+        for (const RouterShardEvent& event : recorder.shards) {
+          EXPECT_EQ(event.target_round, rounds);
+        }
+        // A slice commits one unit of work: a batch emits one batch event,
+        // a sharded round one event per shard.
+        EXPECT_EQ(recorder.rounds.size() - static_cast<std::size_t>(barriers),
+                  shards == 0 ? 1u : 0u);
+        EXPECT_EQ(recorder.shards.size(),
+                  shards == 0 ? 0u : static_cast<std::size_t>(shards));
+        // A slice passes at most one barrier, and only a barrier counts a
+        // round off.
         EXPECT_LE(barriers, 1);
-        EXPECT_EQ(run.rounds_remaining(), remaining - barriers);
-        EXPECT_EQ(session.rounds_completed(), rounds - remaining + barriers);
+        EXPECT_EQ(session.rounds_completed(), done + barriers);
         barrier_events += barriers;
       }
       EXPECT_EQ(steps, rounds * slices_per_round(shards));
       EXPECT_EQ(barrier_events, rounds);
-      EXPECT_EQ(run.dropped_events(), 0u);
-      EXPECT_EQ(session.rounds_completed(), rounds);
       expect_same_routing(session.result(), want);
     }
   }
 }
 
-TEST(RouterRun, DeadlinePausesStreamResumableViaSetDeadline) {
+TEST(RouterStep, DeadlinePausesSliceResumableWithNewDeadline) {
   const ChipConfig c = tenant_chip(7);
   const RoutingGrid grid = make_chip_grid(c);
   const Netlist nl = generate_netlist(c, grid);
@@ -229,15 +236,13 @@ TEST(RouterRun, DeadlinePausesStreamResumableViaSetDeadline) {
   RunControl control;
   control.deadline =
       std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
-  RouterRun run = session.run_async(2, control);
-  const Status expired = run.step();
-  EXPECT_EQ(expired.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(run.rounds_remaining(), 2);
-  EXPECT_EQ(run.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(session.step(2, control).code(), StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(session.rounds_completed(), 0);
 
-  run.set_deadline(std::nullopt);
-  ASSERT_TRUE(run.drain().ok());
-  EXPECT_TRUE(run.done());
+  control.deadline = std::nullopt;
+  while (session.rounds_completed() < 2) {
+    ASSERT_TRUE(session.step(2 - session.rounds_completed(), control).ok());
+  }
   expect_same_routing(session.result(), want);
 }
 
@@ -338,40 +343,47 @@ TEST(EngineServer, MultiTenantMatrixBitIdenticalToSerialWithinBudget) {
   }
 }
 
-TEST(EngineServer, FifoPolicyProducesIdenticalResultsToFair) {
-  const int rounds = 2;
-  const RouterOptions opts = serve_router_options(2, 4);
-  const ChipConfig ca = tenant_chip(21);
-  const ChipConfig cb = tenant_chip(22);
-  const RoutingGrid grid_a = make_chip_grid(ca);
-  const RoutingGrid grid_b = make_chip_grid(cb);
-  const Netlist nl_a = generate_netlist(ca, grid_a);
-  const Netlist nl_b = generate_netlist(cb, grid_b);
-
-  std::vector<RouterResult> results[2];
-  for (const SchedulePolicy policy :
-       {SchedulePolicy::kDeficitRoundRobin, SchedulePolicy::kFifo}) {
+TEST(EngineServer, TenantEventsCarryTheSubmittedTargetRound) {
+  // The server steps each slice toward every pending round, so a tenant's
+  // sink sees the absolute target on batch, barrier and shard events alike.
+  const int rounds = 3;
+  const ChipConfig c = tenant_chip(81);
+  const RoutingGrid grid = make_chip_grid(c);
+  const Netlist nl = generate_netlist(c, grid);
+  for (const int shards : {0, 4}) {
+    SCOPED_TRACE(testing::Message() << "shards=" << shards);
     Engine engine(EngineOptions{2, 64u << 20});
-    ServeOptions serve_opts;
-    serve_opts.policy = policy;
-    EngineServer server(engine, serve_opts);
-    const StatusOr<SessionId> a =
-        server.open_router_session(grid_a, nl_a, opts);
-    const StatusOr<SessionId> b =
-        server.open_router_session(grid_b, nl_b, opts);
-    ASSERT_TRUE(a.ok() && b.ok());
-    ASSERT_TRUE(server.submit_rounds(a.value(), rounds).ok());
-    ASSERT_TRUE(server.submit_rounds(b.value(), rounds).ok());
+    EngineServer server(engine, {});
+    SliceRecorder recorder;
+    TenantOptions tenant;
+    tenant.events = &recorder;
+    const SessionId id =
+        server
+            .open_router_session(grid, nl, serve_router_options(2, shards),
+                                 tenant)
+            .value();
+    ASSERT_TRUE(server.submit_rounds(id, rounds).ok());
     ASSERT_TRUE(server.run_until_idle().ok());
-    const std::size_t index =
-        policy == SchedulePolicy::kDeficitRoundRobin ? 0 : 1;
-    results[index].push_back(server.result(a.value()).value());
-    results[index].push_back(server.result(b.value()).value());
-  }
-  // Scheduling policy reorders slices, never changes results.
-  for (int i = 0; i < 2; ++i) {
-    expect_same_routing(results[1][static_cast<std::size_t>(i)],
-                        results[0][static_cast<std::size_t>(i)]);
+
+    std::size_t batches = 0;
+    int barriers = 0;
+    for (const RouterRoundEvent& event : recorder.rounds) {
+      EXPECT_EQ(event.target_round, rounds);
+      if (event.round_complete) {
+        ++barriers;
+      } else {
+        ++batches;
+      }
+    }
+    for (const RouterShardEvent& event : recorder.shards) {
+      EXPECT_EQ(event.target_round, rounds);
+    }
+    EXPECT_EQ(barriers, rounds);
+    EXPECT_EQ(batches, shards == 0 ? static_cast<std::size_t>(
+                                         rounds * slices_per_round(0))
+                                   : 0u);
+    EXPECT_EQ(recorder.shards.size(),
+              static_cast<std::size_t>(rounds * shards));
   }
 }
 
