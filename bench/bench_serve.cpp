@@ -1,7 +1,8 @@
 // Microbenchmark for the multi-tenant serving core (serve/serve.h):
 // tenant-count scaling of the round-sliced scheduler over one shared
-// Engine, and the completion spread of its deficit round-robin across
-// equal tenants. The serving core's contract is that scheduling only
+// Engine, the completion spread of its fair scheduler across equal
+// tenants, and how long a solve that arrives behind router tenants waits.
+// The serving core's contract is that scheduling only
 // reorders work — per tenant, any serve schedule commits exactly the
 // rounds a serial Router::run would — so before the timed rows run,
 // main() verifies that served results are bit-identical to serial
@@ -9,13 +10,18 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "api/engine.h"
+#include "grid/future_cost.h"
 #include "route/netlist_gen.h"
 #include "serve/serve.h"
 
@@ -94,12 +100,13 @@ BENCHMARK(BM_Serve_TenantScaling)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-/// Fair (deficit round-robin) scheduling over 4 equal tenants: *when*
-/// each tenant finishes. The row pumps step() manually and records the
-/// scheduling quantum at which each tenant completed its last round; the
+/// Fair scheduling over 4 equal-weight tenants: *when* each tenant
+/// finishes. The row pumps step() manually and records the scheduling
+/// quantum at which each tenant completed its last round; the
 /// "completion_spread" counter is last-finisher minus first-finisher in
-/// slices — fair interleaving finishes everyone within one scheduling
-/// cycle of each other, where running tenants to completion one after
+/// slices. Weights are shares of oracle work, so a tenant whose rounds
+/// cost less work may run its second round before a heavier tenant's
+/// first (6 of the 8 slices here); running tenants to completion one after
 /// another would spread them by the slices of all later tenants.
 void BM_Serve_FairCompletionSpread(benchmark::State& state) {
   const int tenants = 4;
@@ -141,9 +148,114 @@ void BM_Serve_FairCompletionSpread(benchmark::State& state) {
     benchmark::DoNotOptimize(slices);
   }
   state.counters["completion_spread_slices"] = spread;
-  state.SetLabel("fair-drr");
+  state.SetLabel("fair-sfq");
 }
 BENCHMARK(BM_Serve_FairCompletionSpread)->Unit(benchmark::kMillisecond);
+
+/// One small standalone solve (4 sinks on a 16 x 16 x 3 grid): the cheap
+/// request a solver tenant serves beside the router tenants.
+struct SolveFixture {
+  std::unique_ptr<RoutingGrid> grid;
+  std::unique_ptr<FutureCost> fc;
+  std::vector<double> cost;
+  std::vector<double> delay;
+  CostDistanceInstance inst;
+};
+
+const SolveFixture& solve_fixture() {
+  static const SolveFixture* fixture = [] {
+    auto* f = new SolveFixture();
+    f->grid = std::make_unique<RoutingGrid>(
+        16, 16, make_default_layer_stack(3), ViaSpec{});
+    f->fc = std::make_unique<FutureCost>(*f->grid);
+    f->cost = f->grid->base_costs();
+    f->delay = f->grid->edge_delays();
+    f->inst.graph = &f->grid->graph();
+    f->inst.cost = &f->cost;
+    f->inst.delay = &f->delay;
+    f->inst.dbif = 2.0;
+    f->inst.eta = 0.25;
+    f->inst.root = f->grid->vertex_at(2, 3, 0);
+    f->inst.sinks = {Terminal{f->grid->vertex_at(12, 4, 0), 0.6},
+                     Terminal{f->grid->vertex_at(5, 13, 0), 0.3},
+                     Terminal{f->grid->vertex_at(14, 14, 0), 0.9},
+                     Terminal{f->grid->vertex_at(8, 8, 0), 0.2}};
+    return f;
+  }();
+  return *fixture;
+}
+
+/// Two router tenants (one slice = one sharded round) and a solver tenant
+/// (weight 2) that receives one job after every router slice: the wait of
+/// a cheap solve that arrives behind router work. The deterministic
+/// counter "router_slices_waited" is the most router slices that ran
+/// between a job's submission and its solve — a fair schedule that serves
+/// a newly runnable light tenant at the next slice boundary reads 0, one
+/// that lets the other router's slice go first reads 1. "wait_ms_mean" is
+/// the wall-clock time from submission to the end of the solving step.
+void BM_Serve_SolveBesideRouters(benchmark::State& state) {
+  constexpr int kRounds = 4;
+  Engine engine({/*threads=*/4, /*dense_state_budget_bytes=*/256u << 20});
+  const SolveFixture& solve = solve_fixture();
+  CdSolver::Job job;
+  job.instance = &solve.inst;
+  job.future_cost = solve.fc.get();
+  std::size_t waited_max = 0;
+  double wait_ms_sum = 0.0;
+  std::size_t jobs_solved = 0;
+  for (auto _ : state) {
+    serve::EngineServer server(engine);
+    for (int t = 0; t < 2; ++t) {
+      const Fixture& f = fixture(t);
+      auto id = server.open_router_session(f.grid, f.netlist, tenant_options());
+      if (!id.ok() || !server.submit_rounds(id.value(), kRounds).ok()) {
+        state.SkipWithError("open/submit failed");
+        return;
+      }
+    }
+    serve::TenantOptions solver_tenant;
+    solver_tenant.weight = 2;
+    const StatusOr<serve::SessionId> solver =
+        server.open_solver_session(SolverOptions{}, solver_tenant);
+    if (!solver.ok()) {
+      state.SkipWithError("solver open failed");
+      return;
+    }
+    struct Submitted {
+      std::chrono::steady_clock::time_point at;
+      std::size_t router_slices;
+    };
+    std::deque<Submitted> queued;
+    std::size_t router_slices = 0;
+    while (server.step()) {
+      if (server.results_ready(solver.value()) == 0) {
+        // A router slice ran: a request arrives behind it.
+        ++router_slices;
+        if (!server.submit_job(solver.value(), job).ok()) {
+          state.SkipWithError("submit_job failed");
+          return;
+        }
+        queued.push_back({std::chrono::steady_clock::now(), router_slices});
+        continue;
+      }
+      const auto now = std::chrono::steady_clock::now();
+      while (server.results_ready(solver.value()) > 0) {
+        benchmark::DoNotOptimize(server.pop_result(solver.value()));
+        const Submitted& s = queued.front();
+        waited_max = std::max(waited_max, router_slices - s.router_slices);
+        wait_ms_sum +=
+            std::chrono::duration<double, std::milli>(now - s.at).count();
+        ++jobs_solved;
+        queued.pop_front();
+      }
+    }
+  }
+  state.counters["router_slices_waited"] = static_cast<double>(waited_max);
+  state.counters["wait_ms_mean"] =
+      jobs_solved > 0 ? wait_ms_sum / static_cast<double>(jobs_solved) : 0.0;
+  state.SetLabel("fair-sfq");
+}
+BENCHMARK(BM_Serve_SolveBesideRouters)->Unit(benchmark::kMillisecond);
 
 bool verify_serve_matches_serial() {
   const int tenants = 3;

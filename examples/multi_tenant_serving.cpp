@@ -1,8 +1,9 @@
 // Multi-tenant serving: N router tenants share one Engine through the
 // serving core (serve/serve.h) — admission against a dense-state budget,
-// deficit-round-robin scheduling at round granularity, a tenant deadline
-// that expires cleanly and resumes, and the fleet snapshot an operator
-// would watch.
+// fair scheduling in which a tenant's weight is its share of oracle work
+// (each tenant's charged work units are printed), a tenant deadline that
+// expires cleanly and resumes, and the fleet snapshot an operator would
+// watch.
 //
 // The core guarantee on display: scheduling only reorders work. Every
 // tenant's served result is bit-identical to a serial Router session run
@@ -49,10 +50,11 @@ void print_fleet(const serve::ServeStats& stats) {
               static_cast<long long>(stats.budget_peak_bytes),
               static_cast<long long>(stats.budget_capacity_bytes));
   for (const serve::TenantSnapshot& t : stats.tenants) {
-    std::printf("  tenant %llu %-10s weight=%d rounds=%d/%d ace4=%.3f "
-                "util=%.3f%s\n",
+    std::printf("  tenant %llu %-10s weight=%d rounds=%d/%d work=%llu "
+                "ace4=%.3f util=%.3f%s\n",
                 static_cast<unsigned long long>(t.id), t.name.c_str(),
-                t.weight, t.rounds_completed, t.rounds_submitted, t.ace4,
+                t.weight, t.rounds_completed, t.rounds_submitted,
+                static_cast<unsigned long long>(t.work_units), t.ace4,
                 t.max_utilization, t.runnable ? "" : " (idle)");
   }
 }
@@ -79,8 +81,9 @@ int main(int argc, char** argv) {
   serve::EngineServer server(engine, serve_options);
 
   // 2. Admit the tenants: distinct chips, tenant 0 carries double weight
-  //    (two round-slices per scheduling cycle). Each declares a projected
-  //    dense-state footprint that admission charges against the budget.
+  //    (twice the oracle work of the others while all are backlogged).
+  //    Each declares a projected dense-state footprint that admission
+  //    charges against the budget.
   std::vector<Tenant> chips;
   std::vector<serve::SessionId> ids;
   chips.reserve(static_cast<std::size_t>(tenants));
@@ -127,8 +130,9 @@ int main(int argc, char** argv) {
   }
 
   // 3. Give the last tenant an already-expired deadline: its first slice
-  //    pauses with kDeadlineExceeded before committing anything, every
-  //    other tenant drains to completion around it.
+  //    pauses with kDeadlineExceeded before committing anything (its sink
+  //    would see a cancelled round summary), every other tenant drains to
+  //    completion around it.
   const serve::SessionId late = ids.back();
   if (tenants > 1) {
     (void)server.set_deadline(late, std::chrono::steady_clock::now());

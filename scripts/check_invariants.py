@@ -3,9 +3,9 @@
 
 Checks the conventions the compiler cannot: the Status discipline at the
 session API boundary, the single thread-spawn site, seeded-RNG determinism,
-allocation discipline in the solver hot paths, the raw-mutex ban that keeps
-every lock visible to Clang's thread-safety analysis, suppression hygiene,
-and public-header self-containment.
+a clock-free fair scheduler, allocation discipline in the solver hot paths,
+the raw-mutex ban that keeps every lock visible to Clang's thread-safety
+analysis, suppression hygiene, and public-header self-containment.
 
 Rules (each has a stable id, used by the allow directive):
 
@@ -17,6 +17,12 @@ Rules (each has a stable id, used by the allow directive):
   rng           No rand()/srand()/std::random_device in src|bench|examples:
                 results must be deterministic given the documented seeds
                 (use util/rng.h).
+  sched-pure    No clock (steady_clock, system_clock, high_resolution_clock,
+                now()) and no random number source (<random>, util/rng.h,
+                rand(), std::random_device, std::mt19937...) in
+                src/serve/scheduler.{h,cpp}: the pick order must stay a
+                function of the add/remove/set_runnable/pick history only,
+                which is what makes served runs reproducible.
   naked-new     No naked new/delete expressions in the hot paths (src/core,
                 src/graph): allocation goes through containers or
                 make_unique so the scratch-recycling invariants hold.
@@ -185,6 +191,13 @@ THROW_RE = re.compile(r"\bthrow\b")
 RETHROW_RE = re.compile(r"\bthrow\s*;")
 THREAD_RE = re.compile(r"std::j?thread\b|\bpthread_create\b")
 RNG_RE = re.compile(r"\b(?:s?rand)\s*\(|std::random_device\b")
+SCHED_FILES = ("src/serve/scheduler.h", "src/serve/scheduler.cpp")
+SCHED_IMPURE_RE = re.compile(
+    r"\b(?:steady|system|high_resolution)_clock\b|\bnow\s*\("
+    r"|\bs?rand\s*\(|\bstd::random_device\b|\bstd::(?:mt19937|minstd_rand"
+    r"|default_random_engine|ranlux)\w*\b|\bRng\b"
+    r"|#\s*include\s*[<\"](?:random|chrono|ctime|time\.h|util/rng\.h)[>\"]"
+)
 NEW_RE = re.compile(r"\bnew\s+[A-Za-z_:<(]|\bnew\s*\[")
 DELETE_RE = re.compile(r"\bdelete\s*\[?\]?\s*[A-Za-z_*(]")
 MUTEX_RE = re.compile(
@@ -262,6 +275,28 @@ def rule_rng(src: SourceFile):
         "unseeded/libc RNG breaks run-to-run determinism: use util/rng.h "
         "with a documented seed",
     )
+
+
+def rule_sched_pure(src: SourceFile):
+    if src.rel not in SCHED_FILES:
+        return []
+    findings = []
+    for i, (code, raw) in enumerate(zip(src.code_lines, src.lines), start=1):
+        # Includes name their header inside a string literal, which the
+        # stripped code blanks out, so they are matched on the raw line.
+        text = raw if raw.lstrip().startswith("#") else code
+        if not SCHED_IMPURE_RE.search(text) or src.is_allowed("sched-pure", i):
+            continue
+        findings.append(
+            (
+                src.rel,
+                i,
+                "sched-pure",
+                "clock or random source in the fair scheduler: the pick "
+                "order must be a function of the call history only",
+            )
+        )
+    return findings
 
 
 def rule_naked_new(src: SourceFile):
@@ -427,6 +462,7 @@ LINE_RULES = [
     rule_api_throw,
     rule_raw_thread,
     rule_rng,
+    rule_sched_pure,
     rule_naked_new,
     rule_raw_mutex,
     rule_nolint_reason,
@@ -590,6 +626,9 @@ def self_test() -> int:
         "src/core/bad_status_origin.cpp": {"status-origin"},
         "src/serve/bad_status_origin.cpp": {"status-origin"},
         "src/serve/clean_admission.cpp": set(),
+        "src/serve/scheduler.cpp": {"sched-pure"},
+        "src/serve/clean_clock_user.cpp": set(),
+        "src/serve/scheduler.h": {"sched-pure"},
         "src/io/bad_wire.cpp": {"wire-format"},
         "src/io/clean_wire.cpp": set(),
         "src/util/bad_fault_site.cpp": {"fault-site"},

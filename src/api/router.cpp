@@ -657,15 +657,20 @@ struct alignas(16) Router::Impl {
     return Status::Ok();
   }
 
+  /// One past the last net of the batch at the round cursor.
+  std::size_t batch_end() const {
+    return std::min(netlist.nets.size(),
+                    round_cursor + static_cast<std::size_t>(
+                                       std::max(1, options.batch_size)));
+  }
+
   /// One batch of the batched round discipline (RouterOptions::shards ==
   /// 0): the batch_size nets at the round cursor, which it advances past
   /// the batch once the batch commits.
   Status route_batch(int round, int target_rounds, const RunControl& control,
                      const detail::EventFan& fan) {
-    const std::size_t num_nets = netlist.nets.size();
     const std::size_t lo = round_cursor;
-    const std::size_t hi =
-        std::min(num_nets, lo + static_cast<std::size_t>(options.batch_size));
+    const std::size_t hi = batch_end();
     const SolveControls controls = detail::make_solve_controls(control);
     // Rip up the whole batch so its nets price edges without their own
     // (or each other's previous) usage, then route against the frozen
@@ -734,7 +739,7 @@ struct alignas(16) Router::Impl {
       event.round = round;
       event.target_round = target_rounds;
       event.nets_done = hi;
-      event.nets_total = num_nets;
+      event.nets_total = netlist.nets.size();
       fan.emit_router_round(event);
     }
     return Status::Ok();
@@ -832,6 +837,16 @@ Status Router::step(int rounds, const RunControl& control) {
   if (Status st = impl.check_rounds(rounds); !st.ok()) return st;
   if (rounds == 0) return Status::Ok();
   return impl.slice(impl.rounds_done + rounds, control);
+}
+
+std::uint64_t Router::next_slice_work() const {
+  const Impl& impl = *impl_;
+  const bool sharded = impl.options.shards > 0;  // as Impl::slice decides
+  const std::size_t lo = sharded ? 0 : impl.round_cursor;
+  const std::size_t hi = sharded ? impl.netlist.nets.size() : impl.batch_end();
+  std::uint64_t work = 0;
+  for (std::size_t i = lo; i < hi; ++i) work += impl.estimated_work(i);
+  return work;
 }
 
 RouterResult Router::result() const { return impl_->result(/*take=*/false); }

@@ -124,6 +124,13 @@ class Router {
   /// no-op.
   Status step(int rounds, const RunControl& control = {});
 
+  /// Estimated oracle work of the slice the next step() runs: the sum over
+  /// the nets it routes (the batch at the round cursor, or every net of a
+  /// sharded round) of sink count times clipped-window vertex count, the
+  /// t·n of the oracle's O(t(n log n + m)) bound. A scheduler charges
+  /// tenants this cost (serve/scheduler.h).
+  std::uint64_t next_slice_work() const;
+
   /// Coherent snapshot of the current routing (timing/congestion/wire
   /// metrics recomputed from committed state). Valid after any run() —
   /// including one that returned kCancelled.

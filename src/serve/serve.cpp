@@ -1,6 +1,7 @@
 #include "serve/serve.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <string>
 #include <utility>
@@ -18,6 +19,17 @@ bool pauses_session(StatusCode code) {
   return code == StatusCode::kCancelled ||
          code == StatusCode::kDeadlineExceeded ||
          code == StatusCode::kUnavailable;
+}
+
+/// Estimated oracle work of one solve job: sink count times the vertex
+/// count of its graph, the t·n a router slice is charged per net.
+std::uint64_t job_work(const CdSolver::Job& job) {
+  const CostDistanceInstance* inst = job.instance;
+  if (inst == nullptr || (inst->graph == nullptr && inst->box == nullptr)) {
+    return 0;  // refused in-band without a search
+  }
+  return static_cast<std::uint64_t>(inst->sinks.size()) *
+         static_cast<std::uint64_t>(inst->num_vertices());
 }
 
 }  // namespace
@@ -72,6 +84,8 @@ struct EngineServer::Session {
   // the live engine session objects and work queues a slice executes on.
   std::optional<std::chrono::steady_clock::time_point> deadline;
   bool paused{false};  ///< last slice ended kCancelled/kDeadlineExceeded/...
+  /// Work units the next slice costs, as last handed to the scheduler.
+  std::uint64_t next_work{0};
   std::optional<Router> router;
   /// Rounds submitted to the router that no barrier has passed yet.
   int pending_rounds{0};
@@ -86,6 +100,7 @@ struct EngineServer::Session {
   Status last CDST_GUARDED_BY(stat_mu){Status::Ok()};
   bool runnable CDST_GUARDED_BY(stat_mu){false};
   std::size_t slices CDST_GUARDED_BY(stat_mu){0};
+  std::uint64_t work_units CDST_GUARDED_BY(stat_mu){0};
   int rounds_completed CDST_GUARDED_BY(stat_mu){0};
   int rounds_submitted CDST_GUARDED_BY(stat_mu){0};
   std::size_t jobs_completed CDST_GUARDED_BY(stat_mu){0};
@@ -136,7 +151,12 @@ void EngineServer::refresh_runnable_locked(Session& session) {
                            ? session.pending_rounds > 0
                            : !session.jobs.empty();
   const bool runnable = pending && !session.paused;
-  scheduler_.set_runnable(session.id, runnable);
+  if (pending) {
+    session.next_work = session.kind == SessionKind::kRouter
+                            ? session.router->next_slice_work()
+                            : job_work(session.jobs.front());
+  }
+  scheduler_.set_runnable(session.id, runnable, session.next_work);
   MutexLock lock(session.stat_mu);
   session.runnable = runnable;
 }
@@ -336,14 +356,11 @@ Status EngineServer::run_slice(Session& session) {
   control.cancel = &session.cancel;
   control.events = &session.sink;
   control.deadline = session.deadline;
+  // An expired deadline is the slice's own verdict: Router::step refuses
+  // it with a cancelled round summary to the tenant's sink, and
+  // CdSolver::solve before its first search.
   Status slice = Status::Ok();
-  if (session.deadline.has_value() &&
-      std::chrono::steady_clock::now() >= *session.deadline) {
-    // The slice's own RunControl would reach the same verdict at its first
-    // boundary; refusing up front just skips the dispatch.
-    slice = detail::deadline_exceeded_status(
-        "serve: tenant deadline expired before its slice");
-  } else if (session.kind == SessionKind::kRouter) {
+  if (session.kind == SessionKind::kRouter) {
     // Heading for every pending round, so the slice's events carry the
     // tenant's absolute target round; only a barrier counts a round off.
     const int before = session.router->rounds_completed();
@@ -370,6 +387,7 @@ Status EngineServer::run_slice(Session& session) {
   MutexLock lock(session.stat_mu);
   session.last = slice;
   ++session.slices;
+  session.work_units += session.next_work;  // what pick() charged
   if (session.kind == SessionKind::kRouter) {
     session.rounds_completed = session.router->rounds_completed();
   } else {
@@ -441,6 +459,7 @@ ServeStats EngineServer::stats() const {
       t.runnable = session->runnable;
       t.last_status = session->last.code();
       t.slices_run = session->slices;
+      t.work_units = session->work_units;
       t.rounds_completed = session->rounds_completed;
       t.rounds_submitted = session->rounds_submitted;
       t.jobs_completed = session->jobs_completed;

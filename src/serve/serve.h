@@ -7,7 +7,8 @@
 /// that makes the substrate *servable*: it owns a session registry, admits
 /// tenants against configured limits (serve/admission.h), and time-slices
 /// the admitted sessions' work across the one pool with a deterministic
-/// fair scheduler (serve/scheduler.h). The slicing unit is one batch of a
+/// fair scheduler (serve/scheduler.h) whose weights are shares of
+/// estimated oracle work. The slicing unit is one batch of a
 /// Router round, or one whole sharded round (one Router::step, which
 /// resumes at the session's round cursor, so any split is bit-identical to
 /// run()), or a single cost-distance solve. N routers and M solver streams
@@ -19,14 +20,21 @@
 ///                     or projected dense-state overflow), registry entry,
 ///                     scheduler entry
 ///   submit_*()        queues rounds/jobs; the session becomes runnable
-///   step()            one scheduling quantum: pick a tenant (deficit
-///                     round-robin), run one slice on the calling thread
-///                     (Router::step toward every pending round, or one
-///                     solve), fold the outcome back into the registry; a
-///                     router tenant's pending rounds drop at round
-///                     barriers only
+///   step()            one scheduling quantum: pick the tenant with the
+///                     least virtual finish tag, charging it the slice's
+///                     estimated work (Router::next_slice_work, or sinks x
+///                     vertices of the front job), run the slice on the
+///                     calling thread (Router::step toward every pending
+///                     round, or one solve), fold the outcome back into the
+///                     registry; a router tenant's pending rounds drop at
+///                     round barriers only
 ///   stats()           fleet snapshot: per-tenant progress, queue depth,
 ///                     worst-case congestion telemetry, budget high-water
+///
+/// Wait bound: a tenant that becomes runnable waits at most until its
+/// finish tag is the least, so a cheap solve that arrives while router
+/// tenants are backlogged runs at the next slice boundary; what it still
+/// waits for is the slice already running.
 ///
 /// Determinism: the scheduler is deterministic and slices of different
 /// sessions touch disjoint session state, so any serve schedule commits,
@@ -41,7 +49,10 @@
 /// resume() re-arms it (resetting its cancel token); set_deadline() extends
 /// or clears a tenant deadline first if that is what paused it. Deadlines
 /// propagate into every slice's RunControl, so an expiring tenant yields at
-/// the next batch/round boundary without perturbing any other tenant.
+/// the next batch/round boundary without perturbing any other tenant. A
+/// slice picked after its deadline passed is refused by the session
+/// itself, so a router tenant's sink still receives its cancelled round
+/// summary.
 ///
 /// Threading contract: ONE controller thread owns the lifecycle and the
 /// pump — open/submit/resume/set_deadline/close/result/pop_result/step/
@@ -88,7 +99,8 @@ struct ServeOptions {
 /// Per-tenant admission-time configuration.
 struct TenantOptions {
   std::string name;  ///< label surfaced in ServeStats (may be empty)
-  /// Fair-scheduler weight: slices granted per scheduling cycle (< 1 -> 1).
+  /// Fair-scheduler weight: the tenant's share of oracle work while it and
+  /// others are backlogged (< 1 -> 1).
   int weight{1};
   /// Dense-state bytes this session is projected to reserve — what
   /// admission charges against ServeOptions::admission_budget_bytes. 0

@@ -32,12 +32,17 @@ struct TenantSnapshot {
   SessionId id{0};
   std::string name;  ///< TenantOptions::name (may be empty)
   SessionKind kind{SessionKind::kRouter};
-  int weight{1};  ///< fair-scheduler slices per cycle
+  int weight{1};  ///< fair-scheduler share of oracle work
   /// True when the scheduler may pick the session: it has pending work and
   /// its last slice did not pause it (cancel / deadline / failure).
   bool runnable{false};
   StatusCode last_status{StatusCode::kOk};  ///< most recent slice outcome
   std::size_t slices_run{0};
+  /// Oracle work charged to the tenant so far, in the scheduler's units
+  /// (sink count x window vertices per routed net or solved job), charged
+  /// when a slice is picked, also for one that a cancel or deadline then
+  /// refuses. Backlogged tenants accrue it in proportion to their weights.
+  std::uint64_t work_units{0};
   /// Dense-state bytes the tenant declared at admission (what the
   /// admission controller charges against its budget).
   std::size_t projected_dense_bytes{0};

@@ -10,13 +10,18 @@
 //    would: the tenants x threads x shards matrix compares every tenant's
 //    result against a standalone reference (the ISSUE-10 acceptance
 //    matrix), and the shared-budget peak stays within the admission limit.
-//  - Deadlines pause a tenant cleanly mid-schedule and the session resumes
-//    bit-identically; cancelling one tenant never perturbs another.
+//  - The fair scheduler serves a newly runnable tenant at the next slice
+//    boundary, gives backlogged tenants oracle work in proportion to their
+//    weights, banks no credit for idle time and replays deterministically.
+//  - Deadlines pause a tenant cleanly mid-schedule (its sink still gets the
+//    cancelled round summary) and the session resumes bit-identically;
+//    cancelling one tenant never perturbs another.
 //  - Admission rejects over-capacity opens with typed kResourceExhausted
 //    and the registry stays consistent.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -34,6 +39,7 @@
 #include "serve/serve.h"
 #include "stress.h"
 #include "test_instances.h"
+#include "util/rng.h"
 
 namespace cdst {
 namespace {
@@ -89,38 +95,132 @@ int slices_per_round(int shards) {
 
 // ------------------------------------------------------------ FairScheduler
 
-TEST(FairScheduler, DeficitRoundRobinHonorsWeights) {
-  FairScheduler sched;
-  sched.add(1, 2);
-  sched.add(2, 1);
-  sched.add(3, 1);
-  sched.set_runnable(1, true);
-  sched.set_runnable(2, true);
-  sched.set_runnable(3, true);
-
-  // One full cycle: weight-2 tenant gets two consecutive slices.
-  std::vector<SessionId> picks;
-  for (int i = 0; i < 8; ++i) picks.push_back(sched.pick().value());
-  const std::vector<SessionId> want = {1, 1, 2, 3, 1, 1, 2, 3};
-  EXPECT_EQ(picks, want);
-}
-
 TEST(FairScheduler, SkipsNotRunnableAndDrainsToNullopt) {
   FairScheduler sched;
   sched.add(1, 1);
   sched.add(2, 1);
-  sched.set_runnable(2, true);
+  sched.set_runnable(2, true, 1);
   EXPECT_EQ(sched.pick(), SessionId{2});
-  sched.set_runnable(2, false);
+  sched.set_runnable(2, false, 1);
   EXPECT_EQ(sched.pick(), std::nullopt);
   EXPECT_EQ(sched.runnable_count(), 0u);
 
   sched.remove(2);
-  sched.set_runnable(1, true);
+  sched.set_runnable(1, true, 1);
   EXPECT_EQ(sched.pick(), SessionId{1});
   sched.remove(1);
   EXPECT_EQ(sched.pick(), std::nullopt);
   EXPECT_EQ(sched.size(), 0u);
+}
+
+TEST(FairScheduler, TenantRunnableAfterRouterAIsPickedBeforeRouterB) {
+  // Two backlogged routers with heavy slices; a solver whose cheap job
+  // arrives while router A's slice runs is served at the next slice
+  // boundary, not after router B's slice too.
+  FairScheduler sched;
+  sched.add(1, 1);  // router A
+  sched.add(2, 1);  // router B
+  sched.add(3, 1);  // solver
+  sched.set_runnable(1, true, 1000);
+  sched.set_runnable(2, true, 1000);
+  for (int i = 0; i < 6; ++i) {
+    const SessionId router = sched.pick().value();
+    EXPECT_NE(router, SessionId{3});
+    sched.set_runnable(3, true, 10);
+    EXPECT_EQ(sched.pick(), SessionId{3}) << "after router " << router;
+    sched.set_runnable(3, false, 0);
+  }
+}
+
+TEST(FairScheduler, BackloggedTenantsGetWorkSharesOfTheirWeights) {
+  struct Tenant {
+    SessionId id;
+    int weight;
+    std::uint64_t cost;
+  };
+  // Unequal weights and unequal (coprime) slice costs.
+  const std::vector<Tenant> tenants = {{1, 1, 7}, {2, 3, 5}, {3, 2, 11}};
+  FairScheduler sched;
+  for (const Tenant& t : tenants) {
+    sched.add(t.id, t.weight);
+    sched.set_runnable(t.id, true, t.cost);
+  }
+  std::vector<double> work(tenants.size(), 0.0);
+  for (int i = 0; i < 3000; ++i) {
+    const SessionId id = sched.pick().value();
+    work[id - 1] += static_cast<double>(tenants[id - 1].cost);
+  }
+  const double total = work[0] + work[1] + work[2];
+  for (std::size_t t = 0; t < tenants.size(); ++t) {
+    const double want = tenants[t].weight / 6.0;
+    EXPECT_NEAR(work[t] / total, want, 0.1 * want) << "tenant " << t + 1;
+  }
+}
+
+TEST(FairScheduler, IdleTenantReturnsWithoutBurst) {
+  FairScheduler sched;
+  sched.add(1, 1);
+  sched.add(2, 1);
+  sched.add(3, 1);
+  sched.set_runnable(1, true, 1);
+  sched.set_runnable(2, true, 1);
+  // Tenant 3 sits idle while the others take 100 slices...
+  for (int i = 0; i < 100; ++i) sched.pick();
+  // ...and banks nothing: from its return on it gets its one-third share,
+  // not a run of back-to-back slices to catch up.
+  sched.set_runnable(3, true, 1);
+  std::vector<int> picks(4, 0);
+  for (int i = 0; i < 30; ++i) {
+    const SessionId id = sched.pick().value();
+    ++picks[id];
+    EXPECT_LE(picks[3], i / 3 + 1) << "after " << i + 1 << " picks";
+  }
+  EXPECT_EQ(picks[1], 10);
+  EXPECT_EQ(picks[2], 10);
+  EXPECT_EQ(picks[3], 10);
+}
+
+TEST(FairScheduler, ReplayedHistoryGivesSamePicksWithTiesInAdmissionOrder) {
+  // Equal tags tie: ids admitted out of numeric order are served in
+  // admission order.
+  {
+    FairScheduler sched;
+    for (const SessionId id : {5, 2, 9}) {
+      sched.add(id, 1);
+      sched.set_runnable(id, true, 4);
+    }
+    std::vector<SessionId> picks;
+    for (int i = 0; i < 6; ++i) picks.push_back(sched.pick().value());
+    EXPECT_EQ(picks, (std::vector<SessionId>{5, 2, 9, 5, 2, 9}));
+  }
+  // A seeded history of adds, removes, runnable flips and cost changes,
+  // replayed into two schedulers, picks the same sessions.
+  const auto replay = [] {
+    FairScheduler sched;
+    Rng rng(17);
+    SessionId next_id = 1;
+    std::vector<SessionId> picks;
+    for (int i = 0; i < 2000; ++i) {
+      const std::uint64_t op = rng.uniform(10);
+      const SessionId id = 1 + rng.uniform(next_id);
+      if (op == 0 && next_id < 12) {
+        sched.add(next_id, 1 + static_cast<int>(rng.uniform(4)));
+        ++next_id;
+      } else if (op == 1) {
+        sched.remove(id);
+      } else if (op < 5) {
+        sched.set_runnable(id, rng.uniform(3) != 0, 1 + rng.uniform(50));
+      } else {
+        picks.push_back(sched.pick().value_or(0));
+      }
+    }
+    return picks;
+  };
+  const std::vector<SessionId> first = replay();
+  EXPECT_EQ(first, replay());
+  EXPECT_GT(std::count_if(first.begin(), first.end(),
+                          [](SessionId id) { return id != 0; }),
+            100);
 }
 
 // ------------------------------------------------------ AdmissionController
@@ -406,7 +506,9 @@ TEST(EngineServer, DeadlineExpiresCleanlyMidScheduleAndSessionResumes) {
   EngineServer server(engine, {});
   const SessionId a =
       server.open_router_session(grid_a, nl_a, opts).value();
+  SliceRecorder expired_events;
   TenantOptions expired_tenant;
+  expired_tenant.events = &expired_events;
   expired_tenant.deadline =
       std::chrono::steady_clock::now() - std::chrono::milliseconds(1);
   const SessionId b =
@@ -420,8 +522,17 @@ TEST(EngineServer, DeadlineExpiresCleanlyMidScheduleAndSessionResumes) {
   EXPECT_TRUE(server.session_status(a).ok());
   expect_same_routing(server.result(a).value(), ref_a.result());
 
+  // The refused slice still tells the tenant's sink where it stopped: one
+  // cancelled round summary, as a direct Router::step emits.
+  ASSERT_EQ(expired_events.rounds.size(), 1u);
+  EXPECT_TRUE(expired_events.rounds[0].cancelled);
+  EXPECT_FALSE(expired_events.rounds[0].round_complete);
+  EXPECT_EQ(expired_events.rounds[0].round, 0);
+  EXPECT_EQ(expired_events.rounds[0].target_round, rounds);
+  EXPECT_TRUE(expired_events.shards.empty());
+
   const ServeStats mid = server.stats();
-  EXPECT_GE(mid.deadline_expirations, 1u);
+  EXPECT_EQ(mid.deadline_expirations, 1u);
   const auto& tb = mid.tenants[1];
   EXPECT_EQ(tb.last_status, StatusCode::kDeadlineExceeded);
   EXPECT_FALSE(tb.runnable);
@@ -463,9 +574,16 @@ TEST(EngineServer, CancellingOneTenantNeverPerturbsAnother) {
     ASSERT_TRUE(server.submit_rounds(a, rounds).ok());
     ASSERT_TRUE(server.submit_rounds(b, rounds).ok());
 
-    // Let each tenant get one slice, then cancel b mid-schedule.
-    ASSERT_TRUE(server.step());
-    ASSERT_TRUE(server.step());
+    // Step until each tenant has run a slice (the fair order need not
+    // alternate tenants whose slices cost different work), then cancel b
+    // mid-schedule.
+    const auto slices_of = [&server](std::size_t tenant) {
+      return server.stats().tenants[tenant].slices_run;
+    };
+    while (slices_of(0) == 0 || slices_of(1) == 0) {
+      ASSERT_TRUE(server.step());
+    }
+    ASSERT_LT(server.stats().tenants[1].rounds_completed, rounds);
     ASSERT_TRUE(server.cancel(b).ok());
     ASSERT_TRUE(server.run_until_idle().ok());
 
@@ -478,6 +596,60 @@ TEST(EngineServer, CancellingOneTenantNeverPerturbsAnother) {
     ASSERT_TRUE(server.run_until_idle().ok());
     expect_same_routing(server.result(b).value(), ref_b.result());
   }
+}
+
+TEST(EngineServer, UnequalWeightsGetOracleWorkShares) {
+  // Two backlogged router tenants with weights 1 and 3: while both are
+  // runnable, the oracle work charged to them splits 1 : 3 (within 10%),
+  // and both still end bit-identical to serial runs. Small batches give
+  // many slices, so one slice's cost is a small part of either share.
+  RouterOptions opts = serve_router_options(2, 0);
+  opts.batch_size = 2;
+  const int light_rounds = 8;
+  const int heavy_rounds = 32;
+  const ChipConfig cl = tenant_chip(91);
+  const ChipConfig ch = tenant_chip(92);
+  const RoutingGrid grid_l = make_chip_grid(cl);
+  const RoutingGrid grid_h = make_chip_grid(ch);
+  const Netlist nl_l = generate_netlist(cl, grid_l);
+  const Netlist nl_h = generate_netlist(ch, grid_h);
+  Router ref_l(grid_l, nl_l, opts);
+  ASSERT_TRUE(ref_l.run(light_rounds).ok());
+  Router ref_h(grid_h, nl_h, opts);
+  ASSERT_TRUE(ref_h.run(heavy_rounds).ok());
+
+  Engine engine(EngineOptions{2, 64u << 20});
+  EngineServer server(engine, {});
+  TenantOptions light;
+  light.weight = 1;
+  TenantOptions heavy;
+  heavy.weight = 3;
+  const SessionId l =
+      server.open_router_session(grid_l, nl_l, opts, light).value();
+  const SessionId h =
+      server.open_router_session(grid_h, nl_h, opts, heavy).value();
+  ASSERT_TRUE(server.submit_rounds(l, light_rounds).ok());
+  ASSERT_TRUE(server.submit_rounds(h, heavy_rounds).ok());
+
+  std::uint64_t light_work = 0;
+  std::uint64_t heavy_work = 0;
+  std::size_t light_slices = 0;
+  while (server.step()) {
+    const ServeStats stats = server.stats();
+    if (!stats.tenants[0].runnable || !stats.tenants[1].runnable) break;
+    light_work = stats.tenants[0].work_units;
+    heavy_work = stats.tenants[1].work_units;
+    light_slices = stats.tenants[0].slices_run;
+  }
+  ASSERT_GE(light_slices, 60u);
+  ASSERT_GT(light_work, 0u);
+  const double ratio =
+      static_cast<double>(heavy_work) / static_cast<double>(light_work);
+  EXPECT_NEAR(ratio, 3.0, 0.3) << heavy_work << " : " << light_work;
+
+  ASSERT_TRUE(server.run_until_idle().ok());
+  expect_same_routing(server.result(l).value(), ref_l.result());
+  expect_same_routing(server.result(h).value(), ref_h.result());
 }
 
 TEST(EngineServer, AdmissionRejectsDepthAndBudgetWithTypedStatus) {
