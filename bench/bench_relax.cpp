@@ -1,10 +1,10 @@
-// Microbenchmarks for the blocked relax strips and the work-stealing shard
+// Microbenchmarks for the blocked relax strips and the router's round
 // executor. The strip rows time the Vec4d kernels (AVX2 under the bench
 // preset's -march, the bit-identical scalar twin under CDST_FORCE_SCALAR)
 // against the per-edge scalar paths on the same instances; every pair
 // produces bit-identical results — only the loop shape changes, so the
-// deltas are pure kernel cost. The sharded-round row times the executor on
-// an imbalanced round.
+// deltas are pure kernel cost. The sharded-round row times the executor
+// (heaviest-first shard spans on the pool) on an imbalanced round.
 
 #include <benchmark/benchmark.h>
 
@@ -150,8 +150,9 @@ BENCHMARK(BM_Relax_CdSolveStrip)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Work-stealing executor: an imbalanced sharded round (most nets in one
-// tile, so whole-shard execution would idle the other lanes).
+// Round executor: an imbalanced sharded round (some tiles several times
+// hotter than others, so whole-shard execution would idle the other lanes;
+// heaviest-first spans keep every lane busy).
 
 struct RouterFixture {
   ChipConfig config;
@@ -178,8 +179,8 @@ const RouterFixture& router_fixture() {
   return *f;
 }
 
-/// One sharded router session (work-stealing lanes): 4 workers, 16
-/// shards, 2 Lagrangean rounds.
+/// One sharded router session (heaviest-first spans on the pool): 4
+/// workers, 16 shards, 2 Lagrangean rounds.
 void BM_Relax_ShardedRound(benchmark::State& state) {
   const RouterFixture& f = router_fixture();
   RouterOptions opts;

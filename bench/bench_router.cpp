@@ -96,9 +96,9 @@ BENCHMARK(BM_Router_Sharded)
 /// zero IO), 2 through SubprocessTransport's worker pool (the wire tax plus
 /// pipe framing and real process hops). The second arg is the shard count:
 /// 4 shards on the 4-lane pool, or 8, the imbalanced shape of perfbench's
-/// route_dist, where span stealing has to even out the lanes. Transports
-/// are constructed outside the timed loop — the rows measure steady-state
-/// rounds, not worker spawns.
+/// route_dist, where heaviest-first spans have to even out the lanes.
+/// Transports are constructed outside the timed loop — the rows measure
+/// steady-state rounds, not worker spawns.
 void BM_Router_Transport(benchmark::State& state) {
   const int tier = static_cast<int>(state.range(0));
   const Fixture& f = fixture();

@@ -60,7 +60,7 @@ struct JobEvent {
 
 /// One spatial shard of a sharded router round finished routing (the merge
 /// into committed state happens later, at the round barrier). One event per
-/// shard per round, from the lane that executed the shard's last span; a
+/// shard per round, from the lane that completed the shard's last span; a
 /// shard with no nets emits nothing.
 struct RouterShardEvent {
   int round{0};         ///< absolute session round index
@@ -74,14 +74,9 @@ struct RouterShardEvent {
   std::size_t nets_total{0};
   /// Wall seconds spent inside ShardTransport::dispatch for this shard,
   /// summed over its span dispatches (one per span, possibly concurrent, so
-  /// the sum can exceed the shard's wall time) in the attempt that
-  /// completed it; 0.0 when the round ran in process without a transport.
+  /// the sum can exceed the shard's wall time) in every attempt of the
+  /// round; 0.0 when the round ran in process without a transport.
   double dispatch_seconds{0.0};
-  /// Work-stealing telemetry, in process and over a transport alike: nets
-  /// of this shard executed by lanes other than the shard's owner, and
-  /// steal probes that found the shard fully claimed but still in flight.
-  std::size_t stolen_nets{0};
-  std::size_t steal_waits{0};
 };
 
 /// A router round boundary: batch progress inside a round, the round
@@ -113,8 +108,9 @@ struct RouterRoundEvent {
 /// against the same inputs, so results stay bit-identical to a fault-free
 /// run) or the engine is giving up with the carried status.
 struct FaultEvent {
-  /// "router_shard" (a fault unwound shard routing) or "dist.transport" (a
-  /// ShardTransport dispatch failed); more stages may follow.
+  /// "router_unit" (a fault unwound a unit of a round slice: a net of a
+  /// batch or a span of a shard) or "dist.transport" (a ShardTransport
+  /// dispatch failed); more stages may follow.
   const char* stage{""};
   int round{-1};          ///< absolute session round, -1 outside rounds
   int attempt{0};         ///< 1-based attempt that just failed

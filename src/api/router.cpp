@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <functional>
+#include <numeric>
 #include <span>
 #include <string>
 #include <utility>
@@ -30,13 +30,49 @@ namespace {
 constexpr std::uint32_t kCheckpointMagic = 0x43445354;  // "CDST"
 constexpr std::uint32_t kCheckpointVersion = 2;
 
-/// Internal unwind of one failed ShardTransport dispatch inside the sharded
-/// round's fan-out. Caught at the retry loop, emitted as a "dist.transport"
-/// FaultEvent, then either retried (kUnavailable) or surfaced as the
-/// carried status.
+/// Internal unwind of one failed ShardTransport dispatch inside a slice's
+/// fan-out. Caught at the executor's retry loop, emitted as a
+/// "dist.transport" FaultEvent, then either retried (kUnavailable) or
+/// surfaced as the carried status.
 struct TransportDispatchError {
   Status status;
 };
+
+/// One unit of a slice, the executor's grain: one net of a batch, or a
+/// span of up to kSpanNets consecutive nets of one shard.
+struct SliceUnit {
+  int shard{-1};                        ///< -1: a net of a batch
+  std::span<const std::uint32_t> nets;  ///< ascending net indices
+  std::uint64_t work{0};                ///< estimated work of its nets
+};
+
+/// The one exception-to-Status ladder, for the exception in flight: the
+/// executor's unwinds and the slice's API boundary both end here.
+Status current_exception_status() {
+  try {
+    throw;
+  } catch (const SolveCancelled&) {
+    return Status::Cancelled(
+        "router run cancelled mid-slice; committed state kept at the last "
+        "batch or round boundary");
+  } catch (const SolveDeadlineExceeded&) {
+    return detail::deadline_exceeded_status(
+        "router run deadline expired mid-slice; committed state kept at the "
+        "last batch or round boundary");
+  } catch (const BudgetExhausted& e) {
+    // Only reachable with SolverOptions::strict_shared_budget set; retrying
+    // could not help (the footprint exceeds the whole budget).
+    return detail::resource_exhausted_status(e.what());
+  } catch (const InjectedFault& e) {
+    return Status::Unavailable(e.what());
+  } catch (const TransportDispatchError& e) {
+    return Status::Annotate(e.status, "shard transport dispatch failed");
+  } catch (const ContractViolation& e) {
+    return Status::InvalidArgument(e.what());
+  } catch (const std::exception& e) {
+    return Status::Internal(e.what());
+  }
+}
 
 /// The one check of RouterOptions, shared by the constructor (whose verdict
 /// run() reports) and set_options.
@@ -250,10 +286,7 @@ struct alignas(16) Router::Impl {
                              sink_weights, step);
         weights_round = rounds_done;
       }
-      const Status st =
-          options.shards > 0
-              ? route_round_sharded(rounds_done, target, control, fan)
-              : route_batch(rounds_done, target, control, fan);
+      const Status st = route_slice(rounds_done, target, control, fan);
       if (!st.ok()) {
         if (st.code() == StatusCode::kCancelled ||
             st.code() == StatusCode::kDeadlineExceeded) {
@@ -268,24 +301,14 @@ struct alignas(16) Router::Impl {
       round_cursor = 0;
       ++rounds_done;
       return Status::Ok();
-    } catch (const SolveDeadlineExceeded& e) {
-      return detail::deadline_exceeded_status(e.what());
-    } catch (const BudgetExhausted& e) {
-      // Only reachable with SolverOptions::strict_shared_budget set; the
-      // unwound round never touched committed state.
-      return detail::resource_exhausted_status(e.what());
-    } catch (const InjectedFault& e) {
-      return Status::Unavailable(e.what());
-    } catch (const ContractViolation& e) {
-      return Status::InvalidArgument(e.what());
-    } catch (const std::exception& e) {
-      return Status::Internal(e.what());
+    } catch (...) {
+      return current_exception_status();
     }
   }
 
   /// Routes net i of `round` on a leased lane (route_round_net, the step
   /// the shard executor shares). `own_route` is the committed route priced
-  /// out of the window: the sharded rip-up; the batched path has ripped the
+  /// out of the window: the sharded rip-up; a batched slice has ripped the
   /// batch up already and passes none. The weights view borrows from
   /// sink_weights, which only changes between rounds.
   OracleOutcome route_one_net(std::size_t i, int round,
@@ -346,18 +369,14 @@ struct alignas(16) Router::Impl {
   /// Packs one span of a shard's round inputs for a transport dispatch: per
   /// net the sink-weight slice and the committed route, which the executor
   /// prices out of the round's loaded usage exactly as route_one_net does.
-  dist::ShardWorkMsg make_span_work(const ShardStealSchedule::Span& s,
-                                    int round) const {
-    const std::vector<std::uint32_t>& mine =
-        shard_map.nets[static_cast<std::size_t>(s.shard)];
+  dist::ShardWorkMsg make_span_work(const SliceUnit& unit, int round) const {
     dist::ShardWorkMsg work;
     work.round = round;
-    work.shard = s.shard;
+    work.shard = unit.shard;
     work.shards = shard_map.tiles.num_shards();
-    work.tile = shard_tile(shard_map.tiles, s.shard);
-    work.nets.reserve(s.end - s.begin);
-    for (std::uint32_t k = s.begin; k < s.end; ++k) {
-      const std::uint32_t i = mine[k];
+    work.tile = shard_tile(shard_map.tiles, unit.shard);
+    work.nets.reserve(unit.nets.size());
+    for (const std::uint32_t i : unit.nets) {
       const Net& net = netlist.nets[i];
       if (net.sinks.empty()) continue;  // skipped at the merge too
       dist::ShardWorkMsg::NetWork nw;
@@ -373,11 +392,12 @@ struct alignas(16) Router::Impl {
   }
 
   /// Validates a transport's reply against the work it answers and moves
-  /// the deltas into the round's outcome slots. Any mismatch means a
-  /// misbehaving transport or executor: kInternal, never retried.
+  /// the deltas into the slice's outcome slots (a sharded slice starts at
+  /// net 0, so slot i is net i). Any mismatch means a misbehaving transport
+  /// or executor: kInternal, never retried.
   Status apply_shard_result(const dist::ShardWorkMsg& work,
                             dist::ShardResultMsg& result,
-                            std::vector<OracleOutcome>& outcomes) const {
+                            std::span<OracleOutcome> outcomes) const {
     if (result.round != work.round || result.shard != work.shard) {
       return Status::Internal(
           "shard result does not answer the dispatched work");
@@ -406,333 +426,121 @@ struct alignas(16) Router::Impl {
     return Status::Ok();
   }
 
-  /// One spatially sharded round (RouterOptions::shards): every net prices
-  /// from the committed usage as the round found it, shards route in
-  /// parallel, and the barrier merges in net order. Nothing mutates the
-  /// usage or anything else observable before the barrier, so a cancelled or
-  /// failed round leaves the session exactly at the previous boundary —
-  /// no rollback needed — and results are bit-identical at any thread and
-  /// shard count. The round cursor is 0 here: set_options and restore refuse
-  /// to put a session stopped inside a batched round on this discipline.
-  Status route_round_sharded(int round, int target_rounds,
-                             const RunControl& control,
-                             const detail::EventFan& fan) {
-    CDST_CHECK(round_cursor == 0);
+  /// The nets the next slice routes, [first, second): the batch_size nets
+  /// at the round cursor, or every net of a sharded round. The one place
+  /// that decides it, for route_slice and Router::next_slice_work alike.
+  std::pair<std::size_t, std::size_t> slice_nets() const {
     const std::size_t num_nets = netlist.nets.size();
-    const SolveControls controls = detail::make_solve_controls(control);
-
-    // Shard map is a pure function of (grid, netlist, shards); rebuild only
-    // when the shard count changes (set_options may do that mid-session).
-    if (shard_map.nets.empty() ||
-        shard_map.tiles.num_shards() != options.shards) {
-      shard_map = assign_nets_to_shards(grid, netlist, options.shards);
-    }
-
-    // With a transport installed, send the round-invariant world once (and
-    // again after set_options) and publish this round's committed usage.
-    // Nothing has been dispatched yet, so failures here are round-level and
-    // surface directly instead of entering the shard retry loop.
-    dist::ShardTransport* const transport = options.transport;
-    if (transport != nullptr) {
-      if (configured_transport != transport) {
-        if (Status st = transport->configure(make_worker_setup());
-            !st.ok()) {
-          return Status::Annotate(st, "shard transport configure failed");
-        }
-        configured_transport = transport;
-      }
-      dist::PriceSnapshotMsg snapshot;
-      snapshot.round = round;
-      snapshot.usage = costs.usages();
-      if (Status st = transport->begin_round(snapshot); !st.ok()) {
-        return Status::Annotate(st, "shard transport begin_round failed");
-      }
-    }
-
-    std::vector<OracleOutcome> outcomes(num_nets);
-    Mutex progress_mu;
-    // Both guarded by progress_mu (locals, so the guard is convention, not
-    // analysis-checked): nets of completed shards, and per shard the seconds
-    // this attempt spent inside ShardTransport::dispatch.
-    std::size_t nets_done = 0;
-    std::vector<double> dispatch_seconds(shard_map.nets.size(), 0.0);
-    // Shards completed by any attempt so far. A faulted attempt leaves its
-    // incomplete shards unmarked; the retry re-executes exactly those.
-    // Re-execution is safe because a shard's outcomes are a pure function
-    // of the frozen round inputs (committed usage and routes, per-net
-    // seeds), so a retried round is bit-identical to a fault-free
-    // one — the net-order merge below never sees the difference.
-    std::vector<std::uint8_t> shard_done(shard_map.nets.size(), 0);
-
-    const auto throw_if_stopped = [&] {
-      if (controls.cancel != nullptr &&
-          controls.cancel->load(std::memory_order_relaxed)) {
-        // cdst-lint: allow(api-throw) internal unwind: caught at the
-        // fan-out boundary below, mapped to kCancelled.
-        throw SolveCancelled();
-      }
-      throw_if_deadline_expired(&controls);
-    };
-
-    // Executes one span against the round's committed usage: routed in
-    // process, or shipped through the transport as one ShardWorkMsg. The
-    // shard fault site sits here, on every span, so a persistent fault
-    // fails each lane that executes any part of the shard: a thief cannot
-    // complete a shard whose claimer faulted.
-    const auto execute_span = [&](const ShardStealSchedule::Span& s) {
-      CDST_FAULT_POINT("router.shard");
-      const auto sh = static_cast<std::size_t>(s.shard);
-      if (transport == nullptr) {
-        const std::vector<std::uint32_t>& mine = shard_map.nets[sh];
-        for (std::uint32_t k = s.begin; k < s.end; ++k) {
-          const std::uint32_t i = mine[k];
-          if (netlist.nets[i].sinks.empty()) continue;
-          throw_if_stopped();
-          outcomes[i] = route_one_net(i, round, routes[i], controls);
-        }
-        return;
-      }
-      throw_if_stopped();
-      const dist::ShardWorkMsg work = make_span_work(s, round);
-      if (work.nets.empty()) return;  // only sink-less nets
-      WallTimer dispatch_timer;
-      StatusOr<dist::ShardResultMsg> result = transport->dispatch(work);
-      {
-        MutexLock lock(progress_mu);
-        dispatch_seconds[sh] += dispatch_timer.seconds();
-      }
-      Status st = result.ok() ? apply_shard_result(work, *result, outcomes)
-                              : result.status();
-      if (!st.ok()) {
-        // cdst-lint: allow(api-throw) internal unwind: caught at the
-        // retry loop below, emitted as a "dist.transport" FaultEvent.
-        throw TransportDispatchError{std::move(st)};
-      }
-    };
-
-    // Serialized shard boundary: sinks need not be thread-safe and
-    // nets_done is monotonic across events.
-    const auto emit_shard_event = [&](const ShardStealSchedule& sched,
-                                      int sh) {
-      const auto idx = static_cast<std::size_t>(sh);
-      MutexLock lock(progress_mu);
-      nets_done += shard_map.nets[idx].size();
-      const ShardTile tile = shard_tile(shard_map.tiles, sh);
-      RouterShardEvent event;
-      event.round = round;
-      event.target_round = target_rounds;
-      event.shard = sh;
-      event.shards = shard_map.tiles.num_shards();
-      event.tile_x = tile.tx;
-      event.tile_y = tile.ty;
-      event.shard_nets = shard_map.nets[idx].size();
-      event.nets_done = nets_done;
-      event.nets_total = num_nets;
-      event.dispatch_seconds = dispatch_seconds[idx];
-      event.stolen_nets = sched.stolen_nets(sh);
-      event.steal_waits = sched.steal_waits(sh);
-      fan.emit_router_shard(event);
-    };
-
-    // The one execution loop, in process or over a transport: a
-    // work-stealing lane over the ShardStealSchedule claims whole shards
-    // (owner phase), drains each in spans, then steals spans from
-    // unfinished shards. Whichever lane executes a shard's last span owns
-    // its completion event. The schedule only reorders execution — every
-    // net is claimed exactly once and commits into outcomes[] by net
-    // index — so results are bit-identical at any lane count.
-    const auto steal_lane = [&](ShardStealSchedule& sched) {
-      std::vector<ShardStealSchedule::Span> lifo;
-      const auto execute_spans = [&] {
-        while (!lifo.empty()) {
-          const ShardStealSchedule::Span s = lifo.back();
-          lifo.pop_back();
-          execute_span(s);
-          if (sched.complete(s)) {
-            if (fan.active()) emit_shard_event(sched, s.shard);
-            shard_done[static_cast<std::size_t>(s.shard)] = 1;
-          }
-        }
-      };
-      for (int sh = sched.claim_shard(); sh >= 0; sh = sched.claim_shard()) {
-        for (;;) {
-          const ShardStealSchedule::Span s =
-              sched.take_span(sh, /*stolen=*/false);
-          if (!s.valid()) break;
-          lifo.push_back(s);
-          // Claim-ahead: a second span per cursor visit halves the hot
-          // cursor's traffic; the LIFO pop keeps spans cache-warm.
-          const ShardStealSchedule::Span t =
-              sched.take_span(sh, /*stolen=*/false);
-          if (t.valid()) lifo.push_back(t);
-          execute_spans();
-        }
-      }
-      for (ShardStealSchedule::Span s = sched.steal_span(); s.valid();
-           s = sched.steal_span()) {
-        lifo.push_back(s);
-        execute_spans();
-      }
-    };
-    // Bounded retry around the shard fan-out: a retryable (injected or
-    // transient) fault fails only the shards it interrupted. Every attempt
-    // is the same call; completed shards are skipped via shard_done (a
-    // fresh ShardStealSchedule never claims them), so they never re-emit
-    // their shard events. Re-executing a partly finished shard rewrites the
-    // same outcome slots. Cancellation and deadlines are not retried — they
-    // unwind to the previous round boundary as before. BudgetExhausted
-    // deliberately propagates to run()'s status mapping (retrying could not
-    // help: the footprint exceeds the whole budget).
-    constexpr int kMaxShardAttempts = 3;
-    for (int attempt = 1;; ++attempt) {
-      try {
-        std::fill(dispatch_seconds.begin(), dispatch_seconds.end(), 0.0);
-        ShardStealSchedule sched(shard_map, shard_done);
-        pool->parallel_for(0, static_cast<std::size_t>(pool->concurrency()),
-                           [&](std::size_t) { steal_lane(sched); });
-        break;
-      } catch (const SolveCancelled&) {
-        return Status::Cancelled(
-            "router run cancelled during a sharded round; committed state "
-            "unchanged");
-      } catch (const SolveDeadlineExceeded&) {
-        return detail::deadline_exceeded_status(
-            "router run deadline expired during a sharded round; committed "
-            "state unchanged");
-      } catch (const InjectedFault& e) {
-        const bool retrying = attempt < kMaxShardAttempts;
-        if (fan.active()) {
-          FaultEvent event;
-          event.stage = "router_shard";
-          event.round = round;
-          event.attempt = attempt;
-          event.retrying = retrying;
-          event.status = StatusCode::kUnavailable;
-          fan.emit_fault(event);
-        }
-        if (!retrying) {
-          return Status::Unavailable(
-              std::string("sharded round gave up after 3 attempts: ") +
-              e.what());
-        }
-      } catch (const TransportDispatchError& e) {
-        // A failed ShardTransport dispatch. kUnavailable is the transport's
-        // transient class (dead worker, broken pipe, injected fault at
-        // "dist.transport") and re-executes the unfinished shards — on the
-        // transport again, which respawns dead workers on the next
-        // dispatch. Everything else (malformed replies, typed worker
-        // errors) fails the round immediately.
-        const bool retryable =
-            e.status.code() == StatusCode::kUnavailable;
-        const bool retrying = retryable && attempt < kMaxShardAttempts;
-        if (fan.active()) {
-          FaultEvent event;
-          event.stage = "dist.transport";
-          event.round = round;
-          event.attempt = attempt;
-          event.retrying = retrying;
-          event.status = e.status.code();
-          fan.emit_fault(event);
-        }
-        if (!retryable) {
-          return Status::Annotate(e.status,
-                                  "shard transport dispatch failed");
-        }
-        if (!retrying) {
-          return Status::Annotate(
-              e.status, "sharded round gave up after 3 attempts");
-        }
-      }
-    }
-
-    // Round barrier: merge every shard's deltas in net order. The serial
-    // net-order commit makes the accumulated usage bit-identical regardless
-    // of how many shards (or threads) produced the outcomes.
-    for (std::size_t i = 0; i < num_nets; ++i) {
-      if (netlist.nets[i].sinks.empty()) continue;
-      if (!routes[i].empty()) costs.add_usage(routes[i], -1.0);
-      commit_net(i, outcomes[i]);
-    }
-    round_cursor = num_nets;
-    return Status::Ok();
+    if (options.shards > 0) return {0, num_nets};
+    const auto batch =
+        static_cast<std::size_t>(std::max(1, options.batch_size));
+    return {round_cursor, std::min(num_nets, round_cursor + batch)};
   }
 
-  /// One past the last net of the batch at the round cursor.
-  std::size_t batch_end() const {
-    return std::min(netlist.nets.size(),
-                    round_cursor + static_cast<std::size_t>(
-                                       std::max(1, options.batch_size)));
-  }
-
-  /// One batch of the batched round discipline (RouterOptions::shards ==
-  /// 0): the batch_size nets at the round cursor, which it advances past
-  /// the batch once the batch commits.
-  Status route_batch(int round, int target_rounds, const RunControl& control,
+  /// One slice of `round`: freeze, execute, merge. A batched slice
+  /// (RouterOptions::shards == 0) rips its batch up and routes it against
+  /// the usage that leaves; a sharded slice is a whole round, whose nets
+  /// all price from the round's committed usage minus their own route.
+  /// Outcomes land in slots by net index and merge in net order, so results
+  /// are bit-identical at any thread count, shard count or unit order. The
+  /// batched rip-up is the only change to committed state before the merge,
+  /// and a failed execute undoes it, so a cancelled or failed slice leaves
+  /// the session at its last batch or round boundary. The round cursor
+  /// advances past the slice's nets once they merge.
+  Status route_slice(int round, int target_rounds, const RunControl& control,
                      const detail::EventFan& fan) {
-    const std::size_t lo = round_cursor;
-    const std::size_t hi = batch_end();
-    const SolveControls controls = detail::make_solve_controls(control);
-    // Rip up the whole batch so its nets price edges without their own
-    // (or each other's previous) usage, then route against the frozen
-    // snapshot — in parallel when the pool has workers.
-    for (std::size_t i = lo; i < hi; ++i) {
-      if (!routes[i].empty()) costs.add_usage(routes[i], -1.0);
-    }
-    // Heaviest first: the pool hands out one index at a time, so starting
-    // the big nets early keeps the batch from waiting on a lane that drew
-    // one last. Outcomes stay index-addressed and every net prices
-    // against the same frozen usage, so the order only schedules work.
-    std::vector<std::pair<std::uint64_t, std::size_t>> order;
-    order.reserve(hi - lo);
-    for (std::size_t i = lo; i < hi; ++i) {
-      order.emplace_back(estimated_work(i), i);
-    }
-    std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
-      return a.first != b.first ? a.first > b.first : a.second < b.second;
-    });
-    std::vector<OracleOutcome> outcomes(hi - lo);
-    const std::function<void(std::size_t)> route_one = [&](std::size_t k) {
-      const std::size_t i = order[k].second;
-      if (netlist.nets[i].sinks.empty()) return;
-      if (controls.cancel != nullptr &&
-          controls.cancel->load(std::memory_order_relaxed)) {
-        // cdst-lint: allow(api-throw) internal unwind: caught at the
-        // parallel_for boundary below and mapped to kCancelled.
-        throw SolveCancelled();
+    const bool sharded = options.shards > 0;
+    const auto [lo, hi] = slice_nets();
+    dist::ShardTransport* const transport =
+        sharded ? options.transport : nullptr;
+    std::vector<std::uint32_t> batch_nets;
+    std::vector<SliceUnit> units;
+    if (sharded) {
+      // set_options and restore refuse to put a session stopped inside a
+      // batched round on this discipline.
+      CDST_CHECK(round_cursor == 0);
+      // Shard map is a pure function of (grid, netlist, shards); rebuild
+      // only when the shard count changes (set_options may do that).
+      if (shard_map.nets.empty() ||
+          shard_map.tiles.num_shards() != options.shards) {
+        shard_map = assign_nets_to_shards(grid, netlist, options.shards);
       }
-      throw_if_deadline_expired(&controls);
-      outcomes[i - lo] = route_one_net(i, round, {}, controls);
-    };
-    try {
-      pool->parallel_for(0, order.size(), route_one);
-    } catch (...) {
+      // With a transport installed, send the round-invariant world once
+      // (and again after set_options) and publish this round's committed
+      // usage. Nothing has been dispatched yet, so failures here are
+      // round-level and surface directly instead of entering the retries.
+      if (transport != nullptr) {
+        if (configured_transport != transport) {
+          if (Status st = transport->configure(make_worker_setup());
+              !st.ok()) {
+            return Status::Annotate(st, "shard transport configure failed");
+          }
+          configured_transport = transport;
+        }
+        dist::PriceSnapshotMsg snapshot;
+        snapshot.round = round;
+        snapshot.usage = costs.usages();
+        if (Status st = transport->begin_round(snapshot); !st.ok()) {
+          return Status::Annotate(st, "shard transport begin_round failed");
+        }
+      }
+      for (std::size_t sh = 0; sh < shard_map.nets.size(); ++sh) {
+        const std::span<const std::uint32_t> mine(shard_map.nets[sh]);
+        for (std::size_t k = 0; k < mine.size(); k += kSpanNets) {
+          SliceUnit unit;
+          unit.shard = static_cast<int>(sh);
+          unit.nets = mine.subspan(
+              k, std::min<std::size_t>(kSpanNets, mine.size() - k));
+          for (const std::uint32_t i : unit.nets) {
+            unit.work += estimated_work(i);
+          }
+          units.push_back(unit);
+        }
+      }
+    } else {
+      // Rip up the whole batch so its nets price edges without their own
+      // (or each other's previous) usage.
+      batch_nets.resize(hi - lo);
+      std::iota(batch_nets.begin(), batch_nets.end(),
+                static_cast<std::uint32_t>(lo));
+      for (std::size_t k = 0; k < batch_nets.size(); ++k) {
+        const std::uint32_t i = batch_nets[k];
+        if (!routes[i].empty()) costs.add_usage(routes[i], -1.0);
+        SliceUnit unit;
+        unit.nets = std::span<const std::uint32_t>(batch_nets).subspan(k, 1);
+        unit.work = estimated_work(i);
+        units.push_back(unit);
+      }
+    }
+    // Heaviest first: the pool hands out one unit at a time, so starting
+    // the big units early keeps the slice from waiting on a lane that drew
+    // one last. Ties keep list order.
+    std::stable_sort(units.begin(), units.end(),
+                     [](const SliceUnit& a, const SliceUnit& b) {
+                       return a.work > b.work;
+                     });
+
+    std::vector<OracleOutcome> outcomes(hi - lo);
+    if (Status st = execute(units, outcomes, lo, round, target_rounds,
+                            transport, control, fan);
+        !st.ok()) {
       // Restore the batch's pre-rip-up routes so the session stays a
-      // coherent snapshot, whatever unwound the batch.
-      for (std::size_t i = lo; i < hi; ++i) {
+      // coherent snapshot, whatever unwound the slice.
+      for (const std::uint32_t i : batch_nets) {
         if (!routes[i].empty()) costs.add_usage(routes[i], +1.0);
       }
-      try {
-        throw;
-      } catch (const SolveCancelled&) {
-        return Status::Cancelled(
-            "router run cancelled mid-batch; batch rolled back");
-      } catch (const SolveDeadlineExceeded&) {
-        return detail::deadline_exceeded_status(
-            "router run deadline expired mid-batch; batch rolled back");
-      } catch (const InjectedFault& e) {
-        // The batched discipline has no retry (batches mutate committed
-        // state in place); the batch is rolled back, so the session is
-        // coherent and the caller may simply run() again.
-        return Status::Unavailable(e.what());
-      }
-      // Anything else propagates to slice()'s status mapping.
+      return st;
     }
+
+    // The merge: the serial net-order commit makes the accumulated usage
+    // bit-identical regardless of how many lanes produced the outcomes.
     for (std::size_t i = lo; i < hi; ++i) {
       if (netlist.nets[i].sinks.empty()) continue;
+      if (sharded && !routes[i].empty()) costs.add_usage(routes[i], -1.0);
       commit_net(i, outcomes[i - lo]);
     }
     round_cursor = hi;
-    if (fan.active()) {
+    if (!sharded && fan.active()) {
       // Batch boundary inside the round (not the barrier: later batches
       // of this round may still be outstanding, so no congestion stats).
       RouterRoundEvent event;
@@ -743,6 +551,146 @@ struct alignas(16) Router::Impl {
       fan.emit_router_round(event);
     }
     return Status::Ok();
+  }
+
+  /// The one executor: runs a slice's units on the pool in their given
+  /// (heaviest-first) order, writing net i's outcome to outcomes[i - lo].
+  /// A unit hits the "router.unit" fault site, checks cancel and deadline,
+  /// then routes its nets in process (a shard span prices out each net's
+  /// own route, a batch net nothing) or dispatches them through the
+  /// transport as one ShardWorkMsg. Every outcome is a pure function of the
+  /// frozen slice inputs, so the order and the lane of a unit only schedule
+  /// work. The lane that completes a shard's last unit emits its one
+  /// RouterShardEvent.
+  ///
+  /// Up to kMaxAttempts attempts: a retryable fault (injected, or a
+  /// kUnavailable dispatch) fails only the units it interrupted, and the
+  /// next attempt re-runs just the units not yet done, rewriting the same
+  /// slots. Cancellation, deadlines and everything else are not retried;
+  /// current_exception_status maps them.
+  Status execute(const std::vector<SliceUnit>& units,
+                 std::span<OracleOutcome> outcomes, std::size_t lo,
+                 int round, int target_rounds,
+                 dist::ShardTransport* transport, const RunControl& control,
+                 const detail::EventFan& fan) {
+    const SolveControls controls = detail::make_solve_controls(control);
+    Mutex progress_mu;
+    // Guarded by progress_mu (locals, so the guard is convention, not
+    // analysis-checked), and only kept for a sink: nets of completed
+    // shards, per shard the units not yet done and the seconds spent
+    // inside ShardTransport::dispatch over every attempt.
+    std::size_t nets_done = 0;
+    std::vector<std::size_t> units_left(shard_map.nets.size(), 0);
+    std::vector<double> dispatch_seconds(units_left.size(), 0.0);
+    for (const SliceUnit& unit : units) {
+      if (unit.shard >= 0) ++units_left[static_cast<std::size_t>(unit.shard)];
+    }
+
+    std::vector<std::size_t> pending(units.size());
+    std::iota(pending.begin(), pending.end(), std::size_t{0});
+    std::vector<std::uint8_t> done(units.size(), 0);
+    const auto run_unit = [&](std::size_t k) {
+      const SliceUnit& unit = units[pending[k]];
+      CDST_FAULT_POINT("router.unit");
+      if (controls.cancel != nullptr &&
+          controls.cancel->load(std::memory_order_relaxed)) {
+        // cdst-lint: allow(api-throw) internal unwind: caught at the
+        // retry loop below and mapped to kCancelled.
+        throw SolveCancelled();
+      }
+      throw_if_deadline_expired(&controls);
+      if (transport == nullptr) {
+        for (const std::uint32_t i : unit.nets) {
+          if (netlist.nets[i].sinks.empty()) continue;
+          const std::span<const EdgeId> own =
+              unit.shard >= 0 ? std::span<const EdgeId>(routes[i])
+                              : std::span<const EdgeId>();
+          outcomes[i - lo] = route_one_net(i, round, own, controls);
+        }
+      } else {
+        const dist::ShardWorkMsg work = make_span_work(unit, round);
+        if (!work.nets.empty()) {  // else only sink-less nets
+          WallTimer dispatch_timer;
+          StatusOr<dist::ShardResultMsg> result = transport->dispatch(work);
+          if (fan.active()) {
+            MutexLock lock(progress_mu);
+            dispatch_seconds[static_cast<std::size_t>(unit.shard)] +=
+                dispatch_timer.seconds();
+          }
+          Status st = result.ok() ? apply_shard_result(work, *result, outcomes)
+                                  : result.status();
+          if (!st.ok()) {
+            // cdst-lint: allow(api-throw) internal unwind: caught at the
+            // retry loop below, emitted as a "dist.transport" FaultEvent.
+            throw TransportDispatchError{std::move(st)};
+          }
+        }
+      }
+      done[pending[k]] = 1;
+      if (unit.shard < 0 || !fan.active()) return;
+      // Serialized shard boundary: sinks need not be thread-safe and
+      // nets_done is monotonic across events.
+      const auto sh = static_cast<std::size_t>(unit.shard);
+      MutexLock lock(progress_mu);
+      if (--units_left[sh] != 0) return;
+      nets_done += shard_map.nets[sh].size();
+      const ShardTile tile = shard_tile(shard_map.tiles, unit.shard);
+      RouterShardEvent event;
+      event.round = round;
+      event.target_round = target_rounds;
+      event.shard = unit.shard;
+      event.shards = shard_map.tiles.num_shards();
+      event.tile_x = tile.tx;
+      event.tile_y = tile.ty;
+      event.shard_nets = shard_map.nets[sh].size();
+      event.nets_done = nets_done;
+      event.nets_total = netlist.nets.size();
+      event.dispatch_seconds = dispatch_seconds[sh];
+      fan.emit_router_shard(event);
+    };
+
+    constexpr int kMaxAttempts = 3;
+    for (int attempt = 1;; ++attempt) {
+      // Emits the FaultEvent of a failed attempt; true when another follows.
+      const auto retry = [&](const char* stage, StatusCode code,
+                             bool retryable) {
+        const bool retrying = retryable && attempt < kMaxAttempts;
+        if (fan.active()) {
+          FaultEvent event;
+          event.stage = stage;
+          event.round = round;
+          event.attempt = attempt;
+          event.retrying = retrying;
+          event.status = code;
+          fan.emit_fault(event);
+        }
+        return retrying;
+      };
+      try {
+        pool->parallel_for(0, pending.size(), run_unit);
+        return Status::Ok();
+      } catch (const InjectedFault& e) {
+        if (!retry("router_unit", StatusCode::kUnavailable, true)) {
+          return Status::Unavailable(
+              std::string("slice gave up after 3 attempts: ") + e.what());
+        }
+      } catch (const TransportDispatchError& e) {
+        // kUnavailable is the transport's transient class (dead worker,
+        // broken pipe, injected fault at "dist.transport"): the retry
+        // dispatches again, and dead workers respawn on their next
+        // dispatch. Anything else (malformed replies, typed worker errors)
+        // fails the slice at once.
+        const bool retryable = e.status.code() == StatusCode::kUnavailable;
+        if (!retry("dist.transport", e.status.code(), retryable)) {
+          return retryable ? Status::Annotate(
+                                 e.status, "slice gave up after 3 attempts")
+                           : current_exception_status();
+        }
+      } catch (...) {
+        return current_exception_status();
+      }
+      std::erase_if(pending, [&](std::size_t u) { return done[u] != 0; });
+    }
   }
 
   /// Metrics are recomputed from committed state; `take` additionally moves
@@ -841,9 +789,7 @@ Status Router::step(int rounds, const RunControl& control) {
 
 std::uint64_t Router::next_slice_work() const {
   const Impl& impl = *impl_;
-  const bool sharded = impl.options.shards > 0;  // as Impl::slice decides
-  const std::size_t lo = sharded ? 0 : impl.round_cursor;
-  const std::size_t hi = sharded ? impl.netlist.nets.size() : impl.batch_end();
+  const auto [lo, hi] = impl.slice_nets();
   std::uint64_t work = 0;
   for (std::size_t i = lo; i < hi; ++i) work += impl.estimated_work(i);
   return work;
@@ -871,7 +817,7 @@ Status Router::set_options(const RouterOptions& options) {
   impl.options_status = Status::Ok();
   // No solves are in flight between runs, so re-sizing the shared
   // dense-state pool is safe; the shard map lazily rebuilds when the shard
-  // count changed (route_round_sharded compares the map's shard count).
+  // count changed (route_slice compares the map's shard count).
   impl.dense_budget.reset(options.oracle.cd.dense_state_budget_bytes);
   // Re-price the committed usage under the (possibly changed) congestion
   // parameters; usage itself — and hence the warm state — is preserved.

@@ -13,7 +13,10 @@
 /// round barrier when that batch ends the round), or one whole sharded
 /// round. run(N) loops slices until N more barriers have passed; step()
 /// runs one slice and returns, which is how a scheduler interleaves
-/// sessions on one pool (serve/serve.h).
+/// sessions on one pool (serve/serve.h). Every slice runs on one executor:
+/// its units (one net of a batch, or a span of a shard) go to the pool
+/// heaviest first, and a transient fault is retried, up to three attempts,
+/// by re-running only the units not yet done.
 ///
 /// Cancellation is honored at batch granularity: a cancelled run() returns
 /// kCancelled with every committed batch intact (the in-flight batch is
@@ -28,9 +31,9 @@
 /// barrier.
 ///
 /// With RouterOptions::shards >= 1 rounds run spatially sharded instead of
-/// batched: the committed usage stays frozen for the round, net shards
-/// (grid tiles, see route/sharding.h) route on work-stealing lanes against
-/// it, and all updates merge at the round barrier in net order —
+/// batched: the committed usage stays frozen for the round, the spans of
+/// net shards (grid tiles, see route/sharding.h) route against it, and all
+/// updates merge at the round barrier in net order —
 /// bit-identical results at any thread and shard count, and cancellation
 /// unwinds to the previous round boundary with no rollback at all.
 

@@ -53,8 +53,8 @@ StatusOr<ShardResultMsg> InProcessTransport::dispatch(
   }
   try {
     // The transport's own failure point: models a delivery fault (as
-    // opposed to router.shard, which models the shard computation
-    // faulting). kUnavailable = retryable, per the transport contract.
+    // opposed to router.unit, which models a unit of the slice faulting).
+    // kUnavailable = retryable, per the transport contract.
     CDST_FAULT_POINT("dist.transport");
   } catch (const InjectedFault& e) {
     return Status::Unavailable(e.what());

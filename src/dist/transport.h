@@ -1,24 +1,23 @@
 /// \file dist/transport.h
 /// Pluggable execution of sharded router rounds: where a shard's work runs.
 ///
-/// The Router's sharded round loop (api/router.cpp) stays the owner of the
-/// protocol — it publishes the round's usage, partitions nets, schedules
+/// The Router's round executor (api/router.cpp) stays the owner of the
+/// protocol — it publishes the round's usage, partitions nets, orders
 /// spans, retries failures and merges at the barrier; a ShardTransport only
 /// answers "execute this span of a shard's nets and return its deltas".
-/// The round loop's work-stealing lanes (route/sharding.h
-/// ShardStealSchedule) issue one dispatch per span of
-/// ShardStealSchedule::kSpanNets consecutive nets of one shard, several
-/// spans of a shard possibly in flight at once.
-/// Because every implementation is fed by the same serializable messages
-/// (dist/wire.h) and the executor (dist/shard_executor.h) is a pure
-/// function of them, routing results are bit-identical across transports,
-/// worker counts and span schedules.
+/// The executor issues one dispatch per span of kSpanNets
+/// (route/sharding.h) consecutive nets of one shard from the pool's lanes,
+/// heaviest span first, several spans of a shard possibly in flight at
+/// once. Because every implementation is fed by the same serializable
+/// messages (dist/wire.h) and the executor (dist/shard_executor.h) is a
+/// pure function of them, routing results are bit-identical across
+/// transports, worker counts and span orders.
 ///
 /// Failure contract: dispatch returns kUnavailable for transient faults
 /// worth retrying (a dead worker, a broken pipe, a desynchronized reply,
-/// an injected fault at site `dist.transport`); the round loop then
-/// re-executes the unfinished shards through the transport again, with the
-/// same parallel fan-out as the first attempt (dead workers respawn on
+/// an injected fault at site `dist.transport`); the executor then
+/// re-dispatches the spans not yet done through the transport again, with
+/// the same parallel fan-out as the first attempt (dead workers respawn on
 /// their next dispatch).
 /// Non-kUnavailable codes mean retrying cannot help (malformed messages,
 /// exhausted budgets) and fail the round immediately.

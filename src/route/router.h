@@ -61,10 +61,10 @@ struct RouterOptions {
   /// (a) leaves the committed usage untouched until its barrier, so every
   /// net prices from the same frozen state, (b) partitions the nets into
   /// `shards` grid tiles by bounding box (route/sharding.h), (c) routes
-  /// them on the worker pool, whose lanes claim whole shards and then
-  /// steal net spans from unfinished ones (ShardStealSchedule) — every net
-  /// priced from that usage minus its own committed usage — and (d) merges
-  /// all route/usage updates at the barrier in net order. Results are
+  /// each shard's spans of kSpanNets nets on the worker pool, heaviest span
+  /// first — every net priced from that usage minus its own committed
+  /// usage — and (d) merges all route/usage updates at the barrier in net
+  /// order. Results are
   /// bit-identical at ANY thread and shard count (shards only schedule
   /// work); they differ from the legacy batched discipline, whose batches
   /// see earlier batches' usage mid-round. Both disciplines price windows
@@ -74,7 +74,7 @@ struct RouterOptions {
   int shards{0};
   /// Where sharded rounds execute shard work. Null (default) runs every
   /// shard in-process on the session's worker pool. Non-null dispatches
-  /// every span the pool's stealing lanes claim through the transport
+  /// every span the pool's lanes take through the transport
   /// (dist/transport.h) as serializable round messages — potentially to
   /// out-of-process workers — with results bit-identical to the
   /// in-process path at any worker count. Borrowed,

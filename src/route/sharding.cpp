@@ -66,95 +66,6 @@ ShardTile shard_tile(const ShardGrid& tiles, int shard) {
   return t;
 }
 
-ShardStealSchedule::ShardStealSchedule(const ShardMap& map,
-                                       const std::vector<std::uint8_t>& done)
-    : map_(&map), shards_(map.nets.size()) {
-  CDST_CHECK(done.size() == map.nets.size());
-  for (std::size_t sh = 0; sh < map.nets.size(); ++sh) {
-    if (done[sh] != 0) {
-      // Completed by a previous attempt: present no work and never report
-      // completion again (remaining stays 0, cursor starts at the end).
-      shards_[sh].cursor.store(
-          static_cast<std::uint32_t>(map.nets[sh].size()),
-          std::memory_order_relaxed);
-    } else {
-      shards_[sh].remaining.store(
-          static_cast<std::uint32_t>(map.nets[sh].size()),
-          std::memory_order_relaxed);
-    }
-  }
-}
-
-int ShardStealSchedule::claim_shard() {
-  const std::uint32_t n = static_cast<std::uint32_t>(shards_.size());
-  for (std::uint32_t c = next_claim_.fetch_add(1, std::memory_order_relaxed);
-       c < n; c = next_claim_.fetch_add(1, std::memory_order_relaxed)) {
-    // Shards a previous attempt finished are skipped, not owned: their
-    // events were already emitted.
-    if (shards_[c].remaining.load(std::memory_order_relaxed) != 0) {
-      return static_cast<int>(c);
-    }
-  }
-  return -1;
-}
-
-ShardStealSchedule::Span ShardStealSchedule::take_span(int shard,
-                                                       bool stolen) {
-  PerShard& ps = shards_[static_cast<std::size_t>(shard)];
-  const auto size = static_cast<std::uint32_t>(
-      map_->nets[static_cast<std::size_t>(shard)].size());
-  const std::uint32_t begin =
-      ps.cursor.fetch_add(kSpanNets, std::memory_order_relaxed);
-  if (begin >= size) return {};
-  Span s;
-  s.shard = shard;
-  s.begin = begin;
-  s.end = std::min(begin + kSpanNets, size);
-  s.stolen = stolen;
-  return s;
-}
-
-ShardStealSchedule::Span ShardStealSchedule::steal_span() {
-  const auto n = static_cast<std::uint32_t>(shards_.size());
-  if (n == 0) return {};
-  for (;;) {
-    const std::uint32_t start =
-        steal_hint_.load(std::memory_order_relaxed) % n;
-    bool any_unclaimed = false;
-    for (std::uint32_t k = 0; k < n; ++k) {
-      const std::uint32_t sh = (start + k) % n;
-      PerShard& ps = shards_[sh];
-      if (ps.remaining.load(std::memory_order_relaxed) == 0) continue;
-      const Span s = take_span(static_cast<int>(sh), /*stolen=*/true);
-      if (s.valid()) {
-        steal_hint_.store(sh, std::memory_order_relaxed);
-        return s;
-      }
-      // Incomplete but fully claimed: someone else is finishing it.
-      ps.waits.fetch_add(1, std::memory_order_relaxed);
-    }
-    // A shard may still have gone from claimed-ahead to claimable between
-    // probes only if cursors ran backwards — they never do; if nothing was
-    // unclaimed in a full sweep, the steal phase is over.
-    for (std::uint32_t sh = 0; sh < n && !any_unclaimed; ++sh) {
-      any_unclaimed =
-          shards_[sh].remaining.load(std::memory_order_relaxed) != 0 &&
-          shards_[sh].cursor.load(std::memory_order_relaxed) <
-              map_->nets[sh].size();
-    }
-    if (!any_unclaimed) return {};
-  }
-}
-
-bool ShardStealSchedule::complete(const Span& s) {
-  PerShard& ps = shards_[static_cast<std::size_t>(s.shard)];
-  const std::uint32_t count = s.end - s.begin;
-  if (s.stolen) ps.stolen.fetch_add(count, std::memory_order_relaxed);
-  // acq_rel: the lane that observes zero publishes the shard's outcomes to
-  // whoever reads them after the completion event.
-  return ps.remaining.fetch_sub(count, std::memory_order_acq_rel) == count;
-}
-
 ShardMap assign_nets_to_shards(const RoutingGrid& grid,
                                const Netlist& netlist, int shards) {
   ShardMap map;

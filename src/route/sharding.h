@@ -4,11 +4,10 @@
 /// A sharded rip-up & re-route round (RouterOptions::shards >= 1) tiles the
 /// gcell plane into a lattice of near-square tiles — one shard per tile —
 /// and assigns every net to the tile containing its bounding-box center.
-/// Shards are the router's unit of parallel work: a lane claims a shard and
-/// routes its nets against the round's frozen committed usage, so
-/// neighbouring nets (which share cache-resident grid regions) mostly stay
-/// on one core, while distant shards fan out across the ThreadPool and idle
-/// lanes steal spans of unfinished shards (ShardStealSchedule).
+/// The router executes each shard in spans of kSpanNets consecutive nets,
+/// all priced against the round's frozen committed usage; the spans of
+/// every shard run on the ThreadPool heaviest first (api/router.cpp), and
+/// a span is also the unit a transport dispatches (dist/transport.h).
 ///
 /// The assignment is a pure function of (grid extent, netlist, shard
 /// count): deterministic, a partition of the netlist (every net in exactly
@@ -20,7 +19,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -83,92 +81,12 @@ struct ShardMap {
 ShardMap assign_nets_to_shards(const RoutingGrid& grid,
                                const Netlist& netlist, int shards);
 
-/// Dynamic (work-stealing) execution schedule over a frozen ShardMap.
-///
-/// The *partition* never changes — determinism lives in the fixed net ->
-/// shard assignment plus the router's net-order merge barrier — only the
-/// execution order of its pieces is dynamic (the divide-and-conquer
-/// discipline of Emirov/Song/Sun, arXiv:2510.01511). Three levels:
-///
-///  1. Whole shards are claimed by an atomic claim index; the claiming lane
-///     is the shard's *owner* and drains it in net spans.
-///  2. Within a shard, spans of consecutive nets are claimed from a
-///     per-shard atomic cursor, so several lanes can drain one hot shard.
-///  3. A lane whose claim index is exhausted *steals* spans from unfinished
-///     shards (highest remaining first would need a scan per steal; the
-///     rotating probe below is contention-free and within a few percent).
-///
-/// Every net is claimed exactly once, so the outcome array the lanes fill
-/// does not depend on how spans interleave; the merge barrier then commits
-/// in net order, keeping results bit-identical at any lane count. Per-shard
-/// steal/wait counters feed RouterShardEvent.
-///
-/// The schedule is single-round, single-attempt state: construct fresh per
-/// fan-out (a retry constructs one over the shards still pending).
-/// Thread-safe; no lock anywhere.
-class ShardStealSchedule {
- public:
-  /// Nets per claimed span: small enough to rebalance a hot shard, large
-  /// enough that the cursor's cache line does not thrash.
-  static constexpr std::uint32_t kSpanNets = 4;
-
-  /// A claimed span: nets[begin, end) of `shard` (indices into
-  /// ShardMap::nets[shard]). `stolen` marks a non-owner claim.
-  struct Span {
-    int shard{-1};
-    std::uint32_t begin{0};
-    std::uint32_t end{0};
-    bool stolen{false};
-    bool valid() const { return shard >= 0; }
-  };
-
-  /// `done[sh] != 0` marks shards a previous attempt already completed;
-  /// they are never claimed, stolen from, or re-counted.
-  ShardStealSchedule(const ShardMap& map, const std::vector<std::uint8_t>& done);
-
-  /// Claims ownership of the next pending shard; -1 once every shard has an
-  /// owner (switch to steal_span then).
-  int claim_shard();
-
-  /// Claims the next span of a shard's nets; invalid once the cursor is
-  /// drained (other lanes may still be routing claimed spans).
-  Span take_span(int shard, bool stolen);
-
-  /// Probes unfinished shards (rotating start) for a span to steal. Invalid
-  /// only when no unclaimed net remains anywhere. Probes that find a shard
-  /// drained-but-incomplete (its nets all claimed, some still in flight on
-  /// other lanes) count as that shard's steal waits.
-  Span steal_span();
-
-  /// Records a routed span; true exactly once per shard, when this span
-  /// completes it — the caller owns the shard-completion event.
-  bool complete(const Span& s);
-
-  std::size_t stolen_nets(int shard) const {
-    return shards_[static_cast<std::size_t>(shard)].stolen.load(
-        std::memory_order_relaxed);
-  }
-  std::size_t steal_waits(int shard) const {
-    return shards_[static_cast<std::size_t>(shard)].waits.load(
-        std::memory_order_relaxed);
-  }
-
- private:
-  struct PerShard {
-    /// Next unclaimed net index within the shard; lanes fetch_add spans off
-    /// it. Cache-line aligned: the hot shard's cursor is the one contended
-    /// word of the whole schedule.
-    alignas(64) std::atomic<std::uint32_t> cursor{0};
-    std::atomic<std::uint32_t> remaining{0};  ///< routed-net countdown
-    std::atomic<std::size_t> stolen{0};       ///< nets routed by non-owners
-    std::atomic<std::size_t> waits{0};        ///< drained-shard steal probes
-  };
-
-  const ShardMap* map_;
-  std::vector<PerShard> shards_;
-  std::atomic<std::uint32_t> next_claim_{0};
-  std::atomic<std::uint32_t> steal_hint_{0};  ///< rotating probe start
-};
+/// Nets per span, the unit a sharded round executes: up to kSpanNets
+/// consecutive nets of one shard's list (api/router.cpp), in process or as
+/// one transport dispatch. Small enough that the heaviest-first order
+/// balances the pool's lanes across unequal shards, large enough that a
+/// transport ships few, well-filled messages.
+inline constexpr std::uint32_t kSpanNets = 4;
 
 /// The oracle seed for one net in one round: a pure function of
 /// (session seed, net id, round index), so any executor — the in-process

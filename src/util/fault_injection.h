@@ -3,7 +3,7 @@
 ///
 /// A fault SITE is a named point in library code declared with
 ///
-///     CDST_FAULT_POINT("router.shard");
+///     CDST_FAULT_POINT("router.unit");
 ///
 /// which compiles to nothing unless the tree is built with
 /// CDST_FAULT_INJECTION=ON (the `fault-injection` CMake preset). In an

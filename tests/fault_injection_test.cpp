@@ -39,6 +39,7 @@ namespace {
 
 using testutil::GridInstance;
 using testutil::expect_same;
+using testutil::expect_router_invariants;
 using testutil::expect_same_routing;
 using testutil::make_grid_instance;
 using testutil::stress_light;
@@ -47,7 +48,7 @@ using testutil::stress_light;
 constexpr const char* kFaultSiteManifest[] = {
     "dist.transport",
     "pool.task",
-    "router.shard",
+    "router.unit",
     "serve.admit",
     "solver.budget_reserve",
     "stream.dispatch",
@@ -680,7 +681,7 @@ TEST(FaultSweep, ShardRetryRecoversBitIdenticallyAndEmitsFaultEvents) {
   // Transient shard fault: attempt 1 fails, the retry completes the round,
   // and the result is bit-identical — the retry is observable only
   // through the FaultEvent.
-  reg.arm("router.shard", FaultPolicy{});
+  reg.arm("router.unit", FaultPolicy{});
   FaultRecorder recorder;
   RunControl control;
   control.events = &recorder;
@@ -688,20 +689,20 @@ TEST(FaultSweep, ShardRetryRecoversBitIdenticallyAndEmitsFaultEvents) {
   ASSERT_TRUE(session.run(2, control).ok());
   reg.disarm_all();
   expect_same_routing(session.result(), want);
+  expect_router_invariants(grid, nl, opts.congestion, session.result());
 
   ASSERT_EQ(recorder.faults.size(), 1u);
-  EXPECT_STREQ(recorder.faults[0].stage, "router_shard");
+  EXPECT_STREQ(recorder.faults[0].stage, "router_unit");
   EXPECT_EQ(recorder.faults[0].attempt, 1);
   EXPECT_TRUE(recorder.faults[0].retrying);
   EXPECT_EQ(recorder.faults[0].status, StatusCode::kUnavailable);
 }
 
 TEST(FaultSweep, RetriedShardRoundEmitsEachShardEventOnce) {
-  // A retry re-runs the work-stealing lanes over the shards the faulted
-  // attempt left unfinished. Shards the first attempt completed are never
-  // claimed again, so every shard reports exactly once per round, nets_done
-  // rises monotonically to the netlist total, and the routes match a
-  // fault-free run.
+  // A retry re-runs only the units (shard spans) the faulted attempt left
+  // unfinished. Units the first attempt completed never run again, so every
+  // shard reports exactly once per round, nets_done rises monotonically to
+  // the netlist total, and the routes match a fault-free run.
   const ChipConfig c = small_chip();
   const RoutingGrid grid = make_chip_grid(c);
   const Netlist nl = generate_netlist(c, grid);
@@ -716,7 +717,7 @@ TEST(FaultSweep, RetriedShardRoundEmitsEachShardEventOnce) {
   Router ref(grid, nl, opts);
   ASSERT_TRUE(ref.run(1).ok());
   const RouterResult want = ref.result();
-  const std::uint64_t spans = reg.hits("router.shard");
+  const std::uint64_t spans = reg.hits("router.unit");
   ASSERT_GT(spans, 4u);
 
   struct ShardRecorder final : EventSink {
@@ -733,15 +734,19 @@ TEST(FaultSweep, RetriedShardRoundEmitsEachShardEventOnce) {
   control.events = &recorder;
   // Fault the last span the first attempt starts: every other span has
   // started by then and runs to completion, so the first attempt completes
-  // every shard but one whatever the lane timing, and the retry must
-  // route only that one.
+  // every span but one whatever the lane timing, and the retry must route
+  // only that one: the site's hits are the fault-free spans plus one.
+  reg.reset_counters();
   FaultPolicy last_span;
   last_span.n = spans;
-  reg.arm("router.shard", last_span);
+  reg.arm("router.unit", last_span);
   Router session(grid, nl, opts);
   ASSERT_TRUE(session.run(1, control).ok());
   reg.disarm_all();
+  EXPECT_EQ(reg.hits("router.unit"), spans + 1)
+      << "only the faulted unit re-runs";
   expect_same_routing(session.result(), want);
+  expect_router_invariants(grid, nl, opts.congestion, session.result());
 
   ASSERT_EQ(recorder.faults.size(), 1u) << "the fault forced one retry";
   EXPECT_TRUE(recorder.faults[0].retrying);
@@ -776,7 +781,7 @@ TEST(FaultSweep, PersistentShardFaultExhaustsRetriesThenSessionRecovers) {
   FaultPolicy persistent;
   persistent.trigger = FaultPolicy::Trigger::kEveryK;
   persistent.n = 1;  // every hit: all bounded retries fail
-  reg.arm("router.shard", persistent);
+  reg.arm("router.unit", persistent);
   FaultRecorder recorder;
   RunControl control;
   control.events = &recorder;
@@ -797,12 +802,49 @@ TEST(FaultSweep, PersistentShardFaultExhaustsRetriesThenSessionRecovers) {
   // session finishes fault-free and matches the uninterrupted run.
   ASSERT_TRUE(session.run(2).ok());
   expect_same_routing(session.result(), want);
+  expect_router_invariants(grid, nl, opts.congestion, session.result());
+}
+
+TEST(FaultSweep, BatchedRoundRetriesTransientFault) {
+  // Batched rounds run on the same executor as sharded ones, so they retry
+  // the same way: a one-shot fault fails one unit (a net of the batch), the
+  // retry re-routes it against the same ripped-up usage, and the run ends
+  // bit-identical to a fault-free one.
+  const ChipConfig c = small_chip();
+  const RoutingGrid grid = make_chip_grid(c);
+  const Netlist nl = generate_netlist(c, grid);
+  RouterOptions opts = sweep_router_options();
+  opts.shards = 0;
+  FaultRegistry& reg = FaultRegistry::instance();
+  reg.disarm_all();
+
+  Router ref(grid, nl, opts);
+  ASSERT_TRUE(ref.run(2).ok());
+  const RouterResult want = ref.result();
+
+  reg.arm("router.unit", FaultPolicy{});
+  FaultRecorder recorder;
+  RunControl control;
+  control.events = &recorder;
+  Router session(grid, nl, opts);
+  const Status st = session.run(2, control);
+  reg.disarm_all();
+  ASSERT_TRUE(st.ok()) << st.to_string();
+  expect_same_routing(session.result(), want);
+  expect_router_invariants(grid, nl, opts.congestion, session.result());
+
+  ASSERT_EQ(recorder.faults.size(), 1u);
+  EXPECT_STREQ(recorder.faults[0].stage, "router_unit");
+  EXPECT_EQ(recorder.faults[0].round, 0);
+  EXPECT_EQ(recorder.faults[0].attempt, 1);
+  EXPECT_TRUE(recorder.faults[0].retrying);
+  EXPECT_EQ(recorder.faults[0].status, StatusCode::kUnavailable);
 }
 
 TEST(FaultSweep, CrashCheckpointRestoreMatrixIsBitIdentical) {
-  // The PR's acceptance matrix: crash-inject mid-run, checkpoint the
-  // survivor, restore into a fresh session, finish, and compare to an
-  // uninterrupted reference — across thread and shard counts.
+  // Crash-inject mid-run, checkpoint the survivor, restore into a fresh
+  // session, finish, and compare to an uninterrupted reference — across
+  // thread and shard counts, batched (shards = 0) rounds included.
   const ChipConfig c = small_chip();
   const RoutingGrid grid = make_chip_grid(c);
   const Netlist nl = generate_netlist(c, grid);
@@ -811,15 +853,23 @@ TEST(FaultSweep, CrashCheckpointRestoreMatrixIsBitIdentical) {
 
   RouterOptions base = sweep_router_options();
   base.threads = 1;
-  base.shards = 1;
-  Router ref(grid, nl, base);
-  ASSERT_TRUE(ref.run(4).ok());
-  const RouterResult want = ref.result();
+  base.batch_size = 8;  // three batches per round: a batched crash can
+                        // stop inside a round
+  // The two disciplines rip up differently, so each has its own reference:
+  // want[0] batched, want[1] sharded (any shard count).
+  std::vector<RouterResult> want;
+  for (const int shards : {0, 1}) {
+    RouterOptions opts = base;
+    opts.shards = shards;
+    Router ref(grid, nl, opts);
+    ASSERT_TRUE(ref.run(4).ok());
+    want.push_back(ref.result());
+  }
 
   const std::vector<int> thread_counts =
       stress_light() ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4};
   for (const int threads : thread_counts) {
-    for (const int shards : {1, 4}) {
+    for (const int shards : {0, 1, 4}) {
       SCOPED_TRACE(testing::Message()
                    << "threads=" << threads << " shards=" << shards);
       RouterOptions opts = base;
@@ -828,11 +878,16 @@ TEST(FaultSweep, CrashCheckpointRestoreMatrixIsBitIdentical) {
 
       Router victim(grid, nl, opts);
       ASSERT_TRUE(victim.run(2).ok());
+      // A batched victim commits round 3's first batch before the crash,
+      // so it gives up mid-round and the checkpoint carries the cursor.
+      if (shards == 0) {
+        ASSERT_TRUE(victim.step(1).ok());
+      }
       // Crash round 3 with a persistent fault (all retries exhausted).
       FaultPolicy persistent;
       persistent.trigger = FaultPolicy::Trigger::kEveryK;
       persistent.n = 1;
-      reg.arm("router.shard", persistent);
+      reg.arm("router.unit", persistent);
       const Status st = victim.run(2);
       reg.disarm_all();
       ASSERT_FALSE(st.ok());
@@ -842,10 +897,12 @@ TEST(FaultSweep, CrashCheckpointRestoreMatrixIsBitIdentical) {
       const StatusOr<RouterCheckpoint> cp =
           RouterCheckpoint::from_bytes(victim.checkpoint().to_bytes());
       ASSERT_TRUE(cp.ok()) << cp.status().to_string();
+      EXPECT_EQ(cp->round_cursor, shards == 0 ? 8u : 0u);
       Router resumed(grid, nl, opts);
       ASSERT_TRUE(resumed.restore(*cp).ok());
       ASSERT_TRUE(resumed.run(2).ok());
-      expect_same_routing(resumed.result(), want);
+      expect_same_routing(resumed.result(), want[shards == 0 ? 0 : 1]);
+      expect_router_invariants(grid, nl, opts.congestion, resumed.result());
     }
   }
 }

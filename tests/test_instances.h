@@ -1,9 +1,10 @@
 /// \file tests/test_instances.h
 /// Shared fixtures for the api-layer test suites (api_test, stream_test,
 /// serve_test, fault_injection_test): a self-owning grid-backed
-/// CostDistanceInstance builder, the tiny router chip, and the solve- and
-/// router-result bit-identity comparators. One definition, so the suites
-/// cannot drift apart on instance shape.
+/// CostDistanceInstance builder, the tiny router chip, the solve- and
+/// router-result bit-identity comparators, and the router invariants
+/// recomputed from scratch. One definition, so the suites cannot drift
+/// apart on instance shape.
 
 #pragma once
 
@@ -11,6 +12,7 @@
 
 #include <cmath>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <vector>
 
@@ -101,6 +103,45 @@ inline void expect_same_routing(const RouterResult& got,
   }
   EXPECT_EQ(got.sink_delays, want.sink_delays);
   EXPECT_EQ(got.sink_weights, want.sink_weights);
+}
+
+/// Router invariants recomputed from scratch, not compared with another
+/// run: every route connects its net's source to every sink (union-find
+/// over the endpoints of the route's grid edges), and congestion loaded
+/// afresh from the routes reproduces result.congestion bit for bit.
+inline void expect_router_invariants(const RoutingGrid& grid,
+                                     const Netlist& netlist,
+                                     const CongestionParams& congestion,
+                                     const RouterResult& result) {
+  ASSERT_EQ(result.routes.size(), netlist.nets.size());
+  const Graph& g = grid.graph();
+  std::vector<VertexId> parent(g.num_vertices());
+  const auto find = [&](VertexId v) {
+    while (parent[v] != v) v = parent[v] = parent[parent[v]];
+    return v;
+  };
+  for (std::size_t i = 0; i < netlist.nets.size(); ++i) {
+    const Net& net = netlist.nets[i];
+    std::iota(parent.begin(), parent.end(), VertexId{0});
+    for (const EdgeId e : result.routes[i]) {
+      parent[find(g.tail(e))] = find(g.head(e));
+    }
+    const VertexId root = find(grid.vertex_at(net.source));
+    for (std::size_t s = 0; s < net.sinks.size(); ++s) {
+      EXPECT_EQ(find(grid.vertex_at(net.sinks[s].pos)), root)
+          << "net " << i << " leaves sink " << s << " unconnected";
+    }
+  }
+
+  CongestionCosts fresh(grid, congestion);
+  for (const std::vector<EdgeId>& route : result.routes) {
+    if (!route.empty()) fresh.add_usage(route, +1.0);
+  }
+  const CongestionReport want = compute_ace(fresh);
+  EXPECT_EQ(result.congestion.ace, want.ace);
+  EXPECT_EQ(result.congestion.ace4, want.ace4);
+  EXPECT_EQ(result.congestion.max_utilization, want.max_utilization);
+  EXPECT_EQ(result.congestion.overfull_edges, want.overfull_edges);
 }
 
 }  // namespace cdst::testutil
