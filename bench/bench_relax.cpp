@@ -1,10 +1,12 @@
-// Microbenchmarks for the blocked relax strips and the router's round
-// executor. The strip rows time the Vec4d kernels (AVX2 under the bench
-// preset's -march, the bit-identical scalar twin under CDST_FORCE_SCALAR)
-// against the per-edge scalar paths on the same instances; every pair
-// produces bit-identical results — only the loop shape changes, so the
-// deltas are pure kernel cost. The sharded-round row times the executor
-// (heaviest-first shard spans on the pool) on an imbalanced round.
+// Microbenchmarks for the blocked relax strips, the router's round
+// executor and the per-net window rebuild. The strip rows time the Vec4d
+// kernels (AVX2 under the bench preset's -march, the bit-identical scalar
+// twin under CDST_FORCE_SCALAR) against the per-edge scalar paths on the
+// same instances; every pair produces bit-identical results — only the
+// loop shape changes, so the deltas are pure kernel cost. The sharded-round
+// row times the executor (heaviest-first shard spans on the pool) on an
+// imbalanced round. The window row times the rebuild in front of every
+// per-net solve.
 
 #include <benchmark/benchmark.h>
 
@@ -21,7 +23,9 @@
 #include "graph/dijkstra.h"
 #include "grid/future_cost.h"
 #include "grid/routing_grid.h"
+#include "grid/window.h"
 #include "route/netlist_gen.h"
+#include "route/steiner_oracle.h"
 #include "util/rng.h"
 #include "util/simd.h"
 
@@ -199,6 +203,78 @@ void BM_Relax_ShardedRound(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Relax_ShardedRound)->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------------
+// Window rebuild: every c8 net's routing window priced against warm prices,
+// the per-net setup in front of every solve. A window is a box plus one
+// price snapshot per window resource (two per vertex) and a per-class table
+// of unit cost and delay.
+
+struct WindowFixture {
+  std::unique_ptr<RoutingGrid> grid;
+  std::unique_ptr<Netlist> netlist;
+  std::unique_ptr<CongestionCosts> costs;
+  OracleParams params;
+  std::vector<SparseMap<double>> own_usage;  ///< per net, its route's usage
+};
+
+const WindowFixture& window_fixture() {
+  static const WindowFixture* f = [] {
+    auto* out = new WindowFixture;
+    const ChipConfig config = paper_chip_configs(0.001).at(7);
+    out->grid = std::make_unique<RoutingGrid>(make_chip_grid(config));
+    out->netlist =
+        std::make_unique<Netlist>(generate_netlist(config, *out->grid));
+    RouterOptions opts;
+    opts.method = SteinerMethod::kCD;
+    opts.seed = 1;
+    Router warm(*out->grid, *out->netlist, opts);
+    if (!warm.run(2).ok()) {
+      std::fprintf(stderr, "bench_relax: warm-up rounds failed\n");
+      std::abort();
+    }
+    const RouterResult state = std::move(warm).take_result();
+    out->params = opts.oracle;
+    out->costs = std::make_unique<CongestionCosts>(*out->grid, opts.congestion);
+    for (const auto& route : state.routes) out->costs->add_usage(route, +1.0);
+    for (const auto& route : state.routes) {
+      SparseMap<double>& own = out->own_usage.emplace_back();
+      for (const EdgeId e : route) {
+        own[out->grid->edge_info(e).resource] += out->grid->edge_info(e).width;
+      }
+    }
+    return out;
+  }();
+  return *f;
+}
+
+/// arg 0: batched pricing (prices as they stand); arg 1: sharded pricing,
+/// each net's own usage priced out of its window.
+void BM_Window_Rebuild(benchmark::State& state) {
+  const bool exclude = state.range(0) != 0;
+  const WindowFixture& f = window_fixture();
+  RoutingWindow window;
+  double bytes = 0.0;
+  double vertices = 0.0;
+  for (auto _ : state) {
+    bytes = 0.0;
+    vertices = 0.0;
+    for (std::size_t i = 0; i < f.netlist->nets.size(); ++i) {
+      const Net& net = f.netlist->nets[i];
+      if (net.sinks.empty()) continue;
+      window.rebuild(*f.grid, *f.costs, net_window_box(net, f.params),
+                     exclude ? &f.own_usage[i] : nullptr);
+      const BoxPrices p = window.prices();
+      bytes += static_cast<double>(p.price.size_bytes() + p.unit.size_bytes() +
+                                   p.delay.size_bytes());
+      vertices += static_cast<double>(window.box_graph().num_vertices());
+      benchmark::DoNotOptimize(p.price.data());
+    }
+  }
+  state.counters["bytes_per_vertex"] = bytes / vertices;
+  state.SetLabel(exclude ? "own_usage_excluded" : "batched");
+}
+BENCHMARK(BM_Window_Rebuild)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

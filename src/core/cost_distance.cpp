@@ -330,10 +330,13 @@ struct SolverScratch::Impl {
   std::vector<std::uint64_t> edge_owned_bits;
   std::vector<VertexId> path_verts;
   std::vector<EdgeId> path_edges;
-  /// Box instances' arc strip: one generated vertex's arcs, padded to whole
-  /// kRelaxStrip strips so the Vec4d loads stay in bounds.
+  /// Box instances' arc strip: one generated vertex's arcs with their price
+  /// slots and classes, padded to whole kRelaxStrip strips so the Vec4d
+  /// loads stay in bounds.
   std::vector<VertexId> strip_heads;
   std::vector<EdgeId> strip_edges;
+  std::vector<std::uint32_t> strip_slots;
+  std::vector<std::uint32_t> strip_classes;
   AlignedVector<double> strip_cost;
   AlignedVector<double> strip_delay;
   /// Future-bound memo generation, monotonic across the scratch's lifetime
@@ -373,8 +376,9 @@ class Solver {
         opts_(opts),
         g_(inst.graph),
         box_(inst.box),
-        c_(*inst.cost),
-        d_(*inst.delay),
+        c_(inst.cost),
+        d_(inst.delay),
+        prices_(inst.prices),
         plane_(inst.arc_costs),
         assembler_(scratch.assembler),
         heap_(scratch.queue),
@@ -528,6 +532,8 @@ class Solver {
           (box_->max_degree() + kRelaxStrip - 1) / kRelaxStrip * kRelaxStrip;
       scratch_.strip_heads.resize(strip);
       scratch_.strip_edges.resize(strip);
+      scratch_.strip_slots.resize(strip);
+      scratch_.strip_classes.resize(strip);
       scratch_.strip_cost.resize(strip);
       scratch_.strip_delay.resize(strip);
     }
@@ -683,7 +689,7 @@ class Solver {
     const double w = comps_[comp].weight;
     const bool cost_ok = comps_[comp].singleton;  // discount feasibility
     const VertexId rootv = comps_[root_comp_].terminal;
-    const Point3& pr = pb_.positions[rootv];
+    const Point3 pr = pb_.position(rootv);
 
     // Short groups pad with the last vertex: the pad lanes compute a valid
     // (discarded) bound instead of reading out of range.
@@ -693,7 +699,7 @@ class Solver {
     alignas(kVecAlign) double azd[Vec4d::kLanes];
     for (std::uint32_t k = 0; k < Vec4d::kLanes; ++k) {
       gx[k] = xs[k < cnt ? k : cnt - 1];
-      const Point3& p = pb_.positions[gx[k]];
+      const Point3 p = pb_.position(gx[k]);
       axd[k] = static_cast<double>(p.x);
       ayd[k] = static_cast<double>(p.y);
       azd[k] = static_cast<double>(p.z);
@@ -921,14 +927,19 @@ class Solver {
       // Window-free relaxation: the vertex's arcs are generated from the
       // box into the scratch strip (sized for the box's maximum degree,
       // rounded up to whole strips), in the order a materialized CSR
-      // holds them, and their planes' cost and delay gathered alongside.
+      // holds them, and each arc's cost unit[class] * price[slot] and delay
+      // delay[class] computed alongside.
       SolverScratch::Impl& sc = scratch_;
       const std::uint32_t deg =
-          box_->arcs(vtx, sc.strip_heads.data(), sc.strip_edges.data());
+          box_->arcs(vtx, sc.strip_heads.data(), sc.strip_edges.data(),
+                     sc.strip_slots.data(), sc.strip_classes.data());
+      const double* price = prices_.price.data();
+      const double* unit = prices_.unit.data();
+      const double* delay = prices_.delay.data();
       for (std::uint32_t k = 0; k < deg; ++k) {
-        const EdgeId e = sc.strip_edges[k];
-        sc.strip_cost[k] = c_[e];
-        sc.strip_delay[k] = d_[e];
+        const std::uint32_t cls = sc.strip_classes[k];
+        sc.strip_cost[k] = unit[cls] * price[sc.strip_slots[k]];
+        sc.strip_delay[k] = delay[cls];
       }
       relax_strips(sc.strip_heads.data(), sc.strip_edges.data(),
                    sc.strip_cost.data(), sc.strip_delay.data(), 0, deg);
@@ -941,12 +952,12 @@ class Solver {
       return;
     }
 
-    const CostDelayLength metric{c_, d_, w};  // l_u(e) = c(e) + w d(e)
+    const CostDelayLength metric{*c_, *d_, w};  // l_u(e) = c(e) + w d(e)
     for (const Graph::Arc& a : g_->arcs(vtx)) {
       // Edges already owned by u are traversed at zero *cost* under the
       // Section III-A discount; the delay part always applies.
       const double ng = base_g + (edge_discounted(a.edge, u)
-                                      ? w * d_[a.edge]
+                                      ? w * (*d_)[a.edge]
                                       : metric(a.edge));
       const std::uint32_t key = relax_to(a.to, a.edge, ng);
       if (key == kNoPush) continue;
@@ -1147,7 +1158,7 @@ class Solver {
       double best = kInf;
       VertexId best_v = pverts[istar];
       for (std::size_t i = istar; i <= j; ++i) {
-        if (i > istar) prefix += d_[pedges[i - 1]];
+        if (i > istar) prefix += inst_.edge_delay(pedges[i - 1]);
         const VertexId v = pverts[i];
         const double score = fc.cost_lb(v, rootv) +
                              wsum * fc.delay_lb(v, rootv) +
@@ -1171,8 +1182,9 @@ class Solver {
   const SolverOptions& opts_;
   const Graph* g_;         ///< explicit CSR, or null for a box instance
   const BoxGraph* box_;    ///< implicit box graph, or null
-  const std::vector<double>& c_;
-  const std::vector<double>& d_;
+  const std::vector<double>* c_;  ///< per-edge c of a CSR instance
+  const std::vector<double>* d_;  ///< per-edge d of a CSR instance
+  const BoxPrices prices_;        ///< slot/class prices of a box instance
   const ArcCostView* plane_{nullptr};  ///< SoA relax plane; null = per-edge
   std::size_t budget_reserved_{0};     ///< bytes held in the shared pool
 

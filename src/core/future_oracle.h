@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "geom/point.h"
@@ -16,20 +17,29 @@
 
 namespace cdst {
 
-/// Structure-of-arrays form of a bound oracle with inline-evaluable bounds:
-/// a dense per-vertex position array plus the four per-unit minima the L1
-/// bound formulas combine, optionally strengthened by ALT landmark tables
-/// (graph/landmarks.h) on the cost side. When an oracle publishes this (see
-/// FutureCostOracle::plane_bounds), the solver's inner loop evaluates
-/// cost/delay lower bounds inline — one position load and a few fused
-/// multiply-adds, plus one dense table load per landmark — instead of a
-/// virtual call that re-derives coordinates with div/mod per query. Bounds
-/// computed either way are bit-identical: the geometric formulas are copied
-/// verbatim, and folding each landmark's |t[a] - t[b]| into the running
-/// bound is exact because max is (the max(geo, max_L ...) of the virtual
-/// path associates freely).
+/// Inline-evaluable form of a bound oracle: where each vertex lies, plus
+/// the four per-unit minima the L1 bound formulas combine, optionally
+/// strengthened by ALT landmark tables (graph/landmarks.h) on the cost side.
+/// When an oracle publishes this (see FutureCostOracle::plane_bounds), the
+/// solver's inner loop evaluates cost/delay lower bounds inline — a position
+/// and a few multiply-adds, plus one dense table load per landmark — instead
+/// of a virtual call per query. Positions come from one of two sources: a
+/// dense per-vertex array (the full grid, whose oracle also carries
+/// landmarks), or, for a routing window, the vertex id itself: window vertex
+/// (z * wy + j) * wx + i lies at box_origin + (i, j) on layer z: two integer
+/// divisions per bound, where a positions array would have to be filled per
+/// net and read from memory. Bounds computed any of these ways are
+/// bit-identical: the geometric formulas are copied verbatim, and folding
+/// each landmark's |t[a] - t[b]| into the running bound is exact because
+/// max is (the max(geo, max_L ...) of the virtual path associates freely).
 struct PlaneBoundData {
-  const Point3* positions{nullptr};  ///< dense, indexed by solver VertexId
+  /// Dense positions indexed by solver VertexId, or null for a box.
+  const Point3* positions{nullptr};
+  /// The box form, used when `positions` is null: the grid position of
+  /// vertex 0, the box width and its vertices per layer.
+  Point2 box_origin;
+  std::uint32_t box_wx{0};
+  std::uint32_t box_plane{0};
   double min_unit_cost{0.0};
   double min_unit_delay{0.0};
   double min_via_cost{0.0};
@@ -39,13 +49,24 @@ struct PlaneBoundData {
   const std::vector<double>* landmark_tables{nullptr};
   std::size_t num_landmarks{0};
 
-  bool valid() const { return positions != nullptr; }
+  bool valid() const { return positions != nullptr || box_wx != 0; }
+
+  Point3 position(VertexId v) const {
+    if (positions != nullptr) return positions[v];
+    const std::uint32_t z = v / box_plane;
+    const std::uint32_t r = v - z * box_plane;
+    const std::uint32_t j = r / box_wx;
+    const std::uint32_t i = r - j * box_wx;
+    return Point3{box_origin.x + static_cast<std::int32_t>(i),
+                  box_origin.y + static_cast<std::int32_t>(j),
+                  static_cast<std::int32_t>(z)};
+  }
 
   /// Exactly the cost_lb formula of the grid oracles: geometric floor,
   /// raised by each landmark's triangle-inequality bound.
   double cost_lb(VertexId a, VertexId b) const {
-    const Point3& pa = positions[a];
-    const Point3& pb = positions[b];
+    const Point3 pa = position(a);
+    const Point3 pb = position(b);
     double geo = static_cast<double>(l1_distance(pa, pb)) * min_unit_cost +
                  std::abs(pa.z - pb.z) * min_via_cost;
     for (std::size_t i = 0; i < num_landmarks; ++i) {
@@ -58,13 +79,13 @@ struct PlaneBoundData {
 
   /// Exactly the geometric delay_lb formula of the grid oracles.
   double delay_lb(VertexId a, VertexId b) const {
-    const Point3& pa = positions[a];
-    const Point3& pb = positions[b];
+    const Point3 pa = position(a);
+    const Point3 pb = position(b);
     return static_cast<double>(l1_distance(pa, pb)) * min_unit_delay +
            std::abs(pa.z - pb.z) * min_via_delay;
   }
 
-  Point2 xy(VertexId v) const { return positions[v].xy(); }
+  Point2 xy(VertexId v) const { return position(v).xy(); }
 };
 
 class FutureCostOracle {

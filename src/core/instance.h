@@ -9,13 +9,17 @@
 ///   cost(T) = sum_{e in T} c(e) + sum_{t in S} w(t) * delay_T(r, t)
 ///   delay_T(r,t) = sum_{e=(u,v) on the r-t path} ( d(e) + lambda_v * dbif )
 ///
-/// The graph comes in one of two forms. An explicit CSR `graph` (with an
-/// optional SoA arc plane) serves any graph. An implicit `box` serves a
-/// routing window (graph/box_graph.h): the cost-distance solver generates
-/// each settled vertex's arcs from it, so a per-net instance needs no CSR.
-/// Consumers that scan every vertex's arcs — the topology embedder, exact
-/// enumeration, instance files — require the CSR form; a routing window
-/// provides it through MaterializedInstance (route/steiner_oracle.h).
+/// The graph comes in one of two forms. An explicit CSR `graph` carries c
+/// and d as per-edge vectors (with an optional SoA arc plane). An implicit
+/// `box` serves a routing window (graph/box_graph.h) and carries its prices
+/// in resource form: one price per box slot and a unit cost and delay per
+/// (layer, wire type | via) class. The cost-distance solver generates each
+/// settled vertex's arcs, and their c and d, from the box, so a per-net
+/// instance stores nothing per edge. edge_cost()/edge_delay() read either
+/// form. Consumers that scan every vertex's arcs — the topology embedder,
+/// exact enumeration, instance files — require the CSR form; a routing
+/// window provides it through MaterializedInstance (route/steiner_oracle.h),
+/// which builds the per-edge vectors once.
 
 #pragma once
 
@@ -38,10 +42,12 @@ struct CostDistanceInstance {
   /// Explicit CSR graph; exactly one of `graph` and `box` is set.
   const Graph* graph{nullptr};
   /// Implicit box graph of a routing window, the alternative to `graph` +
-  /// `arc_costs`.
+  /// `cost` + `delay` + `arc_costs`.
   const BoxGraph* box{nullptr};
-  const std::vector<double>* cost{nullptr};   ///< c(e), congestion cost
-  const std::vector<double>* delay{nullptr};  ///< d(e), linear delay
+  /// c and d of a box instance, by slot and class (borrowed).
+  BoxPrices prices;
+  const std::vector<double>* cost{nullptr};   ///< c(e) of a CSR instance
+  const std::vector<double>* delay{nullptr};  ///< d(e) of a CSR instance
   /// Optional SoA arc plane of the same (cost, delay) attributes over
   /// `graph`. When set, the solver's relax loop scans it with the blocked,
   /// branch-light kernel; when null it gathers per-edge. Results are
@@ -71,12 +77,33 @@ struct CostDistanceInstance {
     return graph != nullptr ? EdgeEndpoints(*graph) : EdgeEndpoints(*box);
   }
 
+  /// c(e), congestion cost, from either form.
+  double edge_cost(EdgeId e) const {
+    if (graph != nullptr) return (*cost)[e];
+    const BoxEdgeSite s = box->site(e);
+    return prices.cost(s.slot, s.cls);
+  }
+  /// d(e), linear delay, from either form.
+  double edge_delay(EdgeId e) const {
+    if (graph != nullptr) return (*delay)[e];
+    return prices.delay[box->site(e).cls];
+  }
+
   void validate() const {
     CDST_CHECK_MSG((graph != nullptr) != (box != nullptr),
                    "instance needs exactly one of graph and box");
-    CDST_CHECK(cost != nullptr && delay != nullptr);
-    CDST_CHECK(cost->size() == num_edges());
-    CDST_CHECK(delay->size() == num_edges());
+    if (graph != nullptr) {
+      CDST_CHECK(cost != nullptr && delay != nullptr);
+      CDST_CHECK(cost->size() == num_edges());
+      CDST_CHECK(delay->size() == num_edges());
+    } else {
+      CDST_CHECK_MSG(
+          cost == nullptr && delay == nullptr && arc_costs == nullptr,
+          "a box instance is priced by slot and class");
+      CDST_CHECK(prices.price.size() == box->num_slots());
+      CDST_CHECK(prices.unit.size() == box->num_classes());
+      CDST_CHECK(prices.delay.size() == box->num_classes());
+    }
     if (arc_costs != nullptr) {
       CDST_CHECK_MSG(arc_costs->graph() == graph,
                      "arc_costs plane built over a different graph");

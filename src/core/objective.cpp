@@ -12,8 +12,6 @@ TreeEvaluation evaluate_tree(const SteinerTree& tree,
                              const CostDistanceInstance& instance,
                              TreeEvalScratch& scratch) {
   instance.validate();
-  const std::vector<double>& c = *instance.cost;
-  const std::vector<double>& d = *instance.delay;
   const std::size_t nn = tree.nodes.size();
   CDST_CHECK(nn > 0);
 
@@ -44,8 +42,8 @@ TreeEvaluation evaluate_tree(const SteinerTree& tree,
     const auto p = static_cast<std::size_t>(n.parent);
     double dl = delay_from_root[p];
     for (const EdgeId e : n.up_path) {
-      dl += d[e];
-      eval.connection_cost += c[e];
+      dl += instance.edge_delay(e);
+      eval.connection_cost += instance.edge_cost(e);
       ++eval.num_graph_edges;
     }
     if (tree.children[p].size() == 2 && instance.dbif > 0.0) {

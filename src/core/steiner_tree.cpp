@@ -5,7 +5,10 @@
 namespace cdst {
 
 std::vector<EdgeId> SteinerTree::all_edges() const {
+  std::size_t m = 0;
+  for (const Node& n : nodes) m += n.up_path.size();
   std::vector<EdgeId> out;
+  out.reserve(m);
   for (const Node& n : nodes) {
     out.insert(out.end(), n.up_path.begin(), n.up_path.end());
   }

@@ -14,10 +14,12 @@ void BoxGraph::assign(std::int32_t wx, std::int32_t wy,
   layers_.resize(layers.size());
   std::uint64_t first = 0;
   std::uint32_t widest = 0;
+  std::uint32_t cls = 0;
   for (std::size_t z = 0; z < layers.size(); ++z) {
     Layer& l = layers_[z];
     CDST_CHECK(layers[z].wire_types >= 1);
     l.first = static_cast<EdgeId>(first);
+    l.cls = cls;
     l.wire_types = layers[z].wire_types;
     l.horizontal = layers[z].horizontal;
     l.via = z + 1 < layers.size() ? 1 : 0;
@@ -31,8 +33,10 @@ void BoxGraph::assign(std::int32_t wx, std::int32_t wy,
     first += wires * l.wire_types + plane * l.via;
     CDST_CHECK_MSG(first < 0xffffffffull, "box too large for 32-bit edge ids");
     widest = std::max(widest, l.wire_types);
+    cls += l.owned;
   }
   num_edges_ = static_cast<std::size_t>(first);
+  num_classes_ = cls;
   max_degree_ = 2 + 2 * widest;
 }
 
@@ -53,18 +57,20 @@ BoxEdgeSite BoxGraph::site(EdgeId e) const {
     s.j = wy_ - 1;
     s.i = k - (wy_ - 1) * l.row;
     s.via = true;
-    return s;
-  }
-  s.j = k / l.row;
-  const std::uint32_t rem = k - s.j * l.row;
-  s.i = rem / l.owned;
-  const std::uint32_t off = rem - s.i * l.owned;
-  const bool wires = !l.horizontal || s.i + 1 < wx_;
-  if (wires && off < l.wire_types) {
-    s.w = off;
   } else {
-    s.via = true;
+    s.j = k / l.row;
+    const std::uint32_t rem = k - s.j * l.row;
+    s.i = rem / l.owned;
+    const std::uint32_t off = rem - s.i * l.owned;
+    const bool wires = !l.horizontal || s.i + 1 < wx_;
+    if (wires && off < l.wire_types) {
+      s.w = off;
+    } else {
+      s.via = true;
+    }
   }
+  s.slot = 2 * vertex(s.i, s.j, s.z) + (s.via ? 1 : 0);
+  s.cls = l.cls + (s.via ? l.wire_types : s.w);
   return s;
 }
 

@@ -19,8 +19,14 @@
 ///
 /// So the arcs of a vertex in ascending edge id, which is the order arcs()
 /// generates them in, are: via down, wires toward lower x/y, wires toward
-/// higher x/y, via up. Each edge id indexes the per-window cost and delay
-/// planes directly.
+/// higher x/y, via up.
+///
+/// Prices live on resources, not on edges. Every edge has a *price slot*
+/// and a *class*: slot 2v is the wire boundary vertex v owns (all its wire
+/// types share it), slot 2v + 1 is its via up; the class is the edge's
+/// (layer, wire type) or (layer, via), which fixes its unit cost and delay.
+/// A routing window snapshots one price per slot and one unit cost and delay
+/// per class (BoxPrices), and edge e costs unit[class] * price[slot].
 
 #pragma once
 
@@ -40,28 +46,50 @@ struct BoxLayer {
   std::uint32_t wire_types{1};   ///< parallel wire edges per boundary
 };
 
-/// One row of gcells (fixed layer z and box row j) and the edges its gcells
-/// own, which are consecutive ids from `first`: gcell i < `wired` owns
-/// `wire_types` wires toward the next gcell along z's direction, then its
-/// via (if `via`); the gcells from `wired` on own only their via.
+/// One row of gcells (fixed layer z and box row j), vertices `first` +
+/// [0, wx), and the price slots they use: gcell i < `wired` owns a wire
+/// boundary toward the next gcell along z's direction, and every gcell owns
+/// a via up if `via`. No edge uses the slots of what a gcell does not own.
 struct BoxRow {
   std::uint32_t z{0};
   std::uint32_t j{0};
-  EdgeId first{0};
+  VertexId first{0};
   std::uint32_t wired{0};
-  std::uint32_t wire_types{1};
   bool via{false};
+};
+
+/// Where a vertex lies in the box: gcell (i, j) on layer z.
+struct BoxCell {
+  std::uint32_t i{0};
+  std::uint32_t j{0};
+  std::uint32_t z{0};
 };
 
 /// Where an edge lies in the box: its tail gcell (i, j) on layer z, and
 /// either wire type w toward the next gcell along z's direction or the via
-/// up to z + 1.
+/// up to z + 1; and the price slot and class that follow from that.
 struct BoxEdgeSite {
   std::uint32_t i{0};
   std::uint32_t j{0};
   std::uint32_t z{0};
   std::uint32_t w{0};
   bool via{false};
+  std::uint32_t slot{0};
+  std::uint32_t cls{0};
+};
+
+/// A box graph's prices in resource form, borrowed: `price` holds one entry
+/// per slot (two per vertex; a slot no edge uses holds 0), `unit` and
+/// `delay` one per class. Edge e costs unit[cls] * price[slot] and delays
+/// delay[cls].
+struct BoxPrices {
+  std::span<const double> price;
+  std::span<const double> unit;
+  std::span<const double> delay;
+
+  double cost(std::uint32_t slot, std::uint32_t cls) const {
+    return unit[cls] * price[slot];
+  }
 };
 
 class BoxGraph {
@@ -81,25 +109,38 @@ class BoxGraph {
   std::size_t num_edges() const { return num_edges_; }
   /// Largest arc count of any vertex: two vias plus two wire runs.
   std::uint32_t max_degree() const { return max_degree_; }
+  /// Price slots: two per vertex (its wire boundary, its via up).
+  std::size_t num_slots() const { return 2 * num_vertices(); }
+  /// Classes, numbered layer by layer from the bottom: each layer's wire
+  /// types in order, then its via up (if a layer lies above).
+  std::uint32_t num_classes() const { return num_classes_; }
 
   VertexId vertex(std::uint32_t i, std::uint32_t j, std::uint32_t z) const {
     CDST_ASSERT(i < wx_ && j < wy_ && z < nz());
     return (z * wy_ + j) * wx_ + i;
   }
-
-  /// Writes the arcs of v (heads and edge ids, in ascending edge id) to
-  /// `heads`/`edges`, which must hold max_degree() entries, and returns
-  /// their count.
-  std::uint32_t arcs(VertexId v, VertexId* heads, EdgeId* edges) const {
+  /// The inverse of vertex().
+  BoxCell cell(VertexId v) const {
     CDST_ASSERT(v < num_vertices());
     const std::uint32_t z = v / plane_;
     const std::uint32_t r = v - z * plane_;
     const std::uint32_t j = r / wx_;
-    const std::uint32_t i = r - j * wx_;
+    return BoxCell{r - j * wx_, j, z};
+  }
+
+  /// Writes the arcs of v (heads, edge ids, price slots and classes, in
+  /// ascending edge id) to the four arrays, which must hold max_degree()
+  /// entries each, and returns their count.
+  std::uint32_t arcs(VertexId v, VertexId* heads, EdgeId* edges,
+                     std::uint32_t* slots, std::uint32_t* classes) const {
+    const auto [i, j, z] = cell(v);
     std::uint32_t n = 0;
     if (z > 0) {
+      const Layer& below = layers_[z - 1];
       heads[n] = v - plane_;
-      edges[n++] = via_of(layers_[z - 1], i, j);
+      edges[n] = via_of(below, i, j);
+      slots[n] = 2 * (v - plane_) + 1;
+      classes[n++] = below.cls + below.wire_types;
     }
     const Layer& l = layers_[z];
     const std::uint32_t along = l.horizontal ? i : j;
@@ -108,19 +149,25 @@ class BoxGraph {
           l.horizontal ? owned(l, i - 1, j) : owned(l, i, j - 1);
       for (std::uint32_t w = 0; w < l.wire_types; ++w) {
         heads[n] = v - l.step;
-        edges[n++] = e0 + w;
+        edges[n] = e0 + w;
+        slots[n] = 2 * (v - l.step);
+        classes[n++] = l.cls + w;
       }
     }
     if (along + 1 < (l.horizontal ? wx_ : wy_)) {
       const EdgeId e0 = owned(l, i, j);
       for (std::uint32_t w = 0; w < l.wire_types; ++w) {
         heads[n] = v + l.step;
-        edges[n++] = e0 + w;
+        edges[n] = e0 + w;
+        slots[n] = 2 * v;
+        classes[n++] = l.cls + w;
       }
     }
     if (l.via != 0) {
       heads[n] = v + plane_;
-      edges[n++] = via_of(l, i, j);
+      edges[n] = via_of(l, i, j);
+      slots[n] = 2 * v + 1;
+      classes[n++] = l.cls + l.wire_types;
     }
     return n;
   }
@@ -138,8 +185,8 @@ class BoxGraph {
     return s.via ? t + plane_ : t + layers_[s.z].step;
   }
 
-  /// Calls f(row) for every row of gcells in ascending edge-id order — how
-  /// the window fills its planes without restating the layer table.
+  /// Calls f(row) for every row of gcells in ascending vertex order — how
+  /// the window fills its price slots without restating the layer table.
   template <class F>
   void for_each_row(F&& f) const {
     for (std::uint32_t z = 0; z < nz(); ++z) {
@@ -147,7 +194,7 @@ class BoxGraph {
       for (std::uint32_t j = 0; j < wy_; ++j) {
         const std::uint32_t wired =
             l.horizontal ? wx_ - 1 : (j + 1 < wy_ ? wx_ : 0);
-        f(BoxRow{z, j, owned(l, 0, j), wired, l.wire_types, l.via != 0});
+        f(BoxRow{z, j, (z * wy_ + j) * wx_, wired, l.via != 0});
       }
     }
   }
@@ -155,6 +202,7 @@ class BoxGraph {
  private:
   struct Layer {
     EdgeId first{0};             ///< first edge owned by the layer's vertices
+    std::uint32_t cls{0};        ///< class of wire type 0; its via is last
     std::uint32_t wire_types{1};
     std::uint32_t via{0};        ///< 1 if a layer lies above
     std::uint32_t owned{0};      ///< edges of a vertex with wires: wires + via
@@ -179,6 +227,7 @@ class BoxGraph {
   std::uint32_t plane_{0};  ///< vertices per layer, wx * wy
   std::size_t num_edges_{0};
   std::uint32_t max_degree_{0};
+  std::uint32_t num_classes_{0};
   std::vector<Layer> layers_;
 };
 

@@ -45,19 +45,25 @@ class CongestionCosts {
 
   /// The per-resource factor of edge_cost: edge_cost(e) is exactly
   /// edge_info(e).unit_cost * price(edge_info(e).resource). For callers
-  /// that walk resources arithmetically (routing windows price a row of
-  /// boundaries from one unit cost per wire type).
+  /// that price resources rather than edges (a routing window snapshots one
+  /// price per resource and a unit cost per wire type).
   double price(ResourceId r) const { return price_[r]; }
 
-  /// Price of e with `excluded_usage` capacity units of its resource's usage
-  /// discounted (floored at zero). The sharded router prices each net
-  /// against the round's frozen usage *minus the net's own committed
-  /// usage* — the frozen-round equivalent of ripping the net up first.
+  /// price(r) with `excluded_usage` capacity units of r's usage discounted
+  /// (floored at zero). The sharded router prices each net against the
+  /// round's frozen usage *minus the net's own committed usage* — the
+  /// frozen-round equivalent of ripping the net up first.
+  double price_excluding(ResourceId r, double excluded_usage) const {
+    const double use = std::max(0.0, usage_[r] - excluded_usage);
+    const double util = use / capacity_[r];
+    return std::exp(log_base_ * util * params_.smoothing);
+  }
+
+  /// edge_cost(e) with `excluded_usage` discounted from its resource:
+  /// exactly edge_info(e).unit_cost * price_excluding(resource, ...).
   double edge_cost_excluding(EdgeId e, double excluded_usage) const {
     const RoutingGrid::EdgeInfo& info = grid_->edge_info(e);
-    const double use = std::max(0.0, usage_[info.resource] - excluded_usage);
-    const double util = use / capacity_[info.resource];
-    return info.unit_cost * std::exp(log_base_ * util * params_.smoothing);
+    return info.unit_cost * price_excluding(info.resource, excluded_usage);
   }
 
   /// Snapshot of edge costs for all edges (the c vector handed to solvers).

@@ -65,8 +65,12 @@ class FutureCost : public FutureCostOracle {
   /// cost_lb() above, so the inline path stays bit-identical and the solver
   /// no longer falls back to virtual dispatch when landmarks are on.
   PlaneBoundData plane_bounds() const override {
-    PlaneBoundData pb{grid_->positions().data(), min_unit_cost_,
-                      min_unit_delay_, min_via_cost_, min_via_delay_};
+    PlaneBoundData pb;
+    pb.positions = grid_->positions().data();
+    pb.min_unit_cost = min_unit_cost_;
+    pb.min_unit_delay = min_unit_delay_;
+    pb.min_via_cost = min_via_cost_;
+    pb.min_via_delay = min_via_delay_;
     if (landmarks_ != nullptr) {
       pb.landmark_tables = landmarks_->tables().data();
       pb.num_landmarks = landmarks_->count();

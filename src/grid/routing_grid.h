@@ -106,6 +106,31 @@ class RoutingGrid {
     return numbering_.back().first_resource + via_stack(x, y, z);
   }
 
+  /// Where a resource lies: the gcell boundary that wire_edge(x, y, z, *)
+  /// crosses, or (via) the via stack segment above (x, y, z).
+  struct ResourceSite {
+    std::int32_t x{0};
+    std::int32_t y{0};
+    std::int32_t z{0};
+    bool via{false};
+  };
+  /// The inverse of wire_resource() and via_resource().
+  ResourceSite resource_site(ResourceId r) const {
+    CDST_ASSERT(r < num_resources());
+    if (r >= num_wire_resources()) {
+      const Point3 p = position(r - numbering_.back().first_resource);
+      return ResourceSite{p.x, p.y, p.z, true};
+    }
+    std::int32_t z = 0;
+    while (numbering_[static_cast<std::size_t>(z) + 1].first_resource <= r) {
+      ++z;
+    }
+    const LayerNumbering& l = numbering_[static_cast<std::size_t>(z)];
+    const std::uint32_t b = r - l.first_resource;
+    return ResourceSite{static_cast<std::int32_t>(b % l.row),
+                        static_cast<std::int32_t>(b / l.row), z, false};
+  }
+
   std::size_t num_resources() const { return resource_capacity_.size(); }
   /// Wire resources (gcell boundaries) are ids [0, num_wire_resources());
   /// via resources follow them.

@@ -15,7 +15,7 @@ RoutingWindow::RoutingWindow(const RoutingGrid& grid,
 void RoutingWindow::rebuild(const RoutingGrid& grid,
                             const CongestionCosts& costs, Rect box,
                             const SparseMap<double>* excluded_usage) {
-  // The per-net allocation site: the planes below grow here when a lane
+  // The per-net allocation site: the slot plane grows here when a lane
   // meets a larger box than any before.
   CDST_FAULT_POINT("window.rebuild");
   grid_ = &grid;
@@ -34,73 +34,63 @@ void RoutingWindow::rebuild(const RoutingGrid& grid,
   graph_.assign(static_cast<std::int32_t>(box.width()) + 1,
                 static_cast<std::int32_t>(box.height()) + 1, layers_);
 
-  // Every plane is appended in id order rather than resized and then
-  // overwritten: one pass over memory a fresh window first-touches.
-  positions_.clear();
-  positions_.reserve(graph_.num_vertices());
+  // The class table, in BoxGraph's class order: per layer its wire types,
+  // then its via up. The grid stores unit costs and delays as floats
+  // (RoutingGrid::EdgeInfo); widening the same floats here is what makes
+  // unit[class] * price equal edge_cost and delay[class] equal
+  // edge_delays() bit for bit.
+  unit_.clear();
+  delay_.clear();
   for (std::int32_t z = 0; z < nz; ++z) {
-    for (std::int32_t y = box_.ylo; y <= box_.yhi; ++y) {
-      for (std::int32_t x = box_.xlo; x <= box_.xhi; ++x) {
-        positions_.push_back(Point3{x, y, z});
-      }
+    for (const WireType& wt : grid.layers()[static_cast<std::size_t>(z)]
+                                  .wire_types) {
+      unit_.push_back(static_cast<float>(wt.unit_cost));
+      delay_.push_back(static_cast<float>(wt.delay_per_gcell));
+    }
+    if (z + 1 < nz) {
+      unit_.push_back(static_cast<float>(grid.via().unit_cost));
+      delay_.push_back(static_cast<float>(grid.via().delay));
     }
   }
+  CDST_ASSERT(unit_.size() == graph_.num_classes());
 
-  // The planes, in window-edge order, one box row at a time. Along a row
-  // the grid's wire ids step by one boundary of wire types and its via ids
-  // by one, and so do their resources. Unit costs and delays are uniform
-  // per layer and wire type (LayerSpec), so the row's first boundary and
-  // via supply them for the whole row. Each price is edge_cost's
-  // unit_cost * price(resource), read now, or edge_cost_excluding for a
-  // resource the net's own usage occupies.
-  costs_.clear();
-  costs_.reserve(graph_.num_edges());
-  delays_.clear();
-  delays_.reserve(graph_.num_edges());
-  const std::vector<double>& gd = grid.edge_delays();
-  // Price of grid edge ge on resource r with unit cost `unit`.
-  const auto price = [&](EdgeId ge, ResourceId r, float unit) {
-    CDST_ASSERT(grid.edge_info(ge).resource == r);
-    CDST_ASSERT(grid.edge_info(ge).unit_cost == unit);
-    const double* excluded =
-        excluded_usage != nullptr ? excluded_usage->find(r) : nullptr;
-    return excluded == nullptr ? unit * costs.price(r)
-                               : costs.edge_cost_excluding(ge, *excluded);
-  };
+  // The slot plane, one box row at a time: along a row the grid's boundary
+  // resources and its via resources both step by one. Each slot holds
+  // price(resource), read now; slots a gcell does not own hold 0.
+  if (price_.size() < graph_.num_slots()) price_.resize(graph_.num_slots());
+  const std::uint32_t wx = graph_.wx();
   graph_.for_each_row([&](const BoxRow& row) {
     const auto z = static_cast<std::int32_t>(row.z);
     const std::int32_t y = box_.ylo + static_cast<std::int32_t>(row.j);
-    const std::uint32_t nw = row.wire_types;
-    CDST_ASSERT(costs_.size() == row.first);
-    EdgeId gw0 = 0;
-    ResourceId rw0 = 0;
-    if (row.wired > 0) {
-      gw0 = grid.wire_edge(box_.xlo, y, z, 0);
-      rw0 = grid.wire_resource(box_.xlo, y, z);
+    double* out = price_.data() + 2 * static_cast<std::size_t>(row.first);
+    const ResourceId rw0 =
+        row.wired > 0 ? grid.wire_resource(box_.xlo, y, z) : 0;
+    const ResourceId rv0 = row.via ? grid.via_resource(box_.xlo, y, z) : 0;
+    for (std::uint32_t i = 0; i < wx; ++i) {
+      out[2 * i] = i < row.wired ? costs.price(rw0 + i) : 0.0;
+      out[2 * i + 1] = row.via ? costs.price(rv0 + i) : 0.0;
     }
-    EdgeId gv0 = 0;
-    ResourceId rv0 = 0;
-    float uv = 0.0f;
-    double dv = 0.0;
-    if (row.via) {
-      gv0 = grid.via_edge(box_.xlo, y, z);
-      rv0 = grid.via_resource(box_.xlo, y, z);
-      uv = grid.edge_info(gv0).unit_cost;
-      dv = gd[gv0];
+  });
+
+  // The net's own usage, priced out where the window holds its resource
+  // (price_excluding): a handful of resources, visited from the map rather
+  // than probed for every slot. A wire boundary belongs to the window only
+  // if the gcell it leads to does too.
+  if (excluded_usage == nullptr) return;
+  excluded_usage->for_each([&](ResourceId r, double excluded) {
+    const RoutingGrid::ResourceSite s = grid.resource_site(r);
+    if (!box_.contains(Point2{s.x, s.y})) return;
+    if (!s.via) {
+      const bool horizontal =
+          grid.layers()[static_cast<std::size_t>(s.z)].dir ==
+          LayerDir::kHorizontal;
+      if (horizontal ? s.x == box_.xhi : s.y == box_.yhi) return;
     }
-    for (std::uint32_t i = 0; i < graph_.wx(); ++i) {
-      if (i < row.wired) {
-        for (std::uint32_t w = 0; w < nw; ++w) {
-          costs_.push_back(price(gw0 + i * nw + w, rw0 + i,
-                                 grid.edge_info(gw0 + w).unit_cost));
-          delays_.push_back(gd[gw0 + w]);
-        }
-      }
-      if (row.via) {
-        costs_.push_back(price(gv0 + i, rv0 + i, uv));
-        delays_.push_back(dv);
-      }
-    }
+    const VertexId v = graph_.vertex(static_cast<std::uint32_t>(s.x - box_.xlo),
+                                     static_cast<std::uint32_t>(s.y - box_.ylo),
+                                     static_cast<std::uint32_t>(s.z));
+    price_[2 * static_cast<std::size_t>(v) + (s.via ? 1 : 0)] =
+        costs.price_excluding(r, excluded);
   });
 }
 
@@ -129,11 +119,9 @@ VertexId RoutingWindow::from_grid_vertex(VertexId gv) const {
 }
 
 std::vector<EdgeId> RoutingWindow::to_grid_edges(
-    const std::vector<EdgeId>& wes) const {
-  std::vector<EdgeId> out;
-  out.reserve(wes.size());
-  for (const EdgeId we : wes) out.push_back(to_grid_edge(we));
-  return out;
+    std::vector<EdgeId> wes) const {
+  for (EdgeId& e : wes) e = to_grid_edge(e);
+  return wes;
 }
 
 Graph RoutingWindow::materialize() const {

@@ -7,14 +7,17 @@
 /// detours rarely leave that region. All per-net oracles (cost-distance and
 /// the embedded baselines) run on windows; usage is committed on grid edges.
 ///
-/// A window stores no graph. Its topology is an implicit BoxGraph
-/// (graph/box_graph.h) whose vertex and edge ids are window-local; per net
-/// the window fills only the per-vertex grid positions (the future-cost
-/// geometry plane) and two per-edge planes: congestion cost, gathered from
-/// CongestionCosts at rebuild() (minus a net's own usage, when given), and
-/// delay. The cost-distance
-/// solver generates each settled vertex's arcs from the box. Consumers
-/// that need a CSR call materialize() once.
+/// A window is a box plus a snapshot of its resources' prices. Its topology
+/// is an implicit BoxGraph (graph/box_graph.h) whose vertex and edge ids are
+/// window-local, and vertex positions follow from the id and the box origin.
+/// Per net the window fills only the slot plane: two doubles per window
+/// vertex, the price of the wire boundary it owns and of its via up (0 where
+/// it owns none), gathered from CongestionCosts at rebuild() (minus a net's
+/// own usage, when given). Unit costs and delays are constant per (layer,
+/// wire type | via) class, so a class table of a few entries supplies them;
+/// edge e costs unit[class] * price[slot] (BoxPrices). The cost-distance
+/// solver generates each settled vertex's arcs and their prices from the
+/// box. Consumers that need a CSR call materialize() once.
 
 #pragma once
 
@@ -37,9 +40,9 @@ class RoutingWindow {
   /// (gathered from CongestionCosts' per-resource price table).
   /// `excluded_usage` (optional, borrowed for the build) maps resource ->
   /// capacity units of a net's own committed usage: those resources are
-  /// re-priced with that usage excluded (edge_cost_excluding), the sharded
+  /// re-priced with that usage excluded (price_excluding), the sharded
   /// router's equivalent of ripping the net up before pricing. Null prices
-  /// every edge as it stands.
+  /// every resource as it stands.
   RoutingWindow(const RoutingGrid& grid, const CongestionCosts& costs,
                 Rect box, const SparseMap<double>* excluded_usage = nullptr);
 
@@ -62,25 +65,31 @@ class RoutingWindow {
   const RoutingGrid& grid() const { return *grid_; }
   const Rect& box() const { return box_; }
 
-  /// Congestion prices of window edges (the instance's c vector).
-  const std::vector<double>& edge_costs() const { return costs_; }
-  /// Static delays of window edges (the instance's d vector).
-  const std::vector<double>& edge_delays() const { return delays_; }
+  /// The price snapshot: one price per box slot, one unit cost and delay
+  /// per class (the box instance's c and d). Valid until the next rebuild().
+  BoxPrices prices() const {
+    return BoxPrices{
+        std::span<const double>(price_.data(), graph_.num_slots()), unit_,
+        delay_};
+  }
 
+  /// Grid position of window vertex wv, from its id and the box origin.
+  Point3 position(VertexId wv) const {
+    const BoxCell c = graph_.cell(wv);
+    return Point3{box_.xlo + static_cast<std::int32_t>(c.i),
+                  box_.ylo + static_cast<std::int32_t>(c.j),
+                  static_cast<std::int32_t>(c.z)};
+  }
   VertexId to_grid_vertex(VertexId wv) const {
-    return grid_->vertex_at(positions_[wv]);
+    return grid_->vertex_at(position(wv));
   }
   EdgeId to_grid_edge(EdgeId we) const;
-
-  /// Dense per-window-vertex positions in grid coordinates (the SoA
-  /// geometry plane behind WindowFutureCost's bounds).
-  const std::vector<Point3>& positions() const { return positions_; }
 
   /// Window vertex for a grid vertex; kInvalidVertex if outside the box.
   VertexId from_grid_vertex(VertexId gv) const;
 
-  /// Maps window-edge paths back to grid edges.
-  std::vector<EdgeId> to_grid_edges(const std::vector<EdgeId>& wes) const;
+  /// Maps window-edge paths back to grid edges, in place.
+  std::vector<EdgeId> to_grid_edges(std::vector<EdgeId> wes) const;
 
   /// The window as an explicit CSR graph, built from the grid's own
   /// adjacency: edges in the order their lower endpoints' grid arcs reach
@@ -95,9 +104,11 @@ class RoutingWindow {
   Rect box_;
   BoxGraph graph_;
   std::vector<BoxLayer> layers_;  ///< box_graph()'s layer table input
-  std::vector<Point3> positions_;
-  std::vector<double> costs_;
-  std::vector<double> delays_;
+  /// The slot plane. It only grows, so a recycled window overwrites the
+  /// prefix it uses and never refills the tail (see prices()).
+  std::vector<double> price_;
+  std::vector<double> unit_;   ///< per class
+  std::vector<double> delay_;  ///< per class
 };
 
 /// FutureCostOracle over a routing window: geometric L1 bounds evaluated in
@@ -106,20 +117,12 @@ class WindowFutureCost final : public FutureCostOracle {
  public:
   explicit WindowFutureCost(const RoutingWindow& w) : w_(&w) {}
 
-  Point2 xy(VertexId v) const override { return w_->positions()[v].xy(); }
+  Point2 xy(VertexId v) const override { return w_->position(v).xy(); }
   double cost_lb(VertexId a, VertexId b) const override {
-    const Point3 pa = w_->positions()[a];
-    const Point3 pb = w_->positions()[b];
-    return static_cast<double>(l1_distance(pa, pb)) *
-               w_->grid().min_unit_cost() +
-           std::abs(pa.z - pb.z) * w_->grid().min_via_cost();
+    return plane_bounds().cost_lb(a, b);
   }
   double delay_lb(VertexId a, VertexId b) const override {
-    const Point3 pa = w_->positions()[a];
-    const Point3 pb = w_->positions()[b];
-    return static_cast<double>(l1_distance(pa, pb)) *
-               w_->grid().min_unit_delay() +
-           std::abs(pa.z - pb.z) * w_->grid().min_via_delay();
+    return plane_bounds().delay_lb(a, b);
   }
   double min_unit_cost() const override { return w_->grid().min_unit_cost(); }
   double min_unit_delay() const override {
@@ -127,12 +130,17 @@ class WindowFutureCost final : public FutureCostOracle {
   }
 
   /// Window bounds are always pure geometry (no landmarks on windows), so
-  /// the SoA plane is unconditional.
+  /// the inline form is unconditional; positions come from the box.
   PlaneBoundData plane_bounds() const override {
-    return PlaneBoundData{w_->positions().data(), w_->grid().min_unit_cost(),
-                          w_->grid().min_unit_delay(),
-                          w_->grid().min_via_cost(),
-                          w_->grid().min_via_delay()};
+    PlaneBoundData pb;
+    pb.box_origin = Point2{w_->box().xlo, w_->box().ylo};
+    pb.box_wx = w_->box_graph().wx();
+    pb.box_plane = w_->box_graph().wx() * w_->box_graph().wy();
+    pb.min_unit_cost = w_->grid().min_unit_cost();
+    pb.min_unit_delay = w_->grid().min_unit_delay();
+    pb.min_via_cost = w_->grid().min_via_cost();
+    pb.min_via_delay = w_->grid().min_via_delay();
+    return pb;
   }
 
  private:

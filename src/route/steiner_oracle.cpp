@@ -32,8 +32,6 @@ OracleInstance::OracleInstance() : rep_(std::make_unique<Rep>()) {}
 
 OracleInstance::Rep::Rep() : future_cost(window) {
   instance.box = &window.box_graph();
-  instance.cost = &window.edge_costs();
-  instance.delay = &window.edge_delays();
 }
 
 void OracleInstance::rebuild(const RoutingGrid& grid,
@@ -45,6 +43,7 @@ void OracleInstance::rebuild(const RoutingGrid& grid,
   Rep& rep = *rep_;
   rep.window.rebuild(grid, costs, net_window_box(net, params),
                      excluded_usage);
+  rep.instance.prices = rep.window.prices();
   rep.instance.dbif = params.dbif;
   rep.instance.eta = params.eta;
   rep.instance.root = rep.window.from_grid_vertex(grid.vertex_at(net.source));
@@ -74,12 +73,34 @@ double OracleInstance::delay_per_unit() const {
 
 MaterializedInstance::MaterializedInstance(const OracleInstance& oi)
     : graph_(oi.window().materialize()), instance_(oi.instance()) {
-  // The per-edge planes are the window's own (they outlive this object by
-  // contract), so the arc plane borrows them.
-  arc_costs_.assign_borrowed(graph_, oi.window().edge_costs(),
-                             oi.window().edge_delays());
+  // c and d per edge from the window's slot and class prices. Edges are
+  // numbered by their tail, so the arcs each vertex owns (its wires toward
+  // higher x/y, then its via up) arrive in ascending edge id.
+  const BoxGraph& box = oi.window().box_graph();
+  const BoxPrices prices = oi.window().prices();
+  cost_.reserve(box.num_edges());
+  delay_.reserve(box.num_edges());
+  std::vector<VertexId> heads(box.max_degree());
+  std::vector<EdgeId> edges(box.max_degree());
+  std::vector<std::uint32_t> slots(box.max_degree());
+  std::vector<std::uint32_t> classes(box.max_degree());
+  for (VertexId v = 0; v < box.num_vertices(); ++v) {
+    const std::uint32_t deg = box.arcs(v, heads.data(), edges.data(),
+                                       slots.data(), classes.data());
+    for (std::uint32_t k = 0; k < deg; ++k) {
+      if (slots[k] / 2 != v) continue;  // owned by the arc's other end
+      CDST_ASSERT(edges[k] == cost_.size());
+      cost_.push_back(prices.cost(slots[k], classes[k]));
+      delay_.push_back(prices.delay[classes[k]]);
+    }
+  }
+  CDST_CHECK(cost_.size() == graph_.num_edges());
+  arc_costs_.assign_borrowed(graph_, cost_, delay_);
   instance_.box = nullptr;
+  instance_.prices = {};
   instance_.graph = &graph_;
+  instance_.cost = &cost_;
+  instance_.delay = &delay_;
   instance_.arc_costs = &arc_costs_;
 }
 
@@ -93,7 +114,7 @@ OracleOutcome run_method(const OracleInstance& oi, SteinerMethod method,
     opts.future_cost = &oi.future_cost();
     SolveResult r = solve_cost_distance(oi.instance(), opts, scratch,
                                         controls);
-    out.eval = r.eval;
+    out.eval = std::move(r.eval);
     out.grid_edges = oi.window().to_grid_edges(r.tree.all_edges());
     return out;
   }
@@ -132,7 +153,7 @@ OracleOutcome run_method(const OracleInstance& oi, SteinerMethod method,
   }
   const MaterializedInstance csr(oi);
   EmbedResult r = embed_topology(topo, csr.instance(), controls);
-  out.eval = r.eval;
+  out.eval = std::move(r.eval);
   out.grid_edges = oi.window().to_grid_edges(r.tree.all_edges());
   return out;
 }

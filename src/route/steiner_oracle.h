@@ -39,7 +39,7 @@ struct OracleParams {
 Rect net_window_box(const Net& net, const OracleParams& p);
 
 /// One net's Steiner problem on a routing window, priced at construction
-/// (or rebuild()) and never again: the instance's cost plane is a snapshot,
+/// (or rebuild()) and never again: the instance's prices are a snapshot,
 /// so later usage changes do not reach a built instance. Its
 /// CostDistanceInstance is a box instance (instance.h). Self-contained: owns
 /// the window and all vectors the embedded CostDistanceInstance points into. Movable (batch APIs store
@@ -103,12 +103,13 @@ class OracleInstance {
 };
 
 /// An oracle instance over an explicit CSR: the window materialized once
-/// (RoutingWindow::materialize) with an arc plane over the window's own cost
-/// and delay planes, and the instance's root, sinks and penalties. Edge ids
-/// are the window's, so trees map back through the window. For consumers
-/// that scan every vertex's arcs: the embedded L1/SL/PD baselines, exact
-/// enumeration (solve_exact) and instance files (write_instance). Borrows
-/// `oi`, which must outlive it and stay unrebuilt; not copyable or movable.
+/// (RoutingWindow::materialize), its per-edge c and d vectors built once
+/// from the window's slot and class prices, an arc plane over them, and the
+/// instance's root, sinks and penalties. Edge ids are the window's, so trees
+/// map back through the window. For consumers that scan every vertex's
+/// arcs: the embedded L1/SL/PD baselines, exact enumeration (solve_exact)
+/// and instance files (write_instance). Borrows `oi`, which must outlive it
+/// and stay unrebuilt; not copyable or movable.
 class MaterializedInstance {
  public:
   explicit MaterializedInstance(const OracleInstance& oi);
@@ -119,6 +120,8 @@ class MaterializedInstance {
 
  private:
   Graph graph_;
+  std::vector<double> cost_;
+  std::vector<double> delay_;
   ArcCostView arc_costs_;
   CostDistanceInstance instance_;
 };

@@ -5,7 +5,9 @@
 // solve makes exactly as many heap allocations as its SolveResult owns
 // non-empty vectors — and that each result equals a fresh-scratch solve
 // bit for bit. A cancelled solve sits in the schedule, so the recycled
-// queue must also shed the entries its unwind left behind.
+// queue must also shed the entries its unwind left behind. One level up, a
+// warm router lane (route_round_net: window rebuild + solve) must allocate
+// only its outcome and the solve's tree.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +23,8 @@
 
 #include "core/cost_distance.h"
 #include "grid/cost_model.h"
+#include "route/netlist_gen.h"
+#include "route/sharding.h"
 #include "route/steiner_oracle.h"
 #include "test_instances.h"
 
@@ -265,6 +269,102 @@ TEST(SolverAllocations, WarmSolveAllocatesOnlyItsResult) {
   };
   // The warm-up pass sizes every recycled structure for the schedule; the
   // second pass repeats it and must allocate nothing else.
+  run_schedule(/*measure=*/false);
+  run_schedule(/*measure=*/true);
+}
+
+/// Heap blocks of an OracleOutcome: one per non-empty vector.
+std::size_t outcome_blocks(const OracleOutcome& o) {
+  return (o.eval.sink_delays.empty() ? 0 : 1) +
+         (o.eval.node_lambda.empty() ? 0 : 1) +
+         (o.grid_edges.empty() ? 0 : 1);
+}
+
+/// Heap blocks of a SteinerTree: the part of a SolveResult that
+/// run_method maps into grid edges and then drops.
+std::size_t tree_blocks(const SteinerTree& t) {
+  std::size_t n = t.nodes.empty() ? 0 : 1;
+  for (const SteinerTree::Node& node : t.nodes) {
+    n += node.up_path.empty() ? 0 : 1;
+  }
+  n += t.children.empty() ? 0 : 1;
+  for (const auto& c : t.children) n += c.empty() ? 0 : 1;
+  return n;
+}
+
+TEST(SolverAllocations, WarmRouteRoundNetAllocatesOnlyItsOutcome) {
+  // A router lane routing net after net: once the lane has met the largest
+  // window and own route of the schedule, rebuilding the window (its slot
+  // plane and class table), the instance and the own-usage map allocates
+  // nothing, and the solve allocates only its result. The outcome's
+  // vectors are the result's own (moved, and the tree's edges mapped to
+  // grid ids in place), so a warm call allocates exactly the outcome plus
+  // the solve's tree.
+  ChipConfig c;
+  c.name = "alloc";
+  c.num_nets = 30;
+  c.num_layers = 4;
+  c.nx = c.ny = 20;
+  c.capacity = 10.0;
+  c.seed = 7;
+  const RoutingGrid grid = make_chip_grid(c);
+  const Netlist nl = generate_netlist(c, grid);
+  CongestionCosts costs(grid);
+  OracleParams params;
+  params.dbif = 2.0;
+
+  // Commit one route per net, so prices are uneven and every net has usage
+  // of its own to exclude.
+  std::vector<std::vector<EdgeId>> routes(nl.nets.size());
+  std::vector<std::vector<double>> weights(nl.nets.size());
+  for (std::size_t i = 0; i < nl.nets.size(); ++i) {
+    const Net& net = nl.nets[i];
+    weights[i].assign(net.sinks.size(), 0.5 + 0.1 * static_cast<double>(i));
+    if (net.sinks.empty()) continue;
+    const OracleInstance oi(grid, costs, net, weights[i], params);
+    routes[i] = run_method(oi, SteinerMethod::kCD, params).grid_edges;
+    costs.add_usage(routes[i], +1.0);
+  }
+
+  OracleLane lane;
+  constexpr std::uint64_t kOptionsSeed = 3;
+  constexpr int kRound = 2;
+  const auto run_schedule = [&](bool measure) {
+    for (std::size_t i = 0; i < nl.nets.size(); ++i) {
+      const Net& net = nl.nets[i];
+      if (net.sinks.empty()) continue;
+      for (const bool exclude : {false, true}) {
+        const std::span<const EdgeId> own =
+            exclude ? std::span<const EdgeId>(routes[i])
+                    : std::span<const EdgeId>();
+        t_allocations = 0;
+        t_counting = measure;
+        const OracleOutcome out = route_round_net(
+            lane, grid, costs, net, weights[i], own, SteinerMethod::kCD,
+            params, kOptionsSeed, kRound, nullptr, nullptr);
+        t_counting = false;
+        if (!measure) continue;
+        // The reference: the lane's instance, still in place, solved on a
+        // fresh scratch with the options run_method uses.
+        SolverOptions o = params.cd;
+        o.seed = net_round_seed(kOptionsSeed, net.id, kRound);
+        o.future_cost = &lane.oracle.future_cost();
+        SolverScratch fresh;
+        const SolveResult want =
+            solve_cost_distance(lane.oracle.instance(), o, &fresh);
+        const std::string what = "net " + std::to_string(i) +
+                                 (exclude ? " excluding own usage" : "");
+        EXPECT_TRUE(same_bits(out.eval.objective, want.eval.objective))
+            << what;
+        EXPECT_EQ(out.grid_edges,
+                  lane.oracle.window().to_grid_edges(want.tree.all_edges()))
+            << what;
+        EXPECT_EQ(t_allocations,
+                  outcome_blocks(out) + tree_blocks(want.tree))
+            << what << ": a warm route_round_net allocated beyond its outcome";
+      }
+    }
+  };
   run_schedule(/*measure=*/false);
   run_schedule(/*measure=*/true);
 }

@@ -729,8 +729,10 @@ TEST(OracleInstanceApi, MoveKeepsSelfReferencesValid) {
   OracleInstance& moved = held.front();
   EXPECT_EQ(moved.instance().box, &moved.window().box_graph())
       << "moved instance must still point at its own window";
-  EXPECT_EQ(moved.instance().cost, &moved.window().edge_costs());
-  EXPECT_EQ(moved.instance().delay, &moved.window().edge_delays());
+  EXPECT_EQ(moved.instance().prices.price.data(),
+            moved.window().prices().price.data());
+  EXPECT_EQ(moved.instance().prices.unit.data(),
+            moved.window().prices().unit.data());
   const OracleOutcome after = run_method(moved, SteinerMethod::kCD, params);
   EXPECT_EQ(after.grid_edges, before.grid_edges);
   EXPECT_DOUBLE_EQ(after.eval.objective, before.eval.objective);

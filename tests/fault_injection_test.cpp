@@ -171,7 +171,9 @@ TEST(FaultRegistry, ArmRegistersUnknownSitesAndSitesAreSorted) {
   bool found = false;
   for (std::size_t i = 0; i < names.size(); ++i) {
     if (names[i] == "test.registry.zzz-unseen") found = true;
-    if (i > 0) EXPECT_LE(names[i - 1], names[i]);
+    if (i > 0) {
+      EXPECT_LE(names[i - 1], names[i]);
+    }
   }
   EXPECT_TRUE(found);
 }

@@ -143,6 +143,16 @@ TEST(CongestionCosts, PriceTableMatchesClosedForm) {
       ASSERT_EQ(costs.edge_cost(e), expected) << step << ", edge " << e;
       ASSERT_EQ(costs.edge_cost_excluding(e, 0.0), costs.edge_cost(e))
           << step << ", edge " << e;
+      // The own-usage exclusion, in closed form and as its resource price.
+      const double use = std::max(0.0, costs.usage(info.resource) - 0.5);
+      const double excluded =
+          info.unit_cost * std::exp(std::log(params.price_at_full) *
+                                    (use / cap) * params.smoothing);
+      ASSERT_EQ(costs.edge_cost_excluding(e, 0.5), excluded)
+          << step << ", edge " << e;
+      ASSERT_EQ(info.unit_cost * costs.price_excluding(info.resource, 0.5),
+                excluded)
+          << step << ", edge " << e;
     }
   };
   expect_closed_form("constructor");
@@ -266,6 +276,11 @@ TEST(RoutingGrid, EdgeAndResourceArithmeticMatchesGraph) {
       const Point3 a = g.position(gg.tail(e));
       const Point3 b = g.position(gg.head(e));
       ASSERT_EQ(a.z, info.layer) << "edge " << e;
+      const RoutingGrid::ResourceSite site = g.resource_site(info.resource);
+      ASSERT_EQ(site.x, a.x) << "edge " << e;
+      ASSERT_EQ(site.y, a.y) << "edge " << e;
+      ASSERT_EQ(site.z, a.z) << "edge " << e;
+      ASSERT_EQ(site.via, info.is_via) << "edge " << e;
       if (info.is_via) {
         ASSERT_EQ(g.via_edge(a.x, a.y, a.z), e);
         ASSERT_EQ(g.via_resource(a.x, a.y, a.z), info.resource);
@@ -298,7 +313,9 @@ TEST(RoutingGrid, EdgeAndResourceArithmeticMatchesGraph) {
       }
       // A horizontal layer one gcell wide (or a vertical one one gcell
       // tall) has no wire edges.
-      if (horizontal ? g.nx() == 1 : g.ny() == 1) EXPECT_EQ(wires, 0u);
+      if (horizontal ? g.nx() == 1 : g.ny() == 1) {
+        EXPECT_EQ(wires, 0u);
+      }
     }
     for (EdgeId e = 0; e < gg.num_edges(); ++e) {
       ASSERT_EQ(named[e], 1) << "edge " << e;
@@ -327,8 +344,9 @@ TEST(Window, BoxAdjacencyEqualsMaterializedCsr) {
   // The window-free oracle's contract: per vertex, the arcs the box
   // generates equal the materialized CSR's arcs in count, order, heads and
   // edges; every window edge maps to the grid edge the seed's window build
-  // gave it, with the same endpoints; and the planes hold, bit for bit, the
-  // price of that grid edge under each pricing mode and its delay.
+  // gave it, with the same endpoints; and its slot and class price it, bit
+  // for bit, as that grid edge under each pricing mode, with its delay.
+  // Slots no edge uses hold 0.
   enum class Mode { kLive, kExcluding };
   Rng rng(20261018);
   for (const RoutingGrid& grid : id_test_grids()) {
@@ -401,13 +419,19 @@ TEST(Window, BoxAdjacencyEqualsMaterializedCsr) {
         ASSERT_EQ(csr.num_vertices(), bg.num_vertices());
         ASSERT_EQ(csr.num_edges(), bg.num_edges());
         ASSERT_EQ(ref.size(), bg.num_edges());
-        ASSERT_EQ(w.edge_costs().size(), bg.num_edges());
-        ASSERT_EQ(w.edge_delays().size(), bg.num_edges());
+        const BoxPrices prices = w.prices();
+        ASSERT_EQ(prices.price.size(), 2 * bg.num_vertices());
+        ASSERT_EQ(prices.unit.size(), bg.num_classes());
+        ASSERT_EQ(prices.delay.size(), bg.num_classes());
 
         std::vector<VertexId> heads(bg.max_degree());
         std::vector<EdgeId> edges(bg.max_degree());
+        std::vector<std::uint32_t> slots(bg.max_degree());
+        std::vector<std::uint32_t> classes(bg.max_degree());
+        std::vector<bool> slot_used(prices.price.size(), false);
         for (VertexId v = 0; v < bg.num_vertices(); ++v) {
-          const std::uint32_t deg = bg.arcs(v, heads.data(), edges.data());
+          const std::uint32_t deg = bg.arcs(v, heads.data(), edges.data(),
+                                            slots.data(), classes.data());
           const std::span<const Graph::Arc> arcs = csr.arcs(v);
           ASSERT_EQ(deg, arcs.size()) << "vertex " << v;
           ASSERT_LE(deg, bg.max_degree());
@@ -415,13 +439,23 @@ TEST(Window, BoxAdjacencyEqualsMaterializedCsr) {
             ASSERT_EQ(heads[k], arcs[k].to) << "vertex " << v << " arc " << k;
             ASSERT_EQ(edges[k], arcs[k].edge)
                 << "vertex " << v << " arc " << k;
+            const BoxEdgeSite site = bg.site(edges[k]);
+            ASSERT_EQ(slots[k], site.slot) << "vertex " << v << " arc " << k;
+            ASSERT_EQ(classes[k], site.cls) << "vertex " << v << " arc " << k;
+            slot_used[slots[k]] = true;
             const EdgeId ge = w.to_grid_edge(edges[k]);
             ASSERT_EQ(ge, ref[edges[k]]) << "vertex " << v << " arc " << k;
-            ASSERT_EQ(bits(w.edge_costs()[edges[k]]), bits(expected_cost(ge)))
+            ASSERT_EQ(bits(prices.cost(slots[k], classes[k])),
+                      bits(expected_cost(ge)))
                 << "vertex " << v << " arc " << k;
-            ASSERT_EQ(bits(w.edge_delays()[edges[k]]),
+            ASSERT_EQ(bits(prices.delay[classes[k]]),
                       bits(grid.edge_delays()[ge]))
                 << "vertex " << v << " arc " << k;
+          }
+        }
+        for (std::size_t slot = 0; slot < slot_used.size(); ++slot) {
+          if (!slot_used[slot]) {
+            ASSERT_EQ(bits(prices.price[slot]), bits(0.0)) << "slot " << slot;
           }
         }
         for (EdgeId e = 0; e < bg.num_edges(); ++e) {
@@ -465,8 +499,10 @@ TEST(Window, MapsVerticesAndEdgesBack) {
                        (w.to_grid_vertex(wa) == gb &&
                         w.to_grid_vertex(wb) == ga);
     EXPECT_TRUE(match);
-    EXPECT_DOUBLE_EQ(w.edge_delays()[we], g.edge_delays()[ge]);
-    EXPECT_DOUBLE_EQ(w.edge_costs()[we], costs.edge_cost(ge));
+    const BoxEdgeSite site = bg.site(we);
+    EXPECT_EQ(bits(w.prices().delay[site.cls]), bits(g.edge_delays()[ge]));
+    EXPECT_EQ(bits(w.prices().cost(site.slot, site.cls)),
+              bits(costs.edge_cost(ge)));
   }
 }
 
@@ -502,7 +538,13 @@ TEST(Window, PricesReflectCongestion) {
   bool found_expensive = false;
   for (EdgeId we = 0; we < w.box_graph().num_edges(); ++we) {
     if (w.to_grid_edge(we) == wire) {
-      EXPECT_GT(w.edge_costs()[we], 2.0 * g.edge_info(wire).unit_cost);
+      // The price sits on the boundary's slot, which every wire type of the
+      // boundary shares.
+      const BoxEdgeSite site = w.box_graph().site(we);
+      EXPECT_GT(w.prices().cost(site.slot, site.cls),
+                2.0 * g.edge_info(wire).unit_cost);
+      EXPECT_EQ(bits(w.prices().price[site.slot]),
+                bits(costs.price(g.edge_info(wire).resource)));
       found_expensive = true;
     }
   }

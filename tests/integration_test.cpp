@@ -118,10 +118,12 @@ TEST(Integration, WindowSolveMatchesFullGridEvaluation) {
   }
   EXPECT_NEAR(grid_cost, r.eval.connection_cost, 1e-6);
 
-  // Window delays equal grid delays edge by edge.
+  // Window delays (from the class table) and prices (from the slot plane)
+  // equal the grid's edge by edge, exactly.
   for (const EdgeId we : r.tree.all_edges()) {
-    EXPECT_DOUBLE_EQ(oi.window().edge_delays()[we],
-                     grid.edge_delays()[oi.window().to_grid_edge(we)]);
+    const EdgeId ge = oi.window().to_grid_edge(we);
+    EXPECT_EQ(oi.instance().edge_delay(we), grid.edge_delays()[ge]);
+    EXPECT_EQ(oi.instance().edge_cost(we), costs.edge_cost(ge));
   }
 }
 

@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "api/router.h"
+#include "core/objective.h"
 #include "route/metrics.h"
 #include "route/netlist_gen.h"
 #include "route/router.h"
@@ -161,12 +165,18 @@ void expect_same_instance(const OracleInstance& got,
   ASSERT_EQ(gb.max_degree(), wb.max_degree());
   std::vector<VertexId> gh(gb.max_degree()), wh(wb.max_degree());
   std::vector<EdgeId> ge(gb.max_degree()), we(wb.max_degree());
+  std::vector<std::uint32_t> gs(gb.max_degree()), ws(wb.max_degree());
+  std::vector<std::uint32_t> gc(gb.max_degree()), wc(wb.max_degree());
   for (VertexId v = 0; v < gb.num_vertices(); ++v) {
-    const std::uint32_t gd = gb.arcs(v, gh.data(), ge.data());
-    ASSERT_EQ(gd, wb.arcs(v, wh.data(), we.data())) << "vertex " << v;
+    const std::uint32_t gd =
+        gb.arcs(v, gh.data(), ge.data(), gs.data(), gc.data());
+    ASSERT_EQ(gd, wb.arcs(v, wh.data(), we.data(), ws.data(), wc.data()))
+        << "vertex " << v;
     for (std::uint32_t k = 0; k < gd; ++k) {
       EXPECT_EQ(gh[k], wh[k]) << "vertex " << v << " arc " << k;
       EXPECT_EQ(ge[k], we[k]) << "vertex " << v << " arc " << k;
+      EXPECT_EQ(gs[k], ws[k]) << "vertex " << v << " arc " << k;
+      EXPECT_EQ(gc[k], wc[k]) << "vertex " << v << " arc " << k;
     }
     EXPECT_EQ(gw.to_grid_vertex(v), ww.to_grid_vertex(v)) << "vertex " << v;
   }
@@ -175,17 +185,23 @@ void expect_same_instance(const OracleInstance& got,
     EXPECT_EQ(gb.head(e), wb.head(e)) << "edge " << e;
     EXPECT_EQ(gw.to_grid_edge(e), ww.to_grid_edge(e)) << "edge " << e;
   }
-  EXPECT_EQ(gw.edge_costs(), ww.edge_costs());
-  EXPECT_EQ(gw.edge_delays(), ww.edge_delays());
-  EXPECT_EQ(gw.positions(), ww.positions());
+  const BoxPrices gp = gw.prices();
+  const BoxPrices wp = ww.prices();
+  EXPECT_TRUE(std::ranges::equal(gp.price, wp.price));
+  EXPECT_TRUE(std::ranges::equal(gp.unit, wp.unit));
+  EXPECT_TRUE(std::ranges::equal(gp.delay, wp.delay));
 
   const CostDistanceInstance& gi = got.instance();
   const CostDistanceInstance& wi = want.instance();
   EXPECT_EQ(gi.box, &gb);
   EXPECT_EQ(gi.graph, nullptr);
   EXPECT_EQ(gi.arc_costs, nullptr);
-  EXPECT_EQ(gi.cost, &gw.edge_costs());
-  EXPECT_EQ(gi.delay, &gw.edge_delays());
+  EXPECT_EQ(gi.cost, nullptr);
+  EXPECT_EQ(gi.delay, nullptr);
+  EXPECT_EQ(gi.prices.price.data(), gp.price.data());
+  EXPECT_EQ(gi.prices.price.size(), gp.price.size());
+  EXPECT_EQ(gi.prices.unit.data(), gp.unit.data());
+  EXPECT_EQ(gi.prices.delay.data(), gp.delay.data());
   EXPECT_EQ(gi.root, wi.root);
   EXPECT_EQ(gi.dbif, wi.dbif);
   EXPECT_EQ(gi.eta, wi.eta);
@@ -210,6 +226,82 @@ void expect_same_instance(const OracleInstance& got,
   EXPECT_EQ(og.grid_edges, ow.grid_edges);
   EXPECT_EQ(og.eval.objective, ow.eval.objective);
   EXPECT_EQ(og.eval.sink_delays, ow.eval.sink_delays);
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(SteinerOracle, EvaluateTreeOnBoxEqualsMaterialized) {
+  // A box instance prices edges by slot and class; its MaterializedInstance
+  // carries the per-edge vectors built from them. evaluate_tree must give
+  // the same evaluation on both, bit for bit, for trees from either form,
+  // under uneven prices and with a net's own usage priced out.
+  const ChipConfig c = tiny_chip();
+  const RoutingGrid grid = make_chip_grid(c);
+  const Netlist nl = generate_netlist(c, grid);
+  CongestionCosts costs(grid);
+  OracleParams params;
+  params.dbif = 2.0;
+  std::vector<std::vector<EdgeId>> routes;
+  for (const Net& net : nl.nets) {
+    const std::vector<double> weights(net.sinks.size(), 0.5);
+    routes.emplace_back();
+    if (net.sinks.empty()) continue;
+    const OracleInstance oi(grid, costs, net, weights, params);
+    routes.back() = run_method(oi, SteinerMethod::kCD, params).grid_edges;
+    costs.add_usage(routes.back(), +1.0);
+  }
+  const auto expect_same = [](const TreeEvaluation& a,
+                              const TreeEvaluation& b, const char* what) {
+    EXPECT_EQ(bits(a.objective), bits(b.objective)) << what;
+    EXPECT_EQ(bits(a.connection_cost), bits(b.connection_cost)) << what;
+    EXPECT_EQ(bits(a.weighted_delay), bits(b.weighted_delay)) << what;
+    EXPECT_EQ(bits(a.total_delay_penalty), bits(b.total_delay_penalty))
+        << what;
+    ASSERT_EQ(a.sink_delays.size(), b.sink_delays.size()) << what;
+    for (std::size_t s = 0; s < a.sink_delays.size(); ++s) {
+      EXPECT_EQ(bits(a.sink_delays[s]), bits(b.sink_delays[s])) << what;
+    }
+    EXPECT_EQ(a.node_lambda, b.node_lambda) << what;
+    EXPECT_EQ(a.num_graph_edges, b.num_graph_edges) << what;
+  };
+  SparseMap<double> own;
+  int checked = 0;
+  for (std::size_t i = 0; i < nl.nets.size() && checked < 12; ++i) {
+    const Net& net = nl.nets[i];
+    if (net.sinks.size() < 2) continue;
+    own.clear();
+    for (const EdgeId e : routes[i]) {
+      own[grid.edge_info(e).resource] += grid.edge_info(e).width;
+    }
+    const std::vector<double> weights(net.sinks.size(), 0.7);
+    for (const bool exclude : {false, true}) {
+      SCOPED_TRACE("net " + std::to_string(i) +
+                   (exclude ? " excluding own usage" : ""));
+      const OracleInstance oi(grid, costs, net, weights, params,
+                              exclude ? &own : nullptr);
+      const MaterializedInstance csr(oi);
+      const CostDistanceInstance& box = oi.instance();
+      ASSERT_EQ(csr.instance().num_edges(), box.num_edges());
+      for (EdgeId e = 0; e < box.num_edges(); ++e) {
+        ASSERT_EQ(bits((*csr.instance().cost)[e]), bits(box.edge_cost(e)));
+        ASSERT_EQ(bits((*csr.instance().delay)[e]), bits(box.edge_delay(e)));
+      }
+      SolverOptions so = params.cd;
+      so.future_cost = &oi.future_cost();
+      const SolveResult on_box =
+          solve_cost_distance(box, so, nullptr, nullptr);
+      const SolveResult on_csr =
+          solve_cost_distance(csr.instance(), so, nullptr, nullptr);
+      expect_same(evaluate_tree(on_box.tree, box),
+                  evaluate_tree(on_box.tree, csr.instance()), "box tree");
+      expect_same(evaluate_tree(on_csr.tree, box),
+                  evaluate_tree(on_csr.tree, csr.instance()), "csr tree");
+      expect_same(on_box.eval, evaluate_tree(on_box.tree, csr.instance()),
+                  "solver's own evaluation");
+    }
+    ++checked;
+  }
+  EXPECT_EQ(checked, 12);
 }
 
 TEST(SteinerOracle, RebuiltInstanceEqualsFresh) {

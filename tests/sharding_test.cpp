@@ -155,7 +155,9 @@ TEST(Sharding, AssignmentIsPartitionOfNetlist) {
       for (std::size_t k = 0; k < shard.size(); ++k) {
         ASSERT_LT(shard[k], nl.nets.size());
         ++seen[shard[k]];
-        if (k > 0) EXPECT_LT(shard[k - 1], shard[k]);
+        if (k > 0) {
+          EXPECT_LT(shard[k - 1], shard[k]);
+        }
       }
     }
     for (std::size_t i = 0; i < seen.size(); ++i) {
