@@ -25,27 +25,17 @@ struct Config {
   const char* name;
   bool discount, astar, placement, encourage_root;
   QueueKind queue{QueueKind::kTwoLevel};
-  bool pooled{true};
 };
 
 constexpr Config kConfigs[] = {
-    {"all-on", true, true, true, true, QueueKind::kTwoLevel, true},
-    {"no-discount (III-A off)", false, true, true, true, QueueKind::kTwoLevel,
-     true},
-    {"no-astar (III-C off)", true, false, true, true, QueueKind::kTwoLevel,
-     true},
-    {"no-placement (III-D off)", true, true, false, true, QueueKind::kTwoLevel,
-     true},
-    {"no-root-bonus (III-E off)", true, true, true, false,
-     QueueKind::kTwoLevel, true},
+    {"all-on", true, true, true, true},
+    {"no-discount (III-A off)", false, true, true, true},
+    {"no-astar (III-C off)", true, false, true, true},
+    {"no-placement (III-D off)", true, true, false, true},
+    {"no-root-bonus (III-E off)", true, true, true, false},
     {"single lazy heap (III-B off)", true, true, true, true,
-     QueueKind::kSingleLazy, true},
-    // Identical results by construction (see the pooled-state determinism
-    // test); this row isolates the allocation cost the pool removes.
-    {"no state pool (alloc per search)", true, true, true, true,
-     QueueKind::kTwoLevel, false},
-    {"plain Algorithm 1", false, false, false, false, QueueKind::kTwoLevel,
-     true},
+     QueueKind::kSingleLazy},
+    {"plain Algorithm 1", false, false, false, false},
 };
 
 }  // namespace
@@ -85,8 +75,7 @@ int main(int argc, char** argv) {
   std::vector<double> solve_time(nc, 0.0);
 
   // One solver session per configuration: scratch recycles across the whole
-  // corpus, so the "no state pool" row isolates exactly the per-search
-  // allocation cost, not per-solve setup noise.
+  // corpus, so the per-config solve times carry no per-solve setup noise.
   std::vector<CdSolver> solvers;
   for (std::size_t c = 0; c < nc; ++c) {
     SolverOptions o;
@@ -95,7 +84,6 @@ int main(int argc, char** argv) {
     o.better_steiner_placement = kConfigs[c].placement;
     o.encourage_root = kConfigs[c].encourage_root;
     o.queue = kConfigs[c].queue;
-    o.pool_search_state = kConfigs[c].pooled;
     solvers.push_back(CdSolver(o));
   }
 

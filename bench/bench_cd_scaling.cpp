@@ -1,7 +1,9 @@
 // Microbenchmark for Theorem 1: the cost-distance solver's running time is
 // O(t (n log n + m)). Sweeps the terminal count t at fixed graph size, and
 // the grid size n at fixed t; the reported times should grow ~linearly in t
-// and ~n log n in the graph size.
+// and ~n log n in the graph size. The instances are CSR graphs over a whole
+// grid, which the solver relaxes per edge (bench_relax times the box strip
+// kernel of routing windows).
 
 #include <benchmark/benchmark.h>
 
@@ -26,12 +28,10 @@ struct Fixture {
   std::unique_ptr<FutureCost> fc;
   std::vector<double> cost;
   std::vector<double> delay;
-  ArcCostView plane;
   CostDistanceInstance inst;
 };
 
-Fixture make(std::uint64_t seed, int side, int layers, std::size_t sinks,
-             bool arc_plane = true) {
+Fixture make(std::uint64_t seed, int side, int layers, std::size_t sinks) {
   Fixture f;
   f.grid = std::make_unique<RoutingGrid>(
       side, side, make_default_layer_stack(layers), ViaSpec{});
@@ -45,12 +45,6 @@ Fixture make(std::uint64_t seed, int side, int layers, std::size_t sinks,
   f.inst.graph = &f.grid->graph();
   f.inst.cost = &f.cost;
   f.inst.delay = &f.delay;
-  if (arc_plane) {
-    // The production shape: per-net windows and the grid both finalize SoA
-    // planes; standalone instances build one once per (graph, cost, delay).
-    f.plane.assign(f.grid->graph(), f.cost, f.delay);
-    f.inst.arc_costs = &f.plane;
-  }
   f.inst.dbif = 2.0;
   f.inst.eta = 0.25;
   std::set<VertexId> used;
@@ -116,23 +110,6 @@ void BM_CostDistance_AStarOnOff(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CostDistance_AStarOnOff)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
-
-// Ablation of the SoA arc plane: the same instance solved with the blocked
-// strip relaxation (arc_costs attached, arg 1) vs the per-edge gather path
-// (arg 0). Results are bit-identical; only the relax loop changes shape.
-void BM_CostDistance_ArcPlaneOnOff(benchmark::State& state) {
-  const Fixture f = make(7, 96, 4, 16, /*arc_plane=*/state.range(0) != 0);
-  SolverOptions opts;
-  opts.future_cost = f.fc.get();
-  CdSolver solver(opts);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.solve(f.inst));
-  }
-}
-BENCHMARK(BM_CostDistance_ArcPlaneOnOff)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);

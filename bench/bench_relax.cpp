@@ -1,9 +1,11 @@
 // Microbenchmarks for the blocked relax strips, the router's round
 // executor and the per-net window rebuild. The strip rows time the Vec4d
 // kernels (AVX2 under the bench preset's -march, the bit-identical scalar
-// twin under CDST_FORCE_SCALAR) against the per-edge scalar paths on the
-// same instances; every pair produces bit-identical results — only the
-// loop shape changes, so the deltas are pure kernel cost. The sharded-round
+// twin under CDST_FORCE_SCALAR) against the per-edge scalar paths: Dijkstra
+// on one graph with and without its arc plane, the solver on a routing
+// window's box instance and its materialized CSR. Every pair produces
+// bit-identical results, so the deltas are relax-loop cost (for the solver
+// pair, plus generating each box vertex's arcs). The sharded-round
 // row times the executor (heaviest-first shard spans on the pool) on an
 // imbalanced round. The window row times the rebuild in front of every
 // per-net solve.
@@ -16,12 +18,12 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "api/cdst.h"
 #include "graph/arc_cost_view.h"
 #include "graph/dijkstra.h"
-#include "grid/future_cost.h"
 #include "grid/routing_grid.h"
 #include "grid/window.h"
 #include "route/netlist_gen.h"
@@ -35,12 +37,12 @@ using namespace cdst;
 
 // ---------------------------------------------------------------------------
 // Dijkstra strip kernel: blocked Vec4d relaxation vs the per-edge loop, on
-// the grid graph the router actually searches.
+// the grid graph the router actually searches, with the length functor
+// landmark preprocessing uses (ArrayLength, over a priced length plane).
 
 struct DijkstraFixture {
   std::unique_ptr<RoutingGrid> grid;
-  std::vector<double> cost;
-  std::vector<double> delay;
+  std::vector<double> length;
   ArcCostView plane;
 };
 
@@ -50,50 +52,48 @@ const DijkstraFixture& dijkstra_fixture() {
     out->grid = std::make_unique<RoutingGrid>(
         96, 96, make_default_layer_stack(4), ViaSpec{});
     Rng rng(13);
-    out->cost.resize(out->grid->graph().num_edges());
-    out->delay = out->grid->edge_delays();
-    for (std::size_t e = 0; e < out->cost.size(); ++e) {
-      out->cost[e] =
+    out->length.resize(out->grid->graph().num_edges());
+    for (std::size_t e = 0; e < out->length.size(); ++e) {
+      out->length[e] =
           out->grid->base_costs()[e] * (1.0 + 3.0 * rng.uniform_double());
     }
-    out->plane.assign(out->grid->graph(), out->cost, out->delay);
+    out->plane.assign(out->grid->graph(), out->length,
+                      out->grid->edge_delays());
     return out;
   }();
   return *f;
 }
 
 /// arg 0: per-edge scalar relaxation; arg 1: the blocked Vec4d strips.
-void BM_Relax_DijkstraCostDelay(benchmark::State& state) {
+void BM_Relax_DijkstraArrayLength(benchmark::State& state) {
   const bool strips = state.range(0) != 0;
   const DijkstraFixture& f = dijkstra_fixture();
   const VertexId source = f.grid->vertex_at(3, 5, 0);
   for (auto _ : state) {
     const DijkstraResult r =
-        strips ? dijkstra(f.grid->graph(), {source},
-                          CostDelayLength(f.plane, 2.5), kInvalidVertex)
-               : dijkstra(f.grid->graph(), {source},
-                          CostDelayLength{f.cost, f.delay, 2.5},
+        strips ? dijkstra(f.grid->graph(), {source}, ArrayLength(f.plane),
+                          kInvalidVertex)
+               : dijkstra(f.grid->graph(), {source}, ArrayLength{f.length},
                           kInvalidVertex);
     benchmark::DoNotOptimize(r.dist.data());
   }
   state.SetLabel(strips ? Vec4d::isa() : "per_edge");
 }
-BENCHMARK(BM_Relax_DijkstraCostDelay)
+BENCHMARK(BM_Relax_DijkstraArrayLength)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
-// Solver strip kernel: the plane relax + batched future bounds vs the
-// per-edge path, on a router-shaped cost-distance instance.
+// Solver relax paths: one routing window's box instance, which the solver
+// relaxes through the Vec4d strip kernel with the batched inline future
+// bound, vs its MaterializedInstance, a CSR relaxed per edge.
 
 struct SolveFixture {
   std::unique_ptr<RoutingGrid> grid;
-  std::unique_ptr<FutureCost> fc;
-  std::vector<double> cost;
-  std::vector<double> delay;
-  ArcCostView plane;
-  CostDistanceInstance inst;
+  std::unique_ptr<CongestionCosts> costs;
+  std::unique_ptr<OracleInstance> oi;
+  std::unique_ptr<MaterializedInstance> csr;
 };
 
 const SolveFixture& solve_fixture() {
@@ -101,54 +101,67 @@ const SolveFixture& solve_fixture() {
     auto* out = new SolveFixture;
     out->grid = std::make_unique<RoutingGrid>(
         64, 64, make_default_layer_stack(5), ViaSpec{});
-    out->fc = std::make_unique<FutureCost>(*out->grid);
+    out->costs = std::make_unique<CongestionCosts>(*out->grid);
     Rng rng(29);
-    out->cost.resize(out->grid->graph().num_edges());
-    out->delay = out->grid->edge_delays();
-    for (std::size_t e = 0; e < out->cost.size(); ++e) {
-      out->cost[e] =
-          out->grid->base_costs()[e] * (1.0 + 3.0 * rng.uniform_double());
+    const auto m = static_cast<std::uint64_t>(out->grid->graph().num_edges());
+    for (int k = 0; k < 20000; ++k) {
+      out->costs->add_usage({static_cast<EdgeId>(rng.uniform(m))}, +1.0);
     }
-    out->plane.assign(out->grid->graph(), out->cost, out->delay);
-    out->inst.graph = &out->grid->graph();
-    out->inst.cost = &out->cost;
-    out->inst.delay = &out->delay;
-    out->inst.dbif = 2.0;
-    out->inst.eta = 0.25;
-    std::set<VertexId> used;
+    std::set<std::pair<std::int32_t, std::int32_t>> used;
     const auto pick = [&] {
       while (true) {
-        const VertexId v = out->grid->vertex_at(
-            static_cast<std::int32_t>(rng.uniform(64)),
-            static_cast<std::int32_t>(rng.uniform(64)), 0);
-        if (used.insert(v).second) return v;
+        const auto x = static_cast<std::int32_t>(rng.uniform(64));
+        const auto y = static_cast<std::int32_t>(rng.uniform(64));
+        if (used.insert({x, y}).second) return Point3{x, y, 0};
       }
     };
-    out->inst.root = pick();
+    Net net;
+    net.source = pick();
+    std::vector<double> weights;
     for (int s = 0; s < 24; ++s) {
-      out->inst.sinks.push_back(Terminal{pick(), 0.1 + rng.uniform_double()});
+      net.sinks.push_back(SinkPin{pick(), 0.0});
+      weights.push_back(0.1 + rng.uniform_double());
+    }
+    OracleParams params;
+    params.dbif = 2.0;
+    params.eta = 0.25;
+    out->oi = std::make_unique<OracleInstance>(*out->grid, *out->costs, net,
+                                               weights, params);
+    out->csr = std::make_unique<MaterializedInstance>(*out->oi);
+    // Both paths must give the same result before either is timed.
+    SolverOptions opts;
+    opts.future_cost = &out->oi->future_cost();
+    CdSolver solver(opts);
+    const StatusOr<SolveResult> box = solver.solve(out->oi->instance());
+    const StatusOr<SolveResult> csr = solver.solve(out->csr->instance());
+    if (!box.ok() || !csr.ok() ||
+        box->tree.all_edges() != csr->tree.all_edges() ||
+        box->eval.objective != csr->eval.objective ||
+        box->stats.labels_settled != csr->stats.labels_settled) {
+      std::fprintf(stderr, "bench_relax: box and CSR solves differ\n");
+      std::abort();
     }
     return out;
   }();
   return *f;
 }
 
-/// arg 0: per-edge scalar relaxation; arg 1: the blocked Vec4d strips with
-/// the batched inline future bound.
-void BM_Relax_CdSolveStrip(benchmark::State& state) {
+/// arg 0: the materialized CSR, relaxed per edge; arg 1: the box instance,
+/// relaxed through the Vec4d strips.
+void BM_Relax_CdSolveBoxVsCsr(benchmark::State& state) {
   const bool strips = state.range(0) != 0;
   const SolveFixture& f = solve_fixture();
-  CostDistanceInstance inst = f.inst;
-  inst.arc_costs = strips ? &f.plane : nullptr;
+  const CostDistanceInstance& inst =
+      strips ? f.oi->instance() : f.csr->instance();
   SolverOptions opts;
-  opts.future_cost = f.fc.get();
+  opts.future_cost = &f.oi->future_cost();
   CdSolver solver(opts);
   for (auto _ : state) {
     benchmark::DoNotOptimize(solver.solve(inst));
   }
   state.SetLabel(strips ? Vec4d::isa() : "per_edge");
 }
-BENCHMARK(BM_Relax_CdSolveStrip)
+BENCHMARK(BM_Relax_CdSolveBoxVsCsr)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);

@@ -115,8 +115,6 @@ struct SearchState {
     slots_[v].h = h;
   }
 
-  std::uint32_t pool_idx{0};  ///< position in SearchStatePool::all_
-
   static constexpr std::size_t slot_bytes() { return sizeof(VersionedSlot); }
 
  private:
@@ -146,9 +144,8 @@ struct SearchState {
 
 /// Pool of SearchStates. At most #active-components states are live at once,
 /// so the pool's high-water mark is t+1 states even though ~2t searches are
-/// seeded over a solve. Unpooled mode (the ablation) allocates and frees a
-/// fresh state per search, reproducing the pre-pool behavior. The pool
-/// itself lives in a SolverScratch, so the arenas survive across solves.
+/// seeded over a solve. The pool itself lives in a SolverScratch, so the
+/// arenas survive across solves.
 class SearchStatePool {
  public:
   SearchStatePool() = default;
@@ -164,9 +161,8 @@ class SearchStatePool {
   /// the same states whatever larger solves have added behind them, and
   /// each state's arena settles at its largest use after one pass over a
   /// workload.
-  void configure(std::size_t num_vertices, bool pooled, bool dense) {
+  void configure(std::size_t num_vertices, bool dense) {
     n_ = num_vertices;
-    pooled_ = pooled;
     dense_ = dense;
     free_.clear();
     free_.reserve(all_.size());
@@ -182,33 +178,22 @@ class SearchStatePool {
   }
 
   SearchState* acquire() {
-    if (pooled_ && !free_.empty()) {
-      SearchState* st = free_.back();
+    SearchState* st;
+    if (!free_.empty()) {
+      st = free_.back();
       free_.pop_back();
-      st->reset(n_, dense_);
-      return st;
+    } else {
+      all_.push_back(std::make_unique<SearchState>());
+      st = all_.back().get();
     }
-    all_.push_back(std::make_unique<SearchState>());
-    SearchState* st = all_.back().get();
-    st->pool_idx = static_cast<std::uint32_t>(all_.size() - 1);
     st->reset(n_, dense_);
     return st;
   }
 
-  void release(SearchState* st) {
-    if (pooled_) {
-      free_.push_back(st);
-      return;
-    }
-    const std::uint32_t i = st->pool_idx;
-    all_[i] = std::move(all_.back());
-    all_[i]->pool_idx = i;
-    all_.pop_back();
-  }
+  void release(SearchState* st) { free_.push_back(st); }
 
  private:
   std::size_t n_{0};
-  bool pooled_{true};
   bool dense_{true};
   std::vector<std::unique_ptr<SearchState>> all_;
   std::vector<SearchState*> free_;
@@ -379,7 +364,6 @@ class Solver {
         c_(inst.cost),
         d_(inst.delay),
         prices_(inst.prices),
-        plane_(inst.arc_costs),
         assembler_(scratch.assembler),
         heap_(scratch.queue),
         scratch_(scratch),
@@ -397,9 +381,13 @@ class Solver {
         rng_(opts.seed) {
     astar_on_ = opts_.use_astar && opts_.future_cost != nullptr;
     place_on_ = opts_.better_steiner_placement && opts_.future_cost != nullptr;
-    // SoA geometry plane for inline bound evaluation (bit-identical to the
-    // virtual path; only offered by oracles whose bounds are pure geometry).
-    if (astar_on_ || place_on_) pb_ = opts_.future_cost->plane_bounds();
+    // Every future cost is read through the oracle's inline bound form;
+    // an oracle that publishes none is the caller's error.
+    if (astar_on_ || place_on_) {
+      pb_ = opts_.future_cost->plane_bounds();
+      CDST_CHECK_MSG(pb_.valid(),
+                     "future_cost oracle publishes no plane bounds");
+    }
   }
 
   ~Solver() {
@@ -512,8 +500,7 @@ class Solver {
     // states start at stamp 0) and it restarts — the 2^15 generations of
     // headroom left to the fence cover far more merges (one per sink) than
     // any single solve performs.
-    state_pool_.configure(inst_.num_vertices(), opts_.pool_search_state,
-                          dense);
+    state_pool_.configure(inst_.num_vertices(), dense);
     if (scratch_.h_gen >= 0x8000u) {
       state_pool_.drop_all();
       scratch_.h_gen = 0;
@@ -561,11 +548,9 @@ class Solver {
     vertex_owner_[inst_.root] = root_comp_;
 
     if (astar_on_) {
-      fc_min_unit_cost_ = opts_.future_cost->min_unit_cost();
-      fc_min_unit_delay_ = opts_.future_cost->min_unit_delay();
       nn_.reset(nn_bucket_size());
       for (std::uint32_t i = 0; i <= t; ++i) {
-        nn_.insert(i, xy_of(comps_[i].terminal));
+        nn_.insert(i, pb_.xy(comps_[i].terminal));
       }
     }
 
@@ -577,17 +562,13 @@ class Solver {
   std::int32_t nn_bucket_size() const {
     // Bucket side on the order of expected terminal spacing.
     Rect box;
-    box.expand(xy_of(inst_.root));
-    for (const Terminal& s : inst_.sinks) box.expand(xy_of(s.vertex));
+    box.expand(pb_.xy(inst_.root));
+    for (const Terminal& s : inst_.sinks) box.expand(pb_.xy(s.vertex));
     const double area = static_cast<double>(
         std::max<std::int64_t>(1, box.width() * box.height()));
     const double spacing =
         std::sqrt(area / static_cast<double>(inst_.sinks.size() + 1));
     return std::max<std::int32_t>(2, static_cast<std::int32_t>(spacing));
-  }
-
-  Point2 xy_of(VertexId v) const {
-    return pb_.valid() ? pb_.xy(v) : opts_.future_cost->xy(v);
   }
 
   // ------------------------------------------------------------ ownership --
@@ -646,37 +627,16 @@ class Solver {
     SearchState& st = *searches_[comp].state;
     double cached;
     if (st.h_cached(x, scratch_.h_gen, &cached)) return cached;
-    if (pb_.valid()) {
-      // Every inline-plane bound — single misses here, batched misses in
-      // the strip relax loop — funnels through future_bounds_plane, so each
-      // h of a solve is produced by one instruction sequence regardless of
-      // which path asked first.
-      double h;
-      future_bounds_plane(comp, &x, 1, &h);
-      return h;
-    }
-    const double w = comps_[comp].weight;
-    const bool cost_ok = comps_[comp].singleton;  // discount feasibility
-    const VertexId rootv = comps_[root_comp_].terminal;
-    const FutureCostOracle& fc = *opts_.future_cost;
-    const Point2 x_xy = fc.xy(x);
-    // Root target: exact vertex known, strongest bound (ALT-capable).
-    double h = w * fc.delay_lb(x, rootv);
-    if (cost_ok) h += fc.cost_lb(x, rootv);
-
-    // Nearest other terminal in the plane.
-    const std::int64_t nd = nn_.nearest_distance(x_xy, comp);
-    if (nd != std::numeric_limits<std::int64_t>::max()) {
-      const double dist = static_cast<double>(nd);
-      double ht = dist * w * fc_min_unit_delay_;
-      if (cost_ok) ht += dist * fc_min_unit_cost_;
-      h = std::min(h, ht);
-    }
-    st.store_h(x, scratch_.h_gen, h);
+    // Every bound — single misses here, batched misses in the strip relax
+    // loop — funnels through future_bounds_plane, so each h of a solve is
+    // produced by one instruction sequence regardless of which path asked
+    // first.
+    double h;
+    future_bounds_plane(comp, &x, 1, &h);
     return h;
   }
 
-  /// Inline-plane future bounds for up to Vec4d::kLanes vertices at once:
+  /// Future bounds for up to Vec4d::kLanes vertices at once:
   /// the root-target term evaluates as Vec4d geometry (one L1/via-delta pass
   /// shared by the delay and cost bounds, landmark tables folded by exact
   /// max), then the per-vertex nearest-terminal probe and memo store run
@@ -738,8 +698,8 @@ class Solver {
       const std::int64_t nd = nn_.nearest_distance(pb_.xy(xs[k]), comp);
       if (nd != std::numeric_limits<std::int64_t>::max()) {
         const double dist = static_cast<double>(nd);
-        double ht = dist * w * fc_min_unit_delay_;
-        if (cost_ok) ht += dist * fc_min_unit_cost_;
+        double ht = dist * w * pb_.min_unit_delay;
+        if (cost_ok) ht += dist * pb_.min_unit_cost;
         hk = std::min(hk, ht);
       }
       st.store_h(xs[k], scratch_.h_gen, hk);
@@ -793,10 +753,10 @@ class Solver {
     const std::uint32_t next_depth = lab.depth + 1;
 
     // Shared label update; `ng` must be computed as base_g + (c + w * d) so
-    // the plane and per-edge paths stay bit-identical. Returns the heap
-    // entry id of an accepted relaxation (kNoPush otherwise) — the caller
-    // issues the push once the future bound is resolved, so relax_to never
-    // touches the heap and both paths push in exactly arc order.
+    // the box and CSR paths stay bit-identical. Returns the heap entry id
+    // of an accepted relaxation (kNoPush otherwise) — the caller issues the
+    // push once the future bound is resolved, so relax_to never touches the
+    // heap and both paths push in exactly arc order.
     const auto relax_to = [&](VertexId to, EdgeId e,
                               double ng) -> std::uint32_t {
       std::uint32_t& slot = su.slot(to);
@@ -819,120 +779,42 @@ class Solver {
       return kNoPush;
     };
 
-    // Blocked SoA relaxation of the arcs [lo, hi) of four parallel strips
-    // (heads, edges, costs, delays): strip metrics evaluate as two Vec4d
-    // operations over the contiguous arrays (which are readable up to the
-    // next multiple of kRelaxStrip past `hi`; lanes beyond the strip count
-    // are computed and discarded), head slots are prefetched while the
-    // arithmetic runs, and the III-A discount probe is hoisted out entirely
-    // for singleton components — which own no tree edges by construction.
-    const auto relax_strips = [&](const VertexId* heads, const EdgeId* earr,
-                                  const double* ac, const double* ad,
-                                  std::uint32_t lo, std::uint32_t hi) {
-      for (std::uint32_t a = lo; a < hi; ++a) su.prefetch_slot(heads[a]);
-      const bool may_discount =
-          opts_.discount_components && !comps_[u].singleton;
-      const Vec4d bg4 = Vec4d::broadcast(base_g);
-      const Vec4d w4 = Vec4d::broadcast(w);
-      alignas(kVecAlign) double ng[kRelaxStrip];
-      for (std::uint32_t s = lo; s < hi; s += kRelaxStrip) {
-        const std::uint32_t cnt = std::min(kRelaxStrip, hi - s);
-        // ng = base_g + (cost + w * delay): the same expression shape as
-        // the per-edge path, per the util/simd.h bit-identity contract.
-        Vec4d ng0 = bg4 + (Vec4d::load(ac + s) + w4 * Vec4d::load(ad + s));
-        Vec4d ng1 = bg4 + (Vec4d::load(ac + s + Vec4d::kLanes) +
-                           w4 * Vec4d::load(ad + s + Vec4d::kLanes));
-        if (may_discount) {
-          // Edges already owned by u are traversed at zero *cost* under
-          // the Section III-A discount; the delay part always applies.
-          // The ownership probe is a scalar hash/bitset lookup; only the
-          // discounted lanes re-blend.
-          unsigned dm = 0;
-          for (std::uint32_t k = 0; k < cnt; ++k) {
-            if (edge_discounted(earr[s + k], u)) dm |= 1u << k;
-          }
-          if ((dm & 0xfu) != 0) {
-            ng0 = Vec4d::blend(ng0, bg4 + w4 * Vec4d::load(ad + s),
-                               static_cast<int>(dm & 0xfu));
-          }
-          if ((dm >> Vec4d::kLanes) != 0) {
-            ng1 = Vec4d::blend(
-                ng1, bg4 + w4 * Vec4d::load(ad + s + Vec4d::kLanes),
-                static_cast<int>(dm >> Vec4d::kLanes));
-          }
-        }
-        ng0.store(ng);
-        ng1.store(ng + Vec4d::kLanes);
-        // Accepted relaxations defer their pushes only to the end of the
-        // strip: memo hits resolve inline off the VersionedSlot line the
-        // relaxation just touched, misses batch up to Vec4d::kLanes-wide
-        // through future_bounds_plane, and the pushes then replay in arc
-        // order against fixed stack arrays. The bound cannot change a key:
-        // h(comp, x) is pure w.r.t. the heap and label state within one
-        // settle, so the heap sequence is identical to pushing inline.
-        std::uint32_t pk[kRelaxStrip];    // lane index of accepted push
-        std::uint32_t keys[kRelaxStrip];  // heap entry id of accepted push
-        std::uint32_t np = 0;
-        for (std::uint32_t k = 0; k < cnt; ++k) {
-          const std::uint32_t key = relax_to(heads[s + k], earr[s + k], ng[k]);
-          if (key != kNoPush) {
-            pk[np] = k;
-            keys[np] = key;
-            ++np;
-          }
-        }
-        if (np == 0) continue;
+    if (box_ == nullptr) {
+      // CSR instance: gather c and d per edge.
+      const CostDelayLength metric{*c_, *d_, w};  // l_u(e) = c(e) + w d(e)
+      for (const Graph::Arc& a : g_->arcs(vtx)) {
+        // Edges already owned by u are traversed at zero *cost* under the
+        // Section III-A discount; the delay part always applies.
+        const double ng = base_g + (edge_discounted(a.edge, u)
+                                        ? w * (*d_)[a.edge]
+                                        : metric(a.edge));
+        const std::uint32_t key = relax_to(a.to, a.edge, ng);
+        if (key == kNoPush) continue;
+        // Mirrors the strip tail exactly: the bare `ng` key when A* is off
+        // (never `ng + 0.0`, which would flip a -0.0), the memoized bound
+        // added on top otherwise.
         if (!astar_on_) {
-          for (std::uint32_t i = 0; i < np; ++i) {
-            heap_.push_or_decrease(u, keys[i], ng[pk[i]]);
-          }
-          continue;
-        }
-        double h[kRelaxStrip];
-        std::uint32_t miss[kRelaxStrip];
-        std::uint32_t nm = 0;
-        for (std::uint32_t i = 0; i < np; ++i) {
-          double cached;
-          if (su.h_cached(heads[s + pk[i]], scratch_.h_gen, &cached)) {
-            h[i] = cached;
-          } else {
-            miss[nm++] = i;
-          }
-        }
-        if (nm != 0 && pb_.valid()) {
-          VertexId xs[Vec4d::kLanes];
-          double out[Vec4d::kLanes];
-          for (std::uint32_t m = 0; m < nm; m += Vec4d::kLanes) {
-            const std::uint32_t gc = std::min(Vec4d::kLanes, nm - m);
-            for (std::uint32_t k = 0; k < gc; ++k) {
-              xs[k] = heads[s + pk[miss[m + k]]];
-            }
-            future_bounds_plane(u, xs, gc, out);
-            for (std::uint32_t k = 0; k < gc; ++k) {
-              h[miss[m + k]] = out[k];
-            }
-          }
+          heap_.push_or_decrease(u, key, ng);
         } else {
-          for (std::uint32_t j = 0; j < nm; ++j) {
-            h[miss[j]] = future_bound(u, heads[s + pk[miss[j]]]);
-          }
-        }
-        for (std::uint32_t i = 0; i < np; ++i) {
-          heap_.push_or_decrease(u, keys[i], ng[pk[i]] + h[i]);
+          heap_.push_or_decrease(u, key, ng + future_bound(u, a.to));
         }
       }
-    };
+      return;
+    }
 
-    if (box_ != nullptr) {
-      // Window-free relaxation: the vertex's arcs are generated from the
-      // box into the scratch strip (sized for the box's maximum degree,
-      // rounded up to whole strips), in the order a materialized CSR
-      // holds them, and each arc's cost unit[class] * price[slot] and delay
-      // delay[class] computed alongside.
-      SolverScratch::Impl& sc = scratch_;
-      const std::uint32_t deg =
-          box_->arcs(vtx, sc.strip_heads.data(), sc.strip_edges.data(),
-                     sc.strip_slots.data(), sc.strip_classes.data());
+    // Box instance: the vertex's arcs are generated from the box into the
+    // scratch strip (sized for the box's maximum degree, rounded up to
+    // whole strips, so the Vec4d loads below stay in bounds; lanes beyond
+    // the degree are computed and discarded), in the order a materialized
+    // CSR holds them, and each arc's cost unit[class] * price[slot] and
+    // delay delay[class] computed alongside.
+    SolverScratch::Impl& sc = scratch_;
+    const std::uint32_t deg =
+        box_->arcs(vtx, sc.strip_heads.data(), sc.strip_edges.data(),
+                   sc.strip_slots.data(), sc.strip_classes.data());
+    const VertexId* heads = sc.strip_heads.data();
+    const EdgeId* earr = sc.strip_edges.data();
+    {
       const double* price = prices_.price.data();
       const double* unit = prices_.unit.data();
       const double* delay = prices_.delay.data();
@@ -941,33 +823,96 @@ class Solver {
         sc.strip_cost[k] = unit[cls] * price[sc.strip_slots[k]];
         sc.strip_delay[k] = delay[cls];
       }
-      relax_strips(sc.strip_heads.data(), sc.strip_edges.data(),
-                   sc.strip_cost.data(), sc.strip_delay.data(), 0, deg);
-      return;
     }
-    if (plane_ != nullptr) {
-      relax_strips(g_->arc_heads().data(), g_->arc_edges().data(),
-                   plane_->arc_cost_data(), plane_->arc_delay_data(),
-                   g_->arc_begin(vtx), g_->arc_end(vtx));
-      return;
-    }
+    const double* ac = sc.strip_cost.data();
+    const double* ad = sc.strip_delay.data();
 
-    const CostDelayLength metric{*c_, *d_, w};  // l_u(e) = c(e) + w d(e)
-    for (const Graph::Arc& a : g_->arcs(vtx)) {
-      // Edges already owned by u are traversed at zero *cost* under the
-      // Section III-A discount; the delay part always applies.
-      const double ng = base_g + (edge_discounted(a.edge, u)
-                                      ? w * (*d_)[a.edge]
-                                      : metric(a.edge));
-      const std::uint32_t key = relax_to(a.to, a.edge, ng);
-      if (key == kNoPush) continue;
-      // Mirrors the strip tail exactly: the bare `ng` key when A* is off
-      // (never `ng + 0.0`, which would flip a -0.0), the memoized bound
-      // added on top otherwise.
+    // Blocked relaxation of the strip: metrics evaluate as two Vec4d
+    // operations per kRelaxStrip arcs, head slots are prefetched while the
+    // arithmetic runs, and the III-A discount probe is hoisted out entirely
+    // for singleton components — which own no tree edges by construction.
+    for (std::uint32_t a = 0; a < deg; ++a) su.prefetch_slot(heads[a]);
+    const bool may_discount =
+        opts_.discount_components && !comps_[u].singleton;
+    const Vec4d bg4 = Vec4d::broadcast(base_g);
+    const Vec4d w4 = Vec4d::broadcast(w);
+    alignas(kVecAlign) double ng[kRelaxStrip];
+    for (std::uint32_t s = 0; s < deg; s += kRelaxStrip) {
+      const std::uint32_t cnt = std::min(kRelaxStrip, deg - s);
+      // ng = base_g + (cost + w * delay): the same expression shape as the
+      // CSR path, per the util/simd.h bit-identity contract.
+      Vec4d ng0 = bg4 + (Vec4d::load(ac + s) + w4 * Vec4d::load(ad + s));
+      Vec4d ng1 = bg4 + (Vec4d::load(ac + s + Vec4d::kLanes) +
+                         w4 * Vec4d::load(ad + s + Vec4d::kLanes));
+      if (may_discount) {
+        // Edges already owned by u are traversed at zero *cost* under the
+        // Section III-A discount; the delay part always applies. The
+        // ownership probe is a scalar hash/bitset lookup; only the
+        // discounted lanes re-blend.
+        unsigned dm = 0;
+        for (std::uint32_t k = 0; k < cnt; ++k) {
+          if (edge_discounted(earr[s + k], u)) dm |= 1u << k;
+        }
+        if ((dm & 0xfu) != 0) {
+          ng0 = Vec4d::blend(ng0, bg4 + w4 * Vec4d::load(ad + s),
+                             static_cast<int>(dm & 0xfu));
+        }
+        if ((dm >> Vec4d::kLanes) != 0) {
+          ng1 = Vec4d::blend(ng1,
+                             bg4 + w4 * Vec4d::load(ad + s + Vec4d::kLanes),
+                             static_cast<int>(dm >> Vec4d::kLanes));
+        }
+      }
+      ng0.store(ng);
+      ng1.store(ng + Vec4d::kLanes);
+      // Accepted relaxations defer their pushes only to the end of the
+      // strip: memo hits resolve inline off the VersionedSlot line the
+      // relaxation just touched, misses batch up to Vec4d::kLanes-wide
+      // through future_bounds_plane, and the pushes then replay in arc
+      // order against fixed stack arrays. The bound cannot change a key:
+      // h(comp, x) is pure w.r.t. the heap and label state within one
+      // settle, so the heap sequence is identical to pushing inline.
+      std::uint32_t pk[kRelaxStrip];    // lane index of accepted push
+      std::uint32_t keys[kRelaxStrip];  // heap entry id of accepted push
+      std::uint32_t np = 0;
+      for (std::uint32_t k = 0; k < cnt; ++k) {
+        const std::uint32_t key = relax_to(heads[s + k], earr[s + k], ng[k]);
+        if (key != kNoPush) {
+          pk[np] = k;
+          keys[np] = key;
+          ++np;
+        }
+      }
+      if (np == 0) continue;
       if (!astar_on_) {
-        heap_.push_or_decrease(u, key, ng);
-      } else {
-        heap_.push_or_decrease(u, key, ng + future_bound(u, a.to));
+        for (std::uint32_t i = 0; i < np; ++i) {
+          heap_.push_or_decrease(u, keys[i], ng[pk[i]]);
+        }
+        continue;
+      }
+      double h[kRelaxStrip];
+      std::uint32_t miss[kRelaxStrip];
+      std::uint32_t nm = 0;
+      for (std::uint32_t i = 0; i < np; ++i) {
+        double cached;
+        if (su.h_cached(heads[s + pk[i]], scratch_.h_gen, &cached)) {
+          h[i] = cached;
+        } else {
+          miss[nm++] = i;
+        }
+      }
+      VertexId xs[Vec4d::kLanes];
+      double out[Vec4d::kLanes];
+      for (std::uint32_t m = 0; m < nm; m += Vec4d::kLanes) {
+        const std::uint32_t gc = std::min(Vec4d::kLanes, nm - m);
+        for (std::uint32_t k = 0; k < gc; ++k) {
+          xs[k] = heads[s + pk[miss[m + k]]];
+        }
+        future_bounds_plane(u, xs, gc, out);
+        for (std::uint32_t k = 0; k < gc; ++k) h[miss[m + k]] = out[k];
+      }
+      for (std::uint32_t i = 0; i < np; ++i) {
+        heap_.push_or_decrease(u, keys[i], ng[pk[i]] + h[i]);
       }
     }
   }
@@ -1108,7 +1053,7 @@ class Solver {
     if (astar_on_) {
       if (nn_.active(u)) nn_.erase(u);
       if (nn_.active(o)) nn_.erase(o);
-      nn_.insert(s, xy_of(cs.terminal));
+      nn_.insert(s, pb_.xy(cs.terminal));
     }
     // The active target set changed: every memoized future bound is stale.
     // Bumping the generation both invalidates surviving searches' memos and
@@ -1151,7 +1096,6 @@ class Solver {
       // with the s-root path Q estimated by future costs. The wo * d(P) term
       // is constant over candidate positions, so the argmin needs only the
       // running prefix — one pass, no up-front total-delay scan.
-      const FutureCostOracle& fc = *opts_.future_cost;
       const VertexId rootv = comps_[root_comp_].terminal;
       const double wsum = wu + wo;
       double prefix = 0.0;
@@ -1160,8 +1104,8 @@ class Solver {
       for (std::size_t i = istar; i <= j; ++i) {
         if (i > istar) prefix += inst_.edge_delay(pedges[i - 1]);
         const VertexId v = pverts[i];
-        const double score = fc.cost_lb(v, rootv) +
-                             wsum * fc.delay_lb(v, rootv) +
+        const double score = pb_.cost_lb(v, rootv) +
+                             wsum * pb_.delay_lb(v, rootv) +
                              (wu - wo) * prefix;
         if (score < best) {
           best = score;
@@ -1185,8 +1129,7 @@ class Solver {
   const std::vector<double>* c_;  ///< per-edge c of a CSR instance
   const std::vector<double>* d_;  ///< per-edge d of a CSR instance
   const BoxPrices prices_;        ///< slot/class prices of a box instance
-  const ArcCostView* plane_{nullptr};  ///< SoA relax plane; null = per-edge
-  std::size_t budget_reserved_{0};     ///< bytes held in the shared pool
+  std::size_t budget_reserved_{0};  ///< bytes held in the shared pool
 
   // Recycled allocations, owned by the SolverScratch (see SolverScratch::Impl
   // above); reset in init(), capacity retained across solves.
@@ -1209,9 +1152,8 @@ class Solver {
   Rng rng_;
   bool astar_on_{false};
   bool place_on_{false};
-  PlaneBoundData pb_;  ///< SoA geometry plane; invalid -> virtual oracle
-  double fc_min_unit_cost_{0.0};   ///< cached oracle minima (loop constants)
-  double fc_min_unit_delay_{0.0};
+  /// The oracle's bounds; valid whenever astar_on_ or place_on_.
+  PlaneBoundData pb_;
 
   std::uint32_t root_comp_{0};
   std::uint32_t remaining_{0};

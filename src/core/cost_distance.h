@@ -179,11 +179,6 @@ struct SolverOptions {
   bool better_steiner_placement{true};
   /// III-E: discount root-connection penalties by eta * dbif * w(u).
   bool encourage_root{true};
-  /// Recycle per-search label arenas and vertex index arrays across the ~2t
-  /// searches of a solve (epoch-versioned O(1) resets) instead of allocating
-  /// fresh state per search. Identical results either way; off only for the
-  /// allocation-cost ablation (see ablation_enhancements).
-  bool pool_search_state{true};
   /// Memory budget for the dense per-search vertex index arrays (t+1 live
   /// searches x n vertices). Above it, searches fall back to sparse hash
   /// indexes with O(touched-labels) memory — slower per lookup and without
@@ -209,7 +204,10 @@ struct SolverOptions {
   QueueKind queue{QueueKind::kTwoLevel};
 
   /// Geometry-aware lower bounds; also provides plane positions for A*
-  /// targets. May be nullptr for generic graphs.
+  /// targets. May be nullptr for generic graphs. With use_astar or
+  /// better_steiner_placement on, its plane_bounds() must be valid: the
+  /// solve fails its precondition (kInvalidArgument at the api boundary)
+  /// otherwise.
   const FutureCostOracle* future_cost{nullptr};
 
   std::uint64_t seed{1};

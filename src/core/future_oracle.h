@@ -3,8 +3,8 @@
 /// goal-oriented search (Section III-C) and Steiner placement (III-D).
 ///
 /// Vertex ids are those of the *solver's* graph — the full routing grid or a
-/// routing window (subgraph); implementations translate accordingly
-/// (grid::FutureCost, grid::WindowFutureCost).
+/// routing window (subgraph); implementations publish positions for those
+/// ids (grid::FutureCost, grid::WindowFutureCost).
 
 #pragma once
 
@@ -17,21 +17,21 @@
 
 namespace cdst {
 
-/// Inline-evaluable form of a bound oracle: where each vertex lies, plus
+/// The bound oracle in inline-evaluable form: where each vertex lies, plus
 /// the four per-unit minima the L1 bound formulas combine, optionally
 /// strengthened by ALT landmark tables (graph/landmarks.h) on the cost side.
-/// When an oracle publishes this (see FutureCostOracle::plane_bounds), the
-/// solver's inner loop evaluates cost/delay lower bounds inline — a position
-/// and a few multiply-adds, plus one dense table load per landmark — instead
-/// of a virtual call per query. Positions come from one of two sources: a
-/// dense per-vertex array (the full grid, whose oracle also carries
-/// landmarks), or, for a routing window, the vertex id itself: window vertex
+/// It is the only form in which the solver reads future costs: the inner
+/// loop evaluates cost/delay lower bounds inline — a position and a few
+/// multiply-adds, plus one dense table load per landmark — with no virtual
+/// call per query. Positions come from one of two sources: a dense
+/// per-vertex array (the full grid, whose oracle also carries landmarks),
+/// or, for a routing window, the vertex id itself: window vertex
 /// (z * wy + j) * wx + i lies at box_origin + (i, j) on layer z: two integer
 /// divisions per bound, where a positions array would have to be filled per
-/// net and read from memory. Bounds computed any of these ways are
-/// bit-identical: the geometric formulas are copied verbatim, and folding
-/// each landmark's |t[a] - t[b]| into the running bound is exact because
-/// max is (the max(geo, max_L ...) of the virtual path associates freely).
+/// net and read from memory. The solver's batched Vec4d bound evaluation
+/// uses the same formula shapes as cost_lb()/delay_lb() below, so every
+/// caller gets the same bits; folding each landmark's |t[a] - t[b]| into
+/// the running bound is exact in any order because max is.
 struct PlaneBoundData {
   /// Dense positions indexed by solver VertexId, or null for a box.
   const Point3* positions{nullptr};
@@ -62,8 +62,8 @@ struct PlaneBoundData {
                   static_cast<std::int32_t>(z)};
   }
 
-  /// Exactly the cost_lb formula of the grid oracles: geometric floor,
-  /// raised by each landmark's triangle-inequality bound.
+  /// Admissible lower bound on the congestion cost of any a-b path: the
+  /// geometric floor, raised by each landmark's triangle-inequality bound.
   double cost_lb(VertexId a, VertexId b) const {
     const Point3 pa = position(a);
     const Point3 pb = position(b);
@@ -77,7 +77,7 @@ struct PlaneBoundData {
     return geo;
   }
 
-  /// Exactly the geometric delay_lb formula of the grid oracles.
+  /// Admissible lower bound on the delay of any a-b path (geometric).
   double delay_lb(VertexId a, VertexId b) const {
     const Point3 pa = position(a);
     const Point3 pb = position(b);
@@ -92,25 +92,12 @@ class FutureCostOracle {
  public:
   virtual ~FutureCostOracle() = default;
 
-  /// Plane position of a vertex (for L1 nearest-target bounds).
-  virtual Point2 xy(VertexId v) const = 0;
-
-  /// Admissible lower bound on the congestion cost of any a-b path.
-  virtual double cost_lb(VertexId a, VertexId b) const = 0;
-
-  /// Admissible lower bound on the delay of any a-b path.
-  virtual double delay_lb(VertexId a, VertexId b) const = 0;
-
-  /// Cheapest congestion cost per plane unit (any layer/wire type).
-  virtual double min_unit_cost() const = 0;
-
-  /// Fastest delay per plane unit (any layer/wire type).
-  virtual double min_unit_delay() const = 0;
-
-  /// SoA view of the oracle's geometry (and landmark tables, if any) for
-  /// inline bound evaluation (see PlaneBoundData). Default: none — callers
-  /// fall back to the virtual bound methods above.
-  virtual PlaneBoundData plane_bounds() const { return {}; }
+  /// The oracle's geometry (and landmark tables, if any) in the inline form
+  /// the solver evaluates every bound through (see PlaneBoundData). Must be
+  /// valid(): a solve with A* or Steiner placement on refuses an oracle
+  /// that publishes none. Borrowed pointers inside stay valid as long as
+  /// the oracle does.
+  virtual PlaneBoundData plane_bounds() const = 0;
 };
 
 }  // namespace cdst

@@ -10,7 +10,7 @@
 ///   delay_T(r,t) = sum_{e=(u,v) on the r-t path} ( d(e) + lambda_v * dbif )
 ///
 /// The graph comes in one of two forms. An explicit CSR `graph` carries c
-/// and d as per-edge vectors (with an optional SoA arc plane). An implicit
+/// and d as per-edge vectors, which the solver gathers per arc. An implicit
 /// `box` serves a routing window (graph/box_graph.h) and carries its prices
 /// in resource form: one price per box slot and a unit cost and delay per
 /// (layer, wire type | via) class. The cost-distance solver generates each
@@ -26,7 +26,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "graph/arc_cost_view.h"
 #include "graph/box_graph.h"
 #include "graph/graph.h"
 #include "util/assert.h"
@@ -42,18 +41,12 @@ struct CostDistanceInstance {
   /// Explicit CSR graph; exactly one of `graph` and `box` is set.
   const Graph* graph{nullptr};
   /// Implicit box graph of a routing window, the alternative to `graph` +
-  /// `cost` + `delay` + `arc_costs`.
+  /// `cost` + `delay`.
   const BoxGraph* box{nullptr};
   /// c and d of a box instance, by slot and class (borrowed).
   BoxPrices prices;
   const std::vector<double>* cost{nullptr};   ///< c(e) of a CSR instance
   const std::vector<double>* delay{nullptr};  ///< d(e) of a CSR instance
-  /// Optional SoA arc plane of the same (cost, delay) attributes over
-  /// `graph`. When set, the solver's relax loop scans it with the blocked,
-  /// branch-light kernel; when null it gathers per-edge. Results are
-  /// bit-identical either way. Standalone callers can build one with
-  /// ArcCostView(graph, cost, delay).
-  const ArcCostView* arc_costs{nullptr};
   VertexId root{kInvalidVertex};
   std::vector<Terminal> sinks;
   double dbif{0.0};  ///< total bifurcation delay penalty per branching
@@ -97,17 +90,11 @@ struct CostDistanceInstance {
       CDST_CHECK(cost->size() == num_edges());
       CDST_CHECK(delay->size() == num_edges());
     } else {
-      CDST_CHECK_MSG(
-          cost == nullptr && delay == nullptr && arc_costs == nullptr,
-          "a box instance is priced by slot and class");
+      CDST_CHECK_MSG(cost == nullptr && delay == nullptr,
+                     "a box instance is priced by slot and class");
       CDST_CHECK(prices.price.size() == box->num_slots());
       CDST_CHECK(prices.unit.size() == box->num_classes());
       CDST_CHECK(prices.delay.size() == box->num_classes());
-    }
-    if (arc_costs != nullptr) {
-      CDST_CHECK_MSG(arc_costs->graph() == graph,
-                     "arc_costs plane built over a different graph");
-      CDST_CHECK(arc_costs->edge_cost().size() == num_edges());
     }
     CDST_CHECK(root < num_vertices());
     CDST_CHECK_MSG(!sinks.empty(), "instance needs at least one sink");

@@ -125,7 +125,6 @@ std::vector<std::uint8_t> WorkerSetupMsg::to_bytes() const {
   put_bool(out, oracle.cd.use_astar);
   put_bool(out, oracle.cd.better_steiner_placement);
   put_bool(out, oracle.cd.encourage_root);
-  put_bool(out, oracle.cd.pool_search_state);
   wire::put_u64(out, oracle.cd.dense_state_budget_bytes);
   put_bool(out, oracle.cd.strict_shared_budget);
   wire::put_u8(out, static_cast<std::uint8_t>(oracle.cd.queue));
@@ -207,7 +206,6 @@ StatusOr<WorkerSetupMsg> WorkerSetupMsg::from_bytes(
   msg.oracle.cd.use_astar = read_bool(r);
   msg.oracle.cd.better_steiner_placement = read_bool(r);
   msg.oracle.cd.encourage_root = read_bool(r);
-  msg.oracle.cd.pool_search_state = read_bool(r);
   msg.oracle.cd.dense_state_budget_bytes = r.u64();
   msg.oracle.cd.strict_shared_budget = read_bool(r);
   const std::uint8_t queue = r.u8();

@@ -65,8 +65,8 @@ inline constexpr std::uint32_t kWorkerErrorMagic = fourcc('C', 'D', 'e', 'r');
 /// together, so they revise together. Version 2 ships per-resource usage
 /// instead of per-edge prices and drops the per-net frozen usage; version 3
 /// drops two solver knobs that became constants (result validation and the
-/// shared-budget backoff).
-inline constexpr std::uint32_t kDistWireVersion = 3;
+/// shared-budget backoff); version 4 drops the search-state pooling knob.
+inline constexpr std::uint32_t kDistWireVersion = 4;
 
 /// The round-invariant world a shard worker reconstructs once. Grid geometry
 /// travels as the RoutingGrid constructor inputs (nx/ny/layers/via): the

@@ -82,14 +82,8 @@ EmbedResult embed_topology(const PlaneTopology& topo,
       root_value = ch[i].empty() ? kInf : fi[instance.root];
       break;
     }
-    // Propagate upward under the weighted metric c + W_i * d, scanning the
-    // instance's SoA arc plane when one is attached (bit-identical to the
-    // per-edge gather path).
-    const CostDelayLength metric =
-        instance.arc_costs != nullptr
-            ? CostDelayLength(*instance.arc_costs, subw[i])
-            : CostDelayLength{c, d, subw[i]};
-    up[i] = dijkstra_from_potentials(g, fi, metric);
+    // Propagate upward under the weighted metric c + W_i * d.
+    up[i] = dijkstra_from_potentials(g, fi, CostDelayLength{c, d, subw[i]});
   }
   CDST_CHECK_MSG(root_value < kInf,
                  "topology cannot be embedded: graph disconnected");

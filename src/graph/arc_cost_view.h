@@ -7,9 +7,8 @@
 /// ArcCostView expands the per-edge attributes once into per-*arc* arrays
 /// aligned with Graph's SoA arc plane (graph/graph.h): the arcs of vertex v
 /// occupy the contiguous index range [arc_begin(v), arc_end(v)) in every
-/// array, so a relax loop reads cost/delay as sequential strips — the
-/// shape the blocked, branch-light kernels in graph/dijkstra.h and
-/// core/cost_distance.cpp scan.
+/// array, so a relax loop reads them as sequential strips — the shape the
+/// blocked, branch-light kernel in graph/dijkstra.h scans.
 ///
 /// The owned per-arc strips are allocated 32-byte aligned (util/simd.h's
 /// AlignedAllocator) and padded with kRelaxStrip zero doubles beyond their
@@ -22,16 +21,16 @@
 /// derived per-arc arrays. The per-edge inputs are copied by assign() (the
 /// safe default for callers whose source arrays may die first) or borrowed
 /// by assign_borrowed() — the right mode for producers whose source
-/// vectors share the view's lifetime (RoutingGrid's base plane, a
-/// materialized window over its own planes: a heap-allocated vector's
-/// buffer survives moves of the owner, so the borrowed spans stay valid).
-/// Producers:
-/// RoutingGrid finalizes a base-cost plane with its graph, and
-/// MaterializedInstance (route/steiner_oracle.h) builds one over a
-/// materialized routing window for the embedded L1/SL/PD baselines. The
-/// cost-distance oracle needs none: it generates a window vertex's arcs
-/// from the box (graph/box_graph.h) into a small strip of the same shape.
-/// assign() retains capacity, so rebuilds stop churning the allocator.
+/// vectors share the view's lifetime (RoutingGrid's base plane: a
+/// heap-allocated vector's buffer survives moves of the owner, so the
+/// borrowed spans stay valid).
+/// Producer: RoutingGrid finalizes a base-cost plane with its graph, and
+/// landmark preprocessing (grid/future_cost.cpp) scans it through
+/// ArrayLength. The cost-distance solver needs none: it generates a
+/// routing window vertex's arcs from the box (graph/box_graph.h) into a
+/// small strip of the same shape, and gathers a CSR instance's c and d
+/// per edge. assign() retains capacity, so rebuilds stop churning the
+/// allocator.
 
 #pragma once
 
@@ -75,8 +74,6 @@ class ArcCostView {
   std::span<const double> arc_delay() const {
     return {arc_delay_.data(), num_arcs_};
   }
-  const double* arc_cost_data() const { return arc_cost_.data(); }
-  const double* arc_delay_data() const { return arc_delay_.data(); }
 
   // The per-edge inputs (what legacy EdgeId-keyed code evaluates;
   // bit-identical to what the per-arc strips were derived from). Owned

@@ -12,9 +12,11 @@
 /// Fibonacci heaps, but on sparse routing graphs binary heaps are faster in
 /// practice (Section III-B).
 ///
-/// Functors constructed from an ArcCostView additionally carry the per-arc
-/// structure-of-arrays plane (graph/arc_cost_view.h). The kernel detects the
-/// plane and switches the relax loop to a blocked, branch-light scan: arc
+/// ArrayLength constructed from an ArcCostView additionally carries the
+/// per-arc structure-of-arrays plane (graph/arc_cost_view.h); landmark
+/// preprocessing over the routing grid's base plane is its user. The kernel
+/// detects the plane and switches the relax loop to a blocked, branch-light
+/// scan: arc
 /// lengths are evaluated in kRelaxStrip-arc strips as two explicit Vec4d
 /// operations (util/simd.h), the head vertices' current distances are
 /// gathered to pre-filter non-improving lanes, and the head distance slots
@@ -94,38 +96,14 @@ struct UniformLength {
 };
 
 /// The weighted routing metric c(e) + w * d(e) used by the embedding DP and
-/// the cost-distance searches (paper Section II). Construct from an
-/// ArcCostView to scan the SoA plane (two contiguous strips + one fma per
-/// arc) instead of two per-edge gathers.
+/// the cost-distance solver's CSR path (paper Section II), gathered per
+/// edge.
 struct CostDelayLength {
   std::span<const double> cost;
   std::span<const double> delay;
   double weight{0.0};
-  std::span<const double> arc_cost;   ///< per-arc SoA strips (empty: none)
-  std::span<const double> arc_delay;
-
-  CostDelayLength() = default;
-  CostDelayLength(std::span<const double> c, std::span<const double> d,
-                  double w)
-      : cost(c), delay(d), weight(w) {}
-  CostDelayLength(const ArcCostView& v, double w)
-      : cost(v.edge_cost()),
-        delay(v.edge_delay()),
-        weight(w),
-        arc_cost(v.arc_cost()),
-        arc_delay(v.arc_delay()) {}
 
   double operator()(EdgeId e) const { return cost[e] + weight * delay[e]; }
-  bool has_arc_plane() const { return !arc_cost.empty(); }
-  double arc_value(std::uint32_t a) const {
-    return arc_cost[a] + weight * arc_delay[a];
-  }
-  /// Metric of arcs a..a+3; same cost + weight*delay expression shape as
-  /// arc_value(), so fp contraction fuses (or not) identically.
-  Vec4d arc_value4(std::uint32_t a) const {
-    return Vec4d::load(arc_cost.data() + a) +
-           Vec4d::broadcast(weight) * Vec4d::load(arc_delay.data() + a);
-  }
 };
 
 /// Length functors that (optionally) carry a per-arc SoA strip the kernel

@@ -30,40 +30,9 @@ class FutureCost : public FutureCostOracle {
   explicit FutureCost(const RoutingGrid& grid, std::size_t num_landmarks = 0,
                       ThreadPool* pool = nullptr);
 
-  Point2 xy(VertexId v) const override { return grid_->position(v).xy(); }
-  double min_unit_cost() const override { return min_unit_cost_; }
-  double min_unit_delay() const override { return min_unit_delay_; }
-
-  /// Lower bound on the congestion cost of any a-b path.
-  double cost_lb(VertexId a, VertexId b) const override {
-    const Point3 pa = grid_->position(a);
-    const Point3 pb = grid_->position(b);
-    double geo = static_cast<double>(l1_distance(pa, pb)) * min_unit_cost_ +
-                 std::abs(pa.z - pb.z) * min_via_cost_;
-    if (landmarks_) {
-      const double alt = landmarks_->lower_bound(a, b);
-      if (alt > geo) geo = alt;
-    }
-    return geo;
-  }
-
-  /// Lower bound on the delay of any a-b path.
-  double delay_lb(VertexId a, VertexId b) const override {
-    const Point3 pa = grid_->position(a);
-    const Point3 pb = grid_->position(b);
-    return static_cast<double>(l1_distance(pa, pb)) * min_unit_delay_ +
-           std::abs(pa.z - pb.z) * min_via_delay_;
-  }
-
-  /// Lower bound on c + w * d between a and b (the search metric l_u).
-  double combined_lb(VertexId a, VertexId b, double weight) const {
-    return cost_lb(a, b) + weight * delay_lb(a, b);
-  }
-
-  /// SoA geometry plane for inline bound evaluation. ALT landmark tables
-  /// ride along: PlaneBoundData folds max(geometric, landmark) exactly like
-  /// cost_lb() above, so the inline path stays bit-identical and the solver
-  /// no longer falls back to virtual dispatch when landmarks are on.
+  /// The grid's dense position array, the zero-congestion unit minima and,
+  /// when built, the ALT landmark tables (PlaneBoundData::cost_lb folds
+  /// them into the geometric floor by max).
   PlaneBoundData plane_bounds() const override {
     PlaneBoundData pb;
     pb.positions = grid_->positions().data();
@@ -79,7 +48,6 @@ class FutureCost : public FutureCostOracle {
   }
 
   const RoutingGrid& grid() const { return *grid_; }
-  bool has_landmarks() const { return landmarks_ != nullptr; }
 
  private:
   const RoutingGrid* grid_;

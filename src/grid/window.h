@@ -117,20 +117,7 @@ class WindowFutureCost final : public FutureCostOracle {
  public:
   explicit WindowFutureCost(const RoutingWindow& w) : w_(&w) {}
 
-  Point2 xy(VertexId v) const override { return w_->position(v).xy(); }
-  double cost_lb(VertexId a, VertexId b) const override {
-    return plane_bounds().cost_lb(a, b);
-  }
-  double delay_lb(VertexId a, VertexId b) const override {
-    return plane_bounds().delay_lb(a, b);
-  }
-  double min_unit_cost() const override { return w_->grid().min_unit_cost(); }
-  double min_unit_delay() const override {
-    return w_->grid().min_unit_delay();
-  }
-
-  /// Window bounds are always pure geometry (no landmarks on windows), so
-  /// the inline form is unconditional; positions come from the box.
+  /// Pure geometry (no landmarks on windows); positions come from the box.
   PlaneBoundData plane_bounds() const override {
     PlaneBoundData pb;
     pb.box_origin = Point2{w_->box().xlo, w_->box().ylo};

@@ -95,13 +95,11 @@ MaterializedInstance::MaterializedInstance(const OracleInstance& oi)
     }
   }
   CDST_CHECK(cost_.size() == graph_.num_edges());
-  arc_costs_.assign_borrowed(graph_, cost_, delay_);
   instance_.box = nullptr;
   instance_.prices = {};
   instance_.graph = &graph_;
   instance_.cost = &cost_;
   instance_.delay = &delay_;
-  instance_.arc_costs = &arc_costs_;
 }
 
 OracleOutcome run_method(const OracleInstance& oi, SteinerMethod method,

@@ -104,8 +104,8 @@ class OracleInstance {
 
 /// An oracle instance over an explicit CSR: the window materialized once
 /// (RoutingWindow::materialize), its per-edge c and d vectors built once
-/// from the window's slot and class prices, an arc plane over them, and the
-/// instance's root, sinks and penalties. Edge ids are the window's, so trees
+/// from the window's slot and class prices, and the instance's root, sinks
+/// and penalties. Edge ids are the window's, so trees
 /// map back through the window. For consumers that scan every vertex's
 /// arcs: the embedded L1/SL/PD baselines, exact enumeration (solve_exact)
 /// and instance files (write_instance). Borrows `oi`, which must outlive it
@@ -122,7 +122,6 @@ class MaterializedInstance {
   Graph graph_;
   std::vector<double> cost_;
   std::vector<double> delay_;
-  ArcCostView arc_costs_;
   CostDistanceInstance instance_;
 };
 

@@ -16,18 +16,20 @@
 /// Bit-identity contract: both implementations evaluate the same expression
 /// trees in the same association order. Arithmetic is written as plain
 /// mul/add expressions in BOTH twins — the AVX2 intrinsics below lower to
-/// ordinary vector mul/add operations, so whatever floating-point
-/// contraction policy the build uses (GCC/Clang fuse `a + b*c` into an fma
-/// under the default -ffp-contract when the ISA has one) applies to the
-/// scalar code, the scalar twin, and the AVX2 path identically. Comparison,
+/// ordinary vector mul/add operations, so the build's floating-point
+/// contraction policy applies to the scalar code, the scalar twin, and the
+/// AVX2 path identically. cdst's own targets compile with
+/// -ffp-contract=off, so no build fuses `a + b*c` into an fma, even on an
+/// ISA that has one, and every ISA computes the baseline's bits. Comparison,
 /// blend, min/max and abs are exact bit operations on every path. The
 /// simd_test property matrix asserts lane-for-lane bit-identity between the
 /// two twins across denormal, huge and zero operands.
 ///
-/// Alignment contract: ArcCostView allocates its per-arc strips through
-/// AlignedAllocator (32-byte base alignment) and pads kRelaxStrip doubles of
-/// zeros beyond the logical size, so a full-width Vec4d load at any strip
-/// offset inside a vertex's arc range never reads past the allocation.
+/// Alignment contract: strip arrays are allocated through AlignedAllocator
+/// (32-byte base alignment). The cost-distance solver's box strip is a whole
+/// number of kRelaxStrip strips long, so its full-width Vec4d loads on a
+/// partial last strip stay inside the allocation; ArcCostView pads
+/// kRelaxStrip zero doubles past its logical size for the same guarantee.
 /// Loads still use the unaligned encoding (strip offsets within the array
 /// are arbitrary); base alignment keeps them from straddling extra cache
 /// lines.
@@ -48,15 +50,16 @@
 namespace cdst {
 
 /// Arcs per blocked relax strip — two Vec4d's. Shared by the dijkstra.h
-/// kernel and the cost-distance plane relax so the strip width and the
+/// kernel and the cost-distance box relax so the strip width and the
 /// vector width can never drift apart.
 inline constexpr std::uint32_t kRelaxStrip = 8;
 
 /// Byte alignment of vectorizable strip allocations (the AVX2 vector width).
 inline constexpr std::size_t kVecAlign = 32;
 
-/// STL allocator with a fixed over-alignment; ArcCostView's owned strips use
-/// it so Vec4d loads never straddle an extra cache line.
+/// STL allocator with a fixed over-alignment; ArcCostView's owned strips and
+/// the solver's box strip use it so Vec4d loads never straddle an extra
+/// cache line.
 template <typename T, std::size_t Align = kVecAlign>
 struct AlignedAllocator {
   using value_type = T;

@@ -164,6 +164,38 @@ TEST(CdSolver, InvalidInstanceReturnsStatusInsteadOfThrowing) {
             StatusCode::kInvalidArgument);
 }
 
+/// An oracle that publishes no plane bounds.
+class NoPlaneBoundsOracle final : public FutureCostOracle {
+ public:
+  PlaneBoundData plane_bounds() const override { return {}; }
+};
+
+TEST(CdSolver, OracleWithoutPlaneBoundsIsInvalidArgument) {
+  // The solver reads every future cost through PlaneBoundData: with A* or
+  // Steiner placement on, an oracle that publishes none is refused, and
+  // with both off it is never read.
+  const auto gi = make_grid_instance(41, 6, 6, 3, 4);
+  const NoPlaneBoundsOracle oracle;
+  for (const bool astar : {false, true}) {
+    for (const bool placement : {false, true}) {
+      SCOPED_TRACE(testing::Message()
+                   << "astar " << astar << ", placement " << placement);
+      SolverOptions opts;
+      opts.future_cost = &oracle;
+      opts.use_astar = astar;
+      opts.better_steiner_placement = placement;
+      CdSolver solver(opts);
+      const StatusOr<SolveResult> r = solver.solve(gi->inst);
+      if (astar || placement) {
+        ASSERT_FALSE(r.ok());
+        EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+      } else {
+        EXPECT_TRUE(r.ok()) << r.status().to_string();
+      }
+    }
+  }
+}
+
 TEST(CdSolver, PreCancelledTokenShortCircuits) {
   const auto gi = make_grid_instance(31, 8, 8, 3, 5);
   CdSolver solver;

@@ -92,7 +92,6 @@ dist::WorkerSetupMsg sample_setup(Rng& rng) {
   setup.oracle.cd.discount_components = false;
   setup.oracle.cd.better_steiner_placement = false;
   setup.oracle.cd.encourage_root = false;
-  setup.oracle.cd.pool_search_state = false;
   setup.oracle.cd.dense_state_budget_bytes = 1 << 20;
   setup.oracle.cd.strict_shared_budget = true;
   setup.oracle.cd.queue = QueueKind::kSingleLazy;
@@ -196,8 +195,6 @@ TEST(DistWireTest, SetupRoundTripsBitIdentically) {
   EXPECT_EQ(back->oracle.cd.better_steiner_placement,
             setup.oracle.cd.better_steiner_placement);
   EXPECT_EQ(back->oracle.cd.encourage_root, setup.oracle.cd.encourage_root);
-  EXPECT_EQ(back->oracle.cd.pool_search_state,
-            setup.oracle.cd.pool_search_state);
   EXPECT_EQ(back->oracle.cd.dense_state_budget_bytes,
             setup.oracle.cd.dense_state_budget_bytes);
   EXPECT_EQ(back->oracle.cd.strict_shared_budget,

@@ -227,6 +227,9 @@ TEST(CongestionCosts, ReloadFromUsagesPricesBitIdentically) {
 TEST(FutureCost, BoundsAreAdmissible) {
   const RoutingGrid g = small_grid(7, 7, 4);
   const FutureCost fc(g, /*num_landmarks=*/4);
+  const PlaneBoundData pb = fc.plane_bounds();
+  ASSERT_TRUE(pb.valid());
+  ASSERT_EQ(pb.num_landmarks, 4u);  // the cost bound folds in the landmarks
   const std::vector<double>& base = g.base_costs();
   const std::vector<double>& delays = g.edge_delays();
   Rng rng(99);
@@ -237,8 +240,8 @@ TEST(FutureCost, BoundsAreAdmissible) {
     const auto rd =
         dijkstra(g.graph(), {s}, [&](EdgeId e) { return delays[e]; });
     for (VertexId v = 0; v < g.graph().num_vertices(); ++v) {
-      EXPECT_LE(fc.cost_lb(s, v), rc.dist[v] + 1e-9);
-      EXPECT_LE(fc.delay_lb(s, v), rd.dist[v] + 1e-9);
+      EXPECT_LE(pb.cost_lb(s, v), rc.dist[v] + 1e-9);
+      EXPECT_LE(pb.delay_lb(s, v), rd.dist[v] + 1e-9);
     }
   }
 }

@@ -195,7 +195,6 @@ void expect_same_instance(const OracleInstance& got,
   const CostDistanceInstance& wi = want.instance();
   EXPECT_EQ(gi.box, &gb);
   EXPECT_EQ(gi.graph, nullptr);
-  EXPECT_EQ(gi.arc_costs, nullptr);
   EXPECT_EQ(gi.cost, nullptr);
   EXPECT_EQ(gi.delay, nullptr);
   EXPECT_EQ(gi.prices.price.data(), gp.price.data());

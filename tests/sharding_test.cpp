@@ -1,8 +1,9 @@
 // Tests for the structure-of-arrays arc cost plane and the spatially
-// sharded router rounds: bit-identity of the SoA relaxation against the
-// scalar per-edge path, bit-identity of sharded rounds across thread and
-// shard counts, the shard-assignment partition property, the shared
-// dense-state budget pool, and cancellation inside the embedded oracles.
+// sharded router rounds: bit-identity of the SoA Dijkstra relaxation
+// against the scalar per-edge path, bit-identity of sharded rounds across
+// thread and shard counts, the shard-assignment partition property, the
+// shared dense-state budget pool, and cancellation inside the embedded
+// oracles.
 
 #include <gtest/gtest.h>
 
@@ -64,8 +65,8 @@ TEST(ArcCostView, AlignsWithGraphArcPlane) {
 
 TEST(ArcCostView, DijkstraBitIdenticalToPerEdgePath) {
   // A random multigraph: the blocked SoA relaxation must produce exactly
-  // the labels and parents of the classic per-edge loop, for both functor
-  // families.
+  // the labels and parents of the classic per-edge loop, for a cost plane
+  // and for a weighted cost + delay plane.
   Rng rng(11);
   GraphBuilder b(120);
   std::vector<double> cost, delay;
@@ -86,56 +87,16 @@ TEST(ArcCostView, DijkstraBitIdenticalToPerEdgePath) {
   ASSERT_EQ(scalar.parent_edge, soa.parent_edge);
   ASSERT_EQ(scalar.parent, soa.parent);
 
-  const DijkstraResult scalar_cd =
-      dijkstra(g, {3}, CostDelayLength{cost, delay, 2.5});
-  const DijkstraResult soa_cd = dijkstra(g, {3}, CostDelayLength(view, 2.5));
+  // The weighted metric c + 2.5 d as one length plane.
+  std::vector<double> metric(cost.size());
+  for (std::size_t e = 0; e < cost.size(); ++e) {
+    metric[e] = cost[e] + 2.5 * delay[e];
+  }
+  const ArcCostView metric_view(g, metric, delay);
+  const DijkstraResult scalar_cd = dijkstra(g, {3}, ArrayLength{metric});
+  const DijkstraResult soa_cd = dijkstra(g, {3}, ArrayLength(metric_view));
   ASSERT_EQ(scalar_cd.dist, soa_cd.dist);
   ASSERT_EQ(scalar_cd.parent_edge, soa_cd.parent_edge);
-}
-
-TEST(ArcCostView, CdSolveBitIdenticalToScalarPath) {
-  // The solver's strip relaxation (instance.arc_costs set) must reproduce
-  // the seed per-edge path exactly: same tree, same objective bits.
-  const RoutingGrid grid(24, 24, make_default_layer_stack(4), ViaSpec{});
-  const FutureCost fc(grid);
-  Rng rng(5);
-  std::vector<double> cost(grid.graph().num_edges());
-  for (std::size_t e = 0; e < cost.size(); ++e) {
-    cost[e] = grid.base_costs()[e] * (1.0 + 2.0 * rng.uniform_double());
-  }
-  const std::vector<double>& delay = grid.edge_delays();
-
-  CostDistanceInstance inst;
-  inst.graph = &grid.graph();
-  inst.cost = &cost;
-  inst.delay = &delay;
-  inst.dbif = 2.0;
-  inst.eta = 0.25;
-  inst.root = grid.vertex_at(2, 3, 0);
-  for (int s = 0; s < 14; ++s) {
-    inst.sinks.push_back(
-        Terminal{grid.vertex_at(static_cast<std::int32_t>(rng.uniform(24)),
-                                static_cast<std::int32_t>(rng.uniform(24)), 0),
-                 0.1 + rng.uniform_double()});
-  }
-
-  SolverOptions opts;
-  opts.future_cost = &fc;
-  CdSolver solver(opts);
-  const StatusOr<SolveResult> scalar = solver.solve(inst);
-  ASSERT_TRUE(scalar.ok());
-
-  const ArcCostView view(grid.graph(), cost, delay);
-  inst.arc_costs = &view;
-  const StatusOr<SolveResult> soa = solver.solve(inst);
-  ASSERT_TRUE(soa.ok());
-
-  EXPECT_EQ(scalar->tree.all_edges(), soa->tree.all_edges());
-  EXPECT_EQ(scalar->eval.objective, soa->eval.objective);
-  EXPECT_EQ(scalar->eval.connection_cost, soa->eval.connection_cost);
-  EXPECT_EQ(scalar->eval.sink_delays, soa->eval.sink_delays);
-  EXPECT_EQ(scalar->stats.labels_settled, soa->stats.labels_settled);
-  EXPECT_EQ(scalar->stats.labels_relaxed, soa->stats.labels_relaxed);
 }
 
 // ---------------------------------------------------------------------------

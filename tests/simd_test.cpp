@@ -2,7 +2,8 @@
 // lane-for-lane bit-identity of every operation against handwritten scalar
 // references (across denormal, huge, zero and NaN operands), and solver /
 // Dijkstra bit-identity of the vectorized strip paths against the per-edge
-// scalar paths over a randomized instance matrix. The whole file runs under
+// scalar paths over a randomized instance matrix (for the solver: a box
+// instance against its materialized CSR). The whole file runs under
 // both the AVX2 build and the CDST_FORCE_SCALAR twin — the references are
 // build-invariant, so a pass on both lanes certifies the twins agree.
 
@@ -11,12 +12,16 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "api/cdst.h"
 #include "graph/arc_cost_view.h"
 #include "graph/dijkstra.h"
 #include "grid/future_cost.h"
+#include "route/steiner_oracle.h"
 #include "util/rng.h"
 #include "util/simd.h"
 
@@ -196,10 +201,17 @@ TEST(SimdDijkstra, ExtremeMagnitudeCostsStayBitIdentical) {
   ASSERT_EQ(scalar.dist, soa.dist);
   ASSERT_EQ(scalar.parent_edge, soa.parent_edge);
 
+  // The weighted metric c + 3 d as one length plane: sums of mixed
+  // magnitudes per edge as well as along paths.
+  std::vector<double> metric(cost.size());
+  for (std::size_t e = 0; e < cost.size(); ++e) {
+    metric[e] = cost[e] + 3.0 * delay[e];
+  }
+  const ArcCostView metric_view(g, metric, delay);
   const DijkstraResult scalar_cd =
-      dijkstra(g, {5}, CostDelayLength{cost, delay, 3.0}, kInvalidVertex);
+      dijkstra(g, {5}, ArrayLength{metric}, kInvalidVertex);
   const DijkstraResult soa_cd =
-      dijkstra(g, {5}, CostDelayLength(view, 3.0), kInvalidVertex);
+      dijkstra(g, {5}, ArrayLength(metric_view), kInvalidVertex);
   ASSERT_EQ(scalar_cd.dist, soa_cd.dist);
   ASSERT_EQ(scalar_cd.parent_edge, soa_cd.parent_edge);
 }
@@ -207,80 +219,129 @@ TEST(SimdDijkstra, ExtremeMagnitudeCostsStayBitIdentical) {
 // One solver configuration of the property matrix below.
 struct SolverVariant {
   const char* name;
-  std::size_t landmarks{0};   // ALT landmarks on the future cost
   int sinks{10};              // 1 = singleton connection paths
   bool zero_weights{false};   // all delay weights 0: pure-cost objective
   bool discounts{true};       // III-A/III-E discount levers
   bool astar{true};           // false: no future cost at all
 };
 
+/// Same tree, objective bits, sink delays and work counters.
+void expect_identical(const SolveResult& a, const SolveResult& b,
+                      const std::string& what) {
+  EXPECT_EQ(a.tree.all_edges(), b.tree.all_edges()) << what;
+  EXPECT_EQ(bits(a.eval.objective), bits(b.eval.objective)) << what;
+  EXPECT_EQ(a.eval.sink_delays, b.eval.sink_delays) << what;
+  EXPECT_EQ(a.stats.labels_settled, b.stats.labels_settled) << what;
+  EXPECT_EQ(a.stats.labels_relaxed, b.stats.labels_relaxed) << what;
+}
+
 TEST(SimdSolver, StripRelaxBitIdenticalToPerEdgeAcrossInstanceMatrix) {
-  // The vectorized plane relax (instance.arc_costs set) against the seed
-  // per-edge path, across the regimes that exercise every kernel branch:
-  // discount blending, singleton paths, zero-weight delays, the batched
-  // landmark-strengthened future bound, and the no-A* flush path.
+  // Strip vs per-edge relaxation is box vs CSR: a routing window's box
+  // instance relaxes through the Vec4d strip kernel, its
+  // MaterializedInstance through the per-edge loop. Across the regimes that
+  // exercise every kernel branch — discount blending, singleton paths,
+  // zero-weight delays and the no-A* flush path — both must give the same
+  // result, bit for bit, under uneven prices.
   const SolverVariant kVariants[] = {
       {"default"},
-      {"landmarks", /*landmarks=*/4},
-      {"singleton", 0, /*sinks=*/1},
-      {"zero_weights", 0, 10, /*zero_weights=*/true},
-      {"no_discounts", 0, 10, false, /*discounts=*/false},
-      {"no_astar", 0, 10, false, true, /*astar=*/false},
+      {"singleton", /*sinks=*/1},
+      {"zero_weights", 10, /*zero_weights=*/true},
+      {"no_discounts", 10, false, /*discounts=*/false},
+      {"no_astar", 10, false, true, /*astar=*/false},
   };
   const RoutingGrid grid(16, 16, make_default_layer_stack(3), ViaSpec{});
-  const FutureCost fc_plain(grid);
-  const FutureCost fc_alt(grid, /*num_landmarks=*/4);
-  const std::vector<double>& delay = grid.edge_delays();
+  const auto m = static_cast<std::uint64_t>(grid.graph().num_edges());
 
   for (const SolverVariant& variant : kVariants) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const std::string what =
+          std::string(variant.name) + " seed " + std::to_string(seed);
       Rng rng(seed * 71 + 5);
-      std::vector<double> cost(grid.graph().num_edges());
-      for (std::size_t e = 0; e < cost.size(); ++e) {
-        cost[e] = grid.base_costs()[e] * (1.0 + 3.0 * rng.uniform_double());
+      CongestionCosts costs(grid);
+      for (int k = 0; k < 600; ++k) {
+        costs.add_usage({static_cast<EdgeId>(rng.uniform(m))}, +1.0);
       }
-
-      CostDistanceInstance inst;
-      inst.graph = &grid.graph();
-      inst.cost = &cost;
-      inst.delay = &delay;
-      inst.dbif = variant.discounts ? 2.0 : 0.0;
-      inst.eta = variant.discounts ? 0.25 : 0.0;
-      inst.root = grid.vertex_at(1, 2, 0);
+      std::set<std::pair<std::int32_t, std::int32_t>> used;
+      const auto pick = [&] {
+        while (true) {
+          const auto x = static_cast<std::int32_t>(rng.uniform(16));
+          const auto y = static_cast<std::int32_t>(rng.uniform(16));
+          if (used.insert({x, y}).second) return Point3{x, y, 0};
+        }
+      };
+      Net net;
+      net.source = pick();
+      std::vector<double> weights;
       for (int s = 0; s < variant.sinks; ++s) {
-        inst.sinks.push_back(Terminal{
-            grid.vertex_at(static_cast<std::int32_t>(rng.uniform(16)),
-                           static_cast<std::int32_t>(rng.uniform(16)), 0),
-            variant.zero_weights ? 0.0 : 0.1 + rng.uniform_double()});
+        net.sinks.push_back(SinkPin{pick(), 0.0});
+        weights.push_back(variant.zero_weights ? 0.0
+                                               : 0.1 + rng.uniform_double());
       }
+      OracleParams params;
+      params.dbif = variant.discounts ? 2.0 : 0.0;
+      params.eta = variant.discounts ? 0.25 : 0.0;
+      params.window_margin = 2;
+      params.window_margin_frac = 0.0;
+      const OracleInstance oi(grid, costs, net, weights, params);
+      const MaterializedInstance csr(oi);
+      ASSERT_NE(oi.instance().box, nullptr) << what;
+      ASSERT_NE(csr.instance().graph, nullptr) << what;
 
       SolverOptions opts;
       opts.discount_components = variant.discounts;
       opts.encourage_root = variant.discounts;
       opts.use_astar = variant.astar;
-      if (variant.astar) {
-        opts.future_cost = variant.landmarks > 0 ? &fc_alt : &fc_plain;
-      }
+      opts.better_steiner_placement = variant.astar;
+      if (variant.astar) opts.future_cost = &oi.future_cost();
       CdSolver solver(opts);
 
-      const StatusOr<SolveResult> scalar = solver.solve(inst);
-      ASSERT_TRUE(scalar.ok()) << variant.name << " seed " << seed;
-      const ArcCostView view(grid.graph(), cost, delay);
-      inst.arc_costs = &view;
-      const StatusOr<SolveResult> soa = solver.solve(inst);
-      ASSERT_TRUE(soa.ok()) << variant.name << " seed " << seed;
-
-      EXPECT_EQ(scalar->tree.all_edges(), soa->tree.all_edges())
-          << variant.name << " seed " << seed;
-      EXPECT_EQ(bits(scalar->eval.objective), bits(soa->eval.objective))
-          << variant.name << " seed " << seed;
-      EXPECT_EQ(scalar->eval.sink_delays, soa->eval.sink_delays)
-          << variant.name << " seed " << seed;
-      EXPECT_EQ(scalar->stats.labels_settled, soa->stats.labels_settled)
-          << variant.name << " seed " << seed;
-      EXPECT_EQ(scalar->stats.labels_relaxed, soa->stats.labels_relaxed)
-          << variant.name << " seed " << seed;
+      const StatusOr<SolveResult> strip = solver.solve(oi.instance());
+      ASSERT_TRUE(strip.ok()) << what;
+      const StatusOr<SolveResult> per_edge = solver.solve(csr.instance());
+      ASSERT_TRUE(per_edge.ok()) << what;
+      expect_identical(*strip, *per_edge, what);
     }
+  }
+}
+
+TEST(SimdSolver, LandmarkBoundsMemoizedEqualRecomputed) {
+  // ALT landmarks exist only on the full grid's oracle, a CSR instance.
+  // There the Vec4d bound batch gathers each landmark table and folds it
+  // in by max; a solve with the per-search bound memo (dense state) must
+  // equal one that recomputes every bound (sparse state), bit for bit.
+  const RoutingGrid grid(16, 16, make_default_layer_stack(3), ViaSpec{});
+  const FutureCost fc(grid, /*num_landmarks=*/4);
+  ASSERT_EQ(fc.plane_bounds().num_landmarks, 4u);
+  const std::vector<double>& delay = grid.edge_delays();
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const std::string what = "seed " + std::to_string(seed);
+    Rng rng(seed * 71 + 5);
+    std::vector<double> cost(grid.graph().num_edges());
+    for (std::size_t e = 0; e < cost.size(); ++e) {
+      cost[e] = grid.base_costs()[e] * (1.0 + 3.0 * rng.uniform_double());
+    }
+    CostDistanceInstance inst;
+    inst.graph = &grid.graph();
+    inst.cost = &cost;
+    inst.delay = &delay;
+    inst.dbif = 2.0;
+    inst.eta = 0.25;
+    inst.root = grid.vertex_at(1, 2, 0);
+    for (int s = 0; s < 10; ++s) {
+      inst.sinks.push_back(Terminal{
+          grid.vertex_at(static_cast<std::int32_t>(rng.uniform(16)),
+                         static_cast<std::int32_t>(rng.uniform(16)), 0),
+          0.1 + rng.uniform_double()});
+    }
+    SolverOptions opts;
+    opts.future_cost = &fc;
+    SolverOptions sparse = opts;
+    sparse.dense_state_budget_bytes = 0;
+    const StatusOr<SolveResult> memo = CdSolver(opts).solve(inst);
+    ASSERT_TRUE(memo.ok()) << what;
+    const StatusOr<SolveResult> recomputed = CdSolver(sparse).solve(inst);
+    ASSERT_TRUE(recomputed.ok()) << what;
+    expect_identical(*memo, *recomputed, what);
   }
 }
 

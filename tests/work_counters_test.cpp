@@ -9,13 +9,8 @@
 // 2 warm batched CD rounds, then every net's OracleInstance solved against
 // the warm prices twice — once with the net's route ripped up (the batched
 // rule) and once with its own usage priced out of the window (the sharded
-// rule, CongestionCosts::price_excluding).
-//
-// Scope: the pinned values hold for builds that evaluate every double
-// operation as written. A build with FMA enabled (the x86-64-v3 and native
-// presets) lets the compiler contract a * b + c, which rounds differently
-// and moves the counters (GCC 12 at x86-64-v3 settles 152,667 labels, not
-// 155,550), so there the test checks only that both pricing rules agree.
+// rule, CongestionCosts::price_excluding). Every cdst target compiles with
+// floating-point contraction off, so the values hold on FMA builds too.
 
 #include <gtest/gtest.h>
 
@@ -146,12 +141,8 @@ TEST(WorkCounters, PinnedOnFixedSlice) {
   EXPECT_EQ(s.excluded.labels_relaxed, s.ripped_up.labels_relaxed);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(s.excluded.objective_sum),
             std::bit_cast<std::uint64_t>(s.ripped_up.objective_sum));
-#if defined(__FMA__)
-  GTEST_SKIP() << "counters are pinned for builds without FMA contraction";
-#else
   expect_pinned(s.ripped_up);
   expect_pinned(s.excluded);
-#endif
 }
 
 }  // namespace
