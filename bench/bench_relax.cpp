@@ -57,8 +57,7 @@ const DijkstraFixture& dijkstra_fixture() {
       out->length[e] =
           out->grid->base_costs()[e] * (1.0 + 3.0 * rng.uniform_double());
     }
-    out->plane.assign(out->grid->graph(), out->length,
-                      out->grid->edge_delays());
+    out->plane.assign(out->grid->graph(), out->length);
     return out;
   }();
   return *f;

@@ -32,9 +32,6 @@ Status solve_into(const CostDistanceInstance& instance,
     return Status::Cancelled("cost-distance solve cancelled");
   } catch (const SolveDeadlineExceeded& e) {
     return deadline_exceeded_status(e.what());
-  } catch (const BudgetExhausted& e) {
-    // Only reachable with SolverOptions::strict_shared_budget set.
-    return resource_exhausted_status(e.what());
   } catch (const InjectedFault& e) {
     return Status::Unavailable(e.what());
   } catch (const ContractViolation& e) {

@@ -30,6 +30,15 @@ namespace {
 constexpr std::uint32_t kCheckpointMagic = 0x43445354;  // "CDST"
 constexpr std::uint32_t kCheckpointVersion = 2;
 
+// The Lagrangean multiplier schedule: the slack magnitude (ps) that doubles
+// a delay weight in one round, the weight bounds, and the scale of the
+// RAT-criticality seed (w0 = kWeightInitScale * criticality^2). Each round
+// steps the exponent by 1/sqrt(round) (Impl::slice).
+constexpr double kWeightScale = 25.0;
+constexpr double kWeightFloor = 5e-4;
+constexpr double kWeightCeiling = 64.0;
+constexpr double kWeightInitScale = 3.0;
+
 /// Internal unwind of one failed ShardTransport dispatch inside a slice's
 /// fan-out. Caught at the executor's retry loop, emitted as a
 /// "dist.transport" FaultEvent, then either retried (kUnavailable) or
@@ -59,10 +68,6 @@ Status current_exception_status() {
     return detail::deadline_exceeded_status(
         "router run deadline expired mid-slice; committed state kept at the "
         "last batch or round boundary");
-  } catch (const BudgetExhausted& e) {
-    // Only reachable with SolverOptions::strict_shared_budget set; retrying
-    // could not help (the footprint exceeds the whole budget).
-    return detail::resource_exhausted_status(e.what());
   } catch (const InjectedFault& e) {
     return Status::Unavailable(e.what());
   } catch (const TransportDispatchError& e) {
@@ -188,7 +193,7 @@ struct alignas(16) Router::Impl {
 
     routes.assign(num_nets, {});
     sink_delays.assign(num_sinks, 0.0);
-    sink_weights.assign(num_sinks, options.weight_floor);
+    sink_weights.assign(num_sinks, kWeightFloor);
 
     // Seed the Lagrange multipliers from RAT criticality: a sink whose
     // budget is close to its ideal (fastest-possible) delay starts with a
@@ -208,9 +213,9 @@ struct alignas(16) Router::Impl {
             2.0 * grid.min_via_delay();
         if (rats[flat] > 0.0 && ideal > 0.0) {
           const double criticality = ideal / rats[flat];  // <= 1 if feasible
-          sink_weights[flat] = std::clamp(
-              options.weight_init_scale * criticality * criticality,
-              options.weight_floor, options.weight_ceiling);
+          sink_weights[flat] =
+              std::clamp(kWeightInitScale * criticality * criticality,
+                         kWeightFloor, kWeightCeiling);
         }
       }
     }
@@ -281,9 +286,8 @@ struct alignas(16) Router::Impl {
       if (rounds_done > 0 && weights_round != rounds_done) {
         const std::vector<double> slacks = compute_slacks(sink_delays, rats);
         const double step = 1.0 / std::sqrt(static_cast<double>(rounds_done));
-        update_delay_weights(slacks, options.weight_scale,
-                             options.weight_floor, options.weight_ceiling,
-                             sink_weights, step);
+        update_delay_weights(slacks, kWeightScale, kWeightFloor,
+                             kWeightCeiling, sink_weights, step);
         weights_round = rounds_done;
       }
       const Status st = route_slice(rounds_done, target, control, fan);
@@ -373,8 +377,6 @@ struct alignas(16) Router::Impl {
     dist::ShardWorkMsg work;
     work.round = round;
     work.shard = unit.shard;
-    work.shards = shard_map.tiles.num_shards();
-    work.tile = shard_tile(shard_map.tiles, unit.shard);
     work.nets.reserve(unit.nets.size());
     for (const std::uint32_t i : unit.nets) {
       const Net& net = netlist.nets[i];
@@ -753,7 +755,7 @@ struct alignas(16) Router::Impl {
   std::size_t round_cursor{0};
   double walltime_s{0.0};
   /// Holds the session at 704 bytes (see above); never read.
-  std::byte heap_class_pad[32]{};
+  std::byte heap_class_pad[104]{};
 };
 
 Router::Router(const RoutingGrid& grid, const Netlist& netlist,

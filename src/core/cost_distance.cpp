@@ -6,7 +6,6 @@
 #include <limits>
 #include <memory>
 #include <span>
-#include <string>
 #include <thread>
 
 #include "geom/nearest.h"
@@ -334,21 +333,19 @@ SolverScratch::~SolverScratch() = default;
 SolverScratch::SolverScratch(SolverScratch&&) noexcept = default;
 SolverScratch& SolverScratch::operator=(SolverScratch&&) noexcept = default;
 
-BudgetReserve reserve_with_backoff(DenseStateBudget& budget,
-                                   std::size_t bytes, int attempts) {
-  if (budget.try_reserve(bytes)) return BudgetReserve::kReserved;
-  if (static_cast<std::int64_t>(bytes) > budget.capacity_bytes()) {
-    // No sleeping: the pool can never hold this footprint, so backoff would
-    // only delay the caller's fallback (or failure) decision.
-    return BudgetReserve::kOversized;
-  }
+bool reserve_with_backoff(DenseStateBudget& budget, std::size_t bytes,
+                          int attempts) {
+  if (budget.try_reserve(bytes)) return true;
+  // No sleeping when the pool can never hold this footprint: backoff would
+  // only delay the caller's sparse fallback.
+  if (static_cast<std::int64_t>(bytes) > budget.capacity_bytes()) return false;
   std::chrono::microseconds delay{50};
   for (int attempt = 0; attempt < attempts; ++attempt) {
     std::this_thread::sleep_for(delay);
-    if (budget.try_reserve(bytes)) return BudgetReserve::kReserved;
+    if (budget.try_reserve(bytes)) return true;
     delay *= 2;
   }
-  return BudgetReserve::kContended;
+  return false;
 }
 
 namespace {
@@ -469,26 +466,16 @@ class Solver {
     // Against a shared budget pool the bytes are reserved up front (and
     // released by ~Solver) with bounded backoff on contention; standalone
     // solves compare against the per-solve byte budget. Either way a denial
-    // degrades to sparse state with identical results — unless the caller
-    // opted into strict_shared_budget, where an oversized footprint (one no
-    // amount of waiting can satisfy) fails the solve outright.
+    // degrades to sparse state with identical results.
     const std::size_t dense_bytes =
         (static_cast<std::size_t>(t) + 1) * inst_.num_vertices() *
         SearchState::slot_bytes();
     bool dense;
     if (opts_.shared_dense_budget != nullptr) {
       CDST_FAULT_POINT("solver.budget_reserve");
-      const BudgetReserve r = reserve_with_backoff(
-          *opts_.shared_dense_budget, dense_bytes, kBudgetBackoffAttempts);
-      dense = r == BudgetReserve::kReserved;
+      dense = reserve_with_backoff(*opts_.shared_dense_budget, dense_bytes,
+                                   kBudgetBackoffAttempts);
       if (dense) budget_reserved_ = dense_bytes;
-      if (r == BudgetReserve::kOversized && opts_.strict_shared_budget) {
-        throw BudgetExhausted(
-            "dense-state footprint of " + std::to_string(dense_bytes) +
-            " bytes exceeds the whole shared budget of " +
-            std::to_string(opts_.shared_dense_budget->capacity_bytes()) +
-            " bytes");
-      }
     } else {
       dense = dense_bytes <= opts_.dense_state_budget_bytes;
     }

@@ -140,22 +140,14 @@ class DenseStateBudget {
   std::atomic<std::int64_t> low_water_;  ///< min remaining ever observed
 };
 
-/// How a backed-off reservation attempt ended.
-enum class BudgetReserve : std::uint8_t {
-  kReserved,   ///< bytes reserved; release() them when done
-  kContended,  ///< the pool could hold it, but other lanes do right now
-  kOversized,  ///< the footprint exceeds the whole pool; waiting cannot help
-};
-
 /// try_reserve with bounded exponential backoff: on contention the caller
 /// sleeps 50us, 100us, ... (up to `attempts` sleeps) and retries, because a
 /// briefly-drained pool usually refills within one solve — a dense retry
-/// beats an immediate sparse fallback. An oversized footprint returns
-/// immediately (no sleeping): only the caller can decide whether that is a
-/// degradation (sparse fallback, the default) or a kResourceExhausted
-/// failure (SolverOptions::strict_shared_budget).
-BudgetReserve reserve_with_backoff(DenseStateBudget& budget,
-                                   std::size_t bytes, int attempts);
+/// beats an immediate sparse fallback. A footprint larger than the whole
+/// pool fails at once (no sleeping: waiting cannot help). True when the
+/// bytes are reserved; release() them when done.
+bool reserve_with_backoff(DenseStateBudget& budget, std::size_t bytes,
+                          int attempts);
 
 /// Priority-queue organization for the simultaneous searches.
 enum class QueueKind : std::uint8_t {
@@ -193,12 +185,6 @@ struct SolverOptions {
   /// the solve. Whether a solve lands dense or sparse never changes its
   /// result, so racing lanes stay deterministic.
   DenseStateBudget* shared_dense_budget{nullptr};
-  /// When true, a dense-state footprint larger than the WHOLE shared pool
-  /// fails the solve with BudgetExhausted (mapped to kResourceExhausted at
-  /// the api boundary) instead of silently degrading to sparse state. Off
-  /// by default: the sparse fallback is bit-identical, just slower, and the
-  /// session APIs rely on it.
-  bool strict_shared_budget{false};
 
   /// III-B: heap organization of the label queues.
   QueueKind queue{QueueKind::kTwoLevel};
@@ -275,14 +261,6 @@ class SolveDeadlineExceeded : public std::runtime_error {
  public:
   SolveDeadlineExceeded()
       : std::runtime_error("cost-distance solve deadline exceeded") {}
-};
-
-/// Thrown when SolverOptions::strict_shared_budget is set and the solve's
-/// dense-state footprint exceeds the whole shared pool. Converted to a
-/// kResourceExhausted Status at the api boundary.
-class BudgetExhausted : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
 };
 
 /// One component-merge observation of a running solve — the solver-side

@@ -52,14 +52,6 @@ struct CostDistanceInstance {
   double dbif{0.0};  ///< total bifurcation delay penalty per branching
   double eta{0.5};   ///< penalty split freedom, 0 <= eta <= 1/2
 
-  std::size_t num_terminals() const { return sinks.size() + 1; }
-
-  double total_sink_weight() const {
-    double w = 0.0;
-    for (const Terminal& t : sinks) w += t.weight;
-    return w;
-  }
-
   std::size_t num_vertices() const {
     return graph != nullptr ? graph->num_vertices() : box->num_vertices();
   }

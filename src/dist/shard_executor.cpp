@@ -134,8 +134,6 @@ StatusOr<ShardResultMsg> execute_shard(ShardContext& ctx,
     return result;
   } catch (const InjectedFault& e) {
     return Status::Unavailable(e.what());
-  } catch (const BudgetExhausted& e) {
-    return detail::resource_exhausted_status(e.what());
   } catch (const ContractViolation& e) {
     return Status::InvalidArgument(e.what());
   } catch (const std::exception& e) {

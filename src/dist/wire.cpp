@@ -115,22 +115,16 @@ std::vector<std::uint8_t> WorkerSetupMsg::to_bytes() const {
   wire::put_u8(out, static_cast<std::uint8_t>(method));
   wire::put_f64(out, oracle.dbif);
   wire::put_f64(out, oracle.eta);
-  wire::put_f64(out, oracle.sl_epsilon);
-  wire::put_f64(out, oracle.pd_gamma);
   put_i32(out, oracle.window_margin);
   wire::put_f64(out, oracle.window_margin_frac);
-  wire::put_u64(out, oracle.seed);
   // SolverOptions knobs, pointer members excluded (see header comment).
   put_bool(out, oracle.cd.discount_components);
   put_bool(out, oracle.cd.use_astar);
   put_bool(out, oracle.cd.better_steiner_placement);
   put_bool(out, oracle.cd.encourage_root);
   wire::put_u64(out, oracle.cd.dense_state_budget_bytes);
-  put_bool(out, oracle.cd.strict_shared_budget);
   wire::put_u8(out, static_cast<std::uint8_t>(oracle.cd.queue));
-  wire::put_u64(out, oracle.cd.seed);
   wire::put_f64(out, congestion.price_at_full);
-  wire::put_f64(out, congestion.smoothing);
   wire::put_u64(out, options_seed);
   return out;
 }
@@ -197,23 +191,17 @@ StatusOr<WorkerSetupMsg> WorkerSetupMsg::from_bytes(
   msg.method = static_cast<SteinerMethod>(method);
   msg.oracle.dbif = r.f64();
   msg.oracle.eta = r.f64();
-  msg.oracle.sl_epsilon = r.f64();
-  msg.oracle.pd_gamma = r.f64();
   msg.oracle.window_margin = read_i32(r);
   msg.oracle.window_margin_frac = r.f64();
-  msg.oracle.seed = r.u64();
   msg.oracle.cd.discount_components = read_bool(r);
   msg.oracle.cd.use_astar = read_bool(r);
   msg.oracle.cd.better_steiner_placement = read_bool(r);
   msg.oracle.cd.encourage_root = read_bool(r);
   msg.oracle.cd.dense_state_budget_bytes = r.u64();
-  msg.oracle.cd.strict_shared_budget = read_bool(r);
   const std::uint8_t queue = r.u8();
   if (queue > static_cast<std::uint8_t>(QueueKind::kSingleLazy)) r.ok = false;
   msg.oracle.cd.queue = static_cast<QueueKind>(queue);
-  msg.oracle.cd.seed = r.u64();
   msg.congestion.price_at_full = r.f64();
-  msg.congestion.smoothing = r.f64();
   msg.options_seed = r.u64();
   if (!consumed(r)) return truncated("worker setup");
   if (msg.nx < 1 || msg.ny < 1 || msg.layers.empty()) {
@@ -257,13 +245,6 @@ std::vector<std::uint8_t> ShardWorkMsg::to_bytes() const {
   wire::put_header(out, kShardWorkMagic, kDistWireVersion);
   put_i32(out, round);
   put_i32(out, shard);
-  put_i32(out, shards);
-  put_i32(out, tile.tx);
-  put_i32(out, tile.ty);
-  put_i32(out, tile.x0);
-  put_i32(out, tile.y0);
-  put_i32(out, tile.x1);
-  put_i32(out, tile.y1);
   wire::put_u64(out, nets.size());
   for (const NetWork& nw : nets) {
     wire::put_u32(out, nw.net);
@@ -283,13 +264,6 @@ StatusOr<ShardWorkMsg> ShardWorkMsg::from_bytes(
   ShardWorkMsg msg;
   msg.round = read_i32(r);
   msg.shard = read_i32(r);
-  msg.shards = read_i32(r);
-  msg.tile.tx = read_i32(r);
-  msg.tile.ty = read_i32(r);
-  msg.tile.x0 = read_i32(r);
-  msg.tile.y0 = read_i32(r);
-  msg.tile.x1 = read_i32(r);
-  msg.tile.y1 = read_i32(r);
   const std::uint64_t n_nets = r.u64();
   if (!r.fits(n_nets, 1)) return truncated("shard work");
   msg.nets.reserve(n_nets);
@@ -301,9 +275,6 @@ StatusOr<ShardWorkMsg> ShardWorkMsg::from_bytes(
     msg.nets.push_back(std::move(nw));
   }
   if (!consumed(r)) return truncated("shard work");
-  if (msg.shards < 1 || msg.shard < 0 || msg.shard >= msg.shards) {
-    return Status::InvalidArgument("shard work: shard index out of range");
-  }
   return msg;
 }
 

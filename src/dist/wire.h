@@ -14,7 +14,7 @@
 ///   ShardWorkMsg      — one span of a shard's nets: per net its sink
 ///                       weights and committed route (whose usage the net
 ///                       prices out — the rip-up, in frozen-round terms),
-///                       plus tile geometry and round/shard indexes.
+///                       plus its round and shard indexes.
 ///   ShardResultMsg    — the span's route deltas: per net the re-routed
 ///                       grid edges and sink delays.
 ///   WorkerErrorMsg    — a typed Status a worker sends instead of a result.
@@ -30,6 +30,8 @@
 /// are deliberately NOT serialized: the executor wires per-process
 /// equivalents back in (dist/shard_executor.h), and whether a solve lands
 /// dense or sparse never changes results, so placement is result-invariant.
+/// Neither are the per-solve seeds (OracleParams::seed, SolverOptions::seed):
+/// route_round_net derives both from the session seed, net and round.
 
 #pragma once
 
@@ -40,7 +42,6 @@
 #include "api/status.h"
 #include "grid/cost_model.h"
 #include "route/net.h"
-#include "route/sharding.h"
 #include "route/steiner_oracle.h"
 
 namespace cdst::dist {
@@ -65,8 +66,11 @@ inline constexpr std::uint32_t kWorkerErrorMagic = fourcc('C', 'D', 'e', 'r');
 /// together, so they revise together. Version 2 ships per-resource usage
 /// instead of per-edge prices and drops the per-net frozen usage; version 3
 /// drops two solver knobs that became constants (result validation and the
-/// shared-budget backoff); version 4 drops the search-state pooling knob.
-inline constexpr std::uint32_t kDistWireVersion = 4;
+/// shared-budget backoff); version 4 drops the search-state pooling knob;
+/// version 5 drops the knobs that became constants (the SL/PD topology
+/// parameters, the strict shared budget, the congestion smoothing), the
+/// per-solve seeds no worker reads, and the work's shard count and tile.
+inline constexpr std::uint32_t kDistWireVersion = 5;
 
 /// The round-invariant world a shard worker reconstructs once. Grid geometry
 /// travels as the RoutingGrid constructor inputs (nx/ny/layers/via): the
@@ -79,7 +83,7 @@ struct WorkerSetupMsg {
   ViaSpec via;
   Netlist netlist;
   SteinerMethod method{SteinerMethod::kCD};
-  OracleParams oracle;  ///< pointer members ship as null (see file comment)
+  OracleParams oracle;  ///< pointer members and seeds not shipped (see above)
   CongestionParams congestion;
   std::uint64_t options_seed{1};
 
@@ -114,9 +118,7 @@ struct ShardWorkMsg {
   };
 
   std::int32_t round{0};
-  std::int32_t shard{0};
-  std::int32_t shards{1};
-  ShardTile tile;  ///< the shard's tile geometry (events/observability)
+  std::int32_t shard{0};  ///< echoed by the reply, which must match it
   std::vector<NetWork> nets;
 
   std::vector<std::uint8_t> to_bytes() const;

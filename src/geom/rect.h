@@ -70,12 +70,4 @@ struct Rect {
   friend bool operator==(const Rect&, const Rect&) = default;
 };
 
-/// Bounding box of a range of Point2.
-template <typename It>
-Rect bounding_box(It first, It last) {
-  Rect r;
-  for (; first != last; ++first) r.expand(*first);
-  return r;
-}
-
 }  // namespace cdst

@@ -7,10 +7,8 @@
 namespace cdst {
 
 void ArcCostView::build_arcs(const Graph& g,
-                             std::span<const double> edge_cost,
-                             std::span<const double> edge_delay) {
+                             std::span<const double> edge_cost) {
   CDST_CHECK(edge_cost.size() == g.num_edges());
-  CDST_CHECK(edge_delay.size() == g.num_edges());
   graph_ = &g;
 
   const std::span<const EdgeId> arc_edges = g.arc_edges();
@@ -21,41 +19,24 @@ void ArcCostView::build_arcs(const Graph& g,
   // capacity across rebuilds, so the pad is re-zeroed explicitly (a shrink
   // would otherwise leave stale attribute values there).
   arc_cost_.resize(na + kRelaxStrip);
-  arc_delay_.resize(na + kRelaxStrip);
   CDST_ASSERT(reinterpret_cast<std::uintptr_t>(arc_cost_.data()) %
                   kVecAlign ==
               0);
-  CDST_ASSERT(reinterpret_cast<std::uintptr_t>(arc_delay_.data()) %
-                  kVecAlign ==
-              0);
-  for (std::size_t a = 0; a < na; ++a) {
-    const EdgeId e = arc_edges[a];
-    arc_cost_[a] = edge_cost[e];
-    arc_delay_[a] = edge_delay[e];
-  }
-  for (std::size_t a = na; a < na + kRelaxStrip; ++a) {
-    arc_cost_[a] = 0.0;
-    arc_delay_[a] = 0.0;
-  }
+  for (std::size_t a = 0; a < na; ++a) arc_cost_[a] = edge_cost[arc_edges[a]];
+  for (std::size_t a = na; a < na + kRelaxStrip; ++a) arc_cost_[a] = 0.0;
 }
 
-void ArcCostView::assign(const Graph& g, std::span<const double> edge_cost,
-                         std::span<const double> edge_delay) {
-  build_arcs(g, edge_cost, edge_delay);
+void ArcCostView::assign(const Graph& g, std::span<const double> edge_cost) {
+  build_arcs(g, edge_cost);
   edge_cost_store_.assign(edge_cost.begin(), edge_cost.end());
-  edge_delay_store_.assign(edge_delay.begin(), edge_delay.end());
   edge_cost_view_ = edge_cost_store_;
-  edge_delay_view_ = edge_delay_store_;
 }
 
 void ArcCostView::assign_borrowed(const Graph& g,
-                                  std::span<const double> edge_cost,
-                                  std::span<const double> edge_delay) {
-  build_arcs(g, edge_cost, edge_delay);
+                                  std::span<const double> edge_cost) {
+  build_arcs(g, edge_cost);
   edge_cost_store_.clear();
-  edge_delay_store_.clear();
   edge_cost_view_ = edge_cost;
-  edge_delay_view_ = edge_delay;
 }
 
 }  // namespace cdst

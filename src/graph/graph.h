@@ -57,7 +57,7 @@ class GraphBuilder {
 /// span, and — finalized at the same time — a structure-of-arrays plane
 /// (`arc_heads()` / `arc_edges()` indexed by *arc index*, with the per-vertex
 /// range given by `arc_begin()`/`arc_end()`). The SoA plane is what the
-/// blocked Dijkstra kernel scans: per-arc attribute arrays (ArcCostView) line
+/// blocked Dijkstra kernel scans: per-arc cost arrays (ArcCostView) line
 /// up with it index-for-index, so a relax loop reads contiguous strips
 /// instead of chasing per-edge indirections.
 class Graph {

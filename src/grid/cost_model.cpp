@@ -7,7 +7,6 @@ namespace cdst {
 CongestionCosts::CongestionCosts(const RoutingGrid& grid,
                                  CongestionParams params)
     : grid_(&grid),
-      params_(params),
       log_base_(std::log(params.price_at_full)) {
   CDST_CHECK(params.price_at_full > 1.0);
   usage_.assign(grid.num_resources(), 0.0);

@@ -20,11 +20,10 @@
 namespace cdst {
 
 struct CongestionParams {
-  /// Exponential base: price multiplier at 100% utilization.
+  /// Exponential base: price multiplier at 100% utilization. The exponent
+  /// grows linearly in utilization with no cap, so overfull edges become
+  /// rapidly prohibitive.
   double price_at_full{16.0};
-  /// Utilization beyond which the price keeps growing linearly in the
-  /// exponent (no cap): overfull edges become rapidly prohibitive.
-  double smoothing{1.0};
 };
 
 /// Tracks per-resource usage and prices edges.
@@ -56,7 +55,7 @@ class CongestionCosts {
   double price_excluding(ResourceId r, double excluded_usage) const {
     const double use = std::max(0.0, usage_[r] - excluded_usage);
     const double util = use / capacity_[r];
-    return std::exp(log_base_ * util * params_.smoothing);
+    return std::exp(log_base_ * util);
   }
 
   /// edge_cost(e) with `excluded_usage` discounted from its resource:
@@ -97,11 +96,10 @@ class CongestionCosts {
   /// closed form. Every usage mutator calls it for the resources it touches.
   void refresh_price(ResourceId r) {
     const double util = usage_[r] / capacity_[r];
-    price_[r] = std::exp(log_base_ * util * params_.smoothing);
+    price_[r] = std::exp(log_base_ * util);
   }
 
   const RoutingGrid* grid_;
-  CongestionParams params_;
   double log_base_;
   std::vector<double> usage_;
   std::vector<double> capacity_;

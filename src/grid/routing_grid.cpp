@@ -123,10 +123,10 @@ void RoutingGrid::build() {
     }
   }
 
-  // Finalize the static SoA attribute plane alongside the graph.
-  // base_costs_/delays_ are members sharing the view's lifetime (vector
-  // buffers survive grid moves), so the per-edge arrays are borrowed.
-  arc_costs_.assign_borrowed(graph_, base_costs_, delays_);
+  // Finalize the static SoA cost plane alongside the graph. base_costs_ is
+  // a member sharing the view's lifetime (vector buffers survive grid
+  // moves), so the per-edge array is borrowed.
+  arc_costs_.assign_borrowed(graph_, base_costs_);
 
   positions_.resize(graph_.num_vertices());
   for (VertexId v = 0; v < positions_.size(); ++v) {

@@ -148,10 +148,9 @@ class RoutingGrid {
   /// Uncongested unit costs indexed by EdgeId (lower bound of any price).
   const std::vector<double>& base_costs() const { return base_costs_; }
 
-  /// Structure-of-arrays plane of the static edge attributes (base cost,
-  /// delay) keyed by arc index — finalized once with the graph. The
-  /// uncongested metric the landmark preprocessing and admissible-bound
-  /// machinery scan; congestion prices live on each net's window planes.
+  /// Structure-of-arrays plane of the base edge costs keyed by arc index —
+  /// finalized once with the graph. The uncongested metric the landmark
+  /// preprocessing scans; congestion prices live on each net's window.
   const ArcCostView& arc_costs() const { return arc_costs_; }
 
   /// Cheapest congestion cost per gcell over all layers and wire types

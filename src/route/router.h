@@ -29,13 +29,6 @@ struct RouterOptions {
   SteinerMethod method{SteinerMethod::kCD};
   OracleParams oracle;
   CongestionParams congestion;
-  /// Lagrangean weight update: slack magnitude (ps) that doubles a weight.
-  double weight_scale{25.0};
-  double weight_floor{5e-4};
-  double weight_ceiling{64.0};
-  /// Scale of the RAT-criticality seed for the initial multipliers
-  /// (w0 = weight_init_scale * criticality^2).
-  double weight_init_scale{3.0};
   std::uint64_t seed{1};
   /// Worker threads for the per-net oracle calls. Batched rounds rip each
   /// batch up, route its nets in parallel against the usage as it then

@@ -130,7 +130,6 @@ OracleOutcome run_method(const OracleInstance& oi, SteinerMethod method,
       break;
     case SteinerMethod::kSL: {
       ShallowLightParams sl;
-      sl.epsilon = params.sl_epsilon;
       sl.delay_per_unit = oi.delay_per_unit();
       sl.dbif = params.dbif;
       sl.eta = params.eta;
@@ -139,7 +138,6 @@ OracleOutcome run_method(const OracleInstance& oi, SteinerMethod method,
     }
     case SteinerMethod::kPD: {
       PrimDijkstraParams pd;
-      pd.gamma = params.pd_gamma;
       pd.delay_per_unit = oi.delay_per_unit();
       pd.dbif = params.dbif;
       pd.eta = params.eta;

@@ -23,8 +23,6 @@ namespace cdst {
 struct OracleParams {
   double dbif{0.0};
   double eta{0.25};
-  double sl_epsilon{0.25};
-  double pd_gamma{0.5};
   /// Window inflation beyond the net bounding box, in gcells plus a fraction
   /// of the half-perimeter.
   std::int32_t window_margin{6};

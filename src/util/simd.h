@@ -57,7 +57,7 @@ inline constexpr std::uint32_t kRelaxStrip = 8;
 /// Byte alignment of vectorizable strip allocations (the AVX2 vector width).
 inline constexpr std::size_t kVecAlign = 32;
 
-/// STL allocator with a fixed over-alignment; ArcCostView's owned strips and
+/// STL allocator with a fixed over-alignment; ArcCostView's owned strip and
 /// the solver's box strip use it so Vec4d loads never straddle an extra
 /// cache line.
 template <typename T, std::size_t Align = kVecAlign>

@@ -14,8 +14,6 @@ class WallTimer {
  public:
   WallTimer() : start_(clock::now()) {}
 
-  void restart() { start_ = clock::now(); }
-
   double seconds() const {
     return std::chrono::duration<double>(clock::now() - start_).count();
   }

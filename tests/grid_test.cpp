@@ -126,7 +126,6 @@ TEST(CongestionCosts, PriceTableMatchesClosedForm) {
   const RoutingGrid g = small_grid();
   CongestionParams params;
   params.price_at_full = 11.0;
-  params.smoothing = 1.3;
   CongestionCosts costs(g, params);
   const std::size_t m = g.graph().num_edges();
   // The closed form edge_cost had before the price table, recomputed here
@@ -139,15 +138,15 @@ TEST(CongestionCosts, PriceTableMatchesClosedForm) {
       const double util = costs.usage(info.resource) / cap;
       const double expected =
           info.unit_cost *
-          std::exp(std::log(params.price_at_full) * util * params.smoothing);
+          std::exp(std::log(params.price_at_full) * util);
       ASSERT_EQ(costs.edge_cost(e), expected) << step << ", edge " << e;
       ASSERT_EQ(costs.edge_cost_excluding(e, 0.0), costs.edge_cost(e))
           << step << ", edge " << e;
       // The own-usage exclusion, in closed form and as its resource price.
       const double use = std::max(0.0, costs.usage(info.resource) - 0.5);
       const double excluded =
-          info.unit_cost * std::exp(std::log(params.price_at_full) *
-                                    (use / cap) * params.smoothing);
+          info.unit_cost *
+          std::exp(std::log(params.price_at_full) * (use / cap));
       ASSERT_EQ(costs.edge_cost_excluding(e, 0.5), excluded)
           << step << ", edge " << e;
       ASSERT_EQ(info.unit_cost * costs.price_excluding(info.resource, 0.5),
@@ -185,7 +184,6 @@ TEST(CongestionCosts, ReloadFromUsagesPricesBitIdentically) {
   const RoutingGrid g = small_grid();
   CongestionParams params;
   params.price_at_full = 11.0;
-  params.smoothing = 1.3;
   const std::size_t m = g.graph().num_edges();
   Rng rng(20261018);
   for (int trial = 0; trial < 8; ++trial) {

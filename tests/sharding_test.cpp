@@ -47,10 +47,8 @@ TEST(ArcCostView, AlignsWithGraphArcPlane) {
   b.add_edge(0, 3);
   const Graph g(b);
   const std::vector<double> cost{1.0, 2.0, 3.0, 4.0};
-  const std::vector<double> delay{0.5, 0.25, 0.125, 0.0625};
-  const ArcCostView view(g, cost, delay);
+  const ArcCostView view(g, cost);
   ASSERT_EQ(view.arc_cost().size(), g.num_arcs());
-  ASSERT_EQ(view.arc_delay().size(), g.num_arcs());
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     const auto arcs = g.arcs(v);
     const std::uint32_t lo = g.arc_begin(v);
@@ -58,7 +56,6 @@ TEST(ArcCostView, AlignsWithGraphArcPlane) {
       EXPECT_EQ(g.arc_heads()[lo + k], arcs[k].to);
       EXPECT_EQ(g.arc_edges()[lo + k], arcs[k].edge);
       EXPECT_EQ(view.arc_cost()[lo + k], cost[arcs[k].edge]);
-      EXPECT_EQ(view.arc_delay()[lo + k], delay[arcs[k].edge]);
     }
   }
 }
@@ -79,7 +76,7 @@ TEST(ArcCostView, DijkstraBitIdenticalToPerEdgePath) {
     delay.push_back(0.05 + 0.5 * rng.uniform_double());
   }
   const Graph g(b);
-  const ArcCostView view(g, cost, delay);
+  const ArcCostView view(g, cost);
 
   const DijkstraResult scalar = dijkstra(g, {0, 17}, ArrayLength{cost});
   const DijkstraResult soa = dijkstra(g, {0, 17}, ArrayLength(view));
@@ -92,7 +89,7 @@ TEST(ArcCostView, DijkstraBitIdenticalToPerEdgePath) {
   for (std::size_t e = 0; e < cost.size(); ++e) {
     metric[e] = cost[e] + 2.5 * delay[e];
   }
-  const ArcCostView metric_view(g, metric, delay);
+  const ArcCostView metric_view(g, metric);
   const DijkstraResult scalar_cd = dijkstra(g, {3}, ArrayLength{metric});
   const DijkstraResult soa_cd = dijkstra(g, {3}, ArrayLength(metric_view));
   ASSERT_EQ(scalar_cd.dist, soa_cd.dist);

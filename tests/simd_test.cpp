@@ -192,7 +192,7 @@ TEST(SimdDijkstra, ExtremeMagnitudeCostsStayBitIdentical) {
     delay.push_back(kMag[rng.uniform(5)] * rng.uniform_double());
   }
   const Graph g(b);
-  const ArcCostView view(g, cost, delay);
+  const ArcCostView view(g, cost);
 
   const DijkstraResult scalar =
       dijkstra(g, {0, 9}, ArrayLength{cost}, kInvalidVertex);
@@ -207,7 +207,7 @@ TEST(SimdDijkstra, ExtremeMagnitudeCostsStayBitIdentical) {
   for (std::size_t e = 0; e < cost.size(); ++e) {
     metric[e] = cost[e] + 3.0 * delay[e];
   }
-  const ArcCostView metric_view(g, metric, delay);
+  const ArcCostView metric_view(g, metric);
   const DijkstraResult scalar_cd =
       dijkstra(g, {5}, ArrayLength{metric}, kInvalidVertex);
   const DijkstraResult soa_cd =

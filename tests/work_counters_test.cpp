@@ -11,16 +11,23 @@
 // rule) and once with its own usage priced out of the window (the sharded
 // rule, CongestionCosts::price_excluding). Every cdst target compiles with
 // floating-point contraction off, so the values hold on FMA builds too.
+//
+// The transport slice: the same chip in 2 sharded rounds (4 shards) through
+// the in-process wire loopback behind a byte-counting decorator. It pins
+// the protocol's message counts and Σ encoded bytes per message kind, and
+// its results must equal the direct in-process session's.
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <mutex>
 #include <span>
 #include <vector>
 
 #include "api/cdst.h"
+#include "dist/transport.h"
 #include "grid/cost_model.h"
 #include "route/netlist_gen.h"
 #include "route/steiner_oracle.h"
@@ -143,6 +150,99 @@ TEST(WorkCounters, PinnedOnFixedSlice) {
             std::bit_cast<std::uint64_t>(s.ripped_up.objective_sum));
   expect_pinned(s.ripped_up);
   expect_pinned(s.excluded);
+}
+
+/// Forwards to a transport and counts the protocol's messages and the
+/// encoded bytes of each kind (the sizes every wire transport ships).
+class CountingTransport final : public dist::ShardTransport {
+ public:
+  explicit CountingTransport(dist::ShardTransport& inner) : inner_(inner) {}
+
+  const char* name() const override { return "counting"; }
+  Status configure(const dist::WorkerSetupMsg& setup) override {
+    ++configures;
+    setup_bytes += setup.to_bytes().size();
+    return inner_.configure(setup);
+  }
+  Status begin_round(const dist::PriceSnapshotMsg& snapshot) override {
+    ++rounds;
+    snapshot_bytes += snapshot.to_bytes().size();
+    return inner_.begin_round(snapshot);
+  }
+  StatusOr<dist::ShardResultMsg> dispatch(
+      const dist::ShardWorkMsg& work) override {
+    const std::size_t sent = work.to_bytes().size();
+    StatusOr<dist::ShardResultMsg> result = inner_.dispatch(work);
+    const std::size_t received =
+        result.ok() ? result->to_bytes().size() : std::size_t{0};
+    const std::lock_guard<std::mutex> lock(mu_);
+    ++dispatches;
+    work_bytes += sent;
+    result_bytes += received;
+    return result;
+  }
+
+  std::uint64_t configures{0};
+  std::uint64_t rounds{0};
+  std::uint64_t dispatches{0};
+  std::uint64_t setup_bytes{0};
+  std::uint64_t snapshot_bytes{0};
+  std::uint64_t work_bytes{0};
+  std::uint64_t result_bytes{0};
+
+ private:
+  dist::ShardTransport& inner_;
+  std::mutex mu_;
+};
+
+TEST(WorkCounters, TransportPinnedOnFixedSlice) {
+  const ChipConfig config = paper_chip_configs(0.001).at(3);
+  const RoutingGrid grid = make_chip_grid(config);
+  const Netlist netlist = generate_netlist(config, grid);
+  std::vector<LayerSpec> layers = make_default_layer_stack(config.num_layers);
+  apply_linear_delay_model(layers, BufferSpec{});
+
+  RouterOptions ropts;
+  ropts.method = SteinerMethod::kCD;
+  ropts.oracle.dbif = compute_dbif(layers, BufferSpec{});
+  ropts.seed = 1;
+  ropts.threads = 2;
+  ropts.shards = 4;
+  Router direct(grid, netlist, ropts);
+  ASSERT_TRUE(direct.run(2).ok());
+  const RouterResult want = direct.result();
+
+  dist::InProcessTransport inner;
+  CountingTransport counter(inner);
+  ropts.transport = &counter;
+  Router session(grid, netlist, ropts);
+  const Status st = session.run(2);
+  ASSERT_TRUE(st.ok()) << st.to_string();
+  const RouterResult got = session.result();
+  EXPECT_EQ(got.routes, want.routes);
+  EXPECT_EQ(got.sink_delays, want.sink_delays);
+  EXPECT_EQ(got.sink_weights, want.sink_weights);
+
+  std::printf("transport: configures %llu rounds %llu dispatches %llu "
+              "bytes setup %llu snapshot %llu work %llu result %llu\n",
+              static_cast<unsigned long long>(counter.configures),
+              static_cast<unsigned long long>(counter.rounds),
+              static_cast<unsigned long long>(counter.dispatches),
+              static_cast<unsigned long long>(counter.setup_bytes),
+              static_cast<unsigned long long>(counter.snapshot_bytes),
+              static_cast<unsigned long long>(counter.work_bytes),
+              static_cast<unsigned long long>(counter.result_bytes));
+  // One setup, one snapshot per round and one dispatch per span of
+  // kSpanNets nets. Wire version 5: the setup ships no SL/PD topology
+  // parameters, strict-budget flag, smoothing or per-solve seeds (41 B less
+  // than version 4), and a work no shard count or tile (28 B less).
+  EXPECT_EQ(counter.configures, 1u);
+  EXPECT_EQ(counter.rounds, 2u);
+  EXPECT_EQ(counter.dispatches, 156u);
+  EXPECT_EQ(counter.setup_bytes, 34738u);
+  EXPECT_EQ(counter.snapshot_bytes, 732840u);
+  EXPECT_EQ(counter.work_bytes, 48612u);
+  EXPECT_EQ(counter.result_bytes, 64668u);
 }
 
 }  // namespace
